@@ -63,7 +63,6 @@ _EXPORTS = {
     "score_minus_log_likelihood": "sqp",
     "assemble_qp": "sqp",
     "sqp_step": "sqp",
-    "ircls_step": "sqp",
     "initial_beta": "sqp",
     "fit": "sqp",
     # metrics

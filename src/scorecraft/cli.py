@@ -142,13 +142,17 @@ def _parse_inweights(pairs: list[str]) -> list[tuple[int, float]]:
     return out
 
 
-def _compiled(args, spec, sample):
+def _compiled(args, spec, sample, design=None):
+    """The spec's constraints; `design` is the sample's, if already binned."""
     from .constraints import CenteringPolicy, compile_constraints
+    from .model import build_design_matrix
 
     if args.centering == "weighted":
         if sample is None:
             raise ValueError("--centering weighted needs --data")
-        policy = CenteringPolicy.weighted_from_sample(spec, sample)
+        if design is None:
+            design = build_design_matrix(spec, sample)
+        policy = CenteringPolicy.weighted_from_sample(design, sample.w)
     else:
         policy = CenteringPolicy.none()
     return compile_constraints(spec, policy, _parse_inweights(args.inweight))
@@ -184,7 +188,7 @@ def _cmd_fit(args) -> int:
     spec = parse_spec(spec_text)
     sample = load_sample(args.data)
     design = build_design_matrix(spec, sample)
-    cs = _compiled(args, spec, sample)
+    cs = _compiled(args, spec, sample, design)
     beta0 = None
     if args.init_model:
         init = load_model(args.init_model)

@@ -18,14 +18,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .model import (
+    DesignMatrix,
     FixedTo,
     GreaterThan,
     LessThan,
-    Sample,
     ScorecardSpec,
     SpecError,
     TiedTo,
-    bin_value,
 )
 
 __all__ = [
@@ -110,15 +109,16 @@ class CenteringPolicy:
         return cls(mode="none")
 
     @classmethod
-    def weighted_from_sample(cls, spec: ScorecardSpec, sample: Sample) -> "CenteringPolicy":
-        """Centering policy with weighted attribute counts from a sample."""
-        counts = np.zeros(spec.q - 1)
-        w = np.asarray(sample.w, dtype=float)
-        for ch in spec.characteristics:
-            col = sample.records[ch.name]
-            for i in range(sample.n):
-                counts[bin_value(ch, col[i]) - 1] += w[i]
-        return cls(mode="weighted_sum_zero", attribute_counts=counts)
+    def weighted_from_sample(cls, design: DesignMatrix, w: np.ndarray) -> "CenteringPolicy":
+        """Centering policy with weighted attribute counts from a binned sample.
+
+        The counts are X'w without its intercept entry: the weight of the
+        rows binned to each attribute of the spec-built design.
+        """
+        w = np.asarray(w, dtype=float)
+        if w.shape != (design.n,):
+            raise SpecError(f"w must have length {design.n}")
+        return cls(mode="weighted_sum_zero", attribute_counts=design.rmatvec(w)[1:])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 A scorecard partitions each predictor (characteristic) into bins (attributes)
 and assigns one additive weight per attribute.  This module parses the spec
-file format, bins raw values, and builds indicator design matrices with an
-intercept column.
+file format, bins raw values, and builds design matrices with an intercept
+column.  A spec-built design stores one integer column code per
+characteristic and row, not the 0/1 indicator matrix; scores, X'r and
+X' diag(c) X are computed from the codes, and the dense indicator matrix is
+only built when `DesignMatrix.x` is read.
 
 Outcome convention: y = 1 means Good throughout the package.
 """
@@ -16,9 +19,11 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 __all__ = [
     "SpecError",
@@ -315,26 +320,39 @@ class Sample:
         return self
 
 
+# Rows per dense block when DesignMatrix.gram accumulates X' diag(c) X.
+GRAM_CHUNK_ROWS = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """n x q matrix whose first column is identically 1.
+    """n x q design matrix whose first column is identically 1.
 
-    Spec-built matrices carry one 0/1 indicator column per attribute and a
-    block map (characteristic name, start, stop) over the column range; raw
-    numeric basis matrices carry no blocks and skip the indicator invariants.
+    A spec-built design stores `codes`, an n x (1 + C) integer matrix over
+    its C characteristics: column 0 is the intercept's code 0, and column
+    c + 1 holds the design column (the attribute index) that row i bins to
+    in characteristic c.  `blocks` maps each characteristic (name, start,
+    stop) to its column range.  A raw numeric basis (`from_array`) stores
+    its n x q matrix in `raw` and has no blocks.  Exactly one of `codes`
+    and `raw` is set.
+
+    `scores`, `rmatvec` and `gram` are the operations a fit needs; `x` is
+    the dense n x q float view, built on first read and then kept.
     """
 
-    x: np.ndarray
     column_labels: tuple[str, ...]
+    codes: Optional[np.ndarray] = None
+    raw: Optional[np.ndarray] = None
     blocks: tuple[tuple[str, int, int], ...] = ()
 
     @property
     def n(self) -> int:
-        return int(self.x.shape[0])
+        values = self.codes if self.codes is not None else self.raw
+        return int(values.shape[0])
 
     @property
     def q(self) -> int:
-        return int(self.x.shape[1])
+        return len(self.column_labels)
 
     @classmethod
     def from_array(cls, x: np.ndarray, column_labels: Optional[Sequence[str]] = None) -> "DesignMatrix":
@@ -345,12 +363,83 @@ class DesignMatrix:
         if x.shape[0] > 0 and not (x[:, 0] == 1.0).all():
             raise SpecError("design matrix column 1 must be identically 1")
         if column_labels is None:
-            labels = ("intercept",) + tuple(f"x{j}" for j in range(1, x.shape[1]))
+            labels = _default_labels(x.shape[1])
         else:
             labels = tuple(column_labels)
             if len(labels) != x.shape[1]:
                 raise SpecError("column label count must match column count")
-        return cls(x=x, column_labels=labels)
+        return cls(column_labels=labels, raw=x)
+
+    @classmethod
+    def coerce(cls, x: Union["DesignMatrix", np.ndarray]) -> "DesignMatrix":
+        """x itself, or a raw basis over the 2-d array x (not copied or checked)."""
+        if isinstance(x, DesignMatrix):
+            return x
+        mat = np.asarray(x, dtype=float)
+        if mat.ndim != 2:
+            raise SpecError("design matrix must be 2-d")
+        return cls(column_labels=_default_labels(mat.shape[1]), raw=mat)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The dense n x q float matrix."""
+        if self.raw is not None:
+            return self.raw
+        dense = np.zeros((self.n, self.q))
+        dense[np.arange(self.n)[:, None], self.codes] = 1.0
+        return dense
+
+    def scores(self, beta: np.ndarray) -> np.ndarray:
+        """theta = X beta; for codes, the sum of each row's gathered weights."""
+        if self.raw is not None:
+            return self.raw @ beta
+        return beta[self.codes].sum(axis=1)
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """X' r; for codes, r summed per design column by bincount."""
+        if self.raw is not None:
+            return self.raw.T @ r
+        return np.bincount(
+            self.codes.ravel(),
+            weights=np.repeat(r, self.codes.shape[1]),
+            minlength=self.q,
+        )
+
+    def gram(self, c: np.ndarray) -> np.ndarray:
+        """X' diag(c) X for nonnegative c, as a symmetric q x q matrix.
+
+        Accumulated by dsyrk over dense blocks of GRAM_CHUNK_ROWS rows of
+        diag(sqrt(c)) X, so no n x q temporary is formed.
+        """
+        acc = np.zeros((self.q, self.q), order="F")
+        for block in self._row_blocks(np.sqrt(c)):
+            # block.T is the Fortran-ordered q x m view, so dsyrk forms
+            # block' block without copying.
+            acc = dsyrk(1.0, block.T, beta=1.0, c=acc, overwrite_c=1)
+        return np.triu(acc) + np.triu(acc, 1).T
+
+    def _row_blocks(self, scale: np.ndarray) -> Iterator[np.ndarray]:
+        """Consecutive dense blocks of GRAM_CHUNK_ROWS rows of diag(scale) X.
+
+        Coded blocks share one buffer: each is valid until the next is drawn.
+        """
+        step = GRAM_CHUNK_ROWS
+        if self.raw is not None:
+            for lo in range(0, self.n, step):
+                yield self.raw[lo : lo + step] * scale[lo : lo + step, None]
+            return
+        buf = np.zeros((min(self.n, step), self.q))
+        rows = np.arange(buf.shape[0])[:, None]
+        for lo in range(0, self.n, step):
+            codes = self.codes[lo : lo + step]
+            block, at = buf[: len(codes)], (rows[: len(codes)], codes)
+            block[at] = scale[lo : lo + step, None]
+            yield block
+            block[at] = 0.0
+
+
+def _default_labels(q: int) -> tuple[str, ...]:
+    return tuple("intercept" if j == 0 else f"x{j}" for j in range(q))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +498,37 @@ def bin_value(ch: Characteristic, raw: object) -> int:
     return ch.noinfo.att_index
 
 
-def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
-    """Build the indicator design matrix for a sample under a spec.
+def _bin_column(ch: Characteristic, column: Sequence[object]) -> np.ndarray:
+    """bin_value over a column, called once per distinct cell value.
 
-    Row i gets a 1 in the intercept column and a 1 in the column of the
-    attribute each characteristic bins to; sample records must provide every
+    Each cell is looked up in a memo keyed by the cell itself; a cell equal
+    to no earlier one (a new value, or a NaN, which equals nothing) becomes
+    a key binned by a direct bin_value call.  Equal values bin alike, so the
+    codes are those of a per-cell bin_value loop.  A column with an
+    unhashable cell is binned cell by cell.
+    """
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    first: dict[object, int] = {}
+    try:
+        # Each cell maps to the position of the first cell equal to it.
+        pos = np.fromiter(
+            map(first.setdefault, values, count()), dtype=np.intp, count=len(values)
+        )
+    except TypeError:
+        return np.fromiter(
+            (bin_value(ch, v) for v in values), dtype=np.intp, count=len(values)
+        )
+    code_at = np.empty(len(values), dtype=np.intp)
+    for value, i in first.items():
+        code_at[i] = bin_value(ch, value)
+    return code_at[pos]
+
+
+def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
+    """Bin a sample under a spec into a coded design matrix.
+
+    Row i has code 0 (the intercept) and, per characteristic, the column of
+    the attribute its value bins to; sample records must provide every
     characteristic in the spec and no others.
     """
     known = {ch.name for ch in spec.characteristics}
@@ -424,16 +539,9 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
     if missing:
         raise SpecError(f"sample lacks characteristic(s): {sorted(missing)}")
 
-    n, q = sample.n, spec.q
-    x = np.zeros((n, q))
-    x[:, 0] = 1.0
-    rows = np.arange(n)
-    for ch in spec.characteristics:
-        col = sample.records[ch.name]
-        idx = np.fromiter(
-            (bin_value(ch, col[i]) for i in range(n)), dtype=np.intp, count=n
-        )
-        x[rows, idx] = 1.0
+    codes = np.zeros((sample.n, 1 + len(spec.characteristics)), dtype=np.intp)
+    for c, ch in enumerate(spec.characteristics, start=1):
+        codes[:, c] = _bin_column(ch, sample.records[ch.name])
 
     labels = ["intercept"]
     blocks = []
@@ -443,18 +551,19 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
         stop = start + len(ch.attributes)
         blocks.append((ch.name, start, stop))
         start = stop
-    return DesignMatrix(x=x, column_labels=tuple(labels), blocks=tuple(blocks))
+    return DesignMatrix(column_labels=tuple(labels), codes=codes, blocks=tuple(blocks))
 
 
 def score_vector(x: Union[DesignMatrix, np.ndarray], beta: np.ndarray) -> np.ndarray:
     """Scores theta = X beta for a design matrix and coefficient vector."""
-    mat = x.x if isinstance(x, DesignMatrix) else np.asarray(x, dtype=float)
+    design = DesignMatrix.coerce(x)
     beta = np.asarray(beta, dtype=float)
-    if mat.ndim != 2 or beta.ndim != 1 or mat.shape[1] != beta.shape[0]:
+    if beta.ndim != 1 or design.q != beta.shape[0]:
         raise SpecError(
-            f"dimension mismatch: design is {mat.shape}, beta has length {beta.shape}"
+            f"dimension mismatch: design is {(design.n, design.q)}, "
+            f"beta has length {beta.shape}"
         )
-    return mat @ beta
+    return design.scores(beta)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ The fit minimizes  M(beta) + (lambda/(q-1)) * S'S  subject to the compiled
 linear constraints, where M is minus the Bernoulli log likelihood of the
 weighted sample, beta' = [S0 S'] holds the intercept and the scorecard
 weights, and the intercept is never penalized.  Each outer iteration solves
-the exact Newton quadratic model of M under the original constraints; the
-iteratively reweighted constrained least squares step is provided as an
-algebraically equivalent oracle (the expanded working-response objective has
-identical quadratic and linear parts).
+the exact Newton quadratic model of M under the original constraints.  The
+design enters only through three operations of `DesignMatrix`: scores X beta,
+the gradient X' r, and the Gram matrix X' diag(c) X.
 
 Convergence is measured by max|delta beta| between iterations, with no step
 damping: full QP steps, an iteration cap, and a recorded trajectory.
@@ -43,7 +42,6 @@ __all__ = [
     "logistic_terms",
     "assemble_qp",
     "sqp_step",
-    "ircls_step",
     "initial_beta",
     "fit",
 ]
@@ -57,22 +55,22 @@ class StepError(RuntimeError):
     """A QP step failed: infeasible constraints or unmet solver tolerances."""
 
 
-def _as_matrix(x: Union[DesignMatrix, np.ndarray]) -> np.ndarray:
-    mat = x.x if isinstance(x, DesignMatrix) else np.asarray(x, dtype=float)
-    if mat.ndim != 2:
-        raise SpecError("design matrix must be 2-d")
-    return mat
-
-
-def _check_sample(mat: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_sample(design: DesignMatrix, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    n = mat.shape[0]
+    n = design.n
     if y.shape != (n,) or w.shape != (n,):
         raise SpecError(f"y and w must have length {n}")
-    if (w < 0).any():
-        raise SpecError("weights must be nonnegative")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise SpecError("weights must be finite and nonnegative")
     return y, w
+
+
+def _check_beta(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (design.q,):
+        raise SpecError(f"beta must have length {design.q}")
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,12 +195,10 @@ def minus_log_likelihood(
     beta: np.ndarray,
 ) -> float:
     """Minus log likelihood at beta; additive in observations, linear in w."""
-    mat = _as_matrix(x)
-    y, w = _check_sample(mat, y, w)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (mat.shape[1],):
-        raise SpecError(f"beta must have length {mat.shape[1]}")
-    return score_minus_log_likelihood(mat @ beta, y, w)
+    design = DesignMatrix.coerce(x)
+    y, w = _check_sample(design, y, w)
+    beta = _check_beta(design, beta)
+    return score_minus_log_likelihood(design.scores(beta), y, w)
 
 
 def logistic_terms(
@@ -219,16 +215,13 @@ def logistic_terms(
         hess = X' diag(w prob (1-prob)) X
         minus_ll = w' (log(1+e^theta) - y theta)
     """
-    mat = _as_matrix(x)
-    y, w = _check_sample(mat, y, w)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (mat.shape[1],):
-        raise SpecError(f"beta must have length {mat.shape[1]}")
-    theta = mat @ beta
+    design = DesignMatrix.coerce(x)
+    y, w = _check_sample(design, y, w)
+    beta = _check_beta(design, beta)
+    theta = design.scores(beta)
     prob = expit(theta)
-    grad = mat.T @ (w * (prob - y))
-    curve = w * prob * (1.0 - prob)
-    hess = mat.T @ (mat * curve[:, None])
+    grad = design.rmatvec(w * (prob - y))
+    hess = design.gram(w * prob * (1.0 - prob))
     minus_ll = score_minus_log_likelihood(theta, y, w)
     return LogisticTerms(theta=theta, prob=prob, grad=grad, hess=hess, minus_ll=minus_ll)
 
@@ -254,19 +247,6 @@ def assemble_qp(
     return QpProblem(h=h, f=f, cs=cs, warm_start=beta_hat)
 
 
-def _solved_step(problem: QpProblem, settings: Optional[QpSettings], what: str) -> QpSolution:
-    solution = solve_qp(problem, settings)
-    if solution.status != "optimal":
-        raise StepError(
-            f"{what} failed: QP status {solution.status}"
-            f" (stationarity {solution.kkt.stationarity:.3e},"
-            f" primal eq {solution.kkt.primal_eq:.3e},"
-            f" primal ineq {solution.kkt.primal_ineq:.3e})"
-            + (f"; {solution.note}" if solution.note else "")
-        )
-    return solution
-
-
 def _sqp_solution(
     x: Union[DesignMatrix, np.ndarray],
     y: np.ndarray,
@@ -278,7 +258,16 @@ def _sqp_solution(
 ) -> QpSolution:
     terms = logistic_terms(x, y, w, beta_in)
     problem = assemble_qp(terms, pen, np.asarray(beta_in, dtype=float), cs)
-    return _solved_step(problem, settings, "quadratic programming step")
+    solution = solve_qp(problem, settings)
+    if solution.status != "optimal":
+        raise StepError(
+            f"quadratic programming step failed: QP status {solution.status}"
+            f" (stationarity {solution.kkt.stationarity:.3e},"
+            f" primal eq {solution.kkt.primal_eq:.3e},"
+            f" primal ineq {solution.kkt.primal_ineq:.3e})"
+            + (f"; {solution.note}" if solution.note else "")
+        )
+    return solution
 
 
 def sqp_step(
@@ -296,43 +285,6 @@ def sqp_step(
     Newton iterate beta_in - hess^-1 grad.
     """
     return _sqp_solution(x, y, w, pen, cs, beta_in, settings).beta
-
-
-def ircls_step(
-    x: Union[DesignMatrix, np.ndarray],
-    y: np.ndarray,
-    w: np.ndarray,
-    pen: PenaltySpec,
-    cs: ConstraintSet,
-    beta_in: np.ndarray,
-    settings: Optional[QpSettings] = None,
-) -> np.ndarray:
-    """One iteratively reweighted constrained least squares step.
-
-    Minimizes 1/2 sum_i omega_i (z_i - x_i'beta)^2 + penalty over the
-    constraints, with working weights omega = w p (1-p) and working response
-    z = theta + (y - p) / (p (1-p)).  Expanding the square gives the same
-    QP as sqp_step up to a constant, so the two agree to solver tolerance;
-    this is kept as an independent route, not expressed through sqp_step.
-    """
-    mat = _as_matrix(x)
-    y, w = _check_sample(mat, y, w)
-    beta_in = np.asarray(beta_in, dtype=float)
-    terms = logistic_terms(mat, y, w, beta_in)
-    curve = terms.prob * (1.0 - terms.prob)
-    degenerate = np.flatnonzero(curve == 0.0)
-    if degenerate.size:
-        i = int(degenerate[0])
-        raise StepError(
-            f"ircls step: observation {i} has p(1-p) = 0 at the current beta "
-            f"(theta = {terms.theta[i]:.6g}); the working response is undefined"
-        )
-    z = terms.theta + (y - terms.prob) / curve
-    omega = w * curve
-    h = terms.hess + np.diag(pen.hessian_diag(beta_in.shape[0]))
-    f = -(mat.T @ (omega * z))
-    problem = QpProblem(h=h, f=f, cs=cs, warm_start=beta_in)
-    return _solved_step(problem, settings, "reweighted least squares step").beta
 
 
 def initial_beta(
@@ -381,14 +333,14 @@ def fit(
     problem at the final beta using the final step's multipliers.
     """
     config = config or FitConfig()
-    mat = _as_matrix(x)
-    y, w = _check_sample(mat, y, w)
-    q = mat.shape[1]
+    design = DesignMatrix.coerce(x)
+    y, w = _check_sample(design, y, w)
+    q = design.q
     if cs.q != q:
         raise SpecError(f"constraint set is over {cs.q} coefficients, design over {q}")
 
     beta = initial_beta(q, y, w, config.beta0)
-    initial_ll = minus_log_likelihood(mat, y, w, beta)
+    initial_ll = minus_log_likelihood(design, y, w, beta)
     trajectory: list[IterationRecord] = []
     status = "max_iterations"
     note = ""
@@ -396,10 +348,10 @@ def fit(
     warned_separation = False
 
     for iteration in range(1, config.max_outer_iters + 1):
-        solution = _sqp_solution(mat, y, w, pen, cs, beta, config.qp)
+        solution = _sqp_solution(design, y, w, pen, cs, beta, config.qp)
         delta = float(np.abs(solution.beta - beta).max())
         beta = solution.beta
-        theta = mat @ beta
+        theta = design.scores(beta)
         trajectory.append(
             IterationRecord(
                 iteration=iteration,
@@ -430,7 +382,7 @@ def fit(
     # The quadratic model assembled at the final beta has gradient
     # H beta + f = grad + penalty gradient there, so its KKT residuals with
     # the final multipliers certify the nonlinear problem, not a stale model.
-    final_terms = logistic_terms(mat, y, w, beta)
+    final_terms = logistic_terms(design, y, w, beta)
     final_problem = assemble_qp(final_terms, pen, beta, cs)
     assert solution is not None
     kkt = kkt_residuals(

@@ -21,6 +21,7 @@ from scorecraft.constraints import (
 from scorecraft.data_io import SyntheticConfig, gen_synthetic, implied_true_beta
 from scorecraft.metrics import roc
 from scorecraft.model import (
+    GRAM_CHUNK_ROWS,
     Attribute,
     Characteristic,
     ConstraintTag,
@@ -29,7 +30,9 @@ from scorecraft.model import (
     IntervalBin,
     LessThan,
     NoInformationBin,
+    Sample,
     ScorecardSpec,
+    SpecialBin,
     TiedTo,
     build_design_matrix,
     score_vector,
@@ -38,12 +41,13 @@ from scorecraft.sqp import (
     FitConfig,
     PenaltySpec,
     fit,
-    ircls_step,
     logistic_terms,
     minus_log_likelihood,
     score_minus_log_likelihood,
     sqp_step,
 )
+
+from ircls_oracle import ircls_step
 
 
 def random_logistic_instance(rng, n_max=50, q_max=8):
@@ -526,4 +530,91 @@ def test_penalty_ladder_shrinks_weights(acceptance, small_spec):
         + f" over lam 0,1,10,1e4 (statuses {','.join(statuses)}); "
         f"at lam=1e8 max|weight| {max_s:.1e}, intercept off log pop odds by "
         f"{intercept_err:.1e}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 10. A spec-built design computes what its dense indicator matrix does.
+
+
+def representative_sample(spec, rng, n):
+    """Raw values that hit every attribute, with outcomes from random weights."""
+    records = {}
+    for ch in spec.characteristics:
+        reps = []
+        for att in ch.attributes:
+            rule = att.bin
+            if isinstance(rule, SpecialBin):
+                reps.append(rule.value)
+            elif isinstance(rule, IntervalBin):
+                lo = rule.lo if math.isfinite(rule.lo) else rule.hi - 10.0
+                reps.append(lo)
+            elif isinstance(rule, NoInformationBin):
+                reps.append(None)
+            else:
+                reps.append(sorted(rule.labels)[0])
+        column = np.empty(n, dtype=object)
+        column[:] = [reps[k] for k in rng.integers(0, len(reps), size=n)]
+        records[ch.name] = column
+    sample = Sample(y=np.zeros(n), w=rng.uniform(0.5, 2.0, n), records=records)
+    x = build_design_matrix(spec, sample).x
+    theta = x @ rng.normal(0.0, 0.5, spec.q)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
+    return Sample(y=y, w=sample.w, records=records).validate()
+
+
+def noinfo_pins(spec):
+    """Pin each characteristic's NoInformation weight to 0 (identifies the design)."""
+    atts = [ch.noinfo.att_index for ch in spec.characteristics]
+    aeq = np.zeros((len(atts), spec.q))
+    aeq[np.arange(len(atts)), atts] = 1.0
+    return ConstraintSet(aeq=aeq, beq=np.zeros(len(atts)), a=np.zeros((0, spec.q)), b=np.zeros(0))
+
+
+def relative_gap(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+@pytest.mark.filterwarnings("ignore::scorecraft.qp.QpWarning")
+def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_factory):
+    rng = np.random.default_rng(1010)
+    good, bad = small_spec_probs()
+    cfg = SyntheticConfig(
+        seed=1010, n_good=300, n_bad=300, spec=small_spec,
+        good_probs=good, bad_probs=bad,
+    )
+    cases = [(small_spec, gen_synthetic(cfg), compile_constraints(small_spec))]
+    # The first random sample spans three Gram chunks, the last one partial.
+    for n in (2 * GRAM_CHUNK_ROWS + 123, 800, 800, 800, 800, 800):
+        spec = random_spec_factory(rng)
+        cases.append((spec, representative_sample(spec, rng, n), noinfo_pins(spec)))
+    terms_gap = beta_gap = theta_gap = 0.0
+    fits = 0
+    for spec, sample, pinned in cases:
+        design = build_design_matrix(spec, sample)
+        dense = design.x
+        for _ in range(3):
+            beta = rng.normal(0.0, 0.5, spec.q)
+            coded = logistic_terms(design, sample.y, sample.w, beta)
+            plain = logistic_terms(dense, sample.y, sample.w, beta)
+            for name in ("theta", "grad", "hess"):
+                terms_gap = max(
+                    terms_gap, relative_gap(getattr(coded, name), getattr(plain, name))
+                )
+        unpinned = ConstraintSet.empty(spec.q)
+        for lam, cs in ((0.5, unpinned), (0.0, pinned), (0.5, pinned), (0.0, unpinned)):
+            a = fit(design, sample.y, sample.w, PenaltySpec(lam=lam), cs)
+            b = fit(dense, sample.y, sample.w, PenaltySpec(lam=lam), cs)
+            fits += 1
+            if lam > 0 or cs is pinned:
+                beta_gap = max(beta_gap, float(np.abs(a.beta - b.beta).max()))
+            else:
+                gap = np.abs(score_vector(design, a.beta) - dense @ b.beta).max()
+                theta_gap = max(theta_gap, float(gap))
+    acceptance(
+        "design-parity",
+        terms_gap <= 1e-12 and beta_gap <= 1e-10 and theta_gap <= 1e-10,
+        f"{len(cases)} specs: logistic terms relative gap {terms_gap:.1e}; "
+        f"{fits} fit pairs, beta gap {beta_gap:.1e} (lam > 0 or pinned), "
+        f"theta gap {theta_gap:.1e} (lam = 0 unpinned)",
     )

@@ -16,6 +16,7 @@ from scorecraft.model import (
     Sample,
     SpecError,
     TiedTo,
+    build_design_matrix,
     parse_spec,
 )
 
@@ -103,7 +104,8 @@ def test_centering_policy_from_sample(small_spec):
             "fuel": np.array(["Gas", "Other", "Nope"], dtype=object),
         },
     ).validate()
-    policy = CenteringPolicy.weighted_from_sample(small_spec, sample)
+    design = build_design_matrix(small_spec, sample)
+    policy = CenteringPolicy.weighted_from_sample(design, sample.w)
     counts = np.zeros(8)
     counts[1] = 2.5  # att 2: ages 25 twice, weights 2 + 0.5
     counts[3] = 1.0  # att 4: age 55
@@ -124,6 +126,8 @@ def test_centering_policy_from_sample(small_spec):
     beta = np.zeros(9)
     beta[1:6] = 1.0
     assert age_row @ beta == pytest.approx(counts[:5].sum())
+    with pytest.raises(SpecError, match="length 3"):
+        CenteringPolicy.weighted_from_sample(design, np.ones(2))
 
 
 def test_centering_policy_errors(small_spec):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scorecraft.constraints import CenteringPolicy
 from scorecraft.model import (
     CategoryBin,
     ConstraintTag,
@@ -197,6 +198,49 @@ def test_build_design_matrix_indicators():
     assert dm.column_labels[0] == "intercept"
     assert dm.column_labels[6] == "fuel:Gas or Diesel"
     assert dm.blocks == (("age", 1, 6), ("fuel", 6, 9))
+
+
+def test_design_codes_equal_per_cell_binning():
+    spec = parse_spec(
+        "char,att,label,kind,lo,hi,categories,constraint\n"
+        "x,1,missing,special,-9999999,,,\n"
+        "x,2,twelve,category,,,12|007,\n"
+        "x,3,0-<10,interval,0,10,,\n"
+        "x,4,10-<100,interval,10,100,,\n"
+        "x,5,NO INFORMATION,noinfo,,,,\n"
+        "z,6,low,interval,,0,,\n"
+        "z,7,NO INFORMATION,noinfo,,,,\n"
+    )
+    x, z = spec.characteristics
+    cells = [
+        None, "", " 12 ", "12", 12, 12.0, "12.0", "007", 7, "7", " 7 ",
+        float("nan"), float("nan"), float("nan"), np.float64("nan"),
+        np.float64("nan"), np.nan, "nan", True, False, 1, 0, -0.0, np.int64(12),
+        "-9999999", -9999999.0, -9999999, " -9999999 ", 99.5, 100, 1e9, -5.0,
+        np.float64(-1e300), "junk",
+    ]
+    rng = np.random.default_rng(20240819)
+    column = np.empty(3 * len(cells), dtype=object)
+    column[:] = [cells[k] for k in rng.permutation(np.arange(3 * len(cells)) % len(cells))]
+    # An unhashable cell sends its column to the per-cell path.
+    other = np.empty(column.shape[0], dtype=object)
+    other[:] = [[-1.0] if i % 5 == 0 else float(i - 50) for i in range(column.shape[0])]
+    w = rng.uniform(0.1, 3.0, column.shape[0])
+    sample = Sample(
+        y=np.ones(column.shape[0]), w=w, records={"x": column, "z": other}
+    ).validate()
+    dm = build_design_matrix(spec, sample)
+    assert dm.codes[:, 1].tolist() == [bin_value(x, v) for v in column]
+    assert dm.codes[:, 2].tolist() == [bin_value(z, v) for v in other]
+    assert (dm.codes[:, 0] == 0).all()
+    assert set(dm.codes[:, 1]) == {1, 2, 3, 4, 5}
+
+    counts = np.zeros(spec.q - 1)
+    for ch, col in ((x, column), (z, other)):
+        for i in range(sample.n):
+            counts[bin_value(ch, col[i]) - 1] += w[i]
+    policy = CenteringPolicy.weighted_from_sample(dm, w)
+    assert np.array_equal(policy.attribute_counts, counts)
 
 
 def test_build_design_matrix_checks_record_columns():

@@ -14,12 +14,13 @@ from scorecraft.sqp import (
     assemble_qp,
     fit,
     initial_beta,
-    ircls_step,
     logistic_terms,
     minus_log_likelihood,
     score_minus_log_likelihood,
     sqp_step,
 )
+
+from ircls_oracle import ircls_step
 
 
 def cs_of(q, aeq=None, beq=None, a=None, b=None):
@@ -360,6 +361,16 @@ def test_warm_started_fit_matches_cold_fit():
     assert warm.status == "converged"
     assert warm.iterations <= cold.iterations
     assert np.abs(warm.beta - cold.beta).max() <= 1e-6
+
+
+def test_fit_rejects_non_finite_weights():
+    rng = np.random.default_rng(18)
+    x, y, w = make_logistic(rng, n=50, q=3)
+    for bad in (np.nan, np.inf):
+        w_bad = w.copy()
+        w_bad[7] = bad
+        with pytest.raises(SpecError, match="finite"):
+            fit(x, y, w_bad, PenaltySpec(0.1), ConstraintSet.empty(3))
 
 
 def test_logistic_terms_reject_bad_shapes():
