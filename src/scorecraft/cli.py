@@ -312,6 +312,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_qp_solve(args) -> int:
+    from dataclasses import asdict
+
     from .data_io import load_qp_problem
     from .qp import solve_qp
 
@@ -321,11 +323,8 @@ def _cmd_qp_solve(args) -> int:
     print(f"objective: {solution.objective:.12g}")
     print(f"iterations: {solution.iterations}")
     print("kkt residuals:")
-    print(f"  stationarity    {solution.kkt.stationarity:.3e}")
-    print(f"  primal_eq       {solution.kkt.primal_eq:.3e}")
-    print(f"  primal_ineq     {solution.kkt.primal_ineq:.3e}")
-    print(f"  dual            {solution.kkt.dual:.3e}")
-    print(f"  complementarity {solution.kkt.complementarity:.3e}")
+    for name, value in asdict(solution.kkt).items():
+        print(f"  {name:<15} {value:.3e}")
     if solution.note:
         print(f"note: {solution.note}")
     return 0 if solution.status == "optimal" else 2

@@ -20,8 +20,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -349,25 +349,9 @@ def save_model(path: str, model: ModelFile) -> None:
         "minus_ll": model.minus_ll,
         "note": model.note,
         "beta": [float(v) for v in model.beta],
-        "trajectory": [
-            {
-                "iteration": rec.iteration,
-                "max_delta": rec.max_delta,
-                "minus_ll": rec.minus_ll,
-            }
-            for rec in model.trajectory
-        ],
-        "kkt": {
-            "stationarity": model.kkt.stationarity,
-            "primal_eq": model.kkt.primal_eq,
-            "primal_ineq": model.kkt.primal_ineq,
-            "dual": model.kkt.dual,
-            "complementarity": model.kkt.complementarity,
-        },
-        "residuals": {
-            "eq_residual": model.residuals.eq_residual,
-            "ineq_violation": model.residuals.ineq_violation,
-        },
+        "trajectory": [asdict(rec) for rec in model.trajectory],
+        "kkt": asdict(model.kkt),
+        "residuals": asdict(model.residuals),
         "spec_sha256": (
             hashlib.sha256(model.spec_text.encode("utf-8")).hexdigest()
             if model.spec_text is not None
@@ -378,17 +362,33 @@ def save_model(path: str, model: ModelFile) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def load_model(path: str) -> ModelFile:
-    """Read a model JSON, checking format, version, and spec hash."""
+def _fields(cls, data: dict):
+    """A record of numbers from the same-named JSON fields, cast to their types."""
+    return cls(**{name: kind(data[name]) for name, kind in get_type_hints(cls).items()})
+
+
+def _read_json(path: str, fmt: str, version: int, kind: str) -> dict:
+    """Load a versioned JSON file; reading a key it lacks raises DataError."""
+
+    class Fields(dict):
+        def __missing__(self, key):
+            raise DataError(f"{path}: missing key {key!r}")
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, object_hook=Fields)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if payload.get("format") != MODEL_FORMAT:
-        raise DataError(f"{path}: not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_VERSION:
-        raise DataError(f"{path}: unsupported model version {payload.get('version')}")
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise DataError(f"{path}: not a {fmt} file")
+    if payload.get("version") != version:
+        raise DataError(f"{path}: unsupported {kind} version {payload.get('version')}")
+    return payload
+
+
+def load_model(path: str) -> ModelFile:
+    """Read a model JSON, checking format, version, and spec hash."""
+    payload = _read_json(path, MODEL_FORMAT, MODEL_VERSION, "model")
     beta = np.asarray(payload["beta"], dtype=float)
     if beta.shape != (int(payload["q"]),):
         raise DataError(f"{path}: beta length disagrees with q")
@@ -398,31 +398,13 @@ def load_model(path: str) -> ModelFile:
         actual = hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
         if actual != stored_hash:
             raise DataError(f"{path}: spec text does not match its stored hash")
-    kkt = payload["kkt"]
-    residuals = payload["residuals"]
     return ModelFile(
         beta=beta,
         lam=float(payload["lam"]),
         status=str(payload["status"]),
-        trajectory=tuple(
-            IterationRecord(
-                iteration=int(rec["iteration"]),
-                max_delta=float(rec["max_delta"]),
-                minus_ll=float(rec["minus_ll"]),
-            )
-            for rec in payload["trajectory"]
-        ),
-        kkt=KktResiduals(
-            stationarity=float(kkt["stationarity"]),
-            primal_eq=float(kkt["primal_eq"]),
-            primal_ineq=float(kkt["primal_ineq"]),
-            dual=float(kkt["dual"]),
-            complementarity=float(kkt["complementarity"]),
-        ),
-        residuals=ConstraintResiduals(
-            eq_residual=float(residuals["eq_residual"]),
-            ineq_violation=float(residuals["ineq_violation"]),
-        ),
+        trajectory=tuple(_fields(IterationRecord, rec) for rec in payload["trajectory"]),
+        kkt=_fields(KktResiduals, payload["kkt"]),
+        residuals=_fields(ConstraintResiduals, payload["residuals"]),
         minus_ll=float(payload["minus_ll"]),
         spec_text=spec_text,
         note=str(payload.get("note", "")),
@@ -449,33 +431,21 @@ def save_qp_problem(path: str, problem: QpProblem) -> None:
         "format": QP_FORMAT,
         "version": QP_VERSION,
         "q": problem.q,
-        "h": [[float(v) for v in row] for row in problem.h],
-        "f": [float(v) for v in problem.f],
-        "aeq": [[float(v) for v in row] for row in problem.cs.aeq],
-        "beq": [float(v) for v in problem.cs.beq],
-        "a": [[float(v) for v in row] for row in problem.cs.a],
-        "b": [float(v) for v in problem.cs.b],
+        "h": problem.h.tolist(),
+        "f": problem.f.tolist(),
+        "aeq": problem.cs.aeq.tolist(),
+        "beq": problem.cs.beq.tolist(),
+        "a": problem.cs.a.tolist(),
+        "b": problem.cs.b.tolist(),
         "l": _vector_json(problem.l),
         "u": _vector_json(problem.u),
-        "warm_start": (
-            None
-            if problem.warm_start is None
-            else [float(v) for v in problem.warm_start]
-        ),
+        "warm_start": None if problem.warm_start is None else problem.warm_start.tolist(),
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_qp_problem(path: str) -> QpProblem:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if payload.get("format") != QP_FORMAT:
-        raise DataError(f"{path}: not a {QP_FORMAT} file")
-    if payload.get("version") != QP_VERSION:
-        raise DataError(f"{path}: unsupported dump version {payload.get('version')}")
+    payload = _read_json(path, QP_FORMAT, QP_VERSION, "dump")
     q = int(payload["q"])
     h = np.asarray(payload["h"], dtype=float).reshape(q, q)
     aeq = np.asarray(payload["aeq"], dtype=float).reshape(-1, q)

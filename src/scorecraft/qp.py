@@ -1,25 +1,31 @@
-"""Dense convex QP solver with warm starts and KKT certification.
+"""Dense convex QP solver: a least-distance NNLS guess, an active-set polish,
+and KKT certification.
 
 Solves  minimize 1/2 beta' H beta + f' beta
         subject to  Aeq beta = beq,  A beta <= b,  l <= beta <= u
 
-for symmetric positive semidefinite H.  The workhorse is an operator
-splitting (alternating direction) method on the stacked constraint system
-lo <= C beta <= up, followed by an active-set polish that re-solves the
-equality-reduced KKT system for near-exact multipliers.  Splitting tolerates
-singular H (scorecard design matrices are rank deficient by construction)
-and infeasible warm starts, and produces primal/dual infeasibility
-certificates from the iterate differences.
+for symmetric positive semidefinite H, by one path for every constraint shape:
 
-Unconstrained and equality-only problems take direct least-squares paths.
-All paths are deterministic: identical inputs and settings give bitwise
-identical outputs.
+1. Factor H + delta I = L L' with delta tiny and relative to H, so that the
+   model is strictly convex where H is singular (scorecard designs are rank
+   deficient by construction); the delta term is centred at the warm start.
+2. In z = L' beta + L^-1 f the model is a least-distance problem, whose
+   dual is a nonnegative least-squares problem (Lawson & Hanson, Solving
+   Least Squares Problems, 1974, ch. 23) with the equality rows as free
+   columns.  Its passive set guesses the active set.
+3. An active-set polish settles that set on H itself and yields exact
+   multipliers.
+
+"infeasible" comes only with a Farkas vector and "unbounded" only with a
+descent ray, each checked on the problem data.  `iterations` counts NNLS
+iterations plus the polish rounds that changed the active set.  Identical
+inputs give bitwise identical outputs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,41 +45,38 @@ __all__ = [
     "qp_objective",
 ]
 
+# delta = DELTA * max diag(H) regularizes the active-set guess only.
+DELTA = 1e-10
+# "optimal" needs KKT residuals within KKT_TOL * (1 + data scale), plus
+# ROUNDOFF times the sizes of the KKT matrix and of its solution (far below
+# DELTA, so the far-off points of an unbounded regularized model fail).  The
+# polish uses the same tolerances for violated rows and wrong-sign multipliers.
+KKT_TOL = 1e-9
+ROUNDOFF = 1e-14
+# Eigenvalues and Cholesky pivots of H below RANK_TOL relative count as zero.
+RANK_TOL = 1e-10
+# A least-distance point needs ||r||^2 = 1 / (1 + ||z||^2) above RQ_MIN and
+# must keep its rows to CERT_TOL relative; Farkas vectors and rays are held
+# to CERT_TOL relative as well.
+RQ_MIN = 1e-14
+CERT_TOL = 1e-9
+# Passive NNLS sets are solved by the normal equations while their Cholesky
+# pivots (of unit-length columns) exceed GRAM_MIN_PIVOT.
+GRAM_MIN_PIVOT = 1e-8
+POLISH_ROUNDS = 40
+POLISH_DELTA = 1e-7
+POLISH_REFINE = 10
+
 
 class QpWarning(UserWarning):
-    """Non-fatal solver conditions, e.g. rank-deficient unconstrained solves."""
+    """Non-fatal solver conditions, e.g. an optimum that is not unique."""
 
 
 @dataclass(frozen=True)
 class QpSettings:
-    """Solver tolerances and algorithm knobs.
+    """Solver limit: max_iters caps NNLS iterations plus changing polish rounds."""
 
-    eps_abs/eps_rel terminate the splitting iteration; they are tight by
-    default so the outer fitting loop is not solver-noise limited.  sigma is
-    the diagonal regularization added to H inside subproblem solves only; it
-    is absent from all reported KKT residuals.  alpha is the relaxation
-    parameter; rho the base step penalty, scaled by rho_eq_scale on equality
-    rows and adapted between refactorizations when adaptive_rho is set.
-    """
-
-    eps_abs: float = 1e-9
-    eps_rel: float = 1e-9
-    max_iters: int = 200_000
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    rho: float = 0.1
-    rho_eq_scale: float = 1e3
-    rho_min: float = 1e-6
-    rho_max: float = 1e6
-    check_interval: int = 25
-    adaptive_rho: bool = True
-    adaptive_rho_tolerance: float = 5.0
-    eps_prim_inf: float = 1e-8
-    eps_dual_inf: float = 1e-8
-    polish: bool = True
-    polish_delta: float = 1e-7
-    polish_refine_iters: int = 10
-    polish_max_rounds: int = 40
+    max_iters: int = 5_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +85,7 @@ class QpProblem:
 
     h is symmetrized on construction and must be symmetric to within 1e-12
     relative; bounds default to -inf/+inf per coefficient; warm_start, when
-    given, seeds the splitting iteration.
+    given, centres the regularization of the active-set guess.
     """
 
     h: np.ndarray
@@ -147,23 +150,19 @@ class KktResiduals:
     complementarity: float
 
     def max(self) -> float:
-        return max(
-            self.stationarity,
-            self.primal_eq,
-            self.primal_ineq,
-            self.dual,
-            self.complementarity,
-        )
+        return max(astuple(self))
 
 
 @dataclass(frozen=True, eq=False)
 class QpSolution:
     """Solver output: point, multipliers, status, and certified residuals.
 
-    status "optimal" means the KKT residuals passed the configured
-    tolerances; "infeasible" and "unbounded" carry a certificate vector
-    (Farkas direction, respectively descent ray) when one was found;
-    "max_iterations" returns the best iterate with its honest residuals.
+    status "optimal" means the KKT residuals passed the tolerance.
+    "infeasible" carries a Farkas vector y over the stacked rows [Aeq; A;
+    coefficients with a finite bound]: C' y = 0, while y' z > 0 for every z
+    within the rows' bounds.  "unbounded" carries a descent ray d: H d = 0,
+    f' d < 0, and d keeps every constraint.  "max_iterations" returns the
+    best point found with its honest residuals.
     """
 
     beta: np.ndarray
@@ -216,39 +215,21 @@ def kkt_residuals(
     lam_l = _as_mult(lower_multipliers, q, "lower_multipliers")
     lam_u = _as_mult(upper_multipliers, q, "upper_multipliers")
 
-    grad = p.h @ beta + p.f
-    if p.cs.m_e:
-        grad = grad + p.cs.aeq.T @ mu
-    if p.cs.m_i:
-        grad = grad + p.cs.a.T @ nu
-    grad = grad + lam_u - lam_l
-
-    eq_res = p.cs.aeq @ beta - p.cs.beq if p.cs.m_e else np.zeros(0)
-    ineq_slack = p.cs.a @ beta - p.cs.b if p.cs.m_i else np.zeros(0)
-
-    lower_gap = np.where(np.isfinite(p.l), p.l - beta, -np.inf)
-    upper_gap = np.where(np.isfinite(p.u), beta - p.u, -np.inf)
-    primal_ineq = max(
-        _max_pos(ineq_slack), _max_pos(lower_gap), _max_pos(upper_gap)
-    )
-
-    dual = max(
-        _max_pos(-nu) if nu.size else 0.0,
-        _max_pos(-lam_l),
-        _max_pos(-lam_u),
-    )
-    comp_terms = [nu * ineq_slack] if p.cs.m_i else []
+    grad = p.h @ beta + p.f + p.cs.aeq.T @ mu + p.cs.a.T @ nu + lam_u - lam_l
+    ineq_slack = p.cs.a @ beta - p.cs.b
     with np.errstate(invalid="ignore"):
-        comp_terms.append(np.where(np.isfinite(p.u), lam_u * (beta - p.u), 0.0))
-        comp_terms.append(np.where(np.isfinite(p.l), lam_l * (p.l - beta), 0.0))
-    complementarity = max(_max_abs(t) for t in comp_terms) if comp_terms else 0.0
-
+        bound_gap = np.maximum(p.l - beta, beta - p.u)
+        slack_products = np.concatenate([
+            nu * ineq_slack,
+            np.where(np.isfinite(p.u), lam_u * (beta - p.u), 0.0),
+            np.where(np.isfinite(p.l), lam_l * (p.l - beta), 0.0),
+        ])
     return KktResiduals(
         stationarity=_max_abs(grad),
-        primal_eq=_max_abs(eq_res),
-        primal_ineq=primal_ineq,
-        dual=dual,
-        complementarity=complementarity,
+        primal_eq=_max_abs(p.cs.aeq @ beta - p.cs.beq),
+        primal_ineq=max(_max_pos(ineq_slack), _max_pos(bound_gap)),
+        dual=_max_pos(-np.concatenate([nu, lam_l, lam_u])),
+        complementarity=_max_abs(slack_products),
     )
 
 
@@ -262,472 +243,361 @@ def _as_mult(v: Optional[np.ndarray], m: int, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Solver
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """The constraints as one-sided columns s' beta <= t (= t where free).
+
+    Rows are numbered as the stack [Aeq; A; unit rows of the coefficients
+    with a finite bound].  A row whose bounds meet gives one free column; any
+    other row gives s = c, t = upper for a finite upper side and s = -c,
+    t = -lower for a finite lower side.  to_rows @ v turns per-column
+    multipliers into signed per-row ones.
+    """
+
+    s: np.ndarray
+    t: np.ndarray
+    free: np.ndarray
+    to_rows: np.ndarray
+    bound_idx: np.ndarray
+
+    @classmethod
+    def of(cls, p: QpProblem) -> "_Columns":
+        bound_idx = np.flatnonzero(np.isfinite(p.l) | np.isfinite(p.u))
+        c = np.vstack([p.cs.aeq, p.cs.a, np.eye(p.q)[bound_idx]])
+        lo = np.concatenate([p.cs.beq, np.full(p.cs.m_i, -np.inf), p.l[bound_idx]])
+        up = np.concatenate([p.cs.beq, p.cs.b, p.u[bound_idx]])
+        eq = lo == up
+        upper = np.flatnonzero(np.isfinite(up) & ~eq)
+        lower = np.flatnonzero(np.isfinite(lo) & ~eq)
+        row = np.concatenate([np.flatnonzero(eq), upper, lower])
+        sign = np.where(np.arange(row.size) < row.size - lower.size, 1.0, -1.0)
+        t = np.where(sign > 0, up[row], -lo[row])
+        to_rows = np.zeros((c.shape[0], row.size))
+        to_rows[row, np.arange(row.size)] = sign
+        free = np.arange(row.size) < eq.sum()
+        return cls(sign[:, None] * c[row], t, free, to_rows, bound_idx)
+
+    def split(self, p: QpProblem, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(mu, nu, lam_l, lam_u) from per-column multipliers v."""
+        y = self.to_rows @ v
+        m_e, m_i = p.cs.m_e, p.cs.m_i
+        lam_l = np.zeros(p.q)
+        lam_u = np.zeros(p.q)
+        lam_u[self.bound_idx] = np.maximum(y[m_e + m_i :], 0.0)
+        lam_l[self.bound_idx] = np.maximum(-y[m_e + m_i :], 0.0)
+        return y[:m_e], np.maximum(y[m_e : m_e + m_i], 0.0), lam_l, lam_u
 
 
 def solve_qp(p: QpProblem, settings: Optional[QpSettings] = None) -> QpSolution:
     """Solve the QP, certifying the result through KKT residuals.
 
-    Dispatch: no constraints or bounds -> direct (least squares on singular
-    H); equalities only -> one KKT solve with infeasibility certificate;
-    anything with inequality rows or finite bounds -> operator splitting
-    with polish.  warm_start seeds the splitting iterate.
+    One path for every constraint shape: a least-distance NNLS on H + delta I
+    guesses the active set and the polish settles it on H.
     """
     settings = settings or QpSettings()
-    has_bounds = np.isfinite(p.l).any() or np.isfinite(p.u).any()
-    if p.cs.m_e == 0 and p.cs.m_i == 0 and not has_bounds:
-        return _solve_unconstrained(p, settings)
-    if p.cs.m_i == 0 and not has_bounds:
-        return _solve_equality_only(p, settings)
-    return _solve_splitting(p, settings)
+    q, h, f = p.q, p.h, p.f
+    cols = _Columns.of(p)
+    no_mult = np.zeros(cols.t.size)
+    centre = p.warm_start if p.warm_start is not None else np.zeros(q)
+    # Constraint residuals are measured against the rows' data, gradient
+    # residuals and multiplier signs against the objective's.
+    tol_row = KKT_TOL * (1.0 + _max_abs(cols.t))
+    tol_grad = KKT_TOL * (1.0 + max(_max_abs(f), _max_abs(h)))
 
-
-def _finish(
-    p: QpProblem,
-    beta: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    lam_l: np.ndarray,
-    lam_u: np.ndarray,
-    status: str,
-    iterations: int,
-    note: str = "",
-    certificate: Optional[np.ndarray] = None,
-) -> QpSolution:
-    kkt = kkt_residuals(p, beta, mu, nu, lam_l, lam_u)
-    return QpSolution(
-        beta=beta,
-        eq_multipliers=mu,
-        ineq_multipliers=nu,
-        lower_multipliers=lam_l,
-        upper_multipliers=lam_u,
-        status=status,
-        kkt=kkt,
-        objective=qp_objective(p, beta),
-        iterations=iterations,
-        note=note,
-        certificate=certificate,
-    )
-
-
-def _zero_mults(p: QpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    q = p.q
-    return np.zeros(p.cs.m_e), np.zeros(p.cs.m_i), np.zeros(q), np.zeros(q)
-
-
-# ---------------------------------------------------------------------------
-# Unconstrained and equality-only direct paths
-
-
-def _solve_unconstrained(p: QpProblem, settings: QpSettings) -> QpSolution:
-    mu, nu, lam_l, lam_u = _zero_mults(p)
+    delta = DELTA * (float(np.diag(h).max(initial=0.0)) or 1.0)
     try:
-        c, low = linalg.cho_factor(p.h, check_finite=False)
-        beta = linalg.cho_solve((c, low), -p.f, check_finite=False)
-        if np.isfinite(beta).all():
-            stat = _max_abs(p.h @ beta + p.f)
-            if stat <= settings.eps_abs + settings.eps_rel * (1.0 + _max_abs(p.f)):
-                return _finish(p, beta, mu, nu, lam_l, lam_u, "optimal", 0)
+        factor = linalg.cho_factor(h + delta * np.eye(q), lower=True, check_finite=False)
     except linalg.LinAlgError:
-        pass
-    # Singular or ill-conditioned H: minimum-norm stationary point if one
-    # exists, otherwise the objective is unbounded below along a null ray.
-    beta, _, rank, sv = linalg.lstsq(p.h, -p.f, check_finite=False)
-    resid = _max_abs(p.h @ beta + p.f)
-    tol = settings.eps_abs + settings.eps_rel * (1.0 + _max_abs(p.f))
-    if resid <= max(tol, 1e-8 * (1.0 + _max_abs(p.f))):
-        if rank < p.q:
-            warnings.warn(
-                "H is rank deficient; returning the minimum-norm minimizer "
-                "(the optimum is not unique)",
-                QpWarning,
-                stacklevel=3,
-            )
-        return _finish(p, beta, mu, nu, lam_l, lam_u, "optimal", 0)
-    # Certificate: a null direction of H with negative slope.
-    _, _, vt = linalg.svd(p.h, check_finite=False)
-    null = vt[rank:]
-    slopes = null @ p.f
-    k = int(np.argmax(np.abs(slopes)))
-    ray = -np.sign(slopes[k]) * null[k]
-    return _finish(
-        p,
-        beta,
-        mu,
-        nu,
-        lam_l,
-        lam_u,
-        "unbounded",
-        0,
-        note="objective decreases without bound along a null direction of H",
-        certificate=ray,
-    )
+        raise SpecError("H is not positive semidefinite") from None
+    f_reg = f - delta * centre
+    # Least-distance form in z = L' beta + L^-1 f_reg: columns s' beta <= t
+    # read (L^-1 s)' z <= t + s' M^-1 f_reg.
+    lg = linalg.solve_triangular(factor[0], cols.s.T, lower=True, check_finite=False)
+    w0 = linalg.solve_triangular(factor[0], f_reg, lower=True, check_finite=False)
+    z, v, iterations, limited = _ldp(lg.T, cols.t + w0 @ lg, cols.free, settings.max_iters)
+    candidates = [(centre, no_mult)]
+    if z is not None:
+        beta = -linalg.cho_solve(factor, f_reg + cols.s.T @ v, check_finite=False)
+        candidates.insert(0, (beta, v))
 
-
-def _solve_equality_only(p: QpProblem, settings: QpSettings) -> QpSolution:
-    q, m_e = p.q, p.cs.m_e
-    aeq, beq = p.cs.aeq, p.cs.beq
-    kkt = np.zeros((q + m_e, q + m_e))
-    kkt[:q, :q] = p.h
-    kkt[:q, q:] = aeq.T
-    kkt[q:, :q] = aeq
-    rhs = np.concatenate([-p.f, beq])
-    sol, _, rank, _ = linalg.lstsq(kkt, rhs, check_finite=False)
-    beta, mu = sol[:q], sol[q:]
-    _, nu, lam_l, lam_u = _zero_mults(p)
-
-    prim_tol = settings.eps_abs + settings.eps_rel * (1.0 + _max_abs(beq))
-    prim = _max_abs(aeq @ beta - beq)
-    if prim > max(prim_tol, 1e-8 * (1.0 + _max_abs(beq))):
-        # Farkas certificate: the least-squares residual y of Aeq x = beq
-        # satisfies Aeq' y = 0 and beq' y > 0 when the system is inconsistent.
-        x_ls, _, _, _ = linalg.lstsq(aeq, beq, check_finite=False)
-        cert = beq - aeq @ x_ls
-        norm = np.linalg.norm(cert)
-        if norm > 0:
-            cert = cert / norm
-        return _finish(
-            p,
-            beta,
-            mu,
-            nu,
-            lam_l,
-            lam_u,
-            "infeasible",
-            0,
-            note="equality system is inconsistent",
-            certificate=cert,
-        )
-    stat = _max_abs(p.h @ beta + p.f + aeq.T @ mu)
-    stat_tol = settings.eps_abs + settings.eps_rel * (1.0 + _max_abs(p.f))
-    if stat > max(stat_tol, 1e-8 * (1.0 + _max_abs(p.f))):
-        return _finish(
-            p,
-            beta,
-            mu,
-            nu,
-            lam_l,
-            lam_u,
-            "unbounded",
-            0,
-            note="objective is unbounded below on the equality subspace",
-            certificate=None,
-        )
-    if rank < q + m_e:
-        _warn_nonunique(p)
-    return _finish(p, beta, mu, nu, lam_l, lam_u, "optimal", 0)
-
-
-def _warn_nonunique(p: QpProblem) -> None:
-    # Unique iff Z' H Z is positive definite for Z spanning null(Aeq).
-    aeq = p.cs.aeq
-    if aeq.shape[0] == 0:
-        null = np.eye(p.q)
-    else:
-        null = linalg.null_space(aeq)
-    if null.shape[1] == 0:
-        return
-    reduced = null.T @ p.h @ null
-    eigs = linalg.eigvalsh(reduced)
-    scale = 1.0 + (np.abs(reduced).max() if reduced.size else 0.0)
-    if eigs.size and eigs[0] < 1e-10 * scale:
-        warnings.warn(
-            "equality constraints do not pin the null space of H; the "
-            "optimum is not unique and the minimum-norm solution is returned",
-            QpWarning,
-            stacklevel=4,
+    def finish(beta, v, status, note="", certificate=None):
+        mu, nu, lam_l, lam_u = cols.split(p, v)
+        return QpSolution(
+            beta=beta,
+            eq_multipliers=mu,
+            ineq_multipliers=nu,
+            lower_multipliers=lam_l,
+            upper_multipliers=lam_u,
+            status=status,
+            kkt=kkt_residuals(p, beta, mu, nu, lam_l, lam_u),
+            objective=qp_objective(p, beta),
+            iterations=iterations,
+            note=note,
+            certificate=certificate,
         )
 
-
-# ---------------------------------------------------------------------------
-# Operator splitting path
-
-
-def _stack_constraints(
-    p: QpProblem,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Stack equalities, inequalities, and finite bounds into lo <= C x <= up.
-
-    Returns (C, lo, up, number of bound rows, bound coefficient indices).
-    """
-    q = p.q
-    blocks = [p.cs.aeq, p.cs.a]
-    los = [p.cs.beq, np.full(p.cs.m_i, -np.inf)]
-    ups = [p.cs.beq, p.cs.b]
-    bound_idx = np.flatnonzero(np.isfinite(p.l) | np.isfinite(p.u))
-    if bound_idx.size:
-        rows = np.zeros((bound_idx.size, q))
-        rows[np.arange(bound_idx.size), bound_idx] = 1.0
-        blocks.append(rows)
-        los.append(p.l[bound_idx])
-        ups.append(p.u[bound_idx])
-    c = np.vstack([blk for blk in blocks if blk.shape[0]] or [np.zeros((0, q))])
-    lo = np.concatenate(los)
-    up = np.concatenate(ups)
-    return c, lo, up, int(bound_idx.size), bound_idx
-
-
-def _factor_kkt(h: np.ndarray, c: np.ndarray, sigma: float, rho_vec: np.ndarray):
-    q, m = h.shape[0], c.shape[0]
-    kkt = np.zeros((q + m, q + m))
-    kkt[:q, :q] = h + sigma * np.eye(q)
-    kkt[:q, q:] = c.T
-    kkt[q:, :q] = c
-    kkt[q + np.arange(m), q + np.arange(m)] = -1.0 / rho_vec
-    return linalg.lu_factor(kkt, check_finite=False)
-
-
-def _split_multipliers(
-    p: QpProblem, y: np.ndarray, n_bound: int, bound_idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    m_e, m_i = p.cs.m_e, p.cs.m_i
-    mu = y[:m_e].copy()
-    nu = np.maximum(y[m_e : m_e + m_i], 0.0)
-    lam_l = np.zeros(p.q)
-    lam_u = np.zeros(p.q)
-    if n_bound:
-        yb = y[m_e + m_i :]
-        lam_u[bound_idx] = np.maximum(yb, 0.0)
-        lam_l[bound_idx] = np.maximum(-yb, 0.0)
-    return mu, nu, lam_l, lam_u
-
-
-def _solve_splitting(p: QpProblem, settings: QpSettings) -> QpSolution:
-    q = p.q
-    h, f = p.h, p.f
-    c, lo, up, n_bound, bound_idx = _stack_constraints(p)
-    m = c.shape[0]
-    eq_mask = np.isfinite(lo) & np.isfinite(up) & (lo == up)
-
-    rho_base = settings.rho
-    rho_vec = np.where(eq_mask, rho_base * settings.rho_eq_scale, rho_base)
-    factor = _factor_kkt(h, c, settings.sigma, rho_vec)
-
-    x = p.warm_start.copy() if p.warm_start is not None else np.zeros(q)
-    z = np.clip(c @ x, lo, up)
-    y = np.zeros(m)
-
-    f_norm = _max_abs(f)
-    iteration = 0
-    converged = False
-    status = "max_iterations"
-    note = ""
-    certificate: Optional[np.ndarray] = None
-
-    while iteration < settings.max_iters:
-        iteration += 1
-        rhs = np.concatenate([settings.sigma * x - f, z - y / rho_vec])
-        sol = linalg.lu_solve(factor, rhs, check_finite=False)
-        x_tilde = sol[:q]
-        z_tilde = z + (sol[q:] - y) / rho_vec
-
-        x_prev, y_prev = x, y
-        x = settings.alpha * x_tilde + (1.0 - settings.alpha) * x
-        v = settings.alpha * z_tilde + (1.0 - settings.alpha) * z + y / rho_vec
-        z = np.clip(v, lo, up)
-        y = rho_vec * (v - z)
-
-        if iteration % settings.check_interval and iteration != settings.max_iters:
-            continue
-
-        cx = c @ x
-        hx = h @ x
-        cty = c.T @ y
-        r_prim = _max_abs(cx - z)
-        r_dual = _max_abs(hx + f + cty)
-        prim_scale = max(_max_abs(cx), _max_abs(z))
-        dual_scale = max(_max_abs(hx), _max_abs(cty), f_norm)
-        eps_prim = settings.eps_abs + settings.eps_rel * prim_scale
-        eps_dual = settings.eps_abs + settings.eps_rel * dual_scale
-        if r_prim <= eps_prim and r_dual <= eps_dual:
-            converged = True
-            status = "optimal"
-            break
-
-        dy = y - y_prev
-        cert = _primal_infeasibility(c, lo, up, dy, settings.eps_prim_inf)
-        if cert is not None:
-            status = "infeasible"
+    limit_note = "iteration limit reached before the active set was certified"
+    if limited:
+        return finish(*candidates[0], "max_iterations", limit_note)
+    if z is None:
+        # Then v combines the columns to S' v = 0 and t' v < 0 up to
+        # roundoff: a Farkas vector, if that holds on the data.
+        size = np.abs(v) @ (1.0 + np.abs(np.column_stack([cols.s, cols.t])).max(axis=1))
+        if _max_abs(cols.s.T @ v) <= CERT_TOL * size and cols.t @ v < -CERT_TOL * size:
+            y = -cols.to_rows @ v
             note = "constraint system admits a Farkas certificate"
-            certificate = cert
-            break
-        dx = x - x_prev
-        cert = _dual_infeasibility(h, f, c, lo, up, dx, settings.eps_dual_inf)
-        if cert is not None:
-            status = "unbounded"
+            return finish(centre, no_mult, "infeasible", note, y / _max_abs(y))
+
+    polished = _polish(h, f, cols, v, tol_row, tol_grad, settings.max_iters - iterations)
+    if polished is not None:
+        beta, v, changes = polished
+        iterations += changes
+        candidates.insert(0, (beta, v))
+    # Solving the KKT system costs roundoff in proportion to its solution.
+    kkt_matrix = np.block([[h, cols.s.T], [cols.s, np.zeros((cols.t.size, cols.t.size))]])
+    norm_kkt = float(np.abs(kkt_matrix).sum(axis=1).max(initial=0.0))
+    errors = []
+    for b, m in candidates:
+        kkt = kkt_residuals(p, b, *cols.split(p, m))
+        slack = ROUNDOFF * norm_kkt * max(_max_abs(b), _max_abs(m))
+        rows = max(kkt.primal_eq, kkt.primal_ineq) / (tol_row + slack)
+        grads = max(kkt.stationarity, kkt.dual, kkt.complementarity) / (tol_grad + slack)
+        errors.append(max(rows, grads))
+    beta, v = candidates[int(np.argmin(errors))]
+    if min(errors) <= 1.0:
+        _warn_if_not_unique(h, cols.s[cols.free | (v != 0)])
+        return finish(beta, v, "optimal")
+
+    # A descent ray means "unbounded" only where a feasible point is known.
+    note = "the active-set polish did not settle"
+    if z is not None:
+        ray, used, limited = _descent_ray(p, cols, settings.max_iters - iterations)
+        iterations += used
+        if ray is not None:
             note = "objective admits an unbounded descent ray"
-            certificate = cert
-            break
-
-        if settings.adaptive_rho and r_dual > 0 and iteration < settings.max_iters:
-            nr_prim = r_prim / max(prim_scale, 1e-30)
-            nr_dual = r_dual / max(dual_scale, 1e-30)
-            new_base = rho_base * np.sqrt(nr_prim / max(nr_dual, 1e-30))
-            new_base = float(np.clip(new_base, settings.rho_min, settings.rho_max))
-            ratio = new_base / rho_base
-            if (
-                ratio > settings.adaptive_rho_tolerance
-                or ratio < 1.0 / settings.adaptive_rho_tolerance
-            ):
-                rho_base = new_base
-                rho_vec = np.where(
-                    eq_mask, rho_base * settings.rho_eq_scale, rho_base
-                )
-                factor = _factor_kkt(h, c, settings.sigma, rho_vec)
-
-    if status in ("infeasible", "unbounded"):
-        mu, nu, lam_l, lam_u = _split_multipliers(p, y, n_bound, bound_idx)
-        return _finish(
-            p, x, mu, nu, lam_l, lam_u, status, iteration, note, certificate
-        )
-
-    # Polish: equality-reduce on the guessed active set for exact multipliers.
-    if settings.polish:
-        polished = _polish(h, f, c, lo, up, eq_mask, x, y, settings)
-        if polished is not None:
-            x_pol, y_pol = polished
-            mu0, nu0, ll0, lu0 = _split_multipliers(p, y, n_bound, bound_idx)
-            mu1, nu1, ll1, lu1 = _split_multipliers(p, y_pol, n_bound, bound_idx)
-            raw = kkt_residuals(p, x, mu0, nu0, ll0, lu0)
-            pol = kkt_residuals(p, x_pol, mu1, nu1, ll1, lu1)
-            if pol.max() <= raw.max():
-                x, y = x_pol, y_pol
-                if not converged:
-                    # A certified polished point upgrades a timeout.
-                    eps = settings.eps_abs + settings.eps_rel
-                    converged = pol.max() <= eps
-                    status = "optimal" if converged else status
-
-    mu, nu, lam_l, lam_u = _split_multipliers(p, y, n_bound, bound_idx)
-    if status == "max_iterations":
-        note = "iteration limit reached before tolerances"
-    return _finish(p, x, mu, nu, lam_l, lam_u, status, iteration, note)
+            return finish(beta, v, "unbounded", note, ray)
+        note = limit_note if limited else note
+    return finish(beta, v, "max_iterations", note)
 
 
-def _primal_infeasibility(
-    c: np.ndarray, lo: np.ndarray, up: np.ndarray, dy: np.ndarray, eps: float
-) -> Optional[np.ndarray]:
-    """Farkas certificate check on the dual iterate difference."""
-    norm = _max_abs(dy)
-    if norm <= 0:
-        return None
-    if _max_abs(c.T @ dy) > eps * norm:
-        return None
-    # Support function of the constraint box at dy; +inf means no certificate.
-    pos, neg = np.maximum(dy, 0.0), np.minimum(dy, 0.0)
-    with np.errstate(invalid="ignore"):
-        up_term = np.where(pos > 0, up * pos, 0.0)
-        lo_term = np.where(neg < 0, lo * neg, 0.0)
-    if not (np.isfinite(up_term).all() and np.isfinite(lo_term).all()):
-        return None
-    if float(up_term.sum() + lo_term.sum()) <= -eps * norm:
-        return dy / norm
-    return None
+def _nnls(
+    e: np.ndarray, free: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, int, bool]:
+    """Lawson-Hanson NNLS: min ||e u - e_last|| with u >= 0 off the free columns.
+
+    Free columns stay in the passive set throughout.  The columns are scaled
+    to unit length, which leaves the passive set unchanged.  Returns (u,
+    iterations, limit reached); the solve stops once iterations reaches
+    max_iters.
+    """
+    k = e.shape[1]
+    norms = np.linalg.norm(e, axis=0)
+    norms[norms == 0] = 1.0
+    e = e / norms
+    target = np.zeros(e.shape[0])
+    target[-1] = 1.0
+    tol = 10.0 * np.finfo(float).eps * max(e.shape)
+    gram = e.T @ e
+
+    def solve(passive: np.ndarray) -> np.ndarray:
+        # Normal equations while they are well conditioned, else least squares.
+        idx = np.flatnonzero(passive)
+        out = np.zeros(k)
+        try:
+            chol = linalg.cholesky(gram[np.ix_(idx, idx)], lower=True, check_finite=False)
+            if np.diag(chol).min() ** 2 > GRAM_MIN_PIVOT:
+                out[idx] = linalg.cho_solve((chol, True), e[-1, idx], check_finite=False)
+                return out
+        except linalg.LinAlgError:
+            pass
+        out[idx] = linalg.lstsq(e[:, idx], target, lapack_driver="gelsy", check_finite=False)[0]
+        return out
+
+    passive = free.copy()
+    u = solve(passive) if passive.any() else np.zeros(k)
+    skip = np.zeros(k, dtype=bool)
+    iterations = 0
+    while iterations < max_iters:
+        w = e.T @ (target - e @ u)
+        open_ = ~passive & ~skip & (w > tol)
+        if not open_.any():
+            return u / norms, iterations, False
+        j = int(np.argmax(np.where(open_, w, -np.inf)))
+        iterations += 1
+        passive[j] = True
+        trial = solve(passive)
+        if trial[j] <= 0:
+            # Roundoff made w[j] look positive; leave j out until the
+            # passive set next changes.
+            passive[j] = False
+            skip[j] = True
+            continue
+        skip[:] = False
+        while True:
+            blocked = passive & ~free & (trial <= 0)
+            if not blocked.any():
+                u = trial
+                break
+            ratio = u[blocked] / (u[blocked] - trial[blocked])
+            u = u + ratio.min() * (trial - u)
+            out = blocked & (u <= 0)
+            out[np.flatnonzero(blocked)[np.argmin(ratio)]] = True
+            passive &= ~out
+            u[out] = 0.0
+            trial = solve(passive)
+    return u / norms, iterations, True
 
 
-def _dual_infeasibility(
-    h: np.ndarray,
-    f: np.ndarray,
-    c: np.ndarray,
-    lo: np.ndarray,
-    up: np.ndarray,
-    dx: np.ndarray,
-    eps: float,
-) -> Optional[np.ndarray]:
-    """Unbounded-ray certificate check on the primal iterate difference."""
-    norm = _max_abs(dx)
-    if norm <= 0:
-        return None
-    if _max_abs(h @ dx) > eps * norm:
-        return None
-    if float(f @ dx) > -eps * norm:
-        return None
-    cdx = c @ dx
-    ok_up = np.isfinite(up)
-    ok_lo = np.isfinite(lo)
-    if (cdx[ok_up] > eps * norm).any():
-        return None
-    if (cdx[ok_lo] < -eps * norm).any():
-        return None
-    return dx / norm
+def _ldp(
+    g: np.ndarray, h: np.ndarray, free: np.ndarray, max_iters: int
+) -> tuple[Optional[np.ndarray], np.ndarray, int, bool]:
+    """Least-distance point: min ||z|| s.t. g z <= h (= h on the free rows).
+
+    Returns (z, v, iterations, limit reached).  When z is found, v holds its
+    multipliers, z = -g' v with v >= 0 off the free rows.  When no point is
+    in reach, z is None and v a combination with g' v = 0 and h' v < 0 up to
+    roundoff.  h is divided by the farthest single-row distance from the
+    origin first: the NNLS sees a violation only in proportion to
+    1 / (1 + ||z||^2), so z must be of order one.
+    """
+    norms = np.linalg.norm(g, axis=1)
+    reach = np.where(free, np.abs(h), -h) / np.where(norms > 0, norms, 1.0)
+    gamma = float(reach.max()) if reach.size and reach.max() > 0 else 1.0
+    e = np.vstack([-g.T, -h / gamma])
+    u, iterations, limited = _nnls(e, free, max_iters)
+    r = e @ u
+    r[-1] -= 1.0
+    # ||r||^2 = -r[-1] = 1 / (1 + ||z / gamma||^2) at the NNLS solution; a
+    # point is kept only if it keeps the rows.
+    if -r[-1] > RQ_MIN:
+        z = -gamma * r[:-1] / r[-1]
+        excess = g @ z - h
+        excess[free] = np.abs(excess[free])
+        if _max_pos(excess) <= CERT_TOL * (_max_abs(h) + _max_abs(g) * _max_abs(z)):
+            return z, -gamma * u / r[-1], iterations, limited
+    return None, u, iterations, limited
+
+
+def _descent_ray(
+    p: QpProblem, cols: _Columns, budget: int
+) -> tuple[Optional[np.ndarray], int, bool]:
+    """A checked ray d with H d = 0, f' d < 0 that keeps every constraint.
+
+    The least-distance problem over the recession cone, with f' d <= -1
+    added, has a point exactly when such a ray exists.
+    """
+    vals, vecs = linalg.eigh(p.h, check_finite=False)
+    basis = vecs[:, vals > RANK_TOL * vals.max(initial=0.0)].T
+    g = np.vstack([basis, cols.s, p.f[None, :]])
+    h = np.concatenate([np.zeros(basis.shape[0] + cols.t.size), [-1.0]])
+    free = np.concatenate([np.ones(basis.shape[0], bool), cols.free, [False]])
+    d, _, used, limited = _ldp(g, h, free, budget)
+    if d is None:
+        return None, used, limited
+    d = d / _max_abs(d)
+    tol_s = CERT_TOL * (1.0 + _max_abs(cols.s))
+    slope = cols.s @ d
+    if (
+        _max_abs(p.h @ d) <= CERT_TOL * float(np.abs(p.h).sum(axis=1).max())
+        and p.f @ d < -CERT_TOL * (1.0 + _max_abs(p.f))
+        and _max_abs(slope[cols.free]) <= tol_s
+        and _max_pos(slope[~cols.free]) <= tol_s
+    ):
+        return d, used, False
+    return None, used, False
 
 
 def _polish(
     h: np.ndarray,
     f: np.ndarray,
-    c: np.ndarray,
-    lo: np.ndarray,
-    up: np.ndarray,
-    eq_mask: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    settings: QpSettings,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Re-solve on the active set with regularized KKT + iterative refinement.
+    cols: _Columns,
+    v: np.ndarray,
+    tol_row: float,
+    tol_grad: float,
+    budget: int,
+) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+    """Solve the KKT system on the active columns until the set settles.
 
-    Active rows are treated as equalities at their active bound; rounds of
-    adjustment add violated rows and drop rows with wrong-sign multipliers.
-    Returns (x, full-length y) or None when the polish could not be trusted.
+    Columns start active where v > 0; free columns always are.  Each round
+    solves the KKT system on the active columns, drops those whose
+    multipliers have the wrong sign and adds violated ones.  Returns (x,
+    multipliers, rounds that changed the set) from the last solve, settled
+    or not, or None when no trusted solve settles the set.
     """
     q = h.shape[0]
-    m = c.shape[0]
-    ptol = max(settings.eps_abs * 10.0, 1e-12)
-    upper_active = (~eq_mask) & (y > 0)
-    lower_active = (~eq_mask) & (y < 0)
+    active = cols.free | (v > 0)
+    changes = 0
+    for _ in range(POLISH_ROUNDS):
+        idx = np.flatnonzero(active)
+        s_act = cols.s[idx]
+        kkt = np.block([[h, s_act.T], [s_act, np.zeros((idx.size, idx.size))]])
+        t, trusted = _kkt_solve(kkt, np.concatenate([-f, cols.t[idx]]), q)
+        if t is None:
+            return None
+        x, v = t[:q], np.zeros(cols.t.size)
+        v[idx] = t[q:]
+        drop = active & ~cols.free & (v < -tol_grad)
+        add = ~active & (cols.s @ x - cols.t > tol_row)
+        if not (drop.any() or add.any()):
+            # An untrusted solve may still steer the set, but cannot settle it.
+            return (x, v, changes) if trusted else None
+        if changes >= budget:
+            break
+        changes += 1
+        active = (active & ~drop) | add
+    return x, v, changes
 
-    for _ in range(settings.polish_max_rounds):
-        active = np.flatnonzero(eq_mask | upper_active | lower_active)
-        n_act = active.size
-        rhs_act = np.where(upper_active[active], up[active], lo[active])
-        c_act = c[active]
 
-        kkt = np.zeros((q + n_act, q + n_act))
-        kkt[:q, :q] = h
-        kkt[:q, q:] = c_act.T
-        kkt[q:, :q] = c_act
-        reg = np.concatenate(
-            [np.full(q, settings.polish_delta), np.full(n_act, -settings.polish_delta)]
+def _kkt_solve(
+    kkt: np.ndarray, rhs: np.ndarray, q: int
+) -> tuple[Optional[np.ndarray], bool]:
+    """Solve kkt t = rhs by iterative refinement on a shifted factor.
+
+    The shift diag(delta I, -delta I) suits a singular H; where refinement
+    cannot close the gap (H definite but nearly singular, or active rows
+    that cannot all hold), the unshifted factor is tried.  Returns (t,
+    trusted): the first solve whose residual passes, else the shifted
+    solution, or None when it is not finite.
+    """
+    fallback = None
+    for reg in (POLISH_DELTA, 0.0):
+        shift = np.concatenate([np.full(q, reg), np.full(kkt.shape[0] - q, -reg)])
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", linalg.LinAlgWarning)
+            factor = linalg.lu_factor(kkt + np.diag(shift), check_finite=False)
+            t = linalg.lu_solve(factor, rhs, check_finite=False)
+            for _ in range(POLISH_REFINE):
+                t = t + linalg.lu_solve(factor, rhs - kkt @ t, check_finite=False)
+            if not np.isfinite(t).all():
+                continue
+            if _max_abs(rhs - kkt @ t) <= 1e-6 * (1.0 + _max_abs(rhs)):
+                return t, True
+        if fallback is None:
+            fallback = t
+    return fallback, False
+
+
+def _warn_if_not_unique(h: np.ndarray, s_act: np.ndarray) -> None:
+    """Warn when H is singular and Z' H Z is too, for Z spanning the null
+    space of the active rows: the optimum is then not unique."""
+    try:
+        chol = linalg.cholesky(h, lower=True, check_finite=False)
+        if float(np.diag(chol).min()) ** 2 > RANK_TOL * float(np.diag(h).max()):
+            return
+    except linalg.LinAlgError:
+        pass
+    null = linalg.null_space(s_act) if s_act.shape[0] else np.eye(h.shape[0])
+    if null.shape[1] == 0:
+        return
+    reduced = null.T @ h @ null
+    if linalg.eigvalsh(reduced)[0] < 1e-10 * (1.0 + _max_abs(reduced)):
+        warnings.warn(
+            "H is rank deficient and the active constraints leave part of its "
+            "null space free: the optimum is not unique, and the polish "
+            "returns the solution nearest its regularized start",
+            QpWarning,
+            stacklevel=3,
         )
-        rhs = np.concatenate([-f, rhs_act])
-        try:
-            factor = linalg.lu_factor(kkt + np.diag(reg), check_finite=False)
-        except linalg.LinAlgError:
-            return None
-        t = linalg.lu_solve(factor, rhs, check_finite=False)
-        for _ in range(settings.polish_refine_iters):
-            resid = rhs - kkt @ t
-            t = t + linalg.lu_solve(factor, resid, check_finite=False)
-        if not np.isfinite(t).all():
-            return None
-        if _max_abs(rhs - kkt @ t) > 1e-6 * (1.0 + _max_abs(rhs)):
-            return None
-        x_new = t[:q]
-        y_act = t[q:]
-
-        changed = False
-        # Wrong-sign multipliers leave the active set.
-        for pos, row in enumerate(active):
-            if eq_mask[row]:
-                continue
-            if upper_active[row] and y_act[pos] < -ptol:
-                upper_active[row] = False
-                changed = True
-            elif lower_active[row] and y_act[pos] > ptol:
-                lower_active[row] = False
-                changed = True
-        # Violated inactive rows join it.
-        cx = c @ x_new
-        for row in range(m):
-            if eq_mask[row] or upper_active[row] or lower_active[row]:
-                continue
-            if np.isfinite(up[row]) and cx[row] - up[row] > ptol:
-                upper_active[row] = True
-                changed = True
-            elif np.isfinite(lo[row]) and lo[row] - cx[row] > ptol:
-                lower_active[row] = True
-                changed = True
-        if not changed:
-            y_full = np.zeros(m)
-            y_full[active] = y_act
-            return x_new, y_full
-    return None

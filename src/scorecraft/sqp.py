@@ -4,18 +4,23 @@ The fit minimizes  M(beta) + (lambda/(q-1)) * S'S  subject to the compiled
 linear constraints, where M is minus the Bernoulli log likelihood of the
 weighted sample, beta' = [S0 S'] holds the intercept and the scorecard
 weights, and the intercept is never penalized.  Each outer iteration solves
-the exact Newton quadratic model of M under the original constraints.  The
-design enters only through three operations of `DesignMatrix`: scores X beta,
-the gradient X' r, and the Gram matrix X' diag(c) X.
+the exact Newton quadratic model of M under the original constraints with
+`qp.solve_qp`.  The design enters only through three operations of
+`DesignMatrix`: scores X beta, the gradient X' r, and the Gram matrix
+X' diag(c) X.
 
-Convergence is measured by max|delta beta| between iterations, with no step
-damping: full QP steps, an iteration cap, and a recorded trajectory.
+Every iterate is evaluated once: one gather of its scores gives minus log
+likelihood and gradient, and the Gram matrix is built only where another QP
+follows.  Convergence is measured by max|delta beta| between iterations, with
+no step damping: full QP steps, an iteration cap, and a recorded trajectory.
+The final beta is certified by the KKT residuals of its penalized gradient
+with the last step's multipliers.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -27,7 +32,7 @@ from .constraints import (
     constraint_residuals,
 )
 from .model import DesignMatrix, SpecError
-from .qp import KktResiduals, QpProblem, QpSettings, QpSolution, kkt_residuals, solve_qp
+from .qp import KktResiduals, QpProblem, QpSolution, kkt_residuals, solve_qp
 
 __all__ = [
     "FitWarning",
@@ -79,13 +84,14 @@ class LogisticTerms:
 
     theta are the scores X beta; prob the modeled Pr{y=1}; grad and hess the
     gradient and Hessian of minus log likelihood; minus_ll its value.  hess
-    is the weighted Gram matrix X' diag(w p (1-p)) X, symmetric PSD.
+    is the weighted Gram matrix X' diag(w p (1-p)) X, symmetric PSD, or None
+    where it was not asked for.
     """
 
     theta: np.ndarray
     prob: np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
+    hess: Optional[np.ndarray]
     minus_ll: float
 
 
@@ -128,12 +134,11 @@ class PenaltySpec:
 @dataclass(frozen=True, eq=False)
 class FitConfig:
     """Outer-loop controls: convergence threshold on max|delta beta|,
-    iteration cap, inner QP settings, and the starting-point policy
-    (beta0 None means intercept = log population odds, weights 0)."""
+    iteration cap, and the starting-point policy (beta0 None means
+    intercept = log population odds, weights 0)."""
 
     tol: float = 1e-6
     max_outer_iters: int = 50
-    qp: QpSettings = field(default_factory=QpSettings)
     beta0: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -206,13 +211,14 @@ def logistic_terms(
     y: np.ndarray,
     w: np.ndarray,
     beta: np.ndarray,
+    hessian: bool = True,
 ) -> LogisticTerms:
     """Scores, probabilities, gradient, Hessian, and minus log likelihood.
 
     One pass over theta = X beta:
         prob = e^theta / (1 + e^theta)
         grad = X' [w (prob - y)]
-        hess = X' diag(w prob (1-prob)) X
+        hess = X' diag(w prob (1-prob)) X   (None unless hessian is set)
         minus_ll = w' (log(1+e^theta) - y theta)
     """
     design = DesignMatrix.coerce(x)
@@ -221,7 +227,7 @@ def logistic_terms(
     theta = design.scores(beta)
     prob = expit(theta)
     grad = design.rmatvec(w * (prob - y))
-    hess = design.gram(w * prob * (1.0 - prob))
+    hess = design.gram(w * prob * (1.0 - prob)) if hessian else None
     minus_ll = score_minus_log_likelihood(theta, y, w)
     return LogisticTerms(theta=theta, prob=prob, grad=grad, hess=hess, minus_ll=minus_ll)
 
@@ -247,18 +253,8 @@ def assemble_qp(
     return QpProblem(h=h, f=f, cs=cs, warm_start=beta_hat)
 
 
-def _sqp_solution(
-    x: Union[DesignMatrix, np.ndarray],
-    y: np.ndarray,
-    w: np.ndarray,
-    pen: PenaltySpec,
-    cs: ConstraintSet,
-    beta_in: np.ndarray,
-    settings: Optional[QpSettings] = None,
-) -> QpSolution:
-    terms = logistic_terms(x, y, w, beta_in)
-    problem = assemble_qp(terms, pen, np.asarray(beta_in, dtype=float), cs)
-    solution = solve_qp(problem, settings)
+def _solve_step(problem: QpProblem) -> QpSolution:
+    solution = solve_qp(problem)
     if solution.status != "optimal":
         raise StepError(
             f"quadratic programming step failed: QP status {solution.status}"
@@ -277,14 +273,15 @@ def sqp_step(
     pen: PenaltySpec,
     cs: ConstraintSet,
     beta_in: np.ndarray,
-    settings: Optional[QpSettings] = None,
 ) -> np.ndarray:
     """One constrained Newton step: solve the quadratic model at beta_in.
 
     With no constraints, lam = 0, and nonsingular Hessian this is exactly the
     Newton iterate beta_in - hess^-1 grad.
     """
-    return _sqp_solution(x, y, w, pen, cs, beta_in, settings).beta
+    beta_in = np.asarray(beta_in, dtype=float)
+    terms = logistic_terms(x, y, w, beta_in)
+    return _solve_step(assemble_qp(terms, pen, beta_in, cs)).beta
 
 
 def initial_beta(
@@ -329,8 +326,10 @@ def fit(
 
     Each iteration takes a full constrained Newton step from the current
     beta; the trajectory records the step size and minus log likelihood per
-    iteration.  The returned KKT residuals certify the penalized nonlinear
-    problem at the final beta using the final step's multipliers.
+    iteration.  Each iterate is evaluated once, with its Hessian only where
+    another step follows.  The returned KKT residuals certify the penalized
+    nonlinear problem at the final beta from its gradient plus the penalty
+    gradient, using the final step's multipliers.
     """
     config = config or FitConfig()
     design = DesignMatrix.coerce(x)
@@ -340,7 +339,8 @@ def fit(
         raise SpecError(f"constraint set is over {cs.q} coefficients, design over {q}")
 
     beta = initial_beta(q, y, w, config.beta0)
-    initial_ll = minus_log_likelihood(design, y, w, beta)
+    terms = logistic_terms(design, y, w, beta)
+    initial_ll = terms.minus_ll
     trajectory: list[IterationRecord] = []
     status = "max_iterations"
     note = ""
@@ -348,23 +348,20 @@ def fit(
     warned_separation = False
 
     for iteration in range(1, config.max_outer_iters + 1):
-        solution = _sqp_solution(design, y, w, pen, cs, beta, config.qp)
+        solution = _solve_step(assemble_qp(terms, pen, beta, cs))
         delta = float(np.abs(solution.beta - beta).max())
         beta = solution.beta
-        theta = design.scores(beta)
+        last = delta <= config.tol or iteration == config.max_outer_iters
+        terms = logistic_terms(design, y, w, beta, hessian=not last)
         trajectory.append(
-            IterationRecord(
-                iteration=iteration,
-                max_delta=delta,
-                minus_ll=score_minus_log_likelihood(theta, y, w),
-            )
+            IterationRecord(iteration=iteration, max_delta=delta, minus_ll=terms.minus_ll)
         )
         # Scores beyond 30 put fitted probabilities within ~1e-13 of 0 or 1;
         # combined with steps still far above tol that is the separation
         # signature, not ordinary convergence.
         if (
             not warned_separation
-            and float(np.abs(theta).max()) > 30.0
+            and float(np.abs(terms.theta).max()) > 30.0
             and delta > 10.0 * config.tol
         ):
             warnings.warn(
@@ -379,14 +376,12 @@ def fit(
             break
 
     residuals = constraint_residuals(cs, beta)
-    # The quadratic model assembled at the final beta has gradient
-    # H beta + f = grad + penalty gradient there, so its KKT residuals with
-    # the final multipliers certify the nonlinear problem, not a stale model.
-    final_terms = logistic_terms(design, y, w, beta)
-    final_problem = assemble_qp(final_terms, pen, beta, cs)
+    # A model with zero curvature and the penalized gradient as f certifies
+    # the nonlinear problem at beta without building its Hessian.
     assert solution is not None
+    gradient = terms.grad + pen.hessian_diag(q) * beta
     kkt = kkt_residuals(
-        final_problem,
+        QpProblem(h=np.zeros((q, q)), f=gradient, cs=cs),
         beta,
         solution.eq_multipliers,
         solution.ineq_multipliers,
@@ -403,8 +398,8 @@ def fit(
         trajectory=tuple(trajectory),
         status=status,
         initial_minus_ll=initial_ll,
-        minus_ll=final_terms.minus_ll,
-        objective=final_terms.minus_ll + pen.value(beta),
+        minus_ll=terms.minus_ll,
+        objective=terms.minus_ll + pen.value(beta),
         kkt=kkt,
         residuals=residuals,
         note=note,

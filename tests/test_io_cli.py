@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import scorecraft
 from scorecraft.cli import main
 from scorecraft.constraints import ConstraintSet, compile_constraints
 from scorecraft.data_io import (
@@ -613,6 +617,55 @@ def test_cli_qp_solve(tmp_path, capsys):
     )
     assert main(["qp-solve", str(dump)]) == 2
     assert "status: infeasible" in capsys.readouterr().out
+
+
+def test_cli_qp_solve_truncated_dump(tmp_path, capsys):
+    dump = tmp_path / "qp.json"
+    dump.write_text('{"format": "scorecraft-qp", "version": 1, "q": 2}')
+    assert main(["qp-solve", str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "missing key 'h'" in err
+
+
+def test_cli_eval_model_without_kkt(tmp_path, small_spec_text, capsys):
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "train.csv"
+    model_path = tmp_path / "model.json"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data_path),
+        "--seed", "5", "--n-good", "40", "--n-bad", "40",
+        "--probs", str(write_probs(tmp_path)),
+    ]) == 0
+    assert main([
+        "fit", "--spec", str(spec_path), "--data", str(data_path),
+        "--lambda", "1.0", "--out", str(model_path),
+    ]) == 0
+    payload = json.loads(model_path.read_text())
+    del payload["kkt"]
+    model_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "missing key 'kkt'" in err
+
+
+def test_compile_does_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize costs about 0.2 s to import; compile must not pay it.
+    spec = resources.files("scorecraft") / "fixtures" / "scorecard_spec.csv"
+    script = (
+        "import sys\n"
+        "from scorecraft.cli import main\n"
+        f"assert main(['compile', '--spec', {str(spec)!r}]) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(scorecraft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_cli_usage_and_environment_errors(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,7 @@ def test_max_iterations_is_honest():
         f=np.array([-1.0, -1.0]),
         cs=cs_of(2, a=[[1.0, 1.0]], b=[1.0]),
     )
-    settings = QpSettings(max_iters=1, polish=False)
+    settings = QpSettings(max_iters=1)
     sol = solve_qp(p, settings)
     assert sol.status == "max_iterations"
     assert sol.iterations == 1
@@ -360,3 +362,139 @@ def test_solve_with_compiled_constraints(small_spec):
     assert sol.beta[1] == pytest.approx(0.0, abs=1e-8)
     assert sol.beta[5] == pytest.approx(0.0, abs=1e-8)
     assert sol.beta[8] == pytest.approx(0.0, abs=1e-8)
+
+
+def stacked_rows(p):
+    """[Aeq; A; unit rows of coefficients with a finite bound] and their bounds."""
+    idx = np.flatnonzero(np.isfinite(p.l) | np.isfinite(p.u))
+    c = np.vstack([p.cs.aeq, p.cs.a, np.eye(p.q)[idx]])
+    lo = np.concatenate([p.cs.beq, np.full(p.cs.m_i, -np.inf), p.l[idx]])
+    up = np.concatenate([p.cs.beq, p.cs.b, p.u[idx]])
+    return c, lo, up
+
+
+def assert_farkas(p, y):
+    # C'y = 0, while y'z > 0 for every z within the rows' bounds.
+    c, lo, up = stacked_rows(p)
+    assert y.shape == (c.shape[0],)
+    assert np.abs(c.T @ y).max() <= 1e-8 * np.abs(y).max()
+    assert np.isfinite(lo[y > 0]).all() and np.isfinite(up[y < 0]).all()
+    floor = lo[y > 0] @ y[y > 0] + up[y < 0] @ y[y < 0]
+    assert floor > 1e-8 * np.abs(y).max()
+
+
+def assert_ray(p, d):
+    # H d = 0, f'd < 0, and d keeps every constraint.
+    c, lo, up = stacked_rows(p)
+    scale = np.abs(d).max()
+    assert np.abs(p.h @ d).max() <= 1e-7 * scale * (1.0 + np.abs(p.h).max())
+    assert p.f @ d < 0
+    cd = c @ d
+    assert (cd[np.isfinite(up)] <= 1e-8 * scale).all()
+    assert (cd[np.isfinite(lo)] >= -1e-8 * scale).all()
+
+
+def psd_of_rank(rng, q, rank):
+    r = rng.standard_normal((rank, q))
+    return r.T @ r
+
+
+def ill_conditioned(rng, q):
+    basis, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    return basis @ np.diag(np.logspace(-12, 0, q)) @ basis.T
+
+
+def feasible_problem(rng, h):
+    q = h.shape[0]
+    feas = rng.standard_normal(q)
+    m_i = int(rng.integers(1, 7))
+    a = rng.standard_normal((m_i, q))
+    # Some rows are tight at the feasible point, the rest have slack.
+    b = a @ feas + rng.uniform(0.0, 1.0, m_i) * (rng.random(m_i) < 0.6)
+    m_e = int(rng.integers(0, 3))
+    aeq = rng.standard_normal((m_e, q))
+    lower = np.where(rng.random(q) < 0.2, feas - rng.uniform(0.0, 1.0, q), -np.inf)
+    upper = np.where(rng.random(q) < 0.2, feas + rng.uniform(0.0, 1.0, q), np.inf)
+    cs = cs_of(q, aeq=aeq, beq=aeq @ feas, a=a, b=b)
+    return QpProblem(h=h, f=rng.standard_normal(q), cs=cs, l=lower, u=upper)
+
+
+def feasible_sweep(rng, groups):
+    for _ in range(groups):
+        q = int(rng.integers(2, 9))
+        for rank in range(q + 1):
+            yield feasible_problem(rng, psd_of_rank(rng, q, rank))
+        yield feasible_problem(rng, ill_conditioned(rng, q))
+
+
+def solve_and_check(p):
+    """Solve a feasible problem and check what its status claims."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QpWarning)
+        sol = solve_qp(p)
+    assert sol.status != "infeasible"
+    if sol.status == "optimal":
+        kkt = kkt_residuals(
+            p, sol.beta, sol.eq_multipliers, sol.ineq_multipliers,
+            sol.lower_multipliers, sol.upper_multipliers,
+        )
+        assert kkt == sol.kkt
+        # Relative to the terms of H beta + f: far-off optima carry the
+        # roundoff of forming H beta.
+        size = np.abs(p.h).max() * max(1.0, np.abs(sol.beta).max())
+        assert kkt.max() <= 1e-8 * (1.0 + np.abs(p.f).max() + size)
+    elif sol.status == "unbounded":
+        assert_ray(p, sol.certificate)
+    return sol.status
+
+
+def test_feasible_problems_are_never_called_infeasible():
+    rng = np.random.default_rng(20240825)
+    statuses = [solve_and_check(p) for p in feasible_sweep(rng, 6)]
+    # The sweep reaches both outcomes and settles nearly every problem.
+    assert statuses.count("optimal") > len(statuses) // 2
+    assert "unbounded" in statuses
+    assert statuses.count("max_iterations") <= len(statuses) // 20
+
+
+def test_far_pulled_problems_are_never_called_infeasible():
+    # A linear term 1e6 times larger puts the unconstrained optimum far
+    # outside the feasible region, as nearly separable data do.  The
+    # least-distance residual is then tiny, which is not infeasibility.
+    rng = np.random.default_rng(20240827)
+    for p in feasible_sweep(rng, 6):
+        solve_and_check(QpProblem(h=p.h, f=1e6 * p.f, cs=p.cs, l=p.l, u=p.u))
+
+
+def infeasible_problem(rng):
+    q = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 6))
+    a = rng.standard_normal((m, q))
+    weights = rng.uniform(0.5, 2.0, m)
+    # Rows whose positive combination vanishes while the same combination of
+    # their right-hand sides is negative: a Farkas system by construction.
+    a[-1] = -(weights[:-1] @ a[:-1]) / weights[-1]
+    b = rng.standard_normal(m)
+    b[-1] = -(weights[:-1] @ b[:-1] + rng.uniform(0.1, 1.0)) / weights[-1]
+    n_eq = int(rng.integers(0, m))
+    # Equality rows take either sign in the combination.
+    flip = np.where(rng.random(n_eq) < 0.5, -1.0, 1.0)
+    cs = cs_of(
+        q,
+        aeq=a[:n_eq] * flip[:, None],
+        beq=b[:n_eq] * flip,
+        a=a[n_eq:],
+        b=b[n_eq:],
+    )
+    r = rng.standard_normal((q, q))
+    h = r.T @ r if rng.random() < 0.5 else psd_of_rank(rng, q, int(rng.integers(0, q)))
+    return QpProblem(h=h, f=rng.standard_normal(q), cs=cs)
+
+
+def test_infeasible_problems_carry_a_checked_certificate():
+    rng = np.random.default_rng(20240826)
+    for _ in range(40):
+        p = infeasible_problem(rng)
+        sol = solve_qp(p)
+        assert sol.status == "infeasible"
+        assert_farkas(p, sol.certificate)
