@@ -69,6 +69,14 @@ class ConstraintSet:
     eq_rows: tuple[ConstraintRow, ...] = ()
     ineq_rows: tuple[ConstraintRow, ...] = ()
 
+    def __post_init__(self) -> None:
+        for rows, rhs, name in ((self.aeq, self.beq, "beq"), (self.a, self.b, "b")):
+            if np.shape(rhs) != (len(rows),):
+                raise SpecError(
+                    f"constraint set: {name} must have one entry per row ({len(rows)}), "
+                    f"got shape {np.shape(rhs)}"
+                )
+
     @property
     def q(self) -> int:
         return int(self.aeq.shape[1])

@@ -2,9 +2,11 @@
 
 The data CSV has header y,w,<characteristic names...>; empty cells are
 missing values, y is 0/1 with 1 = Good, and w is a required nonnegative
-weight.  Fitted models persist as versioned JSON with the spec text embedded
-so evaluation can rebuild the design matrix.  All writes go through a
-temporary file and an atomic rename.
+weight.  It is read in one streaming pass in which cells of one text become
+one object, unless most cells of the file are distinct; y and w are parsed
+once per distinct cell.  Fitted models persist as versioned JSON with the spec
+text embedded so evaluation can rebuild the design matrix.  All writes go
+through a temporary file and an atomic rename.
 
 Synthetic samples draw each characteristic's attribute from class
 conditional multinomials using the counter-based Philox generator, so one
@@ -21,6 +23,8 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import chain, islice
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -88,56 +92,133 @@ def atomic_write_text(path: str, text: str) -> None:
 # Sample CSV
 
 
-def load_sample(path: str) -> Sample:
-    """Read a data CSV into a Sample; empty characteristic cells are missing."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: empty data file")
-    header = [cell.strip() for cell in rows[0]]
-    if len(header) < 2 or header[0] != "y" or header[1] != "w":
-        raise DataError(f"{path}: header must start with y,w")
-    char_names = header[2:]
-    if len(set(char_names)) != len(char_names):
-        raise DataError(f"{path}: duplicate characteristic column")
-    if any(not name for name in char_names):
-        raise DataError(f"{path}: empty characteristic column name")
+def _y_value(path: str, row: int, cell: str) -> float:
+    """The outcome in a stripped y cell; DataError names the row otherwise."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"{path}: row {row}, column y: bad value {cell!r}") from None
+    if value not in (0.0, 1.0):
+        raise DataError(f"{path}: row {row}, column y: value {cell!r} is not 0 or 1")
+    return value
 
-    n = len(rows) - 1
-    y = np.zeros(n)
-    w = np.zeros(n)
-    records = {name: np.empty(n, dtype=object) for name in char_names}
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
-            )
-        y_cell = row[0].strip()
+
+def _w_value(path: str, row: int, cell: str) -> float:
+    """The weight in a stripped w cell; DataError names the row otherwise."""
+    if not cell:
+        raise DataError(f"{path}: row {row}, column w: weight is required")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"{path}: row {row}, column w: bad value {cell!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise DataError(
+            f"{path}: row {row}, column w: weight must be finite and nonnegative"
+        )
+    return value
+
+
+def _column_values(path: str, column: list, value) -> np.ndarray:
+    """value() of each cell, called once per distinct cell; NaN where it raises."""
+    parsed = {}
+    for cell in set(column):
         try:
-            y_val = float(y_cell)
-        except ValueError:
-            raise DataError(f"{path}: row {i}, column y: bad value {y_cell!r}") from None
-        if y_val not in (0.0, 1.0):
-            raise DataError(
-                f"{path}: row {i}, column y: value {y_cell!r} is not 0 or 1"
-            )
-        w_cell = row[1].strip()
-        if not w_cell:
-            raise DataError(f"{path}: row {i}, column w: weight is required")
-        try:
-            w_val = float(w_cell)
-        except ValueError:
-            raise DataError(f"{path}: row {i}, column w: bad value {w_cell!r}") from None
-        if not math.isfinite(w_val) or w_val < 0:
-            raise DataError(
-                f"{path}: row {i}, column w: weight must be finite and nonnegative"
-            )
-        y[i - 1] = y_val
-        w[i - 1] = w_val
-        for j, name in enumerate(char_names):
-            cell = row[2 + j].strip()
-            records[name][i - 1] = cell if cell else None
+            parsed[cell] = value(path, 0, cell or "")
+        except DataError:
+            parsed[cell] = math.nan
+    return np.fromiter(map(parsed.__getitem__, column), float, len(column))
+
+
+# Rows are read in blocks of this many.  Cells of one text are shared until a
+# block ends with over half the cells read so far distinct: a dictionary of
+# nearly every cell costs more memory and time than sharing saves.
+SHARE_BLOCK_ROWS = 2048
+_NONE_IF_EMPTY = {"": None}
+
+
+class _SharedCells(dict):
+    """Each cell text seen, mapped to its stripped text, or None if empty."""
+
+    def __missing__(self, text: str) -> Optional[str]:
+        self[text] = cell = text.strip() or None
+        return cell
+
+
+def _shared_columns(rows, width: int) -> list[list]:
+    """Each column's stripped cells, empty ones as None, one object per shared text."""
+    shared: Optional[_SharedCells] = _SharedCells()
+    columns: list[list] = [[] for _ in range(width)]
+    read = 0
+    while block := list(chain.from_iterable(islice(rows, SHARE_BLOCK_ROWS))):
+        if shared is None:
+            block = list(map(str.strip, block))
+            block = list(map(_NONE_IF_EMPTY.get, block, block))
+        else:
+            block = list(map(shared.__getitem__, block))
+            read += len(block)
+            if len(shared) > read // 2:
+                shared = None
+        for j, column in enumerate(columns):
+            column += block[j::width]
+    return columns
+
+
+def load_sample(path: str) -> Sample:
+    """Read a data CSV into a Sample; empty characteristic cells are missing.
+
+    The file is read in one streaming pass into a list of stripped cells per
+    column, in which cells of one text are one object unless most cells of
+    the file are distinct.  y and w are parsed once per distinct cell.
+
+    A faulty file reports its first faulty row; within a row the field count
+    comes first, then y, then w.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = (
+            row for row in csv.reader(handle) if row and not row[0].lstrip().startswith("#")
+        )
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path}: empty data file")
+        header = [cell.strip() for cell in header]
+        if len(header) < 2 or header[0] != "y" or header[1] != "w":
+            raise DataError(f"{path}: header must start with y,w")
+        char_names = header[2:]
+        if len(set(char_names)) != len(char_names):
+            raise DataError(f"{path}: duplicate characteristic column")
+        if any(not name for name in char_names):
+            raise DataError(f"{path}: empty characteristic column name")
+        width = len(header)
+        ragged: list[tuple[int, int]] = []
+
+        def full_rows():
+            # Reading stops at a row of the wrong length; the rows before it
+            # are still checked, since an earlier fault is the one to report.
+            for i, row in enumerate(rows, start=1):
+                if len(row) != width:
+                    ragged.append((i, len(row)))
+                    return
+                yield row
+
+        columns = _shared_columns(full_rows(), width)
+    y_cells, w_cells = columns[:2]
+    y = _column_values(path, y_cells, _y_value)
+    w = _column_values(path, w_cells, _w_value)
+    bad = np.flatnonzero(np.isnan(y) | np.isnan(w))
+    if bad.size:
+        i = int(bad[0])
+        # One of these raises: the row has a y or a w that does not parse.
+        _y_value(path, i + 1, y_cells[i] or "")
+        _w_value(path, i + 1, w_cells[i] or "")
+    if ragged:
+        i, fields = ragged[0]
+        raise DataError(f"{path}: row {i} has {fields} fields, expected {width}")
+
+    records = {}
+    for j, name in enumerate(char_names, start=2):
+        records[name] = column = np.empty(len(y_cells), dtype=object)
+        column[:] = columns[j]
+        columns[j] = None  # each list dies as soon as its array holds the cells
     sample = Sample(y=y, w=w, records=records)
     try:
         return sample.validate()
@@ -367,12 +448,38 @@ def _fields(cls, data: dict):
     return cls(**{name: kind(data[name]) for name, kind in get_type_hints(cls).items()})
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def _read_json(path: str, fmt: str, version: int, kind: str) -> dict:
     """Load a versioned JSON file; reading a key it lacks raises DataError."""
 
     class Fields(dict):
         def __missing__(self, key):
             raise DataError(f"{path}: missing key {key!r}")
+
+        def read(self, key: str, convert, optional: bool = False):
+            """convert(self[key]); a value it rejects raises DataError naming the key.
+
+            An optional key that is absent or null reads as None.
+            """
+            if optional and self.get(key) is None:
+                return None
+            try:
+                return convert(self[key])
+            except DataError:
+                raise
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"{path}: key {key!r} has a value of the wrong type or shape"
+                ) from None
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -387,12 +494,13 @@ def _read_json(path: str, fmt: str, version: int, kind: str) -> dict:
 
 
 def load_model(path: str) -> ModelFile:
-    """Read a model JSON, checking format, version, and spec hash."""
+    """Read a model JSON, checking format, version, key types and spec hash."""
     payload = _read_json(path, MODEL_FORMAT, MODEL_VERSION, "model")
-    beta = np.asarray(payload["beta"], dtype=float)
-    if beta.shape != (int(payload["q"]),):
+    read = payload.read
+    beta = read("beta", _floats)
+    if beta.shape != (read("q", int),):
         raise DataError(f"{path}: beta length disagrees with q")
-    spec_text = payload.get("spec_text")
+    spec_text = read("spec_text", _text, optional=True)
     stored_hash = payload.get("spec_sha256")
     if spec_text is not None and stored_hash is not None:
         actual = hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
@@ -400,12 +508,14 @@ def load_model(path: str) -> ModelFile:
             raise DataError(f"{path}: spec text does not match its stored hash")
     return ModelFile(
         beta=beta,
-        lam=float(payload["lam"]),
+        lam=read("lam", float),
         status=str(payload["status"]),
-        trajectory=tuple(_fields(IterationRecord, rec) for rec in payload["trajectory"]),
-        kkt=_fields(KktResiduals, payload["kkt"]),
-        residuals=_fields(ConstraintResiduals, payload["residuals"]),
-        minus_ll=float(payload["minus_ll"]),
+        trajectory=read(
+            "trajectory", lambda recs: tuple(map(partial(_fields, IterationRecord), recs))
+        ),
+        kkt=read("kkt", partial(_fields, KktResiduals)),
+        residuals=read("residuals", partial(_fields, ConstraintResiduals)),
+        minus_ll=read("minus_ll", float),
         spec_text=spec_text,
         note=str(payload.get("note", "")),
     )
@@ -446,24 +556,25 @@ def save_qp_problem(path: str, problem: QpProblem) -> None:
 
 def load_qp_problem(path: str) -> QpProblem:
     payload = _read_json(path, QP_FORMAT, QP_VERSION, "dump")
-    q = int(payload["q"])
-    h = np.asarray(payload["h"], dtype=float).reshape(q, q)
-    aeq = np.asarray(payload["aeq"], dtype=float).reshape(-1, q)
-    a = np.asarray(payload["a"], dtype=float).reshape(-1, q)
-    cs = ConstraintSet(
-        aeq=aeq,
-        beq=np.asarray(payload["beq"], dtype=float),
-        a=a,
-        b=np.asarray(payload["b"], dtype=float),
-    )
-    warm = payload.get("warm_start")
+    read = payload.read
+    q = read("q", int)
+    h = read("h", lambda v: _floats(v).reshape(q, q))
+    try:
+        cs = ConstraintSet(
+            aeq=read("aeq", lambda v: _floats(v).reshape(-1, q)),
+            beq=read("beq", _floats),
+            a=read("a", lambda v: _floats(v).reshape(-1, q)),
+            b=read("b", _floats),
+        )
+    except SpecError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return QpProblem(
         h=h,
-        f=np.asarray(payload["f"], dtype=float),
+        f=read("f", _floats),
         cs=cs,
-        l=_vector_from_json(payload["l"], -math.inf),
-        u=_vector_from_json(payload["u"], math.inf),
-        warm_start=None if warm is None else np.asarray(warm, dtype=float),
+        l=read("l", lambda v: _vector_from_json(v, -math.inf)),
+        u=read("u", lambda v: _vector_from_json(v, math.inf)),
+        warm_start=read("warm_start", _floats, optional=True),
     )
 
 

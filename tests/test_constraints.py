@@ -222,6 +222,14 @@ def test_empty_constraint_set():
     assert check_feasible(cs, np.ones(5))
 
 
+@pytest.mark.parametrize(
+    "beq,b", [(np.zeros(1), np.zeros(3)), (np.zeros(2), np.zeros(1)), (np.zeros(1), 0.0)]
+)
+def test_constraint_set_needs_one_bound_per_row(beq, b):
+    with pytest.raises(SpecError, match="one entry per row"):
+        ConstraintSet(aeq=np.ones((1, 2)), beq=beq, a=np.ones((1, 2)), b=b)
+
+
 def test_compiled_structure_on_random_specs(random_spec_factory):
     rng = np.random.default_rng(20240819)
     for _ in range(20):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scorecraft
+from scorecraft import data_io
 from scorecraft.cli import main
 from scorecraft.constraints import ConstraintSet, compile_constraints
 from scorecraft.data_io import (
@@ -27,10 +28,12 @@ from scorecraft.data_io import (
     save_score_csv,
 )
 from scorecraft.metrics import score_metrics
-from scorecraft.model import build_design_matrix, parse_spec, score_vector
+from scorecraft.model import bin_value, build_design_matrix, parse_spec, score_vector
 from scorecraft.qp import QpProblem, solve_qp
 from scorecraft.report import parse_report_csv, write_report
 from scorecraft.sqp import PenaltySpec, fit
+
+from sample_oracle import load_sample_rows
 
 DATA_TEXT = """\
 y,w,age,fuel
@@ -82,13 +85,86 @@ def test_load_sample(tmp_path):
         ("y,w,age\n1,abc,5\n", "row 1, column w"),
         ("y,w,age\n1,-1,5\n", "row 1, column w"),
         ("y,w,age\n1,0,5\n0,0,6\n", "total weight"),
+        # The first faulty row in file order is reported, whatever its fault.
+        ("y,w,age\nx,1,5\n1,1\n", "row 1, column y"),
+        ("y,w,age\n1,1,5\n0,2,5\nx,1,5\n", "row 3, column y: bad value 'x'"),
+        ("y,w,age\n1,1,5\n0,1\n2,1,5\n", "row 2 has 2 fields"),
+        ("y,w,age\n1,x,5\n2,1,5\n", "row 1, column w"),
+        ("y,w,age\n1,nan,5\n", "row 1, column w: weight must be finite"),
+        ("y,w,age\n1,1,5\n0,inf,5\n", "row 2, column w: weight must be finite"),
+        # A padded y is read; the fault is in the row after it.
+        ("y,w,age\n 1 ,1,5\n 2 ,1,5\n", "row 2, column y: value '2' is not 0 or 1"),
     ],
 )
 def test_load_sample_rejects(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(DataError, match=message) as raised:
         load_sample(str(path))
+    with pytest.raises(DataError) as expected:
+        load_sample_rows(str(path))
+    assert str(raised.value) == str(expected.value)
+
+
+MESSY_TEXT = (
+    "# a comment line\r\n"
+    "y, w ,age,fuel,note\r\n"
+    '1,1,25,Gas,"a, b"\r\n'
+    "  # an indented comment, 1,2\r\n"
+    '0,2.5, 55 ,"Die""sel",Gas\r\n'
+    "1,0.5,,  ,nan\r\n"
+    "\r\n"
+    '0, 1 ,NaN,Gas,"  "\r\n'
+    " 1 ,1e0,25,Other,Gas\r\n"
+    '0,0,-9999999,nan,"x,""y"""\r\n'
+    "1,3,Gas, Gas ,25\r\n"
+)
+
+
+@pytest.mark.parametrize(
+    "block_rows", [data_io.SHARE_BLOCK_ROWS, 1], ids=["shared", "unshared"]
+)
+@pytest.mark.parametrize(
+    "text,n", [(MESSY_TEXT, 7), ("y,w,age,fuel,note\n", 0)], ids=["messy", "header-only"]
+)
+def test_load_sample_matches_per_cell_oracle(
+    tmp_path, monkeypatch, small_spec, text, n, block_rows
+):
+    # One-row blocks stop sharing after the first row, whose cells all differ.
+    monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", block_rows)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    sample = load_sample(str(path))
+    expected = load_sample_rows(str(path))
+    assert sample.n == n
+    assert sample.y.tobytes() == expected.y.tobytes()
+    assert sample.w.tobytes() == expected.w.tobytes()
+    assert list(sample.records) == list(expected.records)
+    for name, column in expected.records.items():
+        assert sample.records[name].dtype == object
+        assert sample.records[name].tolist() == column.tolist()
+    del sample.records["note"]
+    design = build_design_matrix(small_spec, sample)
+    for c, ch in enumerate(small_spec.characteristics, start=1):
+        per_cell = [bin_value(ch, v) for v in sample.records[ch.name]]
+        assert design.codes[:, c].tolist() == per_cell
+
+
+def test_load_sample_stops_sharing_when_most_cells_are_distinct(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", 2)
+    repeated = "1,1,Gas,Gas\n" * 4
+    distinct = "".join(f"0,{i}.5,{i},x{i}\n" for i in range(20))
+    path = tmp_path / "data.csv"
+    path.write_text("y,w,a,b\n" + repeated + distinct + repeated)
+    sample = load_sample(str(path))
+    expected = load_sample_rows(str(path))
+    assert sample.y.tobytes() == expected.y.tobytes()
+    assert sample.w.tobytes() == expected.w.tobytes()
+    for name, column in expected.records.items():
+        assert sample.records[name].tolist() == column.tolist()
+    a = sample.records["a"]
+    assert a[0] is a[3]
+    assert a[-1] == a[0] and a[-1] is not a[0]
 
 
 def test_atomic_write_text(tmp_path):
@@ -649,6 +725,58 @@ def test_cli_eval_model_without_kkt(tmp_path, small_spec_text, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "missing key 'kkt'" in err
+
+
+@pytest.mark.parametrize(
+    "kind,key,value",
+    [
+        ("model", "kkt", []),
+        ("model", "trajectory", [1]),
+        ("model", "beta", {"a": 1}),
+        ("model", "lam", "x"),
+        ("model", "spec_text", 5),
+        ("qp", "h", "x"),
+        ("qp", "b", "x"),
+    ],
+    ids=["kkt", "trajectory", "beta", "lam", "spec_text", "qp-h", "qp-b"],
+)
+def test_cli_rejects_a_key_of_the_wrong_type(
+    tmp_path, small_spec, small_spec_text, capsys, kind, key, value
+):
+    if kind == "model":
+        result, pen, _, data_path = fitted_model(small_spec, tmp_path)
+        path = tmp_path / "model.json"
+        save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+        argv = ["eval", "--model", str(path), "--data", str(data_path)]
+    else:
+        path = tmp_path / "qp.json"
+        cs = ConstraintSet(aeq=np.zeros((0, 2)), beq=np.zeros(0), a=np.ones((1, 2)), b=np.ones(1))
+        save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
+        argv = ["qp-solve", str(path)]
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: key {key!r} has a value of the wrong type" in err
+
+
+def test_cli_qp_solve_rejects_a_bound_per_row_mismatch(tmp_path, capsys):
+    path = tmp_path / "qp.json"
+    cs = ConstraintSet(
+        aeq=np.zeros((0, 2)), beq=np.zeros(0), a=np.ones((1, 2)), b=np.ones(1)
+    )
+    save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
+    payload = json.loads(path.read_text())
+    payload["b"] = [1, 2, 3]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["qp-solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: constraint set: b must have one entry per row (1)" in err
 
 
 def test_compile_does_not_import_scipy_optimize(tmp_path):
