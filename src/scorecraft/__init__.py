@@ -46,7 +46,6 @@ _EXPORTS = {
     "constraint_residuals": "constraints",
     "check_feasible": "constraints",
     # qp
-    "QpSettings": "qp",
     "QpProblem": "qp",
     "QpSolution": "qp",
     "KktResiduals": "qp",

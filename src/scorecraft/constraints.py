@@ -76,6 +76,9 @@ class ConstraintSet:
                     f"constraint set: {name} must have one entry per row ({len(rows)}), "
                     f"got shape {np.shape(rhs)}"
                 )
+        for name in ("aeq", "beq", "a", "b"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise SpecError(f"constraint set: {name} has an entry that is not finite")
 
     @property
     def q(self) -> int:

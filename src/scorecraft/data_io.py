@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, islice
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -65,7 +65,7 @@ __all__ = [
 MODEL_FORMAT = "scorecraft-model"
 MODEL_VERSION = 1
 QP_FORMAT = "scorecraft-qp"
-QP_VERSION = 1
+QP_VERSION = 2
 
 
 class DataError(ValueError):
@@ -525,16 +525,6 @@ def load_model(path: str) -> ModelFile:
 # QP problem dumps
 
 
-def _vector_json(v: np.ndarray) -> list:
-    return [None if not math.isfinite(x) else float(x) for x in v]
-
-
-def _vector_from_json(data: Sequence, default: float) -> np.ndarray:
-    return np.asarray(
-        [default if x is None else float(x) for x in data], dtype=float
-    )
-
-
 def save_qp_problem(path: str, problem: QpProblem) -> None:
     """Dump one QP instance as self-describing JSON for offline debugging."""
     payload = {
@@ -547,8 +537,6 @@ def save_qp_problem(path: str, problem: QpProblem) -> None:
         "beq": problem.cs.beq.tolist(),
         "a": problem.cs.a.tolist(),
         "b": problem.cs.b.tolist(),
-        "l": _vector_json(problem.l),
-        "u": _vector_json(problem.u),
         "warm_start": None if problem.warm_start is None else problem.warm_start.tolist(),
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
@@ -572,8 +560,6 @@ def load_qp_problem(path: str) -> QpProblem:
         h=h,
         f=read("f", _floats),
         cs=cs,
-        l=read("l", lambda v: _vector_from_json(v, -math.inf)),
-        u=read("u", lambda v: _vector_from_json(v, math.inf)),
         warm_start=read("warm_start", _floats, optional=True),
     )
 

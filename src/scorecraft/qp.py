@@ -2,9 +2,10 @@
 and KKT certification.
 
 Solves  minimize 1/2 beta' H beta + f' beta
-        subject to  Aeq beta = beq,  A beta <= b,  l <= beta <= u
+        subject to  Aeq beta = beq,  A beta <= b
 
-for symmetric positive semidefinite H, by one path for every constraint shape:
+for symmetric positive semidefinite H; a bound on a coefficient is a unit row
+of A.  Every problem takes one path:
 
 1. Factor H + delta I = L L' with delta tiny and relative to H, so that the
    model is strictly convex where H is singular (scorecard designs are rank
@@ -18,8 +19,8 @@ for symmetric positive semidefinite H, by one path for every constraint shape:
 
 "infeasible" comes only with a Farkas vector and "unbounded" only with a
 descent ray, each checked on the problem data.  `iterations` counts NNLS
-iterations plus the polish rounds that changed the active set.  Identical
-inputs give bitwise identical outputs.
+iterations plus the polish rounds that changed the active set, and
+MAX_ITERS caps it.  Identical inputs give bitwise identical outputs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .model import SpecError
 
 __all__ = [
     "QpWarning",
-    "QpSettings",
     "QpProblem",
     "QpSolution",
     "KktResiduals",
@@ -45,6 +45,8 @@ __all__ = [
     "qp_objective",
 ]
 
+# Caps NNLS iterations plus the polish rounds that changed the active set.
+MAX_ITERS = 5_000
 # delta = DELTA * max diag(H) regularizes the active-set guess only.
 DELTA = 1e-10
 # "optimal" needs KKT residuals within KKT_TOL * (1 + data scale), plus
@@ -72,27 +74,18 @@ class QpWarning(UserWarning):
     """Non-fatal solver conditions, e.g. an optimum that is not unique."""
 
 
-@dataclass(frozen=True)
-class QpSettings:
-    """Solver limit: max_iters caps NNLS iterations plus changing polish rounds."""
-
-    max_iters: int = 5_000
-
-
 @dataclass(frozen=True, eq=False)
 class QpProblem:
     """One convex QP instance over the full coefficient vector.
 
     h is symmetrized on construction and must be symmetric to within 1e-12
-    relative; bounds default to -inf/+inf per coefficient; warm_start, when
-    given, centres the regularization of the active-set guess.
+    relative; warm_start, when given, centres the regularization of the
+    active-set guess.
     """
 
     h: np.ndarray
     f: np.ndarray
     cs: ConstraintSet
-    l: Optional[np.ndarray] = None
-    u: Optional[np.ndarray] = None
     warm_start: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -113,14 +106,6 @@ class QpProblem:
             raise SpecError(
                 f"constraint set is over {self.cs.q} coefficients, H over {q}"
             )
-        lower = np.full(q, -np.inf) if self.l is None else np.asarray(self.l, float)
-        upper = np.full(q, np.inf) if self.u is None else np.asarray(self.u, float)
-        if lower.shape != (q,) or upper.shape != (q,):
-            raise SpecError("bounds must match the coefficient count")
-        if (lower > upper).any():
-            raise SpecError("lower bound exceeds upper bound")
-        object.__setattr__(self, "l", lower)
-        object.__setattr__(self, "u", upper)
         if self.warm_start is not None:
             ws = np.asarray(self.warm_start, dtype=float)
             if ws.shape != (q,):
@@ -136,11 +121,11 @@ class QpProblem:
 class KktResiduals:
     """First-order optimality residuals of a (beta, multipliers) candidate.
 
-    stationarity: max |H beta + f + Aeq' mu + A' nu + lam_u - lam_l|
+    stationarity: max |H beta + f + Aeq' mu + A' nu|
     primal_eq:    max |Aeq beta - beq|
-    primal_ineq:  max positive part of A beta - b and of bound violations
-    dual:         magnitude of the most negative inequality/bound multiplier
-    complementarity: max |multiplier * slack| over inequality and bound rows
+    primal_ineq:  max positive part of A beta - b
+    dual:         magnitude of the most negative inequality multiplier
+    complementarity: max |nu * (A beta - b)|
     """
 
     stationarity: float
@@ -158,18 +143,16 @@ class QpSolution:
     """Solver output: point, multipliers, status, and certified residuals.
 
     status "optimal" means the KKT residuals passed the tolerance.
-    "infeasible" carries a Farkas vector y over the stacked rows [Aeq; A;
-    coefficients with a finite bound]: C' y = 0, while y' z > 0 for every z
-    within the rows' bounds.  "unbounded" carries a descent ray d: H d = 0,
-    f' d < 0, and d keeps every constraint.  "max_iterations" returns the
-    best point found with its honest residuals.
+    "infeasible" carries a Farkas vector y over the stacked rows C = [Aeq; A]:
+    C' y = 0, while y' z > 0 for every z with z = beq on the equality rows
+    and z <= b on the inequality rows.  "unbounded" carries a descent ray d:
+    H d = 0, f' d < 0, and d keeps every constraint.  "max_iterations"
+    returns the best point found with its honest residuals.
     """
 
     beta: np.ndarray
     eq_multipliers: np.ndarray
     ineq_multipliers: np.ndarray
-    lower_multipliers: np.ndarray
-    upper_multipliers: np.ndarray
     status: str
     kkt: KktResiduals
     objective: float
@@ -197,14 +180,10 @@ def kkt_residuals(
     beta: np.ndarray,
     eq_multipliers: Optional[np.ndarray] = None,
     ineq_multipliers: Optional[np.ndarray] = None,
-    lower_multipliers: Optional[np.ndarray] = None,
-    upper_multipliers: Optional[np.ndarray] = None,
 ) -> KktResiduals:
     """Exact KKT residuals for a candidate point; pure certificate checker.
 
-    Missing multiplier vectors are treated as zero.  Finite bounds enter the
-    stationarity, primal, dual, and complementarity terms; infinite bounds
-    contribute nothing.
+    Missing multiplier vectors are treated as zero.
     """
     q = p.q
     beta = np.asarray(beta, dtype=float)
@@ -212,24 +191,15 @@ def kkt_residuals(
         raise SpecError(f"beta must have length {q}")
     mu = _as_mult(eq_multipliers, p.cs.m_e, "eq_multipliers")
     nu = _as_mult(ineq_multipliers, p.cs.m_i, "ineq_multipliers")
-    lam_l = _as_mult(lower_multipliers, q, "lower_multipliers")
-    lam_u = _as_mult(upper_multipliers, q, "upper_multipliers")
 
-    grad = p.h @ beta + p.f + p.cs.aeq.T @ mu + p.cs.a.T @ nu + lam_u - lam_l
+    grad = p.h @ beta + p.f + p.cs.aeq.T @ mu + p.cs.a.T @ nu
     ineq_slack = p.cs.a @ beta - p.cs.b
-    with np.errstate(invalid="ignore"):
-        bound_gap = np.maximum(p.l - beta, beta - p.u)
-        slack_products = np.concatenate([
-            nu * ineq_slack,
-            np.where(np.isfinite(p.u), lam_u * (beta - p.u), 0.0),
-            np.where(np.isfinite(p.l), lam_l * (p.l - beta), 0.0),
-        ])
     return KktResiduals(
         stationarity=_max_abs(grad),
         primal_eq=_max_abs(p.cs.aeq @ beta - p.cs.beq),
-        primal_ineq=max(_max_pos(ineq_slack), _max_pos(bound_gap)),
-        dual=_max_pos(-np.concatenate([nu, lam_l, lam_u])),
-        complementarity=_max_abs(slack_products),
+        primal_ineq=_max_pos(ineq_slack),
+        dual=_max_pos(-nu),
+        complementarity=_max_abs(nu * ineq_slack),
     )
 
 
@@ -246,65 +216,23 @@ def _as_mult(v: Optional[np.ndarray], m: int, name: str) -> np.ndarray:
 # Solver
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
-    """The constraints as one-sided columns s' beta <= t (= t where free).
-
-    Rows are numbered as the stack [Aeq; A; unit rows of the coefficients
-    with a finite bound].  A row whose bounds meet gives one free column; any
-    other row gives s = c, t = upper for a finite upper side and s = -c,
-    t = -lower for a finite lower side.  to_rows @ v turns per-column
-    multipliers into signed per-row ones.
-    """
-
-    s: np.ndarray
-    t: np.ndarray
-    free: np.ndarray
-    to_rows: np.ndarray
-    bound_idx: np.ndarray
-
-    @classmethod
-    def of(cls, p: QpProblem) -> "_Columns":
-        bound_idx = np.flatnonzero(np.isfinite(p.l) | np.isfinite(p.u))
-        c = np.vstack([p.cs.aeq, p.cs.a, np.eye(p.q)[bound_idx]])
-        lo = np.concatenate([p.cs.beq, np.full(p.cs.m_i, -np.inf), p.l[bound_idx]])
-        up = np.concatenate([p.cs.beq, p.cs.b, p.u[bound_idx]])
-        eq = lo == up
-        upper = np.flatnonzero(np.isfinite(up) & ~eq)
-        lower = np.flatnonzero(np.isfinite(lo) & ~eq)
-        row = np.concatenate([np.flatnonzero(eq), upper, lower])
-        sign = np.where(np.arange(row.size) < row.size - lower.size, 1.0, -1.0)
-        t = np.where(sign > 0, up[row], -lo[row])
-        to_rows = np.zeros((c.shape[0], row.size))
-        to_rows[row, np.arange(row.size)] = sign
-        free = np.arange(row.size) < eq.sum()
-        return cls(sign[:, None] * c[row], t, free, to_rows, bound_idx)
-
-    def split(self, p: QpProblem, v: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(mu, nu, lam_l, lam_u) from per-column multipliers v."""
-        y = self.to_rows @ v
-        m_e, m_i = p.cs.m_e, p.cs.m_i
-        lam_l = np.zeros(p.q)
-        lam_u = np.zeros(p.q)
-        lam_u[self.bound_idx] = np.maximum(y[m_e + m_i :], 0.0)
-        lam_l[self.bound_idx] = np.maximum(-y[m_e + m_i :], 0.0)
-        return y[:m_e], np.maximum(y[m_e : m_e + m_i], 0.0), lam_l, lam_u
-
-
-def solve_qp(p: QpProblem, settings: Optional[QpSettings] = None) -> QpSolution:
+def solve_qp(p: QpProblem) -> QpSolution:
     """Solve the QP, certifying the result through KKT residuals.
 
-    One path for every constraint shape: a least-distance NNLS on H + delta I
-    guesses the active set and the polish settles it on H.
+    A least-distance NNLS on H + delta I guesses the active set and the
+    polish settles it on H.
     """
-    settings = settings or QpSettings()
-    q, h, f = p.q, p.h, p.f
-    cols = _Columns.of(p)
-    no_mult = np.zeros(cols.t.size)
+    q, h, f, m_e = p.q, p.h, p.f, p.cs.m_e
+    # The rows s beta <= t of [Aeq; A]; the first m_e hold with equality, and
+    # their multipliers are free.
+    s = np.vstack([p.cs.aeq, p.cs.a])
+    t = np.concatenate([p.cs.beq, p.cs.b])
+    free = np.arange(t.size) < m_e
+    no_mult = np.zeros(t.size)
     centre = p.warm_start if p.warm_start is not None else np.zeros(q)
     # Constraint residuals are measured against the rows' data, gradient
     # residuals and multiplier signs against the objective's.
-    tol_row = KKT_TOL * (1.0 + _max_abs(cols.t))
+    tol_row = KKT_TOL * (1.0 + _max_abs(t))
     tol_grad = KKT_TOL * (1.0 + max(_max_abs(f), _max_abs(h)))
 
     delta = DELTA * (float(np.diag(h).max(initial=0.0)) or 1.0)
@@ -313,26 +241,28 @@ def solve_qp(p: QpProblem, settings: Optional[QpSettings] = None) -> QpSolution:
     except linalg.LinAlgError:
         raise SpecError("H is not positive semidefinite") from None
     f_reg = f - delta * centre
-    # Least-distance form in z = L' beta + L^-1 f_reg: columns s' beta <= t
+    # Least-distance form in z = L' beta + L^-1 f_reg: rows s' beta <= t
     # read (L^-1 s)' z <= t + s' M^-1 f_reg.
-    lg = linalg.solve_triangular(factor[0], cols.s.T, lower=True, check_finite=False)
+    lg = linalg.solve_triangular(factor[0], s.T, lower=True, check_finite=False)
     w0 = linalg.solve_triangular(factor[0], f_reg, lower=True, check_finite=False)
-    z, v, iterations, limited = _ldp(lg.T, cols.t + w0 @ lg, cols.free, settings.max_iters)
+    z, v, iterations, limited = _ldp(lg.T, t + w0 @ lg, free, MAX_ITERS)
     candidates = [(centre, no_mult)]
     if z is not None:
-        beta = -linalg.cho_solve(factor, f_reg + cols.s.T @ v, check_finite=False)
+        beta = -linalg.cho_solve(factor, f_reg + s.T @ v, check_finite=False)
         candidates.insert(0, (beta, v))
 
+    def split(v):
+        """(mu, nu) from per-row multipliers v."""
+        return v[:m_e], np.maximum(v[m_e:], 0.0)
+
     def finish(beta, v, status, note="", certificate=None):
-        mu, nu, lam_l, lam_u = cols.split(p, v)
+        mu, nu = split(v)
         return QpSolution(
             beta=beta,
             eq_multipliers=mu,
             ineq_multipliers=nu,
-            lower_multipliers=lam_l,
-            upper_multipliers=lam_u,
             status=status,
-            kkt=kkt_residuals(p, beta, mu, nu, lam_l, lam_u),
+            kkt=kkt_residuals(p, beta, mu, nu),
             objective=qp_objective(p, beta),
             iterations=iterations,
             note=note,
@@ -343,38 +273,37 @@ def solve_qp(p: QpProblem, settings: Optional[QpSettings] = None) -> QpSolution:
     if limited:
         return finish(*candidates[0], "max_iterations", limit_note)
     if z is None:
-        # Then v combines the columns to S' v = 0 and t' v < 0 up to
-        # roundoff: a Farkas vector, if that holds on the data.
-        size = np.abs(v) @ (1.0 + np.abs(np.column_stack([cols.s, cols.t])).max(axis=1))
-        if _max_abs(cols.s.T @ v) <= CERT_TOL * size and cols.t @ v < -CERT_TOL * size:
-            y = -cols.to_rows @ v
+        # Then v combines the rows to S' v = 0 and t' v < 0 up to roundoff:
+        # -v is a Farkas vector, if that holds on the data.
+        size = np.abs(v) @ (1.0 + np.abs(np.column_stack([s, t])).max(axis=1))
+        if _max_abs(s.T @ v) <= CERT_TOL * size and t @ v < -CERT_TOL * size:
             note = "constraint system admits a Farkas certificate"
-            return finish(centre, no_mult, "infeasible", note, y / _max_abs(y))
+            return finish(centre, no_mult, "infeasible", note, -v / _max_abs(v))
 
-    polished = _polish(h, f, cols, v, tol_row, tol_grad, settings.max_iters - iterations)
+    polished = _polish(h, f, s, t, free, v, tol_row, tol_grad, MAX_ITERS - iterations)
     if polished is not None:
         beta, v, changes = polished
         iterations += changes
         candidates.insert(0, (beta, v))
     # Solving the KKT system costs roundoff in proportion to its solution.
-    kkt_matrix = np.block([[h, cols.s.T], [cols.s, np.zeros((cols.t.size, cols.t.size))]])
+    kkt_matrix = np.block([[h, s.T], [s, np.zeros((t.size, t.size))]])
     norm_kkt = float(np.abs(kkt_matrix).sum(axis=1).max(initial=0.0))
     errors = []
     for b, m in candidates:
-        kkt = kkt_residuals(p, b, *cols.split(p, m))
+        kkt = kkt_residuals(p, b, *split(m))
         slack = ROUNDOFF * norm_kkt * max(_max_abs(b), _max_abs(m))
         rows = max(kkt.primal_eq, kkt.primal_ineq) / (tol_row + slack)
         grads = max(kkt.stationarity, kkt.dual, kkt.complementarity) / (tol_grad + slack)
         errors.append(max(rows, grads))
     beta, v = candidates[int(np.argmin(errors))]
     if min(errors) <= 1.0:
-        _warn_if_not_unique(h, cols.s[cols.free | (v != 0)])
+        _warn_if_not_unique(h, s[free | (v != 0)])
         return finish(beta, v, "optimal")
 
     # A descent ray means "unbounded" only where a feasible point is known.
     note = "the active-set polish did not settle"
     if z is not None:
-        ray, used, limited = _descent_ray(p, cols, settings.max_iters - iterations)
+        ray, used, limited = _descent_ray(p, s, free, MAX_ITERS - iterations)
         iterations += used
         if ray is not None:
             note = "objective admits an unbounded descent ray"
@@ -482,7 +411,7 @@ def _ldp(
 
 
 def _descent_ray(
-    p: QpProblem, cols: _Columns, budget: int
+    p: QpProblem, s: np.ndarray, free: np.ndarray, budget: int
 ) -> tuple[Optional[np.ndarray], int, bool]:
     """A checked ray d with H d = 0, f' d < 0 that keeps every constraint.
 
@@ -491,20 +420,20 @@ def _descent_ray(
     """
     vals, vecs = linalg.eigh(p.h, check_finite=False)
     basis = vecs[:, vals > RANK_TOL * vals.max(initial=0.0)].T
-    g = np.vstack([basis, cols.s, p.f[None, :]])
-    h = np.concatenate([np.zeros(basis.shape[0] + cols.t.size), [-1.0]])
-    free = np.concatenate([np.ones(basis.shape[0], bool), cols.free, [False]])
-    d, _, used, limited = _ldp(g, h, free, budget)
+    g = np.vstack([basis, s, p.f[None, :]])
+    h = np.concatenate([np.zeros(basis.shape[0] + s.shape[0]), [-1.0]])
+    cone_free = np.concatenate([np.ones(basis.shape[0], bool), free, [False]])
+    d, _, used, limited = _ldp(g, h, cone_free, budget)
     if d is None:
         return None, used, limited
     d = d / _max_abs(d)
-    tol_s = CERT_TOL * (1.0 + _max_abs(cols.s))
-    slope = cols.s @ d
+    tol_s = CERT_TOL * (1.0 + _max_abs(s))
+    slope = s @ d
     if (
         _max_abs(p.h @ d) <= CERT_TOL * float(np.abs(p.h).sum(axis=1).max())
         and p.f @ d < -CERT_TOL * (1.0 + _max_abs(p.f))
-        and _max_abs(slope[cols.free]) <= tol_s
-        and _max_pos(slope[~cols.free]) <= tol_s
+        and _max_abs(slope[free]) <= tol_s
+        and _max_pos(slope[~free]) <= tol_s
     ):
         return d, used, False
     return None, used, False
@@ -513,34 +442,36 @@ def _descent_ray(
 def _polish(
     h: np.ndarray,
     f: np.ndarray,
-    cols: _Columns,
+    s: np.ndarray,
+    t: np.ndarray,
+    free: np.ndarray,
     v: np.ndarray,
     tol_row: float,
     tol_grad: float,
     budget: int,
 ) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
-    """Solve the KKT system on the active columns until the set settles.
+    """Solve the KKT system on the active rows until the set settles.
 
-    Columns start active where v > 0; free columns always are.  Each round
-    solves the KKT system on the active columns, drops those whose
-    multipliers have the wrong sign and adds violated ones.  Returns (x,
-    multipliers, rounds that changed the set) from the last solve, settled
-    or not, or None when no trusted solve settles the set.
+    Rows start active where v > 0; free rows always are.  Each round solves
+    the KKT system on the active rows, drops those whose multipliers have
+    the wrong sign and adds violated ones.  Returns (x, multipliers, rounds
+    that changed the set) from the last solve, settled or not, or None when
+    no trusted solve settles the set.
     """
     q = h.shape[0]
-    active = cols.free | (v > 0)
+    active = free | (v > 0)
     changes = 0
     for _ in range(POLISH_ROUNDS):
         idx = np.flatnonzero(active)
-        s_act = cols.s[idx]
+        s_act = s[idx]
         kkt = np.block([[h, s_act.T], [s_act, np.zeros((idx.size, idx.size))]])
-        t, trusted = _kkt_solve(kkt, np.concatenate([-f, cols.t[idx]]), q)
-        if t is None:
+        sol, trusted = _kkt_solve(kkt, np.concatenate([-f, t[idx]]), q)
+        if sol is None:
             return None
-        x, v = t[:q], np.zeros(cols.t.size)
-        v[idx] = t[q:]
-        drop = active & ~cols.free & (v < -tol_grad)
-        add = ~active & (cols.s @ x - cols.t > tol_row)
+        x, v = sol[:q], np.zeros(t.size)
+        v[idx] = sol[q:]
+        drop = active & ~free & (v < -tol_grad)
+        add = ~active & (s @ x - t > tol_row)
         if not (drop.any() or add.any()):
             # An untrusted solve may still steer the set, but cannot settle it.
             return (x, v, changes) if trusted else None

@@ -106,8 +106,8 @@ class PenaltySpec:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.lam >= 0:
-            raise SpecError(f"penalty weight must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise SpecError(f"penalty weight must be finite and nonnegative, got {self.lam}")
 
     def hessian_diag(self, q: int) -> np.ndarray:
         """Diagonal of the penalty's Hessian contribution to the QP."""
@@ -142,8 +142,8 @@ class FitConfig:
     beta0: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise SpecError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise SpecError(f"tol must be finite and positive, got {self.tol}")
         if self.max_outer_iters < 1:
             raise SpecError("max_outer_iters must be at least 1")
 
@@ -242,7 +242,7 @@ def assemble_qp(
 
     H = hess + (2 lam/(q-1)) on the non-intercept diagonal; f = grad -
     hess beta_hat (the penalty, being exactly quadratic, adds nothing to f).
-    beta_hat seeds the warm start; bounds stay infinite.
+    beta_hat seeds the warm start.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     q = beta_hat.shape[0]
@@ -385,8 +385,6 @@ def fit(
         beta,
         solution.eq_multipliers,
         solution.ineq_multipliers,
-        solution.lower_multipliers,
-        solution.upper_multipliers,
     )
     if status == "converged" and max(residuals.eq_residual, residuals.ineq_violation) > 1e-8:
         status = "max_iterations"

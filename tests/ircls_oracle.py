@@ -11,7 +11,7 @@ from scorecraft.qp import QpProblem, solve_qp
 from scorecraft.sqp import StepError
 
 
-def ircls_step(x, y, w, pen, cs, beta_in, settings=None):
+def ircls_step(x, y, w, pen, cs, beta_in):
     """One iteratively reweighted constrained least squares step.
 
     Minimizes 1/2 sum_i omega_i (z_i - x_i'beta)^2 + penalty over the
@@ -37,7 +37,7 @@ def ircls_step(x, y, w, pen, cs, beta_in, settings=None):
     omega = w * curve
     h = x.T @ (x * omega[:, None]) + np.diag(pen.hessian_diag(beta_in.shape[0]))
     f = -(x.T @ (omega * z))
-    solution = solve_qp(QpProblem(h=h, f=f, cs=cs, warm_start=beta_in), settings)
+    solution = solve_qp(QpProblem(h=h, f=f, cs=cs, warm_start=beta_in))
     if solution.status != "optimal":
         raise StepError(f"reweighted least squares step failed: QP status {solution.status}")
     return solution.beta

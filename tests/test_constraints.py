@@ -230,6 +230,15 @@ def test_constraint_set_needs_one_bound_per_row(beq, b):
         ConstraintSet(aeq=np.ones((1, 2)), beq=beq, a=np.ones((1, 2)), b=b)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["aeq", "beq", "a", "b"])
+def test_constraint_set_rejects_non_finite_entries(name, value):
+    arrays = dict(aeq=np.ones((1, 2)), beq=np.zeros(1), a=np.ones((1, 2)), b=np.zeros(1))
+    arrays[name].flat[-1] = value
+    with pytest.raises(SpecError, match=f"{name} has an entry that is not finite"):
+        ConstraintSet(**arrays)
+
+
 def test_compiled_structure_on_random_specs(random_spec_factory):
     rng = np.random.default_rng(20240819)
     for _ in range(20):

@@ -360,15 +360,15 @@ def test_qp_dump_round_trip(tmp_path):
     cs = ConstraintSet(
         aeq=rng.standard_normal((1, q)),
         beq=rng.standard_normal(1),
-        a=rng.standard_normal((2, q)),
-        b=rng.standard_normal(2) + 3.0,
+        # Two general rows, then bounds as unit rows: beta[2] <= 2,
+        # beta[3] <= 5, beta[1] >= -1 and beta[3] >= 0.
+        a=np.vstack([rng.standard_normal((2, q)), np.eye(q)[[2, 3]], -np.eye(q)[[1, 3]]]),
+        b=np.concatenate([rng.standard_normal(2) + 3.0, [2.0, 5.0, 1.0, 0.0]]),
     )
     problem = QpProblem(
         h=r.T @ r + np.eye(q),
         f=rng.standard_normal(q),
         cs=cs,
-        l=np.array([-np.inf, -1.0, -np.inf, 0.0]),
-        u=np.array([np.inf, np.inf, 2.0, 5.0]),
         warm_start=rng.standard_normal(q),
     )
     path = tmp_path / "problem.json"
@@ -376,8 +376,8 @@ def test_qp_dump_round_trip(tmp_path):
     loaded = load_qp_problem(str(path))
     assert np.array_equal(loaded.h, problem.h)
     assert np.array_equal(loaded.f, problem.f)
-    assert np.array_equal(loaded.l, problem.l)
-    assert np.array_equal(loaded.u, problem.u)
+    assert np.array_equal(loaded.cs.a, problem.cs.a)
+    assert np.array_equal(loaded.cs.b, problem.cs.b)
     assert np.array_equal(loaded.warm_start, problem.warm_start)
     a = solve_qp(problem)
     b = solve_qp(loaded)
@@ -653,6 +653,29 @@ def test_cli_compile_inweight_and_centering(tmp_path, small_spec_text, capsys):
     assert "centering" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--inweight", "1=inf"], "beq has an entry that is not finite"),
+        (["--inweight", "1=nan"], "beq has an entry that is not finite"),
+        (["--lambda", "inf"], "penalty weight must be finite"),
+        (["--lambda", "nan"], "penalty weight must be finite"),
+        (["--tol", "inf"], "tol must be finite"),
+        (["--tol", "nan"], "tol must be finite"),
+    ],
+    ids=["inweight-inf", "inweight-nan", "lambda-inf", "lambda-nan", "tol-inf", "tol-nan"],
+)
+def test_cli_fit_rejects_non_finite_numbers(tmp_path, small_spec_text, capsys, flags, message):
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(DATA_TEXT)
+    code = main(["fit", "--spec", str(spec_path), "--data", str(data_path)] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert message in err
+
+
 def test_cli_compare_length_mismatch(tmp_path, small_spec_text, capsys):
     spec_path = write_small_spec(tmp_path, small_spec_text)
     data_path = tmp_path / "data.csv"
@@ -697,7 +720,7 @@ def test_cli_qp_solve(tmp_path, capsys):
 
 def test_cli_qp_solve_truncated_dump(tmp_path, capsys):
     dump = tmp_path / "qp.json"
-    dump.write_text('{"format": "scorecraft-qp", "version": 1, "q": 2}')
+    dump.write_text('{"format": "scorecraft-qp", "version": 2, "q": 2}')
     assert main(["qp-solve", str(dump)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -777,6 +800,48 @@ def test_cli_qp_solve_rejects_a_bound_per_row_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{path}: constraint set: b must have one entry per row (1)" in err
+
+
+def test_cli_qp_solve_rejects_a_non_finite_bound(tmp_path, capsys):
+    path = tmp_path / "qp.json"
+    cs = ConstraintSet(
+        aeq=np.zeros((0, 2)), beq=np.zeros(0), a=np.ones((1, 2)), b=np.ones(1)
+    )
+    save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
+    payload = json.loads(path.read_text())
+    payload["b"] = [math.inf]
+    path.write_text(json.dumps(payload))
+    assert '"b": [Infinity]' in path.read_text()
+    capsys.readouterr()
+    assert main(["qp-solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: constraint set: b has an entry that is not finite" in err
+
+
+def test_cli_qp_solve_rejects_a_version_1_dump(tmp_path, capsys):
+    # Version 1 dumps could carry bounds; reading one must not drop them.
+    path = tmp_path / "qp.json"
+    cs = ConstraintSet.empty(2)
+    save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
+    payload = json.loads(path.read_text())
+    payload.update(version=1, l=[0.0, None], u=[None, 1.0])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["qp-solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: unsupported dump version 1" in err
+
+
+def test_every_export_resolves():
+    # The lazy exports name only what their modules export.
+    import importlib
+
+    for name in scorecraft.__all__:
+        module = importlib.import_module(f"scorecraft.{scorecraft._EXPORTS[name]}")
+        assert name in module.__all__, name
+        assert getattr(scorecraft, name) is getattr(module, name)
 
 
 def test_compile_does_not_import_scipy_optimize(tmp_path):

@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from scorecraft import qp
 from scorecraft.constraints import ConstraintSet, check_feasible, compile_constraints
 from scorecraft.model import SpecError
 from scorecraft.qp import (
     QpProblem,
-    QpSettings,
     QpWarning,
     kkt_residuals,
     qp_objective,
@@ -96,27 +96,27 @@ def test_mixed_equality_inequality_hand_case():
 
 
 def test_upper_bound_hand_case():
-    # min 1/2 ||b||^2 - 3 b1 - 3 b2 with b1 <= 1: b = (1, 3), lam_u = (2, 0).
+    # min 1/2 ||b||^2 - 3 b1 - 3 b2 with the unit row b1 <= 1: b = (1, 3),
+    # nu = 2.
     p = QpProblem(
         h=np.eye(2),
         f=np.array([-3.0, -3.0]),
-        cs=cs_of(2),
-        u=np.array([1.0, np.inf]),
+        cs=cs_of(2, a=[[1.0, 0.0]], b=[1.0]),
     )
     sol = solve_qp(p)
     assert sol.status == "optimal"
     assert sol.beta == pytest.approx([1.0, 3.0], abs=1e-8)
-    assert sol.upper_multipliers == pytest.approx([2.0, 0.0], abs=1e-7)
-    assert sol.lower_multipliers == pytest.approx([0.0, 0.0], abs=1e-7)
+    assert sol.ineq_multipliers == pytest.approx([2.0], abs=1e-7)
     assert sol.kkt.max() <= 1e-8
 
 
 def test_lower_bound_hand_case():
-    p = QpProblem(h=np.eye(2), f=np.zeros(2), cs=cs_of(2), l=np.array([2.0, -np.inf]))
+    # b1 >= 2 as the unit row -b1 <= -2.
+    p = QpProblem(h=np.eye(2), f=np.zeros(2), cs=cs_of(2, a=[[-1.0, 0.0]], b=[-2.0]))
     sol = solve_qp(p)
     assert sol.status == "optimal"
     assert sol.beta == pytest.approx([2.0, 0.0], abs=1e-8)
-    assert sol.lower_multipliers == pytest.approx([2.0, 0.0], abs=1e-7)
+    assert sol.ineq_multipliers == pytest.approx([2.0], abs=1e-7)
 
 
 def test_kkt_residuals_checker():
@@ -143,12 +143,11 @@ def test_kkt_residuals_checker():
 
 
 def test_kkt_residuals_with_bounds():
-    p = QpProblem(
-        h=np.eye(1), f=np.array([-3.0]), cs=cs_of(1), u=np.array([1.0])
-    )
-    kkt = kkt_residuals(p, np.array([1.0]), upper_multipliers=np.array([2.0]))
+    # The bound b1 <= 1 as a unit row.
+    p = QpProblem(h=np.eye(1), f=np.array([-3.0]), cs=cs_of(1, a=[[1.0]], b=[1.0]))
+    kkt = kkt_residuals(p, np.array([1.0]), ineq_multipliers=np.array([2.0]))
     assert kkt.max() <= 1e-15
-    kkt = kkt_residuals(p, np.array([2.0]), upper_multipliers=np.array([2.0]))
+    kkt = kkt_residuals(p, np.array([2.0]), ineq_multipliers=np.array([2.0]))
     assert kkt.primal_ineq == pytest.approx(1.0)
     assert kkt.complementarity == pytest.approx(2.0)
 
@@ -162,11 +161,6 @@ def test_problem_validation():
         QpProblem(h=np.eye(2), f=np.zeros(3), cs=cs_of(2))
     with pytest.raises(SpecError, match="constraint set"):
         QpProblem(h=np.eye(2), f=np.zeros(2), cs=cs_of(3))
-    with pytest.raises(SpecError, match="lower bound exceeds"):
-        QpProblem(
-            h=np.eye(2), f=np.zeros(2), cs=cs_of(2),
-            l=np.array([1.0, 0.0]), u=np.array([0.0, 1.0]),
-        )
     with pytest.raises(SpecError, match="warm start"):
         QpProblem(h=np.eye(2), f=np.zeros(2), cs=cs_of(2), warm_start=np.zeros(3))
 
@@ -233,14 +227,14 @@ def test_infeasible_inequalities():
     assert sol.certificate is not None
 
 
-def test_max_iterations_is_honest():
+def test_max_iterations_is_honest(monkeypatch):
     p = QpProblem(
         h=np.eye(2),
         f=np.array([-1.0, -1.0]),
         cs=cs_of(2, a=[[1.0, 1.0]], b=[1.0]),
     )
-    settings = QpSettings(max_iters=1)
-    sol = solve_qp(p, settings)
+    monkeypatch.setattr(qp, "MAX_ITERS", 1)
+    sol = solve_qp(p)
     assert sol.status == "max_iterations"
     assert sol.iterations == 1
     assert "iteration limit" in sol.note
@@ -365,11 +359,10 @@ def test_solve_with_compiled_constraints(small_spec):
 
 
 def stacked_rows(p):
-    """[Aeq; A; unit rows of coefficients with a finite bound] and their bounds."""
-    idx = np.flatnonzero(np.isfinite(p.l) | np.isfinite(p.u))
-    c = np.vstack([p.cs.aeq, p.cs.a, np.eye(p.q)[idx]])
-    lo = np.concatenate([p.cs.beq, np.full(p.cs.m_i, -np.inf), p.l[idx]])
-    up = np.concatenate([p.cs.beq, p.cs.b, p.u[idx]])
+    """[Aeq; A] and the rows' lower and upper bounds."""
+    c = np.vstack([p.cs.aeq, p.cs.a])
+    lo = np.concatenate([p.cs.beq, np.full(p.cs.m_i, -np.inf)])
+    up = np.concatenate([p.cs.beq, p.cs.b])
     return c, lo, up
 
 
@@ -415,8 +408,12 @@ def feasible_problem(rng, h):
     aeq = rng.standard_normal((m_e, q))
     lower = np.where(rng.random(q) < 0.2, feas - rng.uniform(0.0, 1.0, q), -np.inf)
     upper = np.where(rng.random(q) < 0.2, feas + rng.uniform(0.0, 1.0, q), np.inf)
+    # Bounds on coefficients are unit rows: beta <= upper and -beta <= -lower.
+    has_u, has_l = np.isfinite(upper), np.isfinite(lower)
+    a = np.vstack([a, np.eye(q)[has_u], -np.eye(q)[has_l]])
+    b = np.concatenate([b, upper[has_u], -lower[has_l]])
     cs = cs_of(q, aeq=aeq, beq=aeq @ feas, a=a, b=b)
-    return QpProblem(h=h, f=rng.standard_normal(q), cs=cs, l=lower, u=upper)
+    return QpProblem(h=h, f=rng.standard_normal(q), cs=cs)
 
 
 def feasible_sweep(rng, groups):
@@ -434,10 +431,7 @@ def solve_and_check(p):
         sol = solve_qp(p)
     assert sol.status != "infeasible"
     if sol.status == "optimal":
-        kkt = kkt_residuals(
-            p, sol.beta, sol.eq_multipliers, sol.ineq_multipliers,
-            sol.lower_multipliers, sol.upper_multipliers,
-        )
+        kkt = kkt_residuals(p, sol.beta, sol.eq_multipliers, sol.ineq_multipliers)
         assert kkt == sol.kkt
         # Relative to the terms of H beta + f: far-off optima carry the
         # roundoff of forming H beta.
@@ -463,7 +457,7 @@ def test_far_pulled_problems_are_never_called_infeasible():
     # least-distance residual is then tiny, which is not infeasibility.
     rng = np.random.default_rng(20240827)
     for p in feasible_sweep(rng, 6):
-        solve_and_check(QpProblem(h=p.h, f=1e6 * p.f, cs=p.cs, l=p.l, u=p.u))
+        solve_and_check(QpProblem(h=p.h, f=1e6 * p.f, cs=p.cs))
 
 
 def infeasible_problem(rng):

@@ -131,8 +131,9 @@ def test_penalty_spec():
     assert pen.value(beta) == pytest.approx(3.0 / 3.0 * 9.0)
     assert PenaltySpec().value(beta) == 0.0
     assert np.array_equal(PenaltySpec().hessian_diag(4), np.zeros(4))
-    with pytest.raises(SpecError, match="nonnegative"):
-        PenaltySpec(lam=-1.0)
+    for lam in (-1.0, np.inf, np.nan):
+        with pytest.raises(SpecError, match="nonnegative"):
+            PenaltySpec(lam=lam)
     with pytest.raises(SpecError, match="q >= 2"):
         PenaltySpec(lam=1.0).hessian_diag(1)
 
@@ -322,8 +323,9 @@ def test_fit_validates_shapes():
         fit(x, y, w, PenaltySpec(), ConstraintSet.empty(4))
     with pytest.raises(SpecError, match="length 50"):
         fit(x, y[:-1], w[:-1], PenaltySpec(), ConstraintSet.empty(3))
-    with pytest.raises(SpecError, match="tol"):
-        FitConfig(tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(SpecError, match="tol"):
+            FitConfig(tol=tol)
     with pytest.raises(SpecError, match="max_outer_iters"):
         FitConfig(max_outer_iters=0)
 
