@@ -106,8 +106,8 @@ def _check_scores(
         w = np.asarray(w, dtype=float)
         if w.shape != (n,):
             raise MetricsError("w must match the score length")
-        if (w < 0).any():
-            raise MetricsError("weights must be nonnegative")
+        if not np.isfinite(w).all() or (w < 0).any():
+            raise MetricsError("weights must be finite and nonnegative")
     if not np.isfinite(score).all():
         raise MetricsError("scores must be finite")
     return score, y, w

@@ -3,9 +3,9 @@
 A scorecard partitions each predictor (characteristic) into bins (attributes)
 and assigns one additive weight per attribute.  This module parses the spec
 file format, bins raw values, and builds design matrices with an intercept
-column.  A spec-built design stores one integer column code per
-characteristic and row, not the 0/1 indicator matrix; scores, X'r and
-X' diag(c) X are computed from the codes, and the dense indicator matrix is
+column.  A design stores one integer column code per characteristic and
+row, not the 0/1 indicator matrix; scores, X'r and X' diag(c) X are
+computed from the codes with numpy alone, and the dense indicator matrix is
 only built when `DesignMatrix.x` is read.
 
 Outcome convention: y = 1 means Good throughout the package.
@@ -23,7 +23,6 @@ from itertools import count
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 __all__ = [
     "SpecError",
@@ -326,79 +325,43 @@ GRAM_CHUNK_ROWS = 4096
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """n x q design matrix whose first column is identically 1.
+    """n x q design matrix of attribute indicators whose first column is 1.
 
-    A spec-built design stores `codes`, an n x (1 + C) integer matrix over
-    its C characteristics: column 0 is the intercept's code 0, and column
-    c + 1 holds the design column (the attribute index) that row i bins to
-    in characteristic c.  `blocks` maps each characteristic (name, start,
-    stop) to its column range.  A raw numeric basis (`from_array`) stores
-    its n x q matrix in `raw` and has no blocks.  Exactly one of `codes`
-    and `raw` is set.
+    It is stored as `codes`, an n x (1 + C) integer matrix over its C
+    characteristics: column 0 is the intercept's code 0, and column c + 1
+    holds the design column (the attribute index) that row i bins to in
+    characteristic c.  `blocks` maps each characteristic (name, start,
+    stop) to its column range.
 
     `scores`, `rmatvec` and `gram` are the operations a fit needs; `x` is
     the dense n x q float view, built on first read and then kept.
     """
 
     column_labels: tuple[str, ...]
-    codes: Optional[np.ndarray] = None
-    raw: Optional[np.ndarray] = None
+    codes: np.ndarray
     blocks: tuple[tuple[str, int, int], ...] = ()
 
     @property
     def n(self) -> int:
-        values = self.codes if self.codes is not None else self.raw
-        return int(values.shape[0])
+        return int(self.codes.shape[0])
 
     @property
     def q(self) -> int:
         return len(self.column_labels)
 
-    @classmethod
-    def from_array(cls, x: np.ndarray, column_labels: Optional[Sequence[str]] = None) -> "DesignMatrix":
-        """Wrap an externally built numeric basis matrix (no binning, no blocks)."""
-        x = np.ascontiguousarray(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[1] < 1:
-            raise SpecError("design matrix must be 2-d with at least one column")
-        if x.shape[0] > 0 and not (x[:, 0] == 1.0).all():
-            raise SpecError("design matrix column 1 must be identically 1")
-        if column_labels is None:
-            labels = _default_labels(x.shape[1])
-        else:
-            labels = tuple(column_labels)
-            if len(labels) != x.shape[1]:
-                raise SpecError("column label count must match column count")
-        return cls(column_labels=labels, raw=x)
-
-    @classmethod
-    def coerce(cls, x: Union["DesignMatrix", np.ndarray]) -> "DesignMatrix":
-        """x itself, or a raw basis over the 2-d array x (not copied or checked)."""
-        if isinstance(x, DesignMatrix):
-            return x
-        mat = np.asarray(x, dtype=float)
-        if mat.ndim != 2:
-            raise SpecError("design matrix must be 2-d")
-        return cls(column_labels=_default_labels(mat.shape[1]), raw=mat)
-
     @cached_property
     def x(self) -> np.ndarray:
         """The dense n x q float matrix."""
-        if self.raw is not None:
-            return self.raw
         dense = np.zeros((self.n, self.q))
         dense[np.arange(self.n)[:, None], self.codes] = 1.0
         return dense
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
-        """theta = X beta; for codes, the sum of each row's gathered weights."""
-        if self.raw is not None:
-            return self.raw @ beta
+        """theta = X beta: the sum of each row's gathered weights."""
         return beta[self.codes].sum(axis=1)
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """X' r; for codes, r summed per design column by bincount."""
-        if self.raw is not None:
-            return self.raw.T @ r
+        """X' r: r summed per design column by bincount."""
         return np.bincount(
             self.codes.ravel(),
             weights=np.repeat(r, self.codes.shape[1]),
@@ -408,38 +371,25 @@ class DesignMatrix:
     def gram(self, c: np.ndarray) -> np.ndarray:
         """X' diag(c) X for nonnegative c, as a symmetric q x q matrix.
 
-        Accumulated by dsyrk over dense blocks of GRAM_CHUNK_ROWS rows of
-        diag(sqrt(c)) X, so no n x q temporary is formed.
+        Accumulated as block' block over dense blocks of GRAM_CHUNK_ROWS
+        rows of diag(sqrt(c)) X, so no n x q temporary is formed; numpy
+        hands each product to BLAS as a symmetric rank-k update.  The
+        block and the product reuse one buffer each.
         """
-        acc = np.zeros((self.q, self.q), order="F")
-        for block in self._row_blocks(np.sqrt(c)):
-            # block.T is the Fortran-ordered q x m view, so dsyrk forms
-            # block' block without copying.
-            acc = dsyrk(1.0, block.T, beta=1.0, c=acc, overwrite_c=1)
-        return np.triu(acc) + np.triu(acc, 1).T
-
-    def _row_blocks(self, scale: np.ndarray) -> Iterator[np.ndarray]:
-        """Consecutive dense blocks of GRAM_CHUNK_ROWS rows of diag(scale) X.
-
-        Coded blocks share one buffer: each is valid until the next is drawn.
-        """
+        acc = np.zeros((self.q, self.q))
+        prod = np.empty_like(acc)
         step = GRAM_CHUNK_ROWS
-        if self.raw is not None:
-            for lo in range(0, self.n, step):
-                yield self.raw[lo : lo + step] * scale[lo : lo + step, None]
-            return
+        scale = np.sqrt(c)
         buf = np.zeros((min(self.n, step), self.q))
-        rows = np.arange(buf.shape[0])[:, None]
+        cells = buf.reshape(-1)
+        row_starts = (np.arange(buf.shape[0]) * self.q)[:, None]
         for lo in range(0, self.n, step):
             codes = self.codes[lo : lo + step]
-            block, at = buf[: len(codes)], (rows[: len(codes)], codes)
-            block[at] = scale[lo : lo + step, None]
-            yield block
-            block[at] = 0.0
-
-
-def _default_labels(q: int) -> tuple[str, ...]:
-    return tuple("intercept" if j == 0 else f"x{j}" for j in range(q))
+            block, at = buf[: len(codes)], (codes + row_starts[: len(codes)]).reshape(-1)
+            cells[at] = np.repeat(scale[lo : lo + step], codes.shape[1])
+            acc += np.matmul(block.T, block, out=prod)
+            cells[at] = 0.0
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +504,10 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
     return DesignMatrix(column_labels=tuple(labels), codes=codes, blocks=tuple(blocks))
 
 
-def score_vector(x: Union[DesignMatrix, np.ndarray], beta: np.ndarray) -> np.ndarray:
+def score_vector(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
     """Scores theta = X beta for a design matrix and coefficient vector."""
-    design = DesignMatrix.coerce(x)
+    if not isinstance(design, DesignMatrix):
+        raise SpecError("design must be a DesignMatrix")
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 1 or design.q != beta.shape[0]:
         raise SpecError(

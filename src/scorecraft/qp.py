@@ -20,7 +20,8 @@ of A.  Every problem takes one path:
 "infeasible" comes only with a Farkas vector and "unbounded" only with a
 descent ray, each checked on the problem data.  `iterations` counts NNLS
 iterations plus the polish rounds that changed the active set, and
-MAX_ITERS caps it.  Identical inputs give bitwise identical outputs.
+MAX_ITERS caps it.  Identical inputs give bitwise identical outputs.  All
+linear algebra is numpy.linalg.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from .constraints import ConstraintSet
 from .model import SpecError
@@ -237,18 +237,19 @@ def solve_qp(p: QpProblem) -> QpSolution:
 
     delta = DELTA * (float(np.diag(h).max(initial=0.0)) or 1.0)
     try:
-        factor = linalg.cho_factor(h + delta * np.eye(q), lower=True, check_finite=False)
-    except linalg.LinAlgError:
+        chol = np.linalg.cholesky(h + delta * np.eye(q))
+    except np.linalg.LinAlgError:
         raise SpecError("H is not positive semidefinite") from None
     f_reg = f - delta * centre
     # Least-distance form in z = L' beta + L^-1 f_reg: rows s' beta <= t
     # read (L^-1 s)' z <= t + s' M^-1 f_reg.
-    lg = linalg.solve_triangular(factor[0], s.T, lower=True, check_finite=False)
-    w0 = linalg.solve_triangular(factor[0], f_reg, lower=True, check_finite=False)
+    solved = np.linalg.solve(chol, np.column_stack([s.T, f_reg]))
+    lg, w0 = solved[:, :-1], solved[:, -1]
     z, v, iterations, limited = _ldp(lg.T, t + w0 @ lg, free, MAX_ITERS)
     candidates = [(centre, no_mult)]
     if z is not None:
-        beta = -linalg.cho_solve(factor, f_reg + s.T @ v, check_finite=False)
+        # beta = -M^-1 (f_reg + s' v), with L^-1 (f_reg + s' v) = w0 + lg v.
+        beta = -np.linalg.solve(chol.T, w0 + lg @ v)
         candidates.insert(0, (beta, v))
 
     def split(v):
@@ -335,14 +336,14 @@ def _nnls(
         # Normal equations while they are well conditioned, else least squares.
         idx = np.flatnonzero(passive)
         out = np.zeros(k)
+        sub = gram[np.ix_(idx, idx)]
         try:
-            chol = linalg.cholesky(gram[np.ix_(idx, idx)], lower=True, check_finite=False)
-            if np.diag(chol).min() ** 2 > GRAM_MIN_PIVOT:
-                out[idx] = linalg.cho_solve((chol, True), e[-1, idx], check_finite=False)
+            if np.diag(np.linalg.cholesky(sub)).min() ** 2 > GRAM_MIN_PIVOT:
+                out[idx] = np.linalg.solve(sub, e[-1, idx])
                 return out
-        except linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             pass
-        out[idx] = linalg.lstsq(e[:, idx], target, lapack_driver="gelsy", check_finite=False)[0]
+        out[idx] = np.linalg.lstsq(e[:, idx], target, rcond=None)[0]
         return out
 
     passive = free.copy()
@@ -418,7 +419,7 @@ def _descent_ray(
     The least-distance problem over the recession cone, with f' d <= -1
     added, has a point exactly when such a ray exists.
     """
-    vals, vecs = linalg.eigh(p.h, check_finite=False)
+    vals, vecs = np.linalg.eigh(p.h)
     basis = vecs[:, vals > RANK_TOL * vals.max(initial=0.0)].T
     g = np.vstack([basis, s, p.f[None, :]])
     h = np.concatenate([np.zeros(basis.shape[0] + s.shape[0]), [-1.0]])
@@ -485,23 +486,25 @@ def _polish(
 def _kkt_solve(
     kkt: np.ndarray, rhs: np.ndarray, q: int
 ) -> tuple[Optional[np.ndarray], bool]:
-    """Solve kkt t = rhs by iterative refinement on a shifted factor.
+    """Solve kkt t = rhs by iterative refinement on a shifted inverse.
 
     The shift diag(delta I, -delta I) suits a singular H; where refinement
     cannot close the gap (H definite but nearly singular, or active rows
-    that cannot all hold), the unshifted factor is tried.  Returns (t,
+    that cannot all hold), the unshifted matrix is tried.  Returns (t,
     trusted): the first solve whose residual passes, else the shifted
     solution, or None when it is not finite.
     """
     fallback = None
     for reg in (POLISH_DELTA, 0.0):
         shift = np.concatenate([np.full(q, reg), np.full(kkt.shape[0] - q, -reg)])
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", linalg.LinAlgWarning)
-            factor = linalg.lu_factor(kkt + np.diag(shift), check_finite=False)
-            t = linalg.lu_solve(factor, rhs, check_finite=False)
+        with np.errstate(all="ignore"):
+            try:
+                inverse = np.linalg.inv(kkt + np.diag(shift))
+            except np.linalg.LinAlgError:
+                continue  # exactly singular: no finite solve
+            t = inverse @ rhs
             for _ in range(POLISH_REFINE):
-                t = t + linalg.lu_solve(factor, rhs - kkt @ t, check_finite=False)
+                t = t + inverse @ (rhs - kkt @ t)
             if not np.isfinite(t).all():
                 continue
             if _max_abs(rhs - kkt @ t) <= 1e-6 * (1.0 + _max_abs(rhs)):
@@ -511,20 +514,30 @@ def _kkt_solve(
     return fallback, False
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a, from its SVD.
+
+    Singular values up to max(shape) * eps * the largest count as zero.
+    """
+    _, sv, vt = np.linalg.svd(a)
+    tol = max(a.shape) * np.finfo(float).eps * sv.max(initial=0.0)
+    return vt[int((sv > tol).sum()) :].T
+
+
 def _warn_if_not_unique(h: np.ndarray, s_act: np.ndarray) -> None:
     """Warn when H is singular and Z' H Z is too, for Z spanning the null
     space of the active rows: the optimum is then not unique."""
     try:
-        chol = linalg.cholesky(h, lower=True, check_finite=False)
+        chol = np.linalg.cholesky(h)
         if float(np.diag(chol).min()) ** 2 > RANK_TOL * float(np.diag(h).max()):
             return
-    except linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
-    null = linalg.null_space(s_act) if s_act.shape[0] else np.eye(h.shape[0])
+    null = _null_space(s_act) if s_act.shape[0] else np.eye(h.shape[0])
     if null.shape[1] == 0:
         return
     reduced = null.T @ h @ null
-    if linalg.eigvalsh(reduced)[0] < 1e-10 * (1.0 + _max_abs(reduced)):
+    if np.linalg.eigvalsh(reduced)[0] < 1e-10 * (1.0 + _max_abs(reduced)):
         warnings.warn(
             "H is rank deficient and the active constraints leave part of its "
             "null space free: the optimum is not unique, and the polish "

@@ -5,9 +5,10 @@ linear constraints, where M is minus the Bernoulli log likelihood of the
 weighted sample, beta' = [S0 S'] holds the intercept and the scorecard
 weights, and the intercept is never penalized.  Each outer iteration solves
 the exact Newton quadratic model of M under the original constraints with
-`qp.solve_qp`.  The design enters only through three operations of
-`DesignMatrix`: scores X beta, the gradient X' r, and the Gram matrix
-X' diag(c) X.
+`qp.solve_qp`.  The design is a `DesignMatrix` and enters only through
+three of its operations: scores X beta, the gradient X' r, and the Gram
+matrix X' diag(c) X.  Probabilities come from a logistic evaluated through
+e^-|theta|, so no score overflows.
 
 Every iterate is evaluated once: one gather of its scores gives minus log
 likelihood and gradient, and the Gram matrix is built only where another QP
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .constraints import (
     ConstraintResiduals,
@@ -61,6 +61,8 @@ class StepError(RuntimeError):
 
 
 def _check_sample(design: DesignMatrix, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if not all(hasattr(design, op) for op in ("n", "q", "scores", "rmatvec", "gram")):
+        raise SpecError("design must be a DesignMatrix")
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     n = design.n
@@ -194,20 +196,19 @@ def score_minus_log_likelihood(theta: np.ndarray, y: np.ndarray, w: np.ndarray) 
 
 
 def minus_log_likelihood(
-    x: Union[DesignMatrix, np.ndarray],
+    design: DesignMatrix,
     y: np.ndarray,
     w: np.ndarray,
     beta: np.ndarray,
 ) -> float:
     """Minus log likelihood at beta; additive in observations, linear in w."""
-    design = DesignMatrix.coerce(x)
     y, w = _check_sample(design, y, w)
     beta = _check_beta(design, beta)
     return score_minus_log_likelihood(design.scores(beta), y, w)
 
 
 def logistic_terms(
-    x: Union[DesignMatrix, np.ndarray],
+    design: DesignMatrix,
     y: np.ndarray,
     w: np.ndarray,
     beta: np.ndarray,
@@ -221,11 +222,12 @@ def logistic_terms(
         hess = X' diag(w prob (1-prob)) X   (None unless hessian is set)
         minus_ll = w' (log(1+e^theta) - y theta)
     """
-    design = DesignMatrix.coerce(x)
     y, w = _check_sample(design, y, w)
     beta = _check_beta(design, beta)
     theta = design.scores(beta)
-    prob = expit(theta)
+    # e^-|theta| never overflows: prob = 1/(1+e) for theta >= 0, else e/(1+e).
+    e = np.exp(-np.abs(theta))
+    prob = np.where(theta >= 0, 1.0, e) / (1.0 + e)
     grad = design.rmatvec(w * (prob - y))
     hess = design.gram(w * prob * (1.0 - prob)) if hessian else None
     minus_ll = score_minus_log_likelihood(theta, y, w)
@@ -267,7 +269,7 @@ def _solve_step(problem: QpProblem) -> QpSolution:
 
 
 def sqp_step(
-    x: Union[DesignMatrix, np.ndarray],
+    design: DesignMatrix,
     y: np.ndarray,
     w: np.ndarray,
     pen: PenaltySpec,
@@ -280,7 +282,7 @@ def sqp_step(
     Newton iterate beta_in - hess^-1 grad.
     """
     beta_in = np.asarray(beta_in, dtype=float)
-    terms = logistic_terms(x, y, w, beta_in)
+    terms = logistic_terms(design, y, w, beta_in)
     return _solve_step(assemble_qp(terms, pen, beta_in, cs)).beta
 
 
@@ -315,7 +317,7 @@ def initial_beta(
 
 
 def fit(
-    x: Union[DesignMatrix, np.ndarray],
+    design: DesignMatrix,
     y: np.ndarray,
     w: np.ndarray,
     pen: PenaltySpec,
@@ -332,7 +334,6 @@ def fit(
     gradient, using the final step's multipliers.
     """
     config = config or FitConfig()
-    design = DesignMatrix.coerce(x)
     y, w = _check_sample(design, y, w)
     q = design.q
     if cs.q != q:

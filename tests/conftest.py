@@ -70,6 +70,18 @@ def build_random_spec(rng):
     return ScorecardSpec(tuple(rebuilt)).validate()
 
 
+def null_space(a):
+    """Orthonormal basis of the null space of a, from one SVD.
+
+    Singular values up to max(shape) * eps * the largest count as zero.
+    `qp._null_space` applies the same rule; this copy is kept apart from it
+    so the feasible points the tests draw do not rest on the code under test.
+    """
+    _, sv, vt = np.linalg.svd(a)
+    tol = max(a.shape) * np.finfo(float).eps * sv.max(initial=0.0)
+    return vt[int((sv > tol).sum()):].T
+
+
 @pytest.fixture
 def small_spec_text():
     return SMALL_SPEC_TEXT

@@ -5,7 +5,6 @@ iterate by a separate route and shares no design code with the package.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from scorecraft.qp import QpProblem, solve_qp
 from scorecraft.sqp import StepError
@@ -24,7 +23,7 @@ def ircls_step(x, y, w, pen, cs, beta_in):
     w = np.asarray(w, dtype=float)
     beta_in = np.asarray(beta_in, dtype=float)
     theta = x @ beta_in
-    prob = expit(theta)
+    prob = 1.0 / (1.0 + np.exp(-theta))
     curve = prob * (1.0 - prob)
     degenerate = np.flatnonzero(curve == 0.0)
     if degenerate.size:

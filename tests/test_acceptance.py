@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
 
 from scorecraft.constraints import (
     CenteringPolicy,
@@ -47,6 +46,8 @@ from scorecraft.sqp import (
     sqp_step,
 )
 
+from conftest import null_space
+from dense_design import DenseDesign
 from ircls_oracle import ircls_step
 
 
@@ -171,10 +172,11 @@ def test_gradient_and_hessian_match_finite_differences(acceptance):
     for _ in range(20):
         x, y, w, beta = random_logistic_instance(rng)
         q = x.shape[1]
-        terms = logistic_terms(x, y, w, beta)
+        design = DenseDesign(x)
+        terms = logistic_terms(design, y, w, beta)
 
         def mll(b):
-            return minus_log_likelihood(x, y, w, b)
+            return minus_log_likelihood(design, y, w, b)
 
         h = 1e-6
         grad_fd = np.zeros(q)
@@ -219,7 +221,7 @@ def test_sqp_and_ircls_steps_agree(acceptance):
         x, y, w, beta = random_logistic_instance(rng)
         cs = random_constraints(rng, x.shape[1])
         pen = PenaltySpec(lam=float(rng.choice([0.0, 0.5, 5.0])))
-        a = sqp_step(x, y, w, pen, cs, beta)
+        a = sqp_step(DenseDesign(x), y, w, pen, cs, beta)
         b = ircls_step(x, y, w, pen, cs, beta)
         worst = max(worst, float(np.abs(a - b).max()))
     acceptance(
@@ -267,7 +269,7 @@ def test_monotone_fit_converges_fast(acceptance):
 
 
 def test_intercept_only_fit_matches_closed_form(acceptance):
-    x = np.ones((4, 1))
+    x = DenseDesign(np.ones((4, 1)))
     y = np.array([1.0, 1.0, 1.0, 0.0])
     unit = fit(x, y, np.ones(4), PenaltySpec(lam=0.0), ConstraintSet.empty(1))
     err_unit = abs(float(unit.beta[0]) - math.log(3.0))
@@ -592,7 +594,7 @@ def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_
     fits = 0
     for spec, sample, pinned in cases:
         design = build_design_matrix(spec, sample)
-        dense = design.x
+        dense = DenseDesign(design.x)
         for _ in range(3):
             beta = rng.normal(0.0, 0.5, spec.q)
             coded = logistic_terms(design, sample.y, sample.w, beta)
@@ -609,7 +611,7 @@ def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_
             if lam > 0 or cs is pinned:
                 beta_gap = max(beta_gap, float(np.abs(a.beta - b.beta).max()))
             else:
-                gap = np.abs(score_vector(design, a.beta) - dense @ b.beta).max()
+                gap = np.abs(score_vector(design, a.beta) - dense.scores(b.beta)).max()
                 theta_gap = max(theta_gap, float(gap))
     acceptance(
         "design-parity",

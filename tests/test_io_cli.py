@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -844,14 +843,26 @@ def test_every_export_resolves():
         assert getattr(scorecraft, name) is getattr(module, name)
 
 
-def test_compile_does_not_import_scipy_optimize(tmp_path):
-    # scipy.optimize costs about 0.2 s to import; compile must not pay it.
-    spec = resources.files("scorecraft") / "fixtures" / "scorecard_spec.csv"
+def test_no_cli_command_imports_scipy(tmp_path, small_spec_text):
+    # The package runs on numpy alone; no command may load scipy.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "train.csv"
+    model_path = tmp_path / "model.json"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data_path),
+        "--seed", "7", "--n-good", "100", "--n-bad", "100",
+        "--probs", str(write_probs(tmp_path)),
+    ]) == 0
     script = (
         "import sys\n"
         "from scorecraft.cli import main\n"
-        f"assert main(['compile', '--spec', {str(spec)!r}]) == 0\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        f"assert main(['compile', '--spec', {str(spec_path)!r}]) == 0\n"
+        f"assert main(['fit', '--spec', {str(spec_path)!r}, '--data', {str(data_path)!r},"
+        f" '--lambda', '0.5', '--out', {str(model_path)!r}]) == 0\n"
+        f"assert main(['eval', '--model', {str(model_path)!r},"
+        f" '--data', {str(data_path)!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, f'scipy modules were imported: {loaded}'\n"
     )
     src = os.path.dirname(os.path.dirname(scorecraft.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -186,6 +186,9 @@ def test_metric_input_validation():
         score_cdfs(np.array([1.0, np.inf]), y)
     with pytest.raises(MetricsError, match="nonnegative"):
         score_cdfs(np.array([1.0, 2.0]), y, np.array([1.0, -1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(MetricsError, match="finite and nonnegative"):
+            score_metrics([0, 1, 2, 3], [0, 1, 0, 1], w=[bad, 1, 1, 1])
     with pytest.raises(MetricsError, match="both classes"):
         score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(MetricsError, match="both classes"):

@@ -7,7 +7,6 @@ from scorecraft.constraints import CenteringPolicy
 from scorecraft.model import (
     CategoryBin,
     ConstraintTag,
-    DesignMatrix,
     FixedTo,
     GreaterThan,
     IntervalBin,
@@ -268,25 +267,24 @@ def test_sample_validate_rejects():
         Sample(y, w, {"age": np.array([1.0])}).validate()
 
 
-def test_design_matrix_from_array():
-    x = np.column_stack([np.ones(3), np.arange(3.0)])
-    dm = DesignMatrix.from_array(x)
-    assert dm.column_labels == ("intercept", "x1")
-    assert dm.blocks == ()
-    with pytest.raises(SpecError, match="identically 1"):
-        DesignMatrix.from_array(np.arange(6.0).reshape(3, 2))
-    with pytest.raises(SpecError, match="label count"):
-        DesignMatrix.from_array(x, column_labels=["intercept"])
-
-
 def test_score_vector():
-    x = np.column_stack([np.ones(3), np.arange(3.0)])
-    dm = DesignMatrix.from_array(x)
-    beta = np.array([0.5, 2.0])
-    assert np.array_equal(score_vector(dm, beta), x @ beta)
-    assert np.array_equal(score_vector(x, beta), x @ beta)
+    spec = small_spec()
+    sample = Sample(
+        y=np.array([1, 0, 1]),
+        w=np.ones(3),
+        records={
+            "age": np.array([25.0, None, -9999999.0], dtype=object),
+            "fuel": np.array(["Gas", "Other", None], dtype=object),
+        },
+    ).validate()
+    dm = build_design_matrix(spec, sample)
+    beta = np.arange(spec.q, dtype=float)
+    assert np.array_equal(score_vector(dm, beta), dm.x @ beta)
+    assert np.array_equal(score_vector(dm, beta), [0 + 2 + 6, 0 + 5 + 7, 0 + 1 + 8])
     with pytest.raises(SpecError, match="dimension"):
-        score_vector(dm, np.ones(3))
+        score_vector(dm, np.ones(spec.q + 1))
+    with pytest.raises(SpecError, match="must be a DesignMatrix"):
+        score_vector(dm.x, beta)
 
 
 def test_write_parse_round_trip_random_specs(random_spec_factory):

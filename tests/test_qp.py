@@ -14,6 +14,8 @@ from scorecraft.qp import (
     solve_qp,
 )
 
+from conftest import null_space
+
 
 def cs_of(q, aeq=None, beq=None, a=None, b=None):
     empty = ConstraintSet.empty(q)
@@ -275,8 +277,6 @@ def random_problem(rng, with_eq=True):
 def feasible_samples(rng, p, feas, count=60):
     out = []
     if p.cs.m_e:
-        from scipy.linalg import null_space
-
         basis = null_space(p.cs.aeq)
     else:
         basis = np.eye(p.q)

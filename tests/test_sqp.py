@@ -1,8 +1,8 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from scorecraft.constraints import ConstraintSet, compile_constraints
 from scorecraft.model import Sample, SpecError, build_design_matrix
@@ -20,6 +20,7 @@ from scorecraft.sqp import (
     sqp_step,
 )
 
+from dense_design import DenseDesign
 from ircls_oracle import ircls_step
 
 
@@ -36,11 +37,11 @@ def cs_of(q, aeq=None, beq=None, a=None, b=None):
 def make_logistic(rng, n=200, q=5):
     x = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
     beta_true = rng.uniform(-1.0, 1.0, q)
-    y = (rng.random(n) < expit(x @ beta_true)).astype(float)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ beta_true)))).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
     w = rng.uniform(0.5, 2.0, n)
-    return x, y, w
+    return DenseDesign(x), y, w
 
 
 def test_minus_ll_closed_forms():
@@ -52,7 +53,7 @@ def test_minus_ll_closed_forms():
     )
     # Intercept-only, y = (1,1,1,0), unit weights, theta = log 3 for all rows:
     # M = 4 log 4 - 3 log 3.
-    x1 = np.ones((4, 1))
+    x1 = DenseDesign(np.ones((4, 1)))
     y1 = np.array([1.0, 1.0, 1.0, 0.0])
     w1 = np.ones(4)
     m = minus_log_likelihood(x1, y1, w1, np.array([math.log(3.0)]))
@@ -62,7 +63,7 @@ def test_minus_ll_closed_forms():
 def test_minus_ll_linear_in_weights():
     rng = np.random.default_rng(2)
     x, y, w = make_logistic(rng)
-    beta = rng.standard_normal(x.shape[1]) * 0.5
+    beta = rng.standard_normal(x.q) * 0.5
     m1 = minus_log_likelihood(x, y, w, beta)
     assert minus_log_likelihood(x, y, 2.0 * w, beta) == pytest.approx(2.0 * m1, rel=1e-13)
     terms1 = logistic_terms(x, y, w, beta)
@@ -75,7 +76,7 @@ def test_score_minus_ll_shared_definition():
     rng = np.random.default_rng(3)
     x, y, w = make_logistic(rng, n=40, q=4)
     beta = rng.standard_normal(4) * 0.3
-    assert score_minus_log_likelihood(x @ beta, y, w) == pytest.approx(
+    assert score_minus_log_likelihood(x.x @ beta, y, w) == pytest.approx(
         minus_log_likelihood(x, y, w, beta), rel=1e-15
     )
     with pytest.raises(SpecError, match="equal lengths"):
@@ -120,6 +121,25 @@ def test_hessian_matches_finite_differences():
         # Hessian is symmetric PSD.
         assert np.allclose(terms.hess, terms.hess.T)
         assert np.linalg.eigvalsh(terms.hess).min() >= -1e-10 * scale
+
+
+def test_logistic_probabilities_are_stable():
+    # prob is the logistic of theta, with no overflow at any magnitude.
+    thetas = [0.0]
+    for t in (1e-300, 1.0, 36.7, 40.0, 709.0, 745.0, 800.0, 1e3):
+        thetas += [t, -t]
+    x = DenseDesign(np.array(thetas)[:, None])
+    y = np.tile([0.0, 1.0], len(thetas))[: len(thetas)]
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        prob = logistic_terms(x, y, np.ones(len(thetas)), np.array([1.0])).prob
+    assert ((prob >= 0.0) & (prob <= 1.0)).all()
+    for t, p in zip(thetas, prob):
+        try:
+            ref = 1.0 / (1.0 + math.exp(-t)) if t >= 0 else math.exp(t) / (1.0 + math.exp(t))
+        except OverflowError:
+            continue
+        assert abs(p - ref) <= 2.0 * np.spacing(ref), (t, p, ref)
 
 
 def test_penalty_spec():
@@ -178,7 +198,7 @@ def test_sqp_and_ircls_steps_agree():
             cs = cs_of(5, aeq=aeq, beq=[0.1], a=a, b=b)
             pen = PenaltySpec(lam=lam)
             s1 = sqp_step(x, y, w, pen, cs, beta)
-            s2 = ircls_step(x, y, w, pen, cs, beta)
+            s2 = ircls_step(x.x, y, w, pen, cs, beta)
             assert np.abs(s1 - s2).max() <= 1e-8
 
 
@@ -212,7 +232,7 @@ def test_initial_beta_policies():
 
 
 def test_fit_intercept_only_closed_form():
-    x = np.ones((4, 1))
+    x = DenseDesign(np.ones((4, 1)))
     y = np.array([1.0, 1.0, 1.0, 0.0])
     w = np.ones(4)
     result = fit(x, y, w, PenaltySpec(), ConstraintSet.empty(1))
@@ -299,7 +319,7 @@ def test_fit_iteration_cap_is_honest():
 @pytest.mark.filterwarnings("ignore:H is rank deficient")
 def test_fit_warns_on_separation():
     # Perfectly separable data sends unpenalized coefficients to infinity.
-    x = np.column_stack([np.ones(20), np.repeat([-1.0, 1.0], 10)])
+    x = DenseDesign(np.column_stack([np.ones(20), np.repeat([-1.0, 1.0], 10)]))
     y = np.repeat([0.0, 1.0], 10)
     w = np.ones(20)
     config = FitConfig(tol=1e-12, max_outer_iters=40)
@@ -376,10 +396,12 @@ def test_fit_rejects_non_finite_weights():
 
 
 def test_logistic_terms_reject_bad_shapes():
-    x = np.ones((5, 2))
+    x = DenseDesign(np.ones((5, 2)))
     with pytest.raises(SpecError, match="length 5"):
         logistic_terms(x, np.ones(4), np.ones(4), np.zeros(2))
     with pytest.raises(SpecError, match="beta must have length"):
         logistic_terms(x, np.ones(5), np.ones(5), np.zeros(3))
     with pytest.raises(SpecError, match="nonnegative"):
         logistic_terms(x, np.ones(5), -np.ones(5), np.zeros(2))
+    with pytest.raises(SpecError, match="must be a DesignMatrix"):
+        logistic_terms(np.ones((5, 2)), np.ones(5), np.ones(5), np.zeros(2))
