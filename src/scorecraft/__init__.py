@@ -28,6 +28,7 @@ _EXPORTS = {
     "Attribute": "model",
     "Characteristic": "model",
     "ScorecardSpec": "model",
+    "Column": "model",
     "Sample": "model",
     "DesignMatrix": "model",
     "parse_spec": "model",
@@ -80,6 +81,7 @@ _EXPORTS = {
     "SyntheticConfig": "data_io",
     "ModelFile": "data_io",
     "load_sample": "data_io",
+    "representatives": "data_io",
     "gen_synthetic": "data_io",
     "implied_true_beta": "data_io",
     "save_model": "data_io",

@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-bad", type=int, required=True)
     p.add_argument("--probs",
                    help="JSON {char: {good: [...], bad: [...]}}; default uniform "
-                        "over each characteristic's informative attributes")
+                        "over each characteristic's reachable informative attributes")
 
     p = sub.add_parser("qp-solve", help="solve a QP problem dump and print residuals")
     p.add_argument("dump", help="QP problem JSON")
@@ -271,15 +271,18 @@ def _cmd_compare(args) -> int:
 
 
 def _default_probs(spec):
+    """Uniform over each characteristic's informative attributes that a value reaches."""
     import numpy as np
 
+    from .data_io import representatives
     from .model import NoInformationBin
 
     good = {}
     for ch in spec.characteristics:
+        reps = representatives(ch)
         informative = np.array(
-            [0.0 if isinstance(att.bin, NoInformationBin) else 1.0
-             for att in ch.attributes]
+            [float(k in reps and not isinstance(att.bin, NoInformationBin))
+             for k, att in enumerate(ch.attributes)]
         )
         good[ch.name] = informative / informative.sum()
     return good, dict(good)

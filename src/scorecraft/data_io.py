@@ -2,15 +2,20 @@
 
 The data CSV has header y,w,<characteristic names...>; empty cells are
 missing values, y is 0/1 with 1 = Good, and w is a required nonnegative
-weight.  It is read in one streaming pass in which cells of one text become
-one object, unless most cells of the file are distinct; y and w are parsed
-once per distinct cell.  Fitted models persist as versioned JSON with the spec
-text embedded so evaluation can rebuild the design matrix.  All writes go
-through a temporary file and an atomic rename.
+weight.  It is read in one streaming pass that gives each column as its
+distinct stripped cells and an integer inverse (a `Column`), mapping cell
+texts to indices in one `map` per block; a column whose cells are mostly
+distinct keeps them as read instead.  y and w are parsed once per distinct
+cell.  Fitted models persist as versioned JSON with the spec text embedded
+so evaluation can rebuild the design matrix.  All writes go through a
+temporary file and an atomic rename.
 
 Synthetic samples draw each characteristic's attribute from class
 conditional multinomials using the counter-based Philox generator, so one
-seed produces byte-identical files on every platform.
+seed produces byte-identical files on every platform.  Each attribute is
+drawn as one raw value found from the binner's elementary intervals;
+attributes no value reaches (rows that earlier ones cover) get no
+probability by default.
 """
 
 from __future__ import annotations
@@ -24,22 +29,22 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .constraints import ConstraintResiduals, ConstraintSet
 from .model import (
-    Attribute,
     CategoryBin,
     Characteristic,
-    IntervalBin,
+    Column,
     NoInformationBin,
     Sample,
     ScorecardSpec,
     SpecError,
     SpecialBin,
+    _Index,
     bin_value,
     parse_spec,
 )
@@ -51,6 +56,7 @@ __all__ = [
     "SyntheticConfig",
     "ModelFile",
     "load_sample",
+    "representatives",
     "gen_synthetic",
     "implied_true_beta",
     "save_model",
@@ -118,57 +124,111 @@ def _w_value(path: str, row: int, cell: str) -> float:
     return value
 
 
-def _column_values(path: str, column: list, value) -> np.ndarray:
-    """value() of each cell, called once per distinct cell; NaN where it raises."""
-    parsed = {}
-    for cell in set(column):
+def _parsed(path: str, values: list, value) -> np.ndarray:
+    """value() of each stripped cell value; NaN where it raises."""
+    out = np.empty(len(values))
+    for i, cell in enumerate(values):
         try:
-            parsed[cell] = value(path, 0, cell or "")
+            out[i] = value(path, 0, cell or "")
         except DataError:
-            parsed[cell] = math.nan
-    return np.fromiter(map(parsed.__getitem__, column), float, len(column))
+            out[i] = math.nan
+    return out
 
 
-# Rows are read in blocks of this many.  Cells of one text are shared until a
-# block ends with over half the cells read so far distinct: a dictionary of
-# nearly every cell costs more memory and time than sharing saves.
-SHARE_BLOCK_ROWS = 2048
+# Rows are read in blocks of this many.  A column is factorized until a block
+# ends with over half of its cells read so far distinct: then a dictionary of
+# nearly every cell costs more memory and time than it saves.  A block is
+# long enough that a column of a couple of thousand values among many more
+# rows is not judged by its first, mostly new, cells alone, and short
+# enough that a column of distinct cells is dropped from the table early.
+SHARE_BLOCK_ROWS = 4096
 _NONE_IF_EMPTY = {"": None}
 
 
-class _SharedCells(dict):
-    """Each cell text seen, mapped to its stripped text, or None if empty."""
+class _CellIndex(dict):
+    """Cell text -> index of its stripped text (None if empty) in `values`.
 
-    def __missing__(self, text: str) -> Optional[str]:
-        self[text] = cell = text.strip() or None
-        return cell
+    One table serves every column; a stripped text gets one index wherever
+    it appears.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.values = _Index()
+
+    def __missing__(self, text: str) -> int:
+        self[text] = i = self.values[text.strip() or None]
+        return i
 
 
-def _shared_columns(rows, width: int) -> list[list]:
-    """Each column's stripped cells, empty ones as None, one object per shared text."""
-    shared: Optional[_SharedCells] = _SharedCells()
-    columns: list[list] = [[] for _ in range(width)]
+def _stripped(cells: list) -> list:
+    cells = list(map(str.strip, cells))
+    return list(map(_NONE_IF_EMPTY.get, cells, cells))
+
+
+def _factorized_columns(rows, width: int) -> list[Column]:
+    """Each column's stripped cells, empty ones as None, as a Column.
+
+    One table maps each cell text to the index of its stripped text.  While
+    every column is factorized, a block's texts map to indices in one `map`;
+    after that, one `map` per factorized column and block.  A column that
+    stops keeps its cells as values, with inverse arange; once all columns
+    have stopped, the table is dropped.
+    """
+    table: Optional[_CellIndex] = _CellIndex()
+    parts: list[list] = [[] for _ in range(width)]  # index blocks, or cells
+    factorized = [True] * width
+    seen = np.zeros((width, 0), dtype=bool)  # seen[j, i]: column j holds value i
     read = 0
     while block := list(chain.from_iterable(islice(rows, SHARE_BLOCK_ROWS))):
-        if shared is None:
-            block = list(map(str.strip, block))
-            block = list(map(_NONE_IF_EMPTY.get, block, block))
+        read += len(block) // width
+        if all(factorized):
+            ids = np.fromiter(map(table.__getitem__, block), np.int32, len(block))
+            for j, part in enumerate(parts):
+                part.append(ids[j::width])
         else:
-            block = list(map(shared.__getitem__, block))
-            read += len(block)
-            if len(shared) > read // 2:
-                shared = None
-        for j, column in enumerate(columns):
-            column += block[j::width]
+            for j, part in enumerate(parts):
+                cells = block[j::width]
+                if factorized[j]:
+                    part.append(np.fromiter(map(table.__getitem__, cells), np.int32, len(cells)))
+                else:
+                    part += _stripped(cells)
+        if table is None:
+            continue
+        if len(table.values) > seen.shape[1]:
+            grown = np.zeros((width, 2 * len(table.values)), dtype=bool)
+            grown[:, : seen.shape[1]] = seen
+            seen = grown
+        for j in filter(factorized.__getitem__, range(width)):
+            seen[j, parts[j][-1]] = True
+        stopping = [
+            j for j in range(width) if factorized[j] and np.count_nonzero(seen[j]) > read // 2
+        ]
+        distinct = list(table.values) if stopping else []
+        for j in stopping:
+            parts[j] = list(map(distinct.__getitem__, np.concatenate(parts[j]).tolist()))
+            factorized[j] = False
+        if not any(factorized):
+            table = None
+    distinct = list(table.values) if table is not None else []
+    columns = []
+    for part, keep, mark in zip(parts, factorized, seen):
+        if not keep:
+            columns.append(Column(part, np.arange(len(part), dtype=np.int32)))
+            continue
+        # Renumber the column's own values 0, 1, ... in table order.
+        ids = np.concatenate(part) if part else np.zeros(0, np.int32)
+        values = list(map(distinct.__getitem__, np.flatnonzero(mark).tolist()))
+        columns.append(Column(values, (np.cumsum(mark, dtype=np.int32) - 1)[ids]))
     return columns
 
 
 def load_sample(path: str) -> Sample:
     """Read a data CSV into a Sample; empty characteristic cells are missing.
 
-    The file is read in one streaming pass into a list of stripped cells per
-    column, in which cells of one text are one object unless most cells of
-    the file are distinct.  y and w are parsed once per distinct cell.
+    The file is read in one streaming pass.  Each column becomes a `Column`
+    of its distinct stripped cells and an inverse, unless most of its cells
+    are distinct; y and w are parsed once per distinct cell.
 
     A faulty file reports its first faulty row; within a row the field count
     comes first, then y, then w.
@@ -200,26 +260,20 @@ def load_sample(path: str) -> Sample:
                     return
                 yield row
 
-        columns = _shared_columns(full_rows(), width)
-    y_cells, w_cells = columns[:2]
-    y = _column_values(path, y_cells, _y_value)
-    w = _column_values(path, w_cells, _w_value)
+        y_cells, w_cells, *columns = _factorized_columns(full_rows(), width)
+    y = _parsed(path, y_cells.values, _y_value)[y_cells.inverse]
+    w = _parsed(path, w_cells.values, _w_value)[w_cells.inverse]
     bad = np.flatnonzero(np.isnan(y) | np.isnan(w))
     if bad.size:
         i = int(bad[0])
         # One of these raises: the row has a y or a w that does not parse.
-        _y_value(path, i + 1, y_cells[i] or "")
-        _w_value(path, i + 1, w_cells[i] or "")
+        _y_value(path, i + 1, y_cells.values[y_cells.inverse[i]] or "")
+        _w_value(path, i + 1, w_cells.values[w_cells.inverse[i]] or "")
     if ragged:
         i, fields = ragged[0]
         raise DataError(f"{path}: row {i} has {fields} fields, expected {width}")
 
-    records = {}
-    for j, name in enumerate(char_names, start=2):
-        records[name] = column = np.empty(len(y_cells), dtype=object)
-        column[:] = columns[j]
-        columns[j] = None  # each list dies as soon as its array holds the cells
-    sample = Sample(y=y, w=w, records=records)
+    sample = Sample(y=y, w=w, records=dict(zip(char_names, columns)))
     try:
         return sample.validate()
     except SpecError as exc:
@@ -273,31 +327,48 @@ class SyntheticConfig:
         return self
 
 
-def _representative(ch: Characteristic, att: Attribute) -> object:
-    """A raw value that bins into att; verified against the binning rules."""
-    rule = att.bin
-    if isinstance(rule, SpecialBin):
-        raw: object = rule.value
-    elif isinstance(rule, CategoryBin):
-        raw = sorted(rule.labels)[0]
-    elif isinstance(rule, NoInformationBin):
-        return None
-    else:
-        lo, hi = rule.lo, rule.hi
-        if math.isfinite(lo) and math.isfinite(hi):
-            raw = (lo + hi) / 2.0
-        elif math.isfinite(lo):
-            raw = lo + 1.0
-        elif math.isfinite(hi):
-            raw = hi - 1.0
+def _midpoint(lo: float, hi: float) -> float:
+    """A point of [lo, hi): its middle, or 1 inside a finite end, or 0."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return (lo + hi) / 2.0
+    if math.isfinite(lo):
+        return lo + 1.0
+    if math.isfinite(hi):
+        return hi - 1.0
+    return 0.0
+
+
+def representatives(ch: Characteristic) -> dict[int, object]:
+    """A raw value that bins to each attribute, keyed by its position in ch.
+
+    The first pick is a special's value, a category's first label, or the
+    middle of an interval; where that bins elsewhere, the other labels, or
+    the middle and left end of each elementary interval the attribute owns,
+    are tried.  An attribute none of these reach (an interval that earlier
+    rows cover, say) is left out.
+    """
+    edges, owner = ch.elementary_intervals()
+    pieces = list(zip(owner, [-math.inf, *edges], [*edges, math.inf]))
+    found: dict[int, object] = {}
+    for k, att in enumerate(ch.attributes):
+        rule = att.bin
+        if isinstance(rule, NoInformationBin):
+            found[k] = None
+            continue
+        if isinstance(rule, SpecialBin):
+            tries: list = [rule.value]
+        elif isinstance(rule, CategoryBin):
+            tries = sorted(rule.labels)
         else:
-            raw = 0.0
-    if bin_value(ch, raw) != att.att_index:
-        raise DataError(
-            f"no usable representative for {ch.name!r} attribute "
-            f"{att.att_index} ({att.label!r}); value {raw!r} bins elsewhere"
-        )
-    return raw
+            tries = [_midpoint(rule.lo, rule.hi)]
+            for index, lo, hi in pieces:
+                if index == att.att_index:
+                    tries += [_midpoint(lo, hi)] + ([lo] if math.isfinite(lo) else [])
+        for raw in tries:
+            if bin_value(ch, raw) == att.att_index:
+                found[k] = raw
+                break
+    return found
 
 
 def _format_cell(raw: object) -> str:
@@ -316,39 +387,43 @@ def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
 
     Attribute draws use inverse-CDF lookups on Philox-generated uniforms, so
     a given seed yields the same sample, and the same file bytes, on every
-    platform.  Rows are all Goods first, then all Bads, unit weights.
+    platform.  Rows are all Goods first, then all Bads, unit weights.  Each
+    attribute is drawn as its `representatives` value; one with none and a
+    positive probability raises DataError.
     """
     cfg.validate()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     n = cfg.n_good + cfg.n_bad
     y = np.concatenate([np.ones(cfg.n_good), np.zeros(cfg.n_bad)])
     w = np.ones(n)
-    records: dict[str, np.ndarray] = {}
+    records: dict[str, Column] = {}
     for ch in cfg.spec.characteristics:
-        reps = [_representative(ch, att) for att in ch.attributes]
-        column = np.empty(n, dtype=object)
-        for cls_probs, rows in (
-            (cfg.good_probs, slice(0, cfg.n_good)),
-            (cfg.bad_probs, slice(cfg.n_good, n)),
-        ):
-            p = np.asarray(cls_probs[ch.name], dtype=float)
-            cum = np.cumsum(p)
+        reps = representatives(ch)
+        for k, att in enumerate(ch.attributes):
+            if k not in reps and (cfg.good_probs[ch.name][k] > 0 or cfg.bad_probs[ch.name][k] > 0):
+                raise DataError(
+                    f"{ch.name!r} attribute {att.att_index} ({att.label!r}) has a positive "
+                    "probability, but no value found bins to it"
+                )
+        draws = []
+        for cls_probs, rows in ((cfg.good_probs, cfg.n_good), (cfg.bad_probs, cfg.n_bad)):
+            cum = np.cumsum(np.asarray(cls_probs[ch.name], dtype=float))
             cum[-1] = 1.0
-            u = rng.random(rows.stop - rows.start)
-            idx = np.searchsorted(cum, u, side="right")
-            column[rows] = [reps[k] for k in idx]
-        records[ch.name] = column
+            draws.append(np.searchsorted(cum, rng.random(rows), side="right"))
+        values = [reps.get(k) for k in range(len(ch.attributes))]
+        records[ch.name] = Column(values, np.concatenate(draws).astype(np.int32))
     sample = Sample(y=y, w=w, records=records).validate()
 
     if path is not None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         names = [ch.name for ch in cfg.spec.characteristics]
+        cells = []
+        for nm in names:
+            texts = [_format_cell(v) for v in records[nm].values]
+            cells.append(list(map(texts.__getitem__, records[nm].inverse.tolist())))
         writer.writerow(["y", "w"] + names)
-        for i in range(n):
-            writer.writerow(
-                [str(int(y[i])), "1"] + [_format_cell(records[nm][i]) for nm in names]
-            )
+        writer.writerows(zip([str(int(v)) for v in y], repeat("1"), *cells))
         atomic_write_text(path, buffer.getvalue())
     return sample
 

@@ -3,10 +3,13 @@
 A scorecard partitions each predictor (characteristic) into bins (attributes)
 and assigns one additive weight per attribute.  This module parses the spec
 file format, bins raw values, and builds design matrices with an intercept
-column.  A design stores one integer column code per characteristic and
-row, not the 0/1 indicator matrix; scores, X'r and X' diag(c) X are
-computed from the codes with numpy alone, and the dense indicator matrix is
-only built when `DesignMatrix.x` is read.
+column.  A sample stores each characteristic column once per distinct raw
+value, as a `Column` of values and an integer inverse, so binning works on
+the distinct values and gathers their codes through the inverse.  A design
+stores one integer column code per characteristic and row, not the 0/1
+indicator matrix; scores, X'r and X' diag(c) X are computed from the codes
+with numpy alone, and the dense indicator matrix is only built when
+`DesignMatrix.x` is read.
 
 Outcome convention: y = 1 means Good throughout the package.
 """
@@ -16,11 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
-from typing import Iterator, Optional, Sequence, Union
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -40,6 +44,7 @@ __all__ = [
     "Attribute",
     "Characteristic",
     "ScorecardSpec",
+    "Column",
     "Sample",
     "DesignMatrix",
     "parse_spec",
@@ -171,6 +176,27 @@ class Characteristic:
                 return att
         raise SpecError(f"characteristic {self.name!r} has no NoInformation attribute")
 
+    def elementary_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real line cut at every finite interval edge: (edges, owner).
+
+        Piece k is [edges[k-1], edges[k]), where edges[-1] reads as -inf and
+        edges[len(edges)] as +inf.  No edge lies inside a piece, so every
+        number in it matches the same interval rules; owner[k] is the first
+        declared interval attribute holding the piece, or the NoInformation
+        attribute where none does.
+        """
+        rules = [att for att in self.attributes if isinstance(att.bin, IntervalBin)]
+        edges = np.array(
+            sorted({e for att in rules for e in (att.bin.lo, att.bin.hi) if math.isfinite(e)}),
+            dtype=float,
+        )
+        lows = np.concatenate([[-math.inf], edges])
+        highs = np.concatenate([edges, [math.inf]])
+        owner = np.full(lows.shape[0], self.noinfo.att_index, dtype=np.intp)
+        for att in reversed(rules):
+            owner[(att.bin.lo <= lows) & (highs <= att.bin.hi)] = att.att_index
+        return edges, owner
+
 
 @dataclass(frozen=True)
 class ScorecardSpec:
@@ -286,17 +312,65 @@ def _validate_bin(ch: Characteristic, att: Attribute) -> None:
 # Sample and design matrix
 
 
+class _Index(dict):
+    """Maps each new key to the number of keys before it."""
+
+    def __missing__(self, key) -> int:
+        self[key] = i = len(self)
+        return i
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """A characteristic column stored once per distinct raw value.
+
+    Cell i holds values[inverse[i]]; inverse is an int32 array.
+    `load_sample` gives stripped texts, None for an empty cell; a column
+    built from other raw values keeps them as given, for `bin_value` reads
+    any raw value.
+    """
+
+    values: list
+    inverse: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.inverse.shape[0])
+
+    @classmethod
+    def of(cls, cells: Iterable[object]) -> "Column":
+        """Cells factorized by equality, values in order of first occurrence.
+
+        Equal values bin alike.  Cells that cannot be hashed are kept one
+        value per cell.
+        """
+        cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+        index = _Index()
+        try:
+            inverse = np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
+        except TypeError:
+            return cls(cells, np.arange(len(cells), dtype=np.int32))
+        return cls(list(index), inverse)
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Weighted binary-outcome observations with raw characteristic values.
 
     y is 0/1 with 1 = Good; w is nonnegative with positive total; records maps
-    characteristic name to a length-n array of raw values (None for missing).
+    characteristic name to its `Column`.  Any other sequence of n raw values
+    (None for missing) given as a record is factorized into a `Column`.
     """
 
     y: np.ndarray
     w: np.ndarray
-    records: dict[str, np.ndarray]
+    records: dict[str, Column]
+
+    def __post_init__(self) -> None:
+        records = {
+            name: col if isinstance(col, Column) else Column.of(col)
+            for name, col in self.records.items()
+        }
+        object.__setattr__(self, "records", records)
 
     @property
     def n(self) -> int:
@@ -319,8 +393,9 @@ class Sample:
         return self
 
 
-# Rows per dense block when DesignMatrix.gram accumulates X' diag(c) X.
-GRAM_CHUNK_ROWS = 4096
+# Rows per chunk of the codes in DesignMatrix.scores, rmatvec and gram, so
+# that no temporary grows with n times the number of characteristics.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,27 +433,35 @@ class DesignMatrix:
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
         """theta = X beta: the sum of each row's gathered weights."""
-        return beta[self.codes].sum(axis=1)
+        theta = np.empty(self.n)
+        for lo in range(0, self.n, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            np.sum(beta[self.codes[rows]], axis=1, out=theta[rows])
+        return theta
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """X' r: r summed per design column by bincount."""
-        return np.bincount(
-            self.codes.ravel(),
-            weights=np.repeat(r, self.codes.shape[1]),
-            minlength=self.q,
-        )
+        out = np.zeros(self.q)
+        for lo in range(0, self.n, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            out += np.bincount(
+                self.codes[rows].ravel(),
+                weights=np.repeat(r[rows], self.codes.shape[1]),
+                minlength=self.q,
+            )
+        return out
 
     def gram(self, c: np.ndarray) -> np.ndarray:
         """X' diag(c) X for nonnegative c, as a symmetric q x q matrix.
 
-        Accumulated as block' block over dense blocks of GRAM_CHUNK_ROWS
+        Accumulated as block' block over dense blocks of CHUNK_ROWS
         rows of diag(sqrt(c)) X, so no n x q temporary is formed; numpy
         hands each product to BLAS as a symmetric rank-k update.  The
         block and the product reuse one buffer each.
         """
         acc = np.zeros((self.q, self.q))
         prod = np.empty_like(acc)
-        step = GRAM_CHUNK_ROWS
+        step = CHUNK_ROWS
         scale = np.sqrt(c)
         buf = np.zeros((min(self.n, step), self.q))
         cells = buf.reshape(-1)
@@ -448,30 +531,54 @@ def bin_value(ch: Characteristic, raw: object) -> int:
     return ch.noinfo.att_index
 
 
-def _bin_column(ch: Characteristic, column: Sequence[object]) -> np.ndarray:
-    """bin_value over a column, called once per distinct cell value.
+_EMPTY_IF_NONE = {None: ""}
+_NAN_IF_EMPTY = {"": "nan"}
 
-    Each cell is looked up in a memo keyed by the cell itself; a cell equal
-    to no earlier one (a new value, or a NaN, which equals nothing) becomes
-    a key binned by a direct bin_value call.  Equal values bin alike, so the
-    codes are those of a per-cell bin_value loop.  A column with an
-    unhashable cell is binned cell by cell.
-    """
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    first: dict[object, int] = {}
+
+def _number(text: str) -> float:
     try:
-        # Each cell maps to the position of the first cell equal to it.
-        pos = np.fromiter(
-            map(first.setdefault, values, count()), dtype=np.intp, count=len(values)
-        )
-    except TypeError:
-        return np.fromiter(
-            (bin_value(ch, v) for v in values), dtype=np.intp, count=len(values)
-        )
-    code_at = np.empty(len(values), dtype=np.intp)
-    for value, i in first.items():
-        code_at[i] = bin_value(ch, value)
-    return code_at[pos]
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _bin_values(ch: Characteristic, values: list) -> np.ndarray:
+    """bin_value of each raw value.
+
+    Texts and None, as `load_sample` gives them, are binned by array
+    operations: numbers are parsed by `float` in C (NaN where a text is no
+    number, which matches no special and no interval, as no number does);
+    intervals match by one searchsorted over the elementary intervals; then
+    category and special matches, exact lookups, overwrite them in the
+    reverse of the order `bin_value` tries them; missing values go to
+    NoInformation.  Other raw values are binned by `bin_value` one by one.
+    """
+    m = len(values)
+    if not set(map(type, values)) <= {str, type(None)}:
+        return np.fromiter((bin_value(ch, v) for v in values), np.intp, m)
+    texts = list(map(str.strip, map(_EMPTY_IF_NONE.get, values, values)))
+    try:
+        numbers = np.fromiter(map(float, map(_NAN_IF_EMPTY.get, texts, texts)), float, m)
+    except ValueError:
+        numbers = np.fromiter(map(_number, texts), float, m)
+    edges, owner = ch.elementary_intervals()
+    codes = np.full(m, ch.noinfo.att_index, dtype=np.intp)
+    # NaN and +inf match no interval: lo <= v < hi fails for both.
+    ranged = numbers < math.inf
+    codes[ranged] = owner[np.searchsorted(edges, numbers[ranged], side="right")]
+    labels: dict[str, int] = {}
+    for att in ch.attributes:
+        if isinstance(att.bin, CategoryBin):
+            for label in att.bin.labels:
+                labels.setdefault(label, att.att_index)
+    if labels:
+        hits = np.fromiter(map(labels.get, texts, repeat(0)), np.intp, m)
+        codes = np.where(hits > 0, hits, codes)
+    for att in reversed(ch.attributes):
+        if isinstance(att.bin, SpecialBin):
+            codes[numbers == att.bin.value] = att.att_index
+    codes[np.fromiter(map(operator.not_, texts), bool, m)] = ch.noinfo.att_index
+    return codes
 
 
 def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
@@ -479,7 +586,8 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
 
     Row i has code 0 (the intercept) and, per characteristic, the column of
     the attribute its value bins to; sample records must provide every
-    characteristic in the spec and no others.
+    characteristic in the spec and no others.  Each column's distinct
+    values are binned once and their codes gathered through its inverse.
     """
     known = {ch.name for ch in spec.characteristics}
     unknown = set(sample.records) - known
@@ -491,7 +599,8 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
 
     codes = np.zeros((sample.n, 1 + len(spec.characteristics)), dtype=np.intp)
     for c, ch in enumerate(spec.characteristics, start=1):
-        codes[:, c] = _bin_column(ch, sample.records[ch.name])
+        column = sample.records[ch.name]
+        codes[:, c] = _bin_values(ch, column.values)[column.inverse]
 
     labels = ["intercept"]
     blocks = []

@@ -10,12 +10,16 @@ three of its operations: scores X beta, the gradient X' r, and the Gram
 matrix X' diag(c) X.  Probabilities come from a logistic evaluated through
 e^-|theta|, so no score overflows.
 
-Every iterate is evaluated once: one gather of its scores gives minus log
-likelihood and gradient, and the Gram matrix is built only where another QP
-follows.  Convergence is measured by max|delta beta| between iterations, with
-no step damping: full QP steps, an iteration cap, and a recorded trajectory.
-The final beta is certified by the KKT residuals of its penalized gradient
-with the last step's multipliers.
+Before the loop, rows with equal codes and y are merged into one row that
+carries their summed weight, so a sample drawn from few profiles costs as
+many rows as it has distinct ones; every term is a weighted sum over rows,
+so only rounding changes.  Every iterate is evaluated once: one gather of
+its scores gives minus log likelihood and gradient, and the Gram matrix is
+built only where another QP follows.  Convergence is measured by
+max|delta beta| between iterations, with no step damping: full QP steps, an
+iteration cap, and a recorded trajectory.  The final beta is certified by
+the KKT residuals of its penalized gradient with the last step's
+multipliers.
 """
 
 from __future__ import annotations
@@ -316,6 +320,45 @@ def initial_beta(
     return beta
 
 
+def _merged(
+    design: DesignMatrix, y: np.ndarray, w: np.ndarray
+) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
+    """The sample with rows of equal codes and y merged by summing w.
+
+    Each group stands where its first row stood.  Likelihood, gradient and
+    Hessian are sums over rows, linear in w, so the merged sample has the
+    same ones.  Rows are grouped by a random linear hash of their codes and
+    y, and each group is checked against its first row; a design with no
+    repeated row, no codes, or a hash collision comes back as given.
+    """
+    codes = getattr(design, "codes", None)
+    if codes is None:
+        return design, y, w
+    n = design.n
+    mix = np.random.default_rng(0).integers(1, 2**62, codes.shape[1]) | 1
+    # Integer products wrap around; column 0 is the intercept's code 0.
+    key = y.view(np.int64) * mix[0]
+    for c in range(1, codes.shape[1]):
+        key += codes[:, c] * mix[c]
+    order = np.argsort(key, kind="stable")
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = key[order[1:]] != key[order[:-1]]
+    if starts.all():
+        return design, y, w
+    # The first row of each row's group; the stable sort puts it first.
+    first_of = np.empty(n, dtype=np.intp)
+    first_of[order] = order[starts][np.cumsum(starts) - 1]
+    same = y[first_of] == y
+    for c in range(1, codes.shape[1]):
+        same &= codes[first_of, c] == codes[:, c]
+    if not same.all():
+        return design, y, w
+    first = np.flatnonzero(first_of == np.arange(n))
+    merged = DesignMatrix(design.column_labels, codes[first], design.blocks)
+    weights = np.bincount(np.searchsorted(first, first_of), weights=w, minlength=first.size)
+    return merged, y[first], weights
+
+
 def fit(
     design: DesignMatrix,
     y: np.ndarray,
@@ -326,8 +369,9 @@ def fit(
 ) -> FitResult:
     """Run the sequential QP loop until max|delta beta| <= tol.
 
-    Each iteration takes a full constrained Newton step from the current
-    beta; the trajectory records the step size and minus log likelihood per
+    Rows with equal codes and y are merged by summing w first.  Each
+    iteration takes a full constrained Newton step from the current beta;
+    the trajectory records the step size and minus log likelihood per
     iteration.  Each iterate is evaluated once, with its Hessian only where
     another step follows.  The returned KKT residuals certify the penalized
     nonlinear problem at the final beta from its gradient plus the penalty
@@ -338,6 +382,7 @@ def fit(
     q = design.q
     if cs.q != q:
         raise SpecError(f"constraint set is over {cs.q} coefficients, design over {q}")
+    design, y, w = _merged(design, y, w)
 
     beta = initial_beta(q, y, w, config.beta0)
     terms = logistic_terms(design, y, w, beta)

@@ -15,6 +15,11 @@ from scorecraft.data_io import DataError
 from scorecraft.model import Sample, SpecError
 
 
+def cells(column):
+    """The cells of a sample's `Column`, one raw value per row."""
+    return [column.values[i] for i in column.inverse]
+
+
 def load_sample_rows(path):
     """Read a data CSV into a Sample by a per-row, per-cell loop."""
     with open(path, "r", encoding="utf-8", newline="") as handle:

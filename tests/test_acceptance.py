@@ -5,12 +5,14 @@ stating the guarantee and the measured numbers.  A failed guarantee fails
 its test; nothing here is allowed to soften the stated tolerances.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
+from scorecraft.cli import main
 from scorecraft.constraints import (
     CenteringPolicy,
     ConstraintSet,
@@ -20,7 +22,7 @@ from scorecraft.constraints import (
 from scorecraft.data_io import SyntheticConfig, gen_synthetic, implied_true_beta
 from scorecraft.metrics import roc
 from scorecraft.model import (
-    GRAM_CHUNK_ROWS,
+    CHUNK_ROWS,
     Attribute,
     Characteristic,
     ConstraintTag,
@@ -586,8 +588,8 @@ def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_
         good_probs=good, bad_probs=bad,
     )
     cases = [(small_spec, gen_synthetic(cfg), compile_constraints(small_spec))]
-    # The first random sample spans three Gram chunks, the last one partial.
-    for n in (2 * GRAM_CHUNK_ROWS + 123, 800, 800, 800, 800, 800):
+    # The first random sample spans three row chunks, the last one partial.
+    for n in (2 * CHUNK_ROWS + 123, 800, 800, 800, 800, 800):
         spec = random_spec_factory(rng)
         cases.append((spec, representative_sample(spec, rng, n), noinfo_pins(spec)))
     terms_gap = beta_gap = theta_gap = 0.0
@@ -619,4 +621,32 @@ def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_
         f"{len(cases)} specs: logistic terms relative gap {terms_gap:.1e}; "
         f"{fits} fit pairs, beta gap {beta_gap:.1e} (lam > 0 or pinned), "
         f"theta gap {theta_gap:.1e} (lam = 0 unpinned)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. A gen sample of the bundled spec converges in as many outer iterations
+#     as the paper's fraud example took (four).
+
+
+def test_bundled_gen_fit_matches_paper_iterations(acceptance, tmp_path, fixture_spec_text, capsys):
+    spec_path = tmp_path / "spec.csv"
+    spec_path.write_text(fixture_spec_text)
+    data, model = tmp_path / "train.csv", tmp_path / "model.json"
+    gen = main([
+        "gen", "--spec", str(spec_path), "--out", str(data),
+        "--seed", "1", "--n-good", "3000", "--n-bad", "1000",
+    ])
+    fitted = main([
+        "fit", "--spec", str(spec_path), "--data", str(data),
+        "--lambda", "0.5", "--out", str(model),
+    ])
+    capsys.readouterr()
+    payload = json.loads(model.read_text()) if fitted == 0 else {"trajectory": [], "status": "-"}
+    iterations = len(payload["trajectory"])
+    acceptance(
+        "paper-iterations",
+        gen == 0 and fitted == 0 and payload["status"] == "converged" and iterations <= 4,
+        f"bundled spec, gen seed 1, 4000 rows, lambda 0.5: {payload['status']} in "
+        f"{iterations} outer iterations (paper: 4)",
     )

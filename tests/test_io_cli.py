@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -22,17 +23,25 @@ from scorecraft.data_io import (
     load_qp_problem,
     load_sample,
     load_score_csv,
+    representatives,
     save_model,
     save_qp_problem,
     save_score_csv,
 )
 from scorecraft.metrics import score_metrics
-from scorecraft.model import bin_value, build_design_matrix, parse_spec, score_vector
+from scorecraft.model import (
+    Column,
+    NoInformationBin,
+    bin_value,
+    build_design_matrix,
+    parse_spec,
+    score_vector,
+)
 from scorecraft.qp import QpProblem, solve_qp
 from scorecraft.report import parse_report_csv, write_report
 from scorecraft.sqp import PenaltySpec, fit
 
-from sample_oracle import load_sample_rows
+from sample_oracle import cells, load_sample_rows
 
 DATA_TEXT = """\
 y,w,age,fuel
@@ -66,8 +75,8 @@ def test_load_sample(tmp_path):
     assert sample.n == 4
     assert np.array_equal(sample.y, [1.0, 0.0, 1.0, 0.0])
     assert np.array_equal(sample.w, [1.0, 2.0, 0.5, 1.0])
-    assert sample.records["age"][2] is None  # empty cell is missing
-    assert sample.records["fuel"][3] == "Nope"
+    assert cells(sample.records["age"])[2] is None  # empty cell is missing
+    assert cells(sample.records["fuel"])[3] == "Nope"
 
 
 @pytest.mark.parametrize(
@@ -129,7 +138,7 @@ MESSY_TEXT = (
 def test_load_sample_matches_per_cell_oracle(
     tmp_path, monkeypatch, small_spec, text, n, block_rows
 ):
-    # One-row blocks stop sharing after the first row, whose cells all differ.
+    # One-row blocks stop factorizing after the first row, whose cells all differ.
     monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", block_rows)
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -140,30 +149,63 @@ def test_load_sample_matches_per_cell_oracle(
     assert sample.w.tobytes() == expected.w.tobytes()
     assert list(sample.records) == list(expected.records)
     for name, column in expected.records.items():
-        assert sample.records[name].dtype == object
-        assert sample.records[name].tolist() == column.tolist()
+        got = sample.records[name]
+        assert isinstance(got, Column) and got.inverse.dtype == np.int32
+        assert cells(got) == cells(column)
     del sample.records["note"]
     design = build_design_matrix(small_spec, sample)
     for c, ch in enumerate(small_spec.characteristics, start=1):
-        per_cell = [bin_value(ch, v) for v in sample.records[ch.name]]
+        per_cell = [bin_value(ch, v) for v in cells(sample.records[ch.name])]
         assert design.codes[:, c].tolist() == per_cell
 
 
 def test_load_sample_stops_sharing_when_most_cells_are_distinct(tmp_path, monkeypatch):
     monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", 2)
-    repeated = "1,1,Gas,Gas\n" * 4
-    distinct = "".join(f"0,{i}.5,{i},x{i}\n" for i in range(20))
+    repeated = "1,1,Gas,Gas,Gas\n" * 4
+    distinct = "".join(f"0,{i}.5,{i},x{i},Gas\n" for i in range(20))
     path = tmp_path / "data.csv"
-    path.write_text("y,w,a,b\n" + repeated + distinct + repeated)
+    path.write_text("y,w,a,b,c\n" + repeated + distinct + repeated)
     sample = load_sample(str(path))
     expected = load_sample_rows(str(path))
     assert sample.y.tobytes() == expected.y.tobytes()
     assert sample.w.tobytes() == expected.w.tobytes()
     for name, column in expected.records.items():
-        assert sample.records[name].tolist() == column.tolist()
+        assert cells(sample.records[name]) == cells(column)
+    # A column of few distinct cells stays factorized, each per column; one
+    # that turns mostly distinct stops, and then each cell is its own value.
+    c = sample.records["c"]
+    assert c.values == ["Gas"] and (c.inverse == 0).all()
     a = sample.records["a"]
-    assert a[0] is a[3]
-    assert a[-1] == a[0] and a[-1] is not a[0]
+    assert (a.inverse == np.arange(len(a))).all()
+    assert a.values[-1] == a.values[0] and a.inverse[-1] != a.inverse[0]
+
+
+def test_load_sample_high_cardinality_matches_oracle(tmp_path, fixture_spec):
+    # Every numeric cell and every weight distinct: each column stops being
+    # factorized after its first block, and keeps its cells as values.
+    rng = np.random.default_rng(20261018)
+    n = 3000
+    names = [ch.name for ch in fixture_spec.characteristics]
+    numbers = rng.permutation(n * len(names)) + rng.uniform(0.0, 1.0, n * len(names))
+    numbers = (numbers * 3.1 - 9000.0).reshape(n, len(names))
+    w = rng.permutation(n) + rng.uniform(0.01, 0.99, n)
+    lines = ["y,w," + ",".join(names)]
+    for i in range(n):
+        cells_i = [repr(float(v)) for v in numbers[i]]
+        lines.append(f"{int(rng.random() < 0.7)},{float(w[i])!r}," + ",".join(cells_i))
+    path = tmp_path / "distinct.csv"
+    path.write_text("\n".join(lines) + "\n")
+    sample = load_sample(str(path))
+    expected = load_sample_rows(str(path))
+    assert len(set(expected.w)) == n
+    assert sample.y.tobytes() == expected.y.tobytes()
+    assert sample.w.tobytes() == expected.w.tobytes()
+    design = build_design_matrix(fixture_spec, sample)
+    for c, ch in enumerate(fixture_spec.characteristics, start=1):
+        got, column = sample.records[ch.name], cells(expected.records[ch.name])
+        assert len(set(column)) == n
+        assert got.values == column and (got.inverse == np.arange(n)).all()
+        assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column]
 
 
 def test_atomic_write_text(tmp_path):
@@ -214,7 +256,7 @@ def test_gen_synthetic_deterministic(tmp_path, small_spec):
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(s1.y, s2.y)
     assert all(
-        np.array_equal(s1.records[k], s2.records[k]) for k in s1.records
+        cells(s1.records[k]) == cells(s2.records[k]) for k in s1.records
     )
     other = SyntheticConfig(
         seed=12, n_good=50, n_bad=40, spec=small_spec, good_probs=good, bad_probs=bad
@@ -255,6 +297,62 @@ def test_gen_synthetic_frequencies_track_probabilities(small_spec):
     bads = dm.x[4000:]
     freq = bads[:, 6:9].sum(axis=0) / 4000.0
     assert np.abs(freq - bad["fuel"]).max() < 0.03
+
+
+def test_gen_small_spec_bytes_are_pinned(tmp_path, small_spec_text):
+    # Representatives that still bin right are kept, so these bytes hold.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    out = tmp_path / "small.csv"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(out),
+        "--seed", "7", "--n-good", "500", "--n-bad", "300",
+    ]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8a6f4c8a291e1647915721833c4c1c62ce4a9ce191ed76200d7d40cb2d65bbb6"
+
+
+def test_gen_on_the_bundled_spec_round_trips(tmp_path, fixture_spec, fixture_spec_text, capsys):
+    spec_path = tmp_path / "spec.csv"
+    spec_path.write_text(fixture_spec_text)
+    out = tmp_path / "big.csv"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(out),
+        "--seed", "5", "--n-good", "2000", "--n-bad", "1000",
+    ]) == 0
+    loaded = load_sample(str(out))
+    design = build_design_matrix(fixture_spec, loaded)
+    # Default probabilities are positive on every informative attribute
+    # that a value reaches, and the file hits each of them.
+    wanted = {
+        att.att_index
+        for ch in fixture_spec.characteristics
+        for k in representatives(ch)
+        if not isinstance((att := ch.attributes[k]).bin, NoInformationBin)
+    }
+    assert len(wanted) == fixture_spec.q - 1 - 25 - 10
+    assert wanted <= set(np.unique(design.codes).tolist())
+    for ch in fixture_spec.characteristics:
+        for k, raw in representatives(ch).items():
+            assert bin_value(ch, raw) == ch.attributes[k].att_index
+    # An explicit positive probability on an unreachable attribute fails
+    # with one line naming it.
+    payload = {}
+    for ch in fixture_spec.characteristics:
+        p = [float(att is ch.noinfo) for att in ch.attributes]
+        if ch.name == "char950":
+            # 125 is reached; 126 lies inside 125's interval.
+            p = [0.5, 0.5] + [0.0] * (len(p) - 2)
+        payload[ch.name] = {"good": p, "bad": p}
+    probs_path = tmp_path / "probs.json"
+    probs_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(out), "--probs", str(probs_path),
+        "--n-good", "5", "--n-bad", "5",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'char950' attribute 126 ('3300-<4901') has a positive probability" in err
 
 
 def test_implied_true_beta(small_spec):

@@ -1,17 +1,23 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from scorecraft.constraints import CenteringPolicy
+from scorecraft.data_io import load_sample
 from scorecraft.model import (
+    Attribute,
     CategoryBin,
+    Characteristic,
     ConstraintTag,
     FixedTo,
     GreaterThan,
     IntervalBin,
     LessThan,
+    NoInformationBin,
     Sample,
+    ScorecardSpec,
     SpecError,
     SpecialBin,
     TiedTo,
@@ -199,25 +205,31 @@ def test_build_design_matrix_indicators():
     assert dm.blocks == (("age", 1, 6), ("fuel", 6, 9))
 
 
+# A spec whose category labels look like numbers, and raw cells of every
+# kind a library-built Sample may hold.
+PER_CELL_SPEC_TEXT = (
+    "char,att,label,kind,lo,hi,categories,constraint\n"
+    "x,1,missing,special,-9999999,,,\n"
+    "x,2,twelve,category,,,12|007,\n"
+    "x,3,0-<10,interval,0,10,,\n"
+    "x,4,10-<100,interval,10,100,,\n"
+    "x,5,NO INFORMATION,noinfo,,,,\n"
+    "z,6,low,interval,,0,,\n"
+    "z,7,NO INFORMATION,noinfo,,,,\n"
+)
+PER_CELL_CELLS = [
+    None, "", " 12 ", "12", 12, 12.0, "12.0", "007", 7, "7", " 7 ",
+    float("nan"), float("nan"), float("nan"), np.float64("nan"),
+    np.float64("nan"), np.nan, "nan", True, False, 1, 0, -0.0, np.int64(12),
+    "-9999999", -9999999.0, -9999999, " -9999999 ", 99.5, 100, 1e9, -5.0,
+    np.float64(-1e300), "junk",
+]
+
+
 def test_design_codes_equal_per_cell_binning():
-    spec = parse_spec(
-        "char,att,label,kind,lo,hi,categories,constraint\n"
-        "x,1,missing,special,-9999999,,,\n"
-        "x,2,twelve,category,,,12|007,\n"
-        "x,3,0-<10,interval,0,10,,\n"
-        "x,4,10-<100,interval,10,100,,\n"
-        "x,5,NO INFORMATION,noinfo,,,,\n"
-        "z,6,low,interval,,0,,\n"
-        "z,7,NO INFORMATION,noinfo,,,,\n"
-    )
+    spec = parse_spec(PER_CELL_SPEC_TEXT)
     x, z = spec.characteristics
-    cells = [
-        None, "", " 12 ", "12", 12, 12.0, "12.0", "007", 7, "7", " 7 ",
-        float("nan"), float("nan"), float("nan"), np.float64("nan"),
-        np.float64("nan"), np.nan, "nan", True, False, 1, 0, -0.0, np.int64(12),
-        "-9999999", -9999999.0, -9999999, " -9999999 ", 99.5, 100, 1e9, -5.0,
-        np.float64(-1e300), "junk",
-    ]
+    cells = PER_CELL_CELLS
     rng = np.random.default_rng(20240819)
     column = np.empty(3 * len(cells), dtype=object)
     column[:] = [cells[k] for k in rng.permutation(np.arange(3 * len(cells)) % len(cells))]
@@ -306,3 +318,81 @@ def test_bin_value_total_on_random_specs(random_spec_factory):
             for raw in raws:
                 idx = bin_value(ch, raw)
                 assert lo <= idx <= hi
+
+
+def edge_cells(spec):
+    """Raw cells at and beside every edge and label of a spec, of every kind.
+
+    Each finite interval edge and special value comes as a float, one ulp
+    either side, and their texts plain and padded; then infinities, NaN,
+    signed zeros, exponent forms, each category label plain and padded,
+    non-numeric text, missing cells, and non-string numbers.
+    """
+    numbers = [0.0, -0.0, 1e3, math.inf, -math.inf, math.nan]
+    labels = []
+    for _, att in spec.iter_attributes():
+        rule = att.bin
+        if isinstance(rule, IntervalBin):
+            edges = [rule.lo, rule.hi]
+        elif isinstance(rule, SpecialBin):
+            edges = [rule.value]
+        else:
+            edges = []
+            labels += sorted(getattr(rule, "labels", ()))
+        for e in filter(math.isfinite, edges):
+            numbers += [e, float(np.nextafter(e, -math.inf)), float(np.nextafter(e, math.inf))]
+    texts = [repr(v) for v in numbers] + [f" {v!r}  " for v in numbers]
+    texts += ["-0", "+0", "1e3", "1E3", "1000", "+inf", "-Infinity", "nan", " NaN "]
+    texts += labels + [f"  {label} " for label in labels] + ["junk", "", "   ", "12abc"]
+    others = numbers + [int(v) for v in numbers if math.isfinite(v) and v == int(v)]
+    others += [np.float64(v) for v in numbers] + [True, False, np.int64(12), None]
+    return texts + [None], texts + others
+
+
+def assert_codes_equal_per_value(spec, column):
+    sample = Sample(
+        y=np.ones(len(column)),
+        w=np.ones(len(column)),
+        records={ch.name: column for ch in spec.characteristics},
+    ).validate()
+    design = build_design_matrix(spec, sample)
+    for c, ch in enumerate(spec.characteristics, start=1):
+        assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column], ch.name
+
+
+def test_vectorized_binning_equals_bin_value(fixture_spec, random_spec_factory, tmp_path):
+    rng = np.random.default_rng(20261018)
+    # A spec built in code may hold a label that only a missing cell has.
+    blank = Characteristic(
+        "blank",
+        (
+            Attribute(1, "blank", CategoryBin(frozenset({"", "nan", "7"}))),
+            Attribute(2, "NO INFORMATION", NoInformationBin()),
+        ),
+    )
+    specs = [fixture_spec, parse_spec(PER_CELL_SPEC_TEXT), ScorecardSpec((blank,)).validate()]
+    specs += [random_spec_factory(rng) for _ in range(10)]
+    for spec in specs:
+        texts, mixed = edge_cells(spec)
+        # Texts and None only, as load_sample gives them, take the path that
+        # parses in C; any other raw value takes the one-by-one path.
+        assert_codes_equal_per_value(spec, texts)
+        assert_codes_equal_per_value(spec, mixed + PER_CELL_CELLS)
+    # The same texts through a data file, padded cells and all.
+    texts, _ = edge_cells(fixture_spec)
+    names = [ch.name for ch in fixture_spec.characteristics]
+    path = tmp_path / "edges.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["y", "w", *names])
+        writer.writerows([1, 1, *[t or ""] * len(names)] for t in texts)
+    sample = load_sample(str(path))
+    design = build_design_matrix(fixture_spec, sample)
+    for c, ch in enumerate(fixture_spec.characteristics, start=1):
+        expected = [bin_value(ch, t) for t in texts]
+        assert design.codes[:, c].tolist() == expected, ch.name
+    # char950's overlapping rows: first declared wins, so 126 and 130-134,
+    # 136-139 are never reached, while values >= 7011 reach 128.
+    char950 = fixture_spec.characteristic("char950")
+    assert set(design.codes[:, names.index("char950") + 1]) >= {125, 127, 128, 129, 135, 140}
+    assert bin_value(char950, 7011) == 128 and bin_value(char950, 7010.5) == 125

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from scorecraft import sqp
 from scorecraft.constraints import ConstraintSet, compile_constraints
-from scorecraft.model import Sample, SpecError, build_design_matrix
+from scorecraft.model import DesignMatrix, Sample, SpecError, build_design_matrix
 from scorecraft.sqp import (
     FitConfig,
     FitWarning,
@@ -405,3 +406,64 @@ def test_logistic_terms_reject_bad_shapes():
         logistic_terms(x, np.ones(5), -np.ones(5), np.zeros(2))
     with pytest.raises(SpecError, match="must be a DesignMatrix"):
         logistic_terms(np.ones((5, 2)), np.ones(5), np.ones(5), np.zeros(2))
+
+
+def merged_by_hand(design, y, w):
+    """Rows of equal codes and y summed into one, in order of first rows."""
+    groups = {}
+    for i, key in enumerate(zip(map(tuple, design.codes.tolist()), y.tolist())):
+        groups.setdefault(key, []).append(i)
+    first = [rows[0] for rows in groups.values()]
+    weights = np.array([w[rows].sum() for rows in groups.values()])
+    merged = DesignMatrix(design.column_labels, design.codes[first], design.blocks)
+    return merged, y[first], weights
+
+
+def test_fit_merges_repeated_rows(small_spec, monkeypatch):
+    rng = np.random.default_rng(19)
+    n = 600
+    ages = rng.choice([-9999999.0, 20.0, 40.0, 60.0, None], size=n)
+    fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
+    y = (rng.random(n) < 0.6).astype(float)
+    w = rng.choice([0.5, 1.0, 2.0], size=n)
+    sample = Sample(y=y, w=w, records={"age": ages, "fuel": fuels}).validate()
+    dm = build_design_matrix(small_spec, sample)
+    merged = merged_by_hand(dm, y, w)
+    assert merged[0].n < n / 10
+    perm = rng.permutation(n)
+    permuted = (DesignMatrix(dm.column_labels, dm.codes[perm], dm.blocks), y[perm], w[perm])
+    cs = compile_constraints(small_spec)
+    for lam in (0.0, 0.5):
+        fits = [fit(*case, PenaltySpec(lam=lam), cs) for case in ((dm, y, w), merged, permuted)]
+        for other in fits[1:]:
+            assert other.status == fits[0].status == "converged"
+            assert other.iterations == fits[0].iterations
+            assert np.abs(other.beta - fits[0].beta).max() <= 1e-10
+
+    # The loop sees the merged rows; with no repeated row, the design as given.
+    seen = []
+
+    def spy(design, *args, **kwargs):
+        seen.append(design)
+        return logistic_terms(design, *args, **kwargs)
+
+    monkeypatch.setattr(sqp, "logistic_terms", spy)
+    fit(dm, y, w, PenaltySpec(lam=0.5), cs)
+    assert {d.n for d in seen} == {merged[0].n}
+    distinct = merged[0]
+    seen.clear()
+    fit(distinct, merged[1], merged[2], PenaltySpec(lam=0.5), cs)
+    assert seen and all(d is distinct for d in seen)
+
+    # Rows whose hashes collide are never merged: with every multiplier 1,
+    # codes (2, 7) and (3, 6) hash alike, and the design is kept as given.
+    class Ones:
+        def integers(self, low, high, size):
+            return np.ones(size, dtype=np.int64)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Ones())
+    colliding = DesignMatrix(dm.column_labels, np.array([[0, 2, 7], [0, 3, 6]] * 3), dm.blocks)
+    seen.clear()
+    y6 = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    fit(colliding, y6, np.ones(6), PenaltySpec(lam=0.5), ConstraintSet.empty(9))
+    assert seen and all(d is colliding for d in seen)
