@@ -2,13 +2,18 @@
 
 The data CSV has header y,w,<characteristic names...>; empty cells are
 missing values, y is 0/1 with 1 = Good, and w is a required nonnegative
-weight.  It is read in one streaming pass that gives each column as its
-distinct stripped cells and an integer inverse (a `Column`), mapping cell
-texts to indices in one `map` per block; a column whose cells are mostly
-distinct keeps them as read instead.  y and w are parsed once per distinct
-cell.  Fitted models persist as versioned JSON with the spec text embedded
-so evaluation can rebuild the design matrix.  All writes go through a
-temporary file and an atomic rename.
+weight.  Each column is read as its distinct stripped cells and an integer
+inverse (a `Column`), by one of two routes that give the same Sample and
+the same errors.  A plain file (ASCII, no `"`, each `\\r` before a `\\n`,
+under 2 GiB), as `scorecraft gen` writes, takes the byte route: numpy
+finds the commas and line ends in the file's bytes and factorizes each
+column by 8-byte words of its cells, and Python decodes distinct cells
+only.  Any other file streams through the csv module in blocks, mapping
+cell texts to indices in one `map` per block; there a column whose cells
+are mostly distinct keeps them as read instead.  y and w are parsed once
+per distinct cell.  Fitted models persist as versioned JSON with the spec
+text embedded so evaluation can rebuild the design matrix.  All writes go
+through a temporary file and an atomic rename.
 
 Synthetic samples draw each characteristic's attribute from class
 conditional multinomials using the counter-based Philox generator, so one
@@ -25,7 +30,9 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -223,44 +230,349 @@ def _factorized_columns(rows, width: int) -> list[Column]:
     return columns
 
 
+def _char_names(path: str, header: list[str]) -> list[str]:
+    """The characteristic names of a header row; DataError if it is faulty."""
+    header = [cell.strip() for cell in header]
+    if len(header) < 2 or header[0] != "y" or header[1] != "w":
+        raise DataError(f"{path}: header must start with y,w")
+    char_names = header[2:]
+    if len(set(char_names)) != len(char_names):
+        raise DataError(f"{path}: duplicate characteristic column")
+    if any(not name for name in char_names):
+        raise DataError(f"{path}: empty characteristic column name")
+    return char_names
+
+
+def _is_comment(row: list[str]) -> bool:
+    return row[0].lstrip().startswith("#")
+
+
+def _csv_table(path: str, handle) -> tuple[list[str], list[Column], Optional[str]]:
+    """Characteristic names, the columns y, w, ... and the fault that ended reading.
+
+    Reads an open text file with the csv module, the one route that
+    unescapes quoted cells.
+    """
+    rows = (row for row in csv.reader(handle) if row and not _is_comment(row))
+    try:
+        header = next(rows, None)
+    except csv.Error as exc:
+        raise DataError(f"{path}: header: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty data file")
+    char_names = _char_names(path, header)
+    width = len(char_names) + 2
+    stop: list[str] = []
+
+    def full_rows():
+        # Reading stops at a row of the wrong length or one the csv module
+        # cannot read; the rows before it are still checked, since an earlier
+        # fault is the one to report.
+        i = 0
+        try:
+            for i, row in enumerate(rows, start=1):
+                if len(row) != width:
+                    stop.append(f"{path}: row {i} has {len(row)} fields, expected {width}")
+                    return
+                yield row
+        except csv.Error as exc:
+            stop.append(f"{path}: row {i + 1}: {exc}")
+
+    columns = _factorized_columns(full_rows(), width)
+    return char_names, columns, stop[0] if stop else None
+
+
+# The byte route.  A cell is read as 8-byte little-endian words masked to its
+# length; its key is its length times the first constant plus word k times
+# the second times 2k + 1, modulo 2**64.  Keys only group cells: each cell
+# is then compared with its group's first, so a collision costs an exact
+# regrouping, never a wrong value.
+_WORD = 8
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_WORD)] + [2**64 - 1], dtype=np.uint64)
+_KEY_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
+# Whether a byte is whitespace that str.strip removes.
+_SPACE = np.array([chr(c).isspace() for c in range(256)]) & (np.arange(256) < 128)
+# Data rows whose cell offsets are found in one go.
+_BYTE_BLOCK_ROWS = 1 << 13
+# Cell words read in one go, at most (a block spans one word at least).
+_BLOCK_WORDS = 1 << 20
+# Distinct cells' bytes are gathered in pieces of about this many.
+_PIECE_BYTES = 1 << 16
+# Before Python 3.11 the csv module rejects a NUL byte; from 3.11 it is text.
+_CSV_ONLY = (b'"', b"\0") if sys.version_info < (3, 11) else (b'"',)
+
+
+def _plain(buf: bytearray, size: int) -> bool:
+    """Whether the byte route reads the first size bytes of buf.
+
+    The file must be ASCII with no `"`, so no cell is quoted, and each `\\r`
+    must end a line before its `\\n`.  The byte route holds the whole file
+    and int32 offsets into it, so the file must also be under 2 GiB; a
+    larger one streams through the csv route.
+    """
+    return (
+        size < 2**31 - 1
+        and buf.isascii()
+        and all(buf.find(byte, 0, size) < 0 for byte in _CSV_ONLY)
+        and (
+            buf.find(b"\r", 0, size) < 0
+            or buf.count(b"\r", 0, size) == buf.count(b"\r\n", 0, size)
+        )
+    )
+
+
+def _first_rows(group: np.ndarray, groups: int) -> np.ndarray:
+    """The first row of each group; a reversed scatter, so no stable sort."""
+    first = np.empty(groups, dtype=np.intp)
+    first[group[::-1]] = np.arange(len(group) - 1, -1, -1)
+    return first
+
+
+def _word_block(words: np.ndarray, at: np.ndarray, left: np.ndarray, span: int) -> np.ndarray:
+    """Words 0 .. span-1 (rows) of the cells at `at` with `left` bytes (columns).
+
+    Words are masked to the cells' lengths: zero past their end.
+    """
+    offsets = _WORD * np.arange(span)[:, None]
+    index = at + offsets
+    block = words[np.minimum(index, len(words) - 1, out=index)]
+    width = left - offsets
+    block &= _MASKS[np.clip(width, 0, _WORD, out=width)]
+    return block
+
+
+def _cell_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The cells' masked 8-byte words in blocks: (rows, k, block).
+
+    block[j, i] is word k + j of the cell at rows[i].  rows are all cells
+    (a slice) at first, then the cells that go on past the block before.  A
+    block spans the cells' mean length, or as many word positions as keep it
+    near _BLOCK_WORDS words: so the few cells that go on take blocks of
+    their own, and a few long cells take a few blocks, not one per word.
+    """
+    rows, at, left, k = slice(None), starts, lengths, 0
+    while len(left):
+        span = max(1, min(_BLOCK_WORDS // len(left), -(-int(left.sum()) // (_WORD * len(left)))))
+        yield rows, k, _word_block(words, at, left, span)
+        more = np.flatnonzero(left > _WORD * span)
+        rows = more if isinstance(rows, slice) else rows[more]
+        at, left, k = at[more] + _WORD * span, left[more] - _WORD * span, k + span
+
+
+def _exact_groups(lengths: np.ndarray, blocks: list) -> np.ndarray:
+    """Group ids of cells by their length and `_cell_words` blocks, exactly.
+
+    Cells are grouped by length, then the groups are split block by block.
+    Cells of one group have one length, so a block splits only the groups
+    it reaches.
+    """
+    ids = lengths.astype(np.intp)
+    for rows, _, block in blocks:
+        pairs = np.column_stack((ids[rows], block.T.view(np.intp)))
+        split = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(-1)
+        ids[rows] = split + int(ids.max()) + 1
+    return ids
+
+
+def _byte_groups(words: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells grouped by their bytes: each cell's group and each group's first row.
+
+    Groups are numbered 0, 1, ... in order of first occurrence; the group
+    numbers are int32 and the first rows ascend.
+    """
+    blocks = list(_cell_words(words, starts, lengths))
+    key = lengths.astype(np.uint64) * _KEY_MIX[0]
+    for rows, k, block in blocks:
+        mix = _KEY_MIX[1] * (2 * np.arange(k, k + len(block), dtype=np.uint64) + 1)
+        key[rows] += (block * mix[:, None]).sum(axis=0)
+    keys, group = np.unique(key, return_inverse=True)
+    del key
+    if len(keys) == len(group):
+        # Every cell has a key of its own: each is its own group.
+        rows = np.arange(len(group))
+        return rows.astype(np.int32), rows
+    group = group.reshape(-1)
+    head = _first_rows(group, len(keys))[group]
+    # Each cell must equal its group's first cell: one length, the same
+    # words.  A block of some cells reads their first cells' words again.
+    exact = np.array_equal(lengths[head], lengths)
+    for rows, k, block in blocks:
+        if not exact:
+            break
+        if isinstance(rows, slice):
+            exact = np.array_equal(block[:, head], block)
+        else:
+            at, left = starts[head[rows]] + _WORD * k, lengths[rows] - _WORD * k
+            exact = np.array_equal(_word_block(words, at, left, len(block)), block)
+    del head
+    if not exact:
+        # Some key is shared by cells that differ.
+        keys, group = np.unique(_exact_groups(lengths, blocks), return_inverse=True)
+        group = group.reshape(-1)
+    is_first = np.zeros(len(group), dtype=bool)
+    is_first[_first_rows(group, len(keys))] = True
+    first = np.flatnonzero(is_first)
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[group[first]] = np.arange(len(first), dtype=np.int32)
+    return rank[group], first
+
+
+def _joined(u8: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Optional[mmap.mmap]:
+    """The cells at starts with lengths, each followed by a comma; None if no cells.
+
+    The bytes go to an anonymous memory map, so they return to the system
+    as soon as the column is decoded; a heap block would stay resident
+    while the column's strs are made.  They are gathered in pieces of about
+    _PIECE_BYTES, so no index array grows with the column.
+    """
+    if not len(starts):
+        return None
+    ends = np.cumsum(lengths + 1)
+    joined = mmap.mmap(-1, int(ends[-1]))
+    out = np.frombuffer(joined, dtype=np.uint8)
+    cuts = np.searchsorted(ends, np.arange(_PIECE_BYTES, len(out), _PIECE_BYTES)).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(starts)]):
+        if a < b:
+            lo, hi = int(ends[a] - lengths[a] - 1), int(ends[b - 1])
+            at = np.repeat(starts[a:b] - ends[a:b] + lengths[a:b] + 1, lengths[a:b] + 1)
+            at += np.arange(lo, hi)
+            # Every index is in bounds; "clip" only skips the check.
+            np.take(u8, at, out=out[lo:hi], mode="clip")
+    out[ends - 1] = ord(",")
+    del out  # a map cannot close while an array views it
+    return joined
+
+
+def _byte_table(path: str, buf: bytearray, size: int):
+    """Characteristic names, the cells of y, w, ... and the fault that ended reading.
+
+    Reads a file that `_plain` accepts from its bytes, giving what the csv
+    route gives: numpy finds the line ends and the commas, and a line is
+    read in Python only where the comment rule or the field size limit
+    needs it.  Each column comes as the arguments of `_text_column`, which
+    hold no reference to buf.
+    """
+    u8 = np.frombuffer(buf, dtype=np.uint8)
+    words = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))
+    breaks = np.flatnonzero(u8[:size] == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [size]))
+    ends -= (ends > starts) & (u8[ends - 1] == ord("\r"))
+
+    def line(i: int) -> str:
+        return buf[starts[i] : ends[i]].decode("ascii")
+
+    lead = u8[starts]
+    used = (ends > starts) & (lead != ord("#"))
+    for i in np.flatnonzero(used & _SPACE[lead]).tolist():
+        used[i] = not _is_comment(line(i).split(",", 1))
+    lines = np.flatnonzero(used)
+    limit = csv.field_size_limit()
+    over = next(
+        (i for i in np.flatnonzero(ends - starts > limit).tolist()
+         if max(map(len, line(i).split(","))) > limit),
+        len(starts),
+    )
+    too_long = f"field larger than field limit ({limit})"
+    if over < len(starts) and (not lines.size or over <= lines[0]):
+        raise DataError(f"{path}: header: {too_long}")
+    if not lines.size:
+        raise DataError(f"{path}: empty data file")
+    char_names = _char_names(path, line(lines[0]).split(","))
+    width = len(char_names) + 2
+    rows = lines[1:]
+    rows = rows[rows < over]
+    # table[j] holds column j's cell starts, table[width] each row's end + 1.
+    table = [np.empty(len(rows), dtype=np.int32) for _ in range(width + 1)]
+    stop = None
+    for r0 in range(0, len(rows), _BYTE_BLOCK_ROWS):
+        block = rows[r0 : r0 + _BYTE_BLOCK_ROWS]
+        lo = starts[block[0]]
+        commas = np.flatnonzero(u8[lo : ends[block[-1]]] == ord(",")) + lo
+        comma0 = np.searchsorted(commas, starts[block])
+        fields = np.searchsorted(commas, ends[block]) - comma0 + 1
+        ragged = np.flatnonzero(fields != width)
+        if ragged.size:
+            b = int(ragged[0])
+            stop = f"{path}: row {r0 + b + 1} has {fields[b]} fields, expected {width}"
+            block, comma0 = block[:b], comma0[:b]
+        r1 = r0 + len(block)
+        table[0][r0:r1] = starts[block]
+        cells = commas[comma0[:, None] + np.arange(width - 1)] + 1
+        for j in range(1, width):
+            table[j][r0:r1] = cells[:, j - 1]
+        table[width][r0:r1] = ends[block] + 1
+        if stop:
+            table = [column[:r1] for column in table]
+            break
+    if stop is None and over < len(starts):
+        stop = f"{path}: row {len(rows) + 1}: {too_long}"
+    columns = []
+    for j in range(width):
+        at = table[j].astype(np.intp)
+        lengths = table[j + 1] - table[j] - 1
+        table[j] = None  # the next column needs only its own starts
+        group, first = _byte_groups(words, at, lengths)
+        at, lengths = at[first], lengths[first]
+        padded = (_SPACE[u8[at]] | _SPACE[u8[at + lengths - 1]])[lengths > 0].any()
+        empty = np.flatnonzero(lengths == 0).tolist()
+        columns.append((_joined(u8, at, lengths), group, padded, empty))
+    return char_names, columns, stop
+
+
+def _text_column(joined: Optional[mmap.mmap], group: np.ndarray, padded: bool,
+                 empty: list[int]) -> Column:
+    """A Column of the distinct cells `_joined` gave and each cell's group.
+
+    Distinct cells with nothing to strip stay distinct values, and the
+    empty one (at most one, at a position in empty) becomes None; if some
+    cell is padded, cells equal after stripping share a value.
+    """
+    texts = []
+    if joined is not None:
+        with joined:
+            texts = str(joined, "ascii").split(",")
+        texts.pop()
+    if not padded:
+        for i in empty:
+            texts[i] = None
+        return Column(texts, group)
+    index = _Index()
+    code = np.fromiter(map(index.__getitem__, _stripped(texts)), np.int32, len(texts))
+    return Column(list(index), code[group])
+
+
 def load_sample(path: str) -> Sample:
     """Read a data CSV into a Sample; empty characteristic cells are missing.
 
-    The file is read in one streaming pass.  Each column becomes a `Column`
-    of its distinct stripped cells and an inverse, unless most of its cells
-    are distinct; y and w are parsed once per distinct cell.
+    The file is read once as bytes.  One that is ASCII, holds no `"`, has
+    each `\\r` directly before a `\\n` and is under 2 GiB (as files that
+    `scorecraft gen` writes are) takes the byte route: numpy splits it and
+    factorizes each column by its cells' bytes, so no Python object is made
+    per cell.  Any other file streams through the csv module, which
+    unescapes quoted cells.  Both give each column as a `Column` of distinct
+    stripped cells and an inverse (the csv route keeps a column's cells as
+    read once most are distinct); y and w are parsed once per distinct
+    cell.
 
-    A faulty file reports its first faulty row; within a row the field count
-    comes first, then y, then w.
+    A faulty file reports its first faulty row; within a row a field over
+    the csv module's size limit comes first, then the field count, then y,
+    then w.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = (
-            row for row in csv.reader(handle) if row and not row[0].lstrip().startswith("#")
-        )
-        header = next(rows, None)
-        if header is None:
-            raise DataError(f"{path}: empty data file")
-        header = [cell.strip() for cell in header]
-        if len(header) < 2 or header[0] != "y" or header[1] != "w":
-            raise DataError(f"{path}: header must start with y,w")
-        char_names = header[2:]
-        if len(set(char_names)) != len(char_names):
-            raise DataError(f"{path}: duplicate characteristic column")
-        if any(not name for name in char_names):
-            raise DataError(f"{path}: empty characteristic column name")
-        width = len(header)
-        ragged: list[tuple[int, int]] = []
-
-        def full_rows():
-            # Reading stops at a row of the wrong length; the rows before it
-            # are still checked, since an earlier fault is the one to report.
-            for i, row in enumerate(rows, start=1):
-                if len(row) != width:
-                    ragged.append((i, len(row)))
-                    return
-                yield row
-
-        y_cells, w_cells, *columns = _factorized_columns(full_rows(), width)
+    with open(path, "rb") as handle:
+        # A file that grows while it is read is read as it was when opened.
+        buf = bytearray(os.fstat(handle.fileno()).st_size + _WORD)
+        size = handle.readinto(memoryview(buf)[:-_WORD])
+    if _plain(buf, size):
+        char_names, cells, stop = _byte_table(path, buf, size)
+        del buf  # decode the distinct cells once the file is gone
+        cells = [_text_column(*cell) for cell in cells]
+    else:
+        del buf
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            char_names, cells, stop = _csv_table(path, handle)
+    y_cells, w_cells, *columns = cells
     y = _parsed(path, y_cells.values, _y_value)[y_cells.inverse]
     w = _parsed(path, w_cells.values, _w_value)[w_cells.inverse]
     bad = np.flatnonzero(np.isnan(y) | np.isnan(w))
@@ -269,9 +581,8 @@ def load_sample(path: str) -> Sample:
         # One of these raises: the row has a y or a w that does not parse.
         _y_value(path, i + 1, y_cells.values[y_cells.inverse[i]] or "")
         _w_value(path, i + 1, w_cells.values[w_cells.inverse[i]] or "")
-    if ragged:
-        i, fields = ragged[0]
-        raise DataError(f"{path}: row {i} has {fields} fields, expected {width}")
+    if stop:
+        raise DataError(stop)
 
     sample = Sample(y=y, w=w, records=dict(zip(char_names, columns)))
     try:
@@ -646,7 +957,11 @@ def load_qp_problem(path: str) -> QpProblem:
 def load_score_csv(path: str) -> np.ndarray:
     """Read a one-column score file with header `score`."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or [c.strip() for c in rows[0]] != ["score"]:
         raise DataError(f"{path}: expected a single `score` column")
     values = np.zeros(len(rows) - 1)

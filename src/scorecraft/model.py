@@ -532,7 +532,6 @@ def bin_value(ch: Characteristic, raw: object) -> int:
 
 
 _EMPTY_IF_NONE = {None: ""}
-_NAN_IF_EMPTY = {"": "nan"}
 
 
 def _number(text: str) -> float:
@@ -546,19 +545,32 @@ def _bin_values(ch: Characteristic, values: list) -> np.ndarray:
     """bin_value of each raw value.
 
     Texts and None, as `load_sample` gives them, are binned by array
-    operations: numbers are parsed by `float` in C (NaN where a text is no
-    number, which matches no special and no interval, as no number does);
-    intervals match by one searchsorted over the elementary intervals; then
-    category and special matches, exact lookups, overwrite them in the
-    reverse of the order `bin_value` tries them; missing values go to
-    NoInformation.  Other raw values are binned by `bin_value` one by one.
+    operations: numbers are parsed by `float` in C (NaN for the empty text
+    and for a category label that is no number; NaN matches no special and
+    no interval, as no number does); only a column with some other text
+    that is no number is parsed by a Python call per value.  Intervals
+    match by one searchsorted over the elementary intervals; then category
+    and special matches, exact lookups, overwrite them in the reverse of
+    the order `bin_value` tries them; missing values go to NoInformation.
+    Other raw values are binned by `bin_value` one by one.
     """
     m = len(values)
     if not set(map(type, values)) <= {str, type(None)}:
         return np.fromiter((bin_value(ch, v) for v in values), np.intp, m)
     texts = list(map(str.strip, map(_EMPTY_IF_NONE.get, values, values)))
+    labels: dict[str, int] = {}
+    for att in ch.attributes:
+        if isinstance(att.bin, CategoryBin):
+            for label in att.bin.labels:
+                labels.setdefault(label, att.att_index)
+    nan_texts = {"": "nan"}
+    for label in labels:
+        try:
+            float(label)
+        except ValueError:
+            nan_texts[label] = "nan"
     try:
-        numbers = np.fromiter(map(float, map(_NAN_IF_EMPTY.get, texts, texts)), float, m)
+        numbers = np.fromiter(map(float, map(nan_texts.get, texts, texts)), float, m)
     except ValueError:
         numbers = np.fromiter(map(_number, texts), float, m)
     edges, owner = ch.elementary_intervals()
@@ -566,11 +578,6 @@ def _bin_values(ch: Characteristic, values: list) -> np.ndarray:
     # NaN and +inf match no interval: lo <= v < hi fails for both.
     ranged = numbers < math.inf
     codes[ranged] = owner[np.searchsorted(edges, numbers[ranged], side="right")]
-    labels: dict[str, int] = {}
-    for att in ch.attributes:
-        if isinstance(att.bin, CategoryBin):
-            for label in att.bin.labels:
-                labels.setdefault(label, att.att_index)
     if labels:
         hits = np.fromiter(map(labels.get, texts, repeat(0)), np.intp, m)
         codes = np.where(hits > 0, hits, codes)

@@ -22,11 +22,18 @@ def cells(column):
 
 def load_sample_rows(path):
     """Read a data CSV into a Sample by a per-row, per-cell loop."""
+    rows, unread = [], None
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
+        try:
+            for row in csv.reader(handle):
+                if row and not row[0].lstrip().startswith("#"):
+                    rows.append(row)
+        except csv.Error as exc:
+            # Reading ends at a line the csv module cannot read: the header,
+            # or the data row after the rows read.
+            unread = f"{path}: row {len(rows)}: {exc}" if rows else f"{path}: header: {exc}"
     if not rows:
-        raise DataError(f"{path}: empty data file")
+        raise DataError(unread or f"{path}: empty data file")
     header = [cell.strip() for cell in rows[0]]
     if len(header) < 2 or header[0] != "y" or header[1] != "w":
         raise DataError(f"{path}: header must start with y,w")
@@ -70,6 +77,8 @@ def load_sample_rows(path):
         for j, name in enumerate(char_names):
             cell = row[2 + j].strip()
             records[name][i - 1] = cell if cell else None
+    if unread:
+        raise DataError(unread)
     sample = Sample(y=y, w=w, records=records)
     try:
         return sample.validate()

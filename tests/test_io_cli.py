@@ -43,6 +43,9 @@ from scorecraft.sqp import PenaltySpec, fit
 
 from sample_oracle import cells, load_sample_rows
 
+# The csv module's default field size limit, which both routes apply.
+LIMIT = 131072
+
 DATA_TEXT = """\
 y,w,age,fuel
 1,1,25,Gas
@@ -66,6 +69,34 @@ def probs_for_small_spec():
 
 # ---------------------------------------------------------------------------
 # Sample CSV
+
+ROUTES = ("csv", "bytes")
+
+
+def load_by(route, path, monkeypatch):
+    """load_sample through one route: the csv module, or the byte route.
+
+    Only a file the byte route takes may be forced onto it.
+    """
+    plain = data_io._plain
+
+    def forced(buf, size):
+        assert route == "csv" or plain(buf, size), "the byte route reads plain files only"
+        return route == "bytes"
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data_io, "_plain", forced)
+        return load_sample(str(path))
+
+
+def assert_same_sample(sample, expected):
+    assert sample.y.tobytes() == expected.y.tobytes()
+    assert sample.w.tobytes() == expected.w.tobytes()
+    assert list(sample.records) == list(expected.records)
+    for name, column in expected.records.items():
+        got = sample.records[name]
+        assert isinstance(got, Column) and got.inverse.dtype == np.int32
+        assert cells(got) == cells(column)
 
 
 def test_load_sample(tmp_path):
@@ -102,16 +133,38 @@ def test_load_sample(tmp_path):
         ("y,w,age\n1,1,5\n0,inf,5\n", "row 2, column w: weight must be finite"),
         # A padded y is read; the fault is in the row after it.
         ("y,w,age\n 1 ,1,5\n 2 ,1,5\n", "row 2, column y: value '2' is not 0 or 1"),
+        # A field over the csv module's limit stops reading where it is,
+        # in a comment too; an earlier fault is still the one reported.
+        pytest.param(
+            "y,w,age\n1,1," + "x" * (LIMIT + 1) + "\n",
+            f"row 1: field larger than field limit \\({LIMIT}\\)",
+            id="field-over-limit",
+        ),
+        pytest.param(
+            "y,w,age\n1,1,5\n#," + "x" * (LIMIT + 1) + ",\n1,1,5\n",
+            "row 2: field larger",
+            id="comment-over-limit",
+        ),
+        pytest.param(
+            "# " + "x" * (LIMIT + 1) + "\ny,w,age\n", "header: field larger", id="header-over-limit"
+        ),
+        pytest.param(
+            "y,w,age\n1,1\n1,1," + "x" * (LIMIT + 1) + "\n", "row 1 has 2 fields", id="ragged-first"
+        ),
+        pytest.param(
+            "y,w,age\nx,1,5\n1,1," + "x" * (LIMIT + 1) + "\n", "row 1, column y", id="y-first"
+        ),
     ],
 )
-def test_load_sample_rejects(tmp_path, text, message):
+def test_load_sample_rejects(tmp_path, monkeypatch, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(DataError, match=message) as raised:
-        load_sample(str(path))
     with pytest.raises(DataError) as expected:
         load_sample_rows(str(path))
-    assert str(raised.value) == str(expected.value)
+    for route in ROUTES:
+        with pytest.raises(DataError, match=message) as raised:
+            load_by(route, path, monkeypatch)
+        assert str(raised.value) == str(expected.value)
 
 
 MESSY_TEXT = (
@@ -129,37 +182,54 @@ MESSY_TEXT = (
 )
 
 
+# MESSY_TEXT without its quoted cells: every row and comment rule, plain.
+PLAIN_TEXT = (
+    "# a comment line\r\n"
+    "y, w ,age,fuel,note\r\n"
+    "1,1,25,Gas,a\r\n"
+    "  # an indented comment, 1,2\r\n"
+    "0,2.5, 55 ,Diesel,Gas\r\n"
+    "1,0.5,,  ,nan\r\n"
+    "\r\n"
+    "0, 1 ,NaN,Gas,  \r\n"
+    " 1 ,1e0,25,Other,Gas\r\n"
+    "0,0,-9999999,nan,x\r\n"
+    "1,3,Gas, Gas ,25"
+)
+
+
 @pytest.mark.parametrize(
     "block_rows", [data_io.SHARE_BLOCK_ROWS, 1], ids=["shared", "unshared"]
 )
 @pytest.mark.parametrize(
-    "text,n", [(MESSY_TEXT, 7), ("y,w,age,fuel,note\n", 0)], ids=["messy", "header-only"]
+    "text,n",
+    [(MESSY_TEXT, 7), ("y,w,age,fuel,note\n", 0), (PLAIN_TEXT, 7)],
+    ids=["messy", "header-only", "plain"],
 )
 def test_load_sample_matches_per_cell_oracle(
     tmp_path, monkeypatch, small_spec, text, n, block_rows
 ):
-    # One-row blocks stop factorizing after the first row, whose cells all differ.
+    # One-row blocks stop factorizing after the first row, whose cells all
+    # differ; on the byte route they put each row in a block of its own.
     monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(data_io, "_BYTE_BLOCK_ROWS", block_rows)
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    sample = load_sample(str(path))
     expected = load_sample_rows(str(path))
-    assert sample.n == n
-    assert sample.y.tobytes() == expected.y.tobytes()
-    assert sample.w.tobytes() == expected.w.tobytes()
-    assert list(sample.records) == list(expected.records)
-    for name, column in expected.records.items():
-        got = sample.records[name]
-        assert isinstance(got, Column) and got.inverse.dtype == np.int32
-        assert cells(got) == cells(column)
-    del sample.records["note"]
-    design = build_design_matrix(small_spec, sample)
-    for c, ch in enumerate(small_spec.characteristics, start=1):
-        per_cell = [bin_value(ch, v) for v in cells(sample.records[ch.name])]
-        assert design.codes[:, c].tolist() == per_cell
+    for route in ROUTES if '"' not in text else ("csv",):
+        sample = load_by(route, path, monkeypatch)
+        assert sample.n == n
+        assert_same_sample(sample, expected)
+        del sample.records["note"]
+        design = build_design_matrix(small_spec, sample)
+        for c, ch in enumerate(small_spec.characteristics, start=1):
+            per_cell = [bin_value(ch, v) for v in cells(sample.records[ch.name])]
+            assert design.codes[:, c].tolist() == per_cell
 
 
 def test_load_sample_stops_sharing_when_most_cells_are_distinct(tmp_path, monkeypatch):
+    # The stop rule is the csv route's; the byte route factorizes every column.
+    monkeypatch.setattr(data_io, "_plain", lambda buf, size: False)
     monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", 2)
     repeated = "1,1,Gas,Gas,Gas\n" * 4
     distinct = "".join(f"0,{i}.5,{i},x{i},Gas\n" for i in range(20))
@@ -180,7 +250,7 @@ def test_load_sample_stops_sharing_when_most_cells_are_distinct(tmp_path, monkey
     assert a.values[-1] == a.values[0] and a.inverse[-1] != a.inverse[0]
 
 
-def test_load_sample_high_cardinality_matches_oracle(tmp_path, fixture_spec):
+def test_load_sample_high_cardinality_matches_oracle(tmp_path, monkeypatch, fixture_spec):
     # Every numeric cell and every weight distinct: each column stops being
     # factorized after its first block, and keeps its cells as values.
     rng = np.random.default_rng(20261018)
@@ -195,17 +265,120 @@ def test_load_sample_high_cardinality_matches_oracle(tmp_path, fixture_spec):
         lines.append(f"{int(rng.random() < 0.7)},{float(w[i])!r}," + ",".join(cells_i))
     path = tmp_path / "distinct.csv"
     path.write_text("\n".join(lines) + "\n")
-    sample = load_sample(str(path))
     expected = load_sample_rows(str(path))
     assert len(set(expected.w)) == n
-    assert sample.y.tobytes() == expected.y.tobytes()
-    assert sample.w.tobytes() == expected.w.tobytes()
-    design = build_design_matrix(fixture_spec, sample)
-    for c, ch in enumerate(fixture_spec.characteristics, start=1):
-        got, column = sample.records[ch.name], cells(expected.records[ch.name])
-        assert len(set(column)) == n
-        assert got.values == column and (got.inverse == np.arange(n)).all()
-        assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column]
+    for route in ROUTES:
+        sample = load_by(route, path, monkeypatch)
+        assert sample.y.tobytes() == expected.y.tobytes()
+        assert sample.w.tobytes() == expected.w.tobytes()
+        design = build_design_matrix(fixture_spec, sample)
+        for c, ch in enumerate(fixture_spec.characteristics, start=1):
+            got, column = sample.records[ch.name], cells(expected.records[ch.name])
+            assert len(set(column)) == n
+            assert got.values == column and (got.inverse == np.arange(n)).all()
+            assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column]
+
+
+def load_or_fault(load, path):
+    """load(path) as a Sample, or the message of the DataError it raises."""
+    try:
+        return load(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_routes_match_oracle(path, monkeypatch):
+    """Every route the file takes gives the oracle's Sample, or its message."""
+    expected = load_or_fault(load_sample_rows, str(path))
+    for route in ROUTES:
+        got = load_or_fault(lambda p: load_by(route, p, monkeypatch), path)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert_same_sample(got, expected)
+    return expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(b"y,w,a\r\n1,1,5\r\n0,1, 6\r\n", id="crlf"),
+        pytest.param(b"y,w,a\n1,1,5\n0,1,6", id="no-final-newline"),
+        pytest.param(b"y,w,a,b\n1,1,5,x\r\n0,1,6,", id="empty-cell-at-eof"),
+        pytest.param(b"# note,1,2\ny,w,a\n1,1,5\n", id="comment-before-header"),
+        pytest.param(b"y,w,a\n\t# note\n1,1,5\n\x1c# note,1\n0,1,6\n", id="indented-comment"),
+        pytest.param(b"y,w,a\n1,1,#5\n0,1, #\n 1,1,5\n", id="hash-not-first-field"),
+        pytest.param(b"\n\ny,w,a\n\n1,1,5\n\r\n0,1,6\n\n", id="blank-lines"),
+        pytest.param(b" y , w ,a\n1,1,5\n0,1, 5\n1,1,5 \n0,1,\t5\x0b\n", id="padded-cells-merge"),
+        pytest.param(
+            b"y,w,a,b\n1,1,  ,x\n0,1,,x\n1,1,\t,x\n0,1,\x1f,x\n", id="whitespace-only-cells"
+        ),
+        pytest.param(b"y,w,a\n1,1,5\x00\n0,1,5\n1,1,\x00\n0,1,\x005\n", id="nul-in-cell"),
+        pytest.param(b"y,w,a\n1,1,5\n   \n", id="whitespace-only-line"),
+        pytest.param(b"", id="empty-file"),
+        pytest.param(b"# a\n\n# b,c\n", id="comment-only"),
+        pytest.param(b"y,w,a\n", id="header-only"),
+        pytest.param(b"y,w,a", id="header-only-no-newline"),
+        pytest.param(b"y,w,a\n1,1," + b"x" * LIMIT + b"\n", id="field-at-limit"),
+    ],
+)
+def test_load_sample_byte_route_edge_cases(tmp_path, monkeypatch, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    if b"\0" in text and sys.version_info < (3, 11):
+        pytest.skip("the csv module reads a NUL byte as text from Python 3.11")
+    assert data_io._plain(bytearray(text), len(text))
+    assert_routes_match_oracle(path, monkeypatch)
+
+
+def test_load_sample_byte_route_tells_cells_apart_by_their_last_byte(tmp_path, monkeypatch):
+    # Cells either side of each 8-byte word boundary, equal but for their
+    # last byte; the file ends without a newline so the last cell runs to
+    # its end.
+    lengths = [7, 8, 9, 15, 16, 17, 40]
+    rows = ["y,w," + ",".join(f"c{k}" for k in lengths)]
+    for i in range(12):
+        cells_i = ["x" * (k - 1) + "ab"[(i >> k % 3) & 1] for k in lengths]
+        rows.append(f"{i % 2},1," + ",".join(cells_i))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows))
+    expected = assert_routes_match_oracle(path, monkeypatch)
+    for k in lengths:
+        assert len(set(cells(expected.records[f"c{k}"]))) == 2
+
+
+def test_load_sample_byte_route_regroups_exactly_when_keys_collide(tmp_path, monkeypatch):
+    # Cells that differ only in trailing NULs have equal words and differ in
+    # length alone; the csv module reads NUL as text from Python 3.11.
+    nul = b"\0" if sys.version_info >= (3, 11) else b""
+    text = (
+        b"y,w,a,b,c,d\n"
+        + b"".join(
+            b"%d,%s,%s,%s,%s,%s\n"
+            % (
+                i % 2,
+                b"1." + b"0" * (i % 3),
+                b"x" * (i % 11),
+                b" 5"[: i % 3],
+                b"q" * 17 + b"%d" % (i % 4),
+                b"7" + nul * (i % 3),
+            )
+            for i in range(40)
+        )
+    )
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    expected = load_by("bytes", path, monkeypatch)
+    regroups = []
+    exact_groups = data_io._exact_groups
+    monkeypatch.setattr(data_io, "_exact_groups", lambda *a: regroups.append(1) or exact_groups(*a))
+    monkeypatch.setattr(data_io, "_KEY_MIX", (np.uint64(0), np.uint64(0)))
+    sample = load_by("bytes", path, monkeypatch)
+    assert regroups
+    assert_same_sample(sample, load_sample_rows(str(path)))
+    for name, column in expected.records.items():
+        assert sample.records[name].values == column.values
+        assert sample.records[name].inverse.tolist() == column.inverse.tolist()
 
 
 def test_atomic_write_text(tmp_path):
@@ -497,6 +670,9 @@ def test_score_csv_round_trip(tmp_path):
     path.write_text("score\nabc\n")
     with pytest.raises(DataError, match="bad score"):
         load_score_csv(str(path))
+    path.write_text("score\n1\n" + "1" * (LIMIT + 1) + "\n")
+    with pytest.raises(DataError, match=f"line 3: field larger than field limit \\({LIMIT}\\)"):
+        load_score_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +947,24 @@ def test_cli_fit_rejects_non_finite_numbers(tmp_path, small_spec_text, capsys, f
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_cli_reports_a_field_over_the_csv_limit_in_one_line(
+    tmp_path, small_spec_text, capsys, monkeypatch, route
+):
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("y,w,age,fuel\n1,1," + "9" * (LIMIT + 1) + ",Gas\n")
+    plain = data_io._plain
+    monkeypatch.setattr(data_io, "_plain", lambda buf, size: route == "bytes" and plain(buf, size))
+    code = main(["compile", "--spec", str(spec_path), "--data", str(data_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"scorecraft compile: error: {data_path}: row 1: "
+        f"field larger than field limit ({LIMIT})\n"
+    )
 
 
 def test_cli_compare_length_mismatch(tmp_path, small_spec_text, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scorecraft import model
 from scorecraft.constraints import CenteringPolicy
 from scorecraft.data_io import load_sample
 from scorecraft.model import (
@@ -396,3 +397,24 @@ def test_vectorized_binning_equals_bin_value(fixture_spec, random_spec_factory, 
     char950 = fixture_spec.characteristic("char950")
     assert set(design.codes[:, names.index("char950") + 1]) >= {125, 127, 128, 129, 135, 140}
     assert bin_value(char950, 7011) == 128 and bin_value(char950, 7010.5) == 125
+
+
+def test_binning_parses_numbers_and_labels_without_a_call_per_value(fixture_spec, monkeypatch):
+    char950 = fixture_spec.characteristic("char950")
+    labels = sorted(
+        label
+        for att in char950.attributes
+        if isinstance(att.bin, CategoryBin)
+        for label in att.bin.labels
+    )
+    assert "Gas" in labels
+    values = [*labels, "7011", " -3.5 ", "", None, "1e9", " Gas ", "nan", "-inf"]
+    calls = []
+    number = model._number
+    monkeypatch.setattr(model, "_number", lambda text: calls.append(text) or number(text))
+    assert model._bin_values(char950, values).tolist() == [bin_value(char950, v) for v in values]
+    assert calls == []
+    # A text that is neither a number nor a label is parsed one value at a time.
+    values.append("N/A")
+    assert model._bin_values(char950, values).tolist() == [bin_value(char950, v) for v in values]
+    assert "N/A" in calls
