@@ -131,14 +131,34 @@ def _w_value(path: str, row: int, cell: str) -> float:
     return value
 
 
-def _parsed(path: str, values: list, value) -> np.ndarray:
-    """value() of each stripped cell value; NaN where it raises."""
-    out = np.empty(len(values))
-    for i, cell in enumerate(values):
-        try:
-            out[i] = value(path, 0, cell or "")
-        except DataError:
-            out[i] = math.nan
+def _y_valid(values: np.ndarray) -> np.ndarray:
+    """Where parsed y values are ones `_y_value` accepts."""
+    return (values == 0.0) | (values == 1.0)
+
+
+def _w_valid(values: np.ndarray) -> np.ndarray:
+    """Where parsed w values are ones `_w_value` accepts."""
+    return np.isfinite(values) & (values >= 0.0)
+
+
+def _parsed(path: str, values: list, value, valid) -> np.ndarray:
+    """value() of each stripped cell value; NaN where it raises.
+
+    One `float` map in C parses every cell, and `valid`, the array form of
+    value's checks, marks the rest NaN.  value is called per cell only
+    when some cell is empty or no number, and such a file is rejected.
+    """
+    try:
+        out = np.fromiter(map(float, values), float, len(values))
+    except (TypeError, ValueError):
+        out = np.empty(len(values))
+        for i, cell in enumerate(values):
+            try:
+                out[i] = value(path, 0, cell or "")
+            except DataError:
+                out[i] = math.nan
+        return out
+    out[~valid(out)] = math.nan
     return out
 
 
@@ -573,8 +593,8 @@ def load_sample(path: str) -> Sample:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             char_names, cells, stop = _csv_table(path, handle)
     y_cells, w_cells, *columns = cells
-    y = _parsed(path, y_cells.values, _y_value)[y_cells.inverse]
-    w = _parsed(path, w_cells.values, _w_value)[w_cells.inverse]
+    y = _parsed(path, y_cells.values, _y_value, _y_valid)[y_cells.inverse]
+    w = _parsed(path, w_cells.values, _w_value, _w_valid)[w_cells.inverse]
     bad = np.flatnonzero(np.isnan(y) | np.isnan(w))
     if bad.size:
         i = int(bad[0])

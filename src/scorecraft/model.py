@@ -393,11 +393,6 @@ class Sample:
         return self
 
 
-# Rows per chunk of the codes in DesignMatrix.scores, rmatvec and gram, so
-# that no temporary grows with n times the number of characteristics.
-CHUNK_ROWS = 4096
-
-
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """n x q design matrix of attribute indicators whose first column is 1.
@@ -406,15 +401,18 @@ class DesignMatrix:
     characteristics: column 0 is the intercept's code 0, and column c + 1
     holds the design column (the attribute index) that row i bins to in
     characteristic c.  `blocks` maps each characteristic (name, start,
-    stop) to its column range.
+    stop) to its column range; the ranges follow one another from column 1.
 
-    `scores`, `rmatvec` and `gram` are the operations a fit needs; `x` is
-    the dense n x q float view, built on first read and then kept.
+    `scores`, `rmatvec` and `gram` are the operations a fit needs.
+    `scores` and `gram` work on `runs`, which join consecutive
+    characteristics into one code per row; `rmatvec` sums each code
+    column.  `x` is the dense n x q float view, built on first read and
+    then kept.
     """
 
     column_labels: tuple[str, ...]
     codes: np.ndarray
-    blocks: tuple[tuple[str, int, int], ...] = ()
+    blocks: tuple[tuple[str, int, int], ...]
 
     @property
     def n(self) -> int:
@@ -431,48 +429,97 @@ class DesignMatrix:
         dense[np.arange(self.n)[:, None], self.codes] = 1.0
         return dense
 
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
+        """Runs of consecutive characteristics, as (lo, hi, joint, table).
+
+        A run grows while its joint code space, the product of its
+        characteristics' attribute counts, stays within sqrt(n) codes; a
+        characteristic with more attributes than that is a run by itself.
+        So a run's histogram has at most sqrt(n) bins and a pair of runs'
+        at most n, unless a run is one characteristic with more attributes;
+        then a pair's histogram is no larger than the q x q result.
+
+        A run covers design columns lo..hi-1.  joint (int32) is each row's
+        joint code: its attributes in the run's characteristics as the
+        digits of a mixed-radix number, the first characteristic's digit
+        most significant.  table is the K x (hi - lo) 0/1 matrix whose row
+        k marks the attributes that joint code k holds, so that X[:, lo:hi]
+        equals table[joint].
+        """
+        limit = math.isqrt(self.n)
+        groups: list[list[tuple[int, int, int]]] = []  # (code column, start, stop)
+        size = 0
+        for col, (_, start, stop) in enumerate(self.blocks, start=1):
+            if groups and size * (stop - start) <= limit:
+                groups[-1].append((col, start, stop))
+                size *= stop - start
+            else:
+                groups.append([(col, start, stop)])
+                size = stop - start
+        runs = []
+        for group in groups:
+            lo, hi = group[0][1], group[-1][2]
+            joint = np.zeros(self.n, dtype=np.int32)
+            offset = 0
+            for col, start, stop in group:
+                joint *= stop - start
+                joint += self.codes[:, col]
+                offset = offset * (stop - start) + start
+            joint -= offset
+            digits = np.indices([stop - start for _, start, stop in group]).reshape(len(group), -1)
+            table = np.zeros((digits.shape[1], hi - lo))
+            for (_, start, _), digit in zip(group, digits):
+                table[np.arange(digits.shape[1]), start - lo + digit] = 1.0
+            runs.append((lo, hi, joint, table))
+        return tuple(runs)
+
     def scores(self, beta: np.ndarray) -> np.ndarray:
-        """theta = X beta: the sum of each row's gathered weights."""
-        theta = np.empty(self.n)
-        for lo in range(0, self.n, CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            np.sum(beta[self.codes[rows]], axis=1, out=theta[rows])
+        """theta = X beta: the intercept plus one looked-up weight sum per run."""
+        theta = np.full(self.n, float(beta[0]))
+        for lo, hi, joint, table in self.runs:
+            theta += (table @ beta[lo:hi])[joint]
         return theta
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """X' r: r summed per design column by bincount."""
+        """X' r: r summed per design column by one bincount per code column.
+
+        Each column's sums run over the rows in row order; code columns
+        own disjoint design columns, so adding their bincounts is exact.
+        """
         out = np.zeros(self.q)
-        for lo in range(0, self.n, CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            out += np.bincount(
-                self.codes[rows].ravel(),
-                weights=np.repeat(r[rows], self.codes.shape[1]),
-                minlength=self.q,
-            )
+        for column in self.codes.T:
+            out += np.bincount(column, weights=r, minlength=self.q)
         return out
 
     def gram(self, c: np.ndarray) -> np.ndarray:
-        """X' diag(c) X for nonnegative c, as a symmetric q x q matrix.
+        """X' diag(c) X, exactly symmetric, from weighted histograms of runs.
 
-        Accumulated as block' block over dense blocks of CHUNK_ROWS
-        rows of diag(sqrt(c)) X, so no n x q temporary is formed; numpy
-        hands each product to BLAS as a symmetric rank-k update.  The
-        block and the product reuse one buffer each.
+        Per run, h = bincount(joint, c) over its K joint codes gives the
+        intercept row table' h and the diagonal block table' diag(h) table.
+        Per pair of runs g < h, the K_g x K_h histogram H of c over the
+        pair's joint codes gives the block table_g' (H table_h), written to
+        both sides.  Each pass over the rows is one bincount; the dense
+        products are over codes, not rows.
         """
-        acc = np.zeros((self.q, self.q))
-        prod = np.empty_like(acc)
-        step = CHUNK_ROWS
-        scale = np.sqrt(c)
-        buf = np.zeros((min(self.n, step), self.q))
-        cells = buf.reshape(-1)
-        row_starts = (np.arange(buf.shape[0]) * self.q)[:, None]
-        for lo in range(0, self.n, step):
-            codes = self.codes[lo : lo + step]
-            block, at = buf[: len(codes)], (codes + row_starts[: len(codes)]).reshape(-1)
-            cells[at] = np.repeat(scale[lo : lo + step], codes.shape[1])
-            acc += np.matmul(block.T, block, out=prod)
-            cells[at] = 0.0
-        return acc
+        out = np.zeros((self.q, self.q))
+        out[0, 0] = c.sum()
+        runs = self.runs
+        for lo, hi, joint, table in runs:
+            h = np.bincount(joint, weights=c, minlength=table.shape[0])
+            out[0, lo:hi] = out[lo:hi, 0] = h @ table
+            block = table.T @ (h[:, None] * table)
+            out[lo:hi, lo:hi] = np.triu(block) + np.triu(block, 1).T
+        for g, (lo_g, hi_g, joint_g, table_g) in enumerate(runs):
+            for lo_h, hi_h, joint_h, table_h in runs[g + 1 :]:
+                k = table_h.shape[0]
+                pair = np.multiply(joint_g, k, dtype=np.intp)
+                pair += joint_h
+                hist = np.bincount(pair, weights=c, minlength=table_g.shape[0] * k)
+                block = table_g.T @ (hist.reshape(-1, k) @ table_h)
+                out[lo_g:hi_g, lo_h:hi_h] = block
+                out[lo_h:hi_h, lo_g:hi_g] = block.T
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +651,8 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
     if missing:
         raise SpecError(f"sample lacks characteristic(s): {sorted(missing)}")
 
-    codes = np.zeros((sample.n, 1 + len(spec.characteristics)), dtype=np.intp)
+    # Column-major: the design's operations read the codes column by column.
+    codes = np.zeros((sample.n, 1 + len(spec.characteristics)), dtype=np.intp, order="F")
     for c, ch in enumerate(spec.characteristics, start=1):
         column = sample.records[ch.name]
         codes[:, c] = _bin_values(ch, column.values)[column.inverse]

@@ -225,6 +225,10 @@ def logistic_terms(
         grad = X' [w (prob - y)]
         hess = X' diag(w prob (1-prob)) X   (None unless hessian is set)
         minus_ll = w' (log(1+e^theta) - y theta)
+    On a `DesignMatrix`, theta is one table lookup per run of
+    characteristics, grad one bincount per code column, and hess, the
+    largest cost, one weighted histogram of joint codes per run and per
+    pair of runs.
     """
     y, w = _check_sample(design, y, w)
     beta = _check_beta(design, beta)

@@ -22,7 +22,6 @@ from scorecraft.constraints import (
 from scorecraft.data_io import SyntheticConfig, gen_synthetic, implied_true_beta
 from scorecraft.metrics import roc
 from scorecraft.model import (
-    CHUNK_ROWS,
     Attribute,
     Characteristic,
     ConstraintTag,
@@ -588,8 +587,10 @@ def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_
         good_probs=good, bad_probs=bad,
     )
     cases = [(small_spec, gen_synthetic(cfg), compile_constraints(small_spec))]
-    # The first random sample spans three row chunks, the last one partial.
-    for n in (2 * CHUNK_ROWS + 123, 800, 800, 800, 800, 800):
+    # The first random sample is the large one: its design joins
+    # characteristics into runs of up to 91 joint codes (sqrt(8315) = 91.2),
+    # against 28 at n = 800.
+    for n in (8315, 800, 800, 800, 800, 800):
         spec = random_spec_factory(rng)
         cases.append((spec, representative_sample(spec, rng, n), noinfo_pins(spec)))
     terms_gap = beta_gap = theta_gap = 0.0

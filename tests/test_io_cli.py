@@ -279,6 +279,42 @@ def test_load_sample_high_cardinality_matches_oracle(tmp_path, monkeypatch, fixt
             assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column]
 
 
+def test_load_sample_parses_y_and_w_without_a_call_per_value(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20261019)
+    n = 10000
+    w = rng.permutation(n) + rng.uniform(0.01, 0.99, n)
+    ys = [" 1 ", "0", "1e0", "-0", "1.0"]
+    lines = ["y,w,age"] + [f"{ys[i % 5]},{float(w[i])!r},{i % 7}" for i in range(n)]
+    path = tmp_path / "weights.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = load_sample_rows(str(path))
+    assert len(set(expected.w)) == n
+    calls = []
+
+    def counted(value):
+        return lambda path, row, cell: calls.append(cell) or value(path, row, cell)
+
+    for name in ("_y_value", "_w_value"):
+        monkeypatch.setattr(data_io, name, counted(getattr(data_io, name)))
+    for route in ROUTES:
+        sample = load_by(route, path, monkeypatch)
+        assert sample.y.tobytes() == expected.y.tobytes()
+        assert sample.w.tobytes() == expected.w.tobytes()
+    assert calls == []
+    # An empty weight sends its column through a call per value; the
+    # message is the oracle's.
+    path.write_text("\n".join(lines[:-1] + ["1,,3"]) + "\n")
+    with pytest.raises(DataError) as expected_fault:
+        load_sample_rows(str(path))
+    for route in ROUTES:
+        calls.clear()
+        with pytest.raises(DataError) as raised:
+            load_by(route, path, monkeypatch)
+        assert str(raised.value) == str(expected_fault.value)
+        assert str(raised.value).endswith(f"row {n}, column w: weight is required")
+        assert len(calls) >= n
+
+
 def load_or_fault(load, path):
     """load(path) as a Sample, or the message of the DataError it raises."""
     try:

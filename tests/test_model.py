@@ -7,11 +7,13 @@ import pytest
 from scorecraft import model
 from scorecraft.constraints import CenteringPolicy
 from scorecraft.data_io import load_sample
+from dense_design import DenseDesign
 from scorecraft.model import (
     Attribute,
     CategoryBin,
     Characteristic,
     ConstraintTag,
+    DesignMatrix,
     FixedTo,
     GreaterThan,
     IntervalBin,
@@ -298,6 +300,62 @@ def test_score_vector():
         score_vector(dm, np.ones(spec.q + 1))
     with pytest.raises(SpecError, match="must be a DesignMatrix"):
         score_vector(dm.x, beta)
+
+
+def coded_design(widths, n, rng, order):
+    """A DesignMatrix over characteristics of the given attribute counts, random codes."""
+    blocks, columns, start = [], [np.zeros(n, dtype=np.intp)], 1
+    for c, width in enumerate(widths):
+        blocks.append((f"c{c}", start, start + width))
+        columns.append(rng.integers(start, start + width, n))
+        start += width
+    codes = np.array(np.stack(columns, axis=1), order=order)
+    return DesignMatrix(tuple(map(str, range(start))), codes, tuple(blocks))
+
+
+def relative_gap(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4097, 20000])
+def test_design_operations_equal_the_dense_products(fixture_spec, n):
+    rng = np.random.default_rng(n)
+    bundled = [len(ch.attributes) for ch in fixture_spec.characteristics]
+    # 200 and 300 attributes are more than sqrt(n) codes for every n here.
+    for widths, order in [
+        (bundled, "F"), (bundled, "C"), ([3, 200, 4, 2, 6], "F"),
+        ([5], "F"), ([300], "C"), ([2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2], "F"),
+    ]:
+        design = coded_design(widths, n, rng, order)
+        dense = DenseDesign(design.x)
+        # Runs cover the characteristics in order, each as long as sqrt(n)
+        # allows, and X[:, lo:hi] is table[joint].
+        held = []
+        for lo, hi, joint, table in design.runs:
+            held.append([stop - start for _, start, stop in design.blocks if lo <= start < hi])
+            assert table.shape[0] == math.prod(held[-1])
+            assert len(held[-1]) == 1 or table.shape[0] <= math.sqrt(n)
+            assert joint.dtype == np.int32
+            assert np.array_equal(table[joint], design.x[:, lo:hi])
+        assert sum(held, []) == widths and design.runs[-1][1] == design.q
+        for run, after in zip(held, held[1:]):
+            assert math.prod(run) * after[0] > math.sqrt(n)
+        c = rng.uniform(0.0, 0.25, n) * (rng.random(n) < 0.9)
+        beta = rng.normal(0.0, 1.0, design.q)
+        r = rng.normal(0.0, 1.0, n)
+        assert relative_gap(design.scores(beta), dense.scores(beta)) <= 1e-12
+        assert relative_gap(design.rmatvec(r), dense.rmatvec(r)) <= 1e-12
+        gram = design.gram(c)
+        assert relative_gap(gram, dense.gram(c)) <= 1e-12
+        assert np.array_equal(gram, gram.T)
+        if n == 20000:
+            # Centering counts are X' w: exact sums over rows in row order.
+            w = rng.uniform(0.5, 2.0, n)
+            per_column = sum(
+                np.bincount(design.codes[:, k], weights=w, minlength=design.q)
+                for k in range(design.codes.shape[1])
+            )
+            assert design.rmatvec(w).tobytes() == per_column.tobytes()
 
 
 def test_write_parse_round_trip_random_specs(random_spec_factory):
