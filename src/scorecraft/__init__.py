@@ -16,6 +16,7 @@ thread pools before numpy is first loaded.
 _EXPORTS = {
     # model
     "SpecError": "model",
+    "StepError": "model",
     "SpecialBin": "model",
     "IntervalBin": "model",
     "CategoryBin": "model",
@@ -57,7 +58,6 @@ _EXPORTS = {
     "PenaltySpec": "sqp",
     "FitConfig": "sqp",
     "FitResult": "sqp",
-    "StepError": "sqp",
     "logistic_terms": "sqp",
     "minus_log_likelihood": "sqp",
     "score_minus_log_likelihood": "sqp",

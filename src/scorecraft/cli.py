@@ -159,11 +159,14 @@ def _compiled(args, spec, sample, design=None):
 
 
 def _cmd_compile(args) -> int:
-    from .data_io import load_sample
     from .model import parse_spec
 
     spec = parse_spec(_read_text(args.spec))
-    sample = load_sample(args.data) if args.data else None
+    sample = None
+    if args.data:
+        from .data_io import load_sample
+
+        sample = load_sample(args.data)
     cs = _compiled(args, spec, sample)
     print(f"coefficients: {cs.q} (1 intercept + {cs.q - 1} attributes)")
     print(f"equality rows: {cs.m_e}")
@@ -238,12 +241,40 @@ def _cmd_eval(args) -> int:
     print(f"roc_area {m.roc_area:.4f}")
     if args.dump_cdfs:
         cdfs = score_cdfs(theta, sample.y, sample.w)
-        lines = ["# score goods_cdf bads_cdf"]
-        for s, fg, fb in zip(cdfs.sorted_score, cdfs.goods_cdf, cdfs.bads_cdf):
-            lines.append(f"{float(s)!r} {float(fg)!r} {float(fb)!r}")
-        atomic_write_text(args.dump_cdfs, "\n".join(lines) + "\n")
+        atomic_write_text(args.dump_cdfs, _cdf_table(cdfs))
         print(f"wrote cdf dump to {args.dump_cdfs}")
     return 0
+
+
+# Rows of the --dump-cdfs table formatted in one go.
+_DUMP_ROWS = 1 << 14
+
+
+def _reprs(values) -> list[str]:
+    """repr of each value of a nondecreasing float array, made once per run.
+
+    A run is equal bits, so -0.0 and 0.0 stay apart.
+    """
+    import numpy as np
+
+    bits = values.view(np.int64)
+    start = np.ones(len(values), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=start[1:])
+    texts = np.array(list(map(repr, values[start].tolist())), dtype=object)
+    return texts[np.cumsum(start) - 1].tolist()
+
+
+def _cdf_table(cdfs):
+    """The --dump-cdfs table in blocks of _DUMP_ROWS lines: score, goods and bads CDFs.
+
+    Every column is nondecreasing, so equal values are adjacent and each
+    is formatted once per run in a block.
+    """
+    columns = (cdfs.sorted_score, cdfs.goods_cdf, cdfs.bads_cdf)
+    yield "# score goods_cdf bads_cdf\n"
+    for a in range(0, len(columns[0]), _DUMP_ROWS):
+        texts = [_reprs(column[a : a + _DUMP_ROWS]) for column in columns]
+        yield "".join(map("{} {} {}\n".format, *texts))
 
 
 def _cmd_compare(args) -> int:
@@ -354,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    from .sqp import StepError
+    from .model import StepError
 
     try:
         return _HANDLERS[args.command](args)

@@ -6,14 +6,15 @@ weight.  Each column is read as its distinct stripped cells and an integer
 inverse (a `Column`), by one of two routes that give the same Sample and
 the same errors.  A plain file (ASCII, no `"`, each `\\r` before a `\\n`,
 under 2 GiB), as `scorecraft gen` writes, takes the byte route: numpy
-finds the commas and line ends in the file's bytes and factorizes each
-column by 8-byte words of its cells, and Python decodes distinct cells
-only.  Any other file streams through the csv module in blocks, mapping
-cell texts to indices in one `map` per block; there a column whose cells
-are mostly distinct keeps them as read instead.  y and w are parsed once
-per distinct cell.  Fitted models persist as versioned JSON with the spec
-text embedded so evaluation can rebuild the design matrix.  All writes go
-through a temporary file and an atomic rename.
+finds the commas and line ends in the file's bytes, keys every cell by its
+bytes while its row block is in cache and groups each column by its keys,
+and Python decodes distinct cells only.  Any other file streams through
+the csv module in blocks, mapping cell texts to indices in one `map` per
+block; there a column whose cells are mostly distinct keeps them as read
+instead.  y and w are parsed once per distinct cell.  Fitted models persist
+as versioned JSON with the spec text embedded so evaluation can rebuild the
+design matrix.  All writes go through a temporary file and an atomic
+rename.
 
 Synthetic samples draw each characteristic's attribute from class
 conditional multinomials using the counter-based Philox generator, so one
@@ -37,7 +38,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import Optional, get_type_hints
+from typing import Iterable, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -85,13 +86,13 @@ class DataError(ValueError):
     """Raised for malformed data files or synthetic configurations."""
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and atomic rename."""
+def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
+    """Write text, or its pieces in turn, via a same-directory temp file and atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -302,19 +303,28 @@ def _csv_table(path: str, handle) -> tuple[list[str], list[Column], Optional[str
     return char_names, columns, stop[0] if stop else None
 
 
-# The byte route.  A cell is read as 8-byte little-endian words masked to its
-# length; its key is its length times the first constant plus word k times
-# the second times 2k + 1, modulo 2**64.  Keys only group cells: each cell
-# is then compared with its group's first, so a collision costs an exact
-# regrouping, never a wrong value.
+# The byte route.  Every cell gets a 64-bit key while its row block is in
+# cache.  A cell under 8 bytes is keyed exactly: its bytes as a little-endian
+# word, with its length in the top byte.  A longer cell's key is a hash with
+# the top bit set: its length times the first constant plus the second times
+# the sum of its first 8 bytes, 3 times its last 8 bytes and, over 16 bytes,
+# 2k + 5 times its word k (see `_long_words`), all modulo 2**64.  Keys only
+# group cells: a second pass over the row blocks compares each long cell with
+# its group's first, so a collision costs an exact regrouping, never a wrong
+# value.
 _WORD = 8
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(_WORD)] + [2**64 - 1], dtype=np.uint64)
+# A short cell's length in its key's top byte; a long cell's key is set apart.
+_LENGTHS = np.array([k << 8 * (_WORD - 1) for k in range(_WORD)] + [0], dtype=np.uint64)
+_LONG = np.uint64(1 << 63)
 _KEY_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
+# Multiplier of the slot table that finds each key among a column's distinct keys.
+_SLOT_MIX = np.uint64(0x9E3779B97F4A7C15)
 # Whether a byte is whitespace that str.strip removes.
 _SPACE = np.array([chr(c).isspace() for c in range(256)]) & (np.arange(256) < 128)
-# Data rows whose cell offsets are found in one go.
-_BYTE_BLOCK_ROWS = 1 << 13
-# Cell words read in one go, at most (a block spans one word at least).
+# Data rows whose cells are found and keyed in one go.
+_BYTE_BLOCK_ROWS = 1 << 12
+# Words of long cells read in one go, at most (a block spans one word at least).
 _BLOCK_WORDS = 1 << 20
 # Distinct cells' bytes are gathered in pieces of about this many.
 _PIECE_BYTES = 1 << 16
@@ -348,94 +358,220 @@ def _first_rows(group: np.ndarray, groups: int) -> np.ndarray:
     return first
 
 
-def _word_block(words: np.ndarray, at: np.ndarray, left: np.ndarray, span: int) -> np.ndarray:
-    """Words 0 .. span-1 (rows) of the cells at `at` with `left` bytes (columns).
+def _cell_blocks(u8: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int):
+    """The cells of the rows whose lines start and end there, block by block.
 
-    Words are masked to the cells' lengths: zero past their end.
+    Yields (r0, at, left, ragged): at[j, i] is where cell j of row r0 + i
+    starts, and left[j, i] its length.  At a row with another field count
+    than width the block ends before it and is the last; ragged is then
+    that row's index and field count, and None before.
     """
-    offsets = _WORD * np.arange(span)[:, None]
-    index = at + offsets
-    block = words[np.minimum(index, len(words) - 1, out=index)]
-    width = left - offsets
-    block &= _MASKS[np.clip(width, 0, _WORD, out=width)]
-    return block
-
-
-def _cell_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """The cells' masked 8-byte words in blocks: (rows, k, block).
-
-    block[j, i] is word k + j of the cell at rows[i].  rows are all cells
-    (a slice) at first, then the cells that go on past the block before.  A
-    block spans the cells' mean length, or as many word positions as keep it
-    near _BLOCK_WORDS words: so the few cells that go on take blocks of
-    their own, and a few long cells take a few blocks, not one per word.
-    """
-    rows, at, left, k = slice(None), starts, lengths, 0
-    while len(left):
-        span = max(1, min(_BLOCK_WORDS // len(left), -(-int(left.sum()) // (_WORD * len(left)))))
-        yield rows, k, _word_block(words, at, left, span)
-        more = np.flatnonzero(left > _WORD * span)
-        rows = more if isinstance(rows, slice) else rows[more]
-        at, left, k = at[more] + _WORD * span, left[more] - _WORD * span, k + span
-
-
-def _exact_groups(lengths: np.ndarray, blocks: list) -> np.ndarray:
-    """Group ids of cells by their length and `_cell_words` blocks, exactly.
-
-    Cells are grouped by length, then the groups are split block by block.
-    Cells of one group have one length, so a block splits only the groups
-    it reaches.
-    """
-    ids = lengths.astype(np.intp)
-    for rows, _, block in blocks:
-        pairs = np.column_stack((ids[rows], block.T.view(np.intp)))
-        split = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(-1)
-        ids[rows] = split + int(ids.max()) + 1
-    return ids
-
-
-def _byte_groups(words: np.ndarray, starts: np.ndarray,
-                 lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells grouped by their bytes: each cell's group and each group's first row.
-
-    Groups are numbered 0, 1, ... in order of first occurrence; the group
-    numbers are int32 and the first rows ascend.
-    """
-    blocks = list(_cell_words(words, starts, lengths))
-    key = lengths.astype(np.uint64) * _KEY_MIX[0]
-    for rows, k, block in blocks:
-        mix = _KEY_MIX[1] * (2 * np.arange(k, k + len(block), dtype=np.uint64) + 1)
-        key[rows] += (block * mix[:, None]).sum(axis=0)
-    keys, group = np.unique(key, return_inverse=True)
-    del key
-    if len(keys) == len(group):
-        # Every cell has a key of its own: each is its own group.
-        rows = np.arange(len(group))
-        return rows.astype(np.int32), rows
-    group = group.reshape(-1)
-    head = _first_rows(group, len(keys))[group]
-    # Each cell must equal its group's first cell: one length, the same
-    # words.  A block of some cells reads their first cells' words again.
-    exact = np.array_equal(lengths[head], lengths)
-    for rows, k, block in blocks:
-        if not exact:
-            break
-        if isinstance(rows, slice):
-            exact = np.array_equal(block[:, head], block)
+    for r0 in range(0, len(starts), _BYTE_BLOCK_ROWS):
+        begin, end = starts[r0 : r0 + _BYTE_BLOCK_ROWS], ends[r0 : r0 + _BYTE_BLOCK_ROWS]
+        commas = np.flatnonzero(u8[begin[0] : end[-1]] == ord(",")) + begin[0]
+        comma0 = np.searchsorted(commas, begin)
+        fields = np.searchsorted(commas, end) - comma0 + 1
+        wrong = np.flatnonzero(fields != width)
+        ragged = None
+        if wrong.size:
+            b = int(wrong[0])
+            ragged = (r0 + b, int(fields[b]))
+            begin, end, comma0 = begin[:b], end[:b], comma0[:b]
+        # at[width] is each line's end + 1, where a next cell would start.
+        at = np.empty((width + 1, len(begin)), dtype=np.intp)
+        at[0] = begin
+        if len(commas) == len(begin) * (width - 1):
+            # No comma falls outside the rows: row i has commas i(width - 1) on.
+            at[1:width] = commas.reshape(len(begin), width - 1).T
         else:
-            at, left = starts[head[rows]] + _WORD * k, lengths[rows] - _WORD * k
-            exact = np.array_equal(_word_block(words, at, left, len(block)), block)
-    del head
-    if not exact:
-        # Some key is shared by cells that differ.
-        keys, group = np.unique(_exact_groups(lengths, blocks), return_inverse=True)
-        group = group.reshape(-1)
-    is_first = np.zeros(len(group), dtype=bool)
-    is_first[_first_rows(group, len(keys))] = True
+            at[1:width] = commas[comma0 + np.arange(width - 1)[:, None]]
+        at[1:width] += 1
+        at[width] = end + 1
+        del commas, comma0
+        left = np.diff(at, axis=0)
+        left -= 1
+        yield r0, at[:width], left, ragged
+        if ragged:
+            return
+
+
+def _long_words(words: np.ndarray, at: np.ndarray, left: np.ndarray):
+    """The 8-byte words of cells of 8 bytes or more, in blocks: (rows, k, block).
+
+    block[j, i] is word k + j of the cell at rows[i]: its 8 bytes from
+    offset 8(k + j), or its last 8 bytes for its last word, and 0 past
+    that.  So every word read lies inside its cell, and cells of one length
+    are equal exactly where their words are.  rows are all cells (a slice)
+    at first, then the cells that go on past the block before.  A block
+    spans the cells' mean length, or as many word positions as keep it near
+    _BLOCK_WORDS words: so the few cells that go on take blocks of their
+    own, and a few very long cells take a few blocks, not one per word.
+    """
+    rows, k, last = slice(None), 0, left - _WORD
+    while len(at):
+        mean = -(-int(last.sum() + _WORD * len(at)) // (_WORD * len(at)))
+        span = max(1, min(_BLOCK_WORDS // len(at), mean))
+        offsets = _WORD * np.arange(k, k + span)[:, None]
+        block = words[at + np.minimum(offsets, last)]
+        block[offsets >= last + _WORD] = 0
+        yield rows, k, block
+        more = np.flatnonzero(last > offsets[-1])
+        rows = more if isinstance(rows, slice) else rows[more]
+        at, last, k = at[more], last[more], k + span
+
+
+def _cell_keys(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The keys of the cells at `at` with `left` bytes, in at's shape."""
+    size = np.minimum(left, _WORD)
+    key = words[at]
+    key &= _MASKS[size]
+    key |= _LENGTHS[size]
+    long = np.flatnonzero(left >= _WORD)
+    if long.size:
+        at, left = at.ravel()[long], left.ravel()[long]
+        hashed = words[at + left - _WORD]
+        hashed *= 3
+        hashed += key.ravel()[long]  # so far a long cell's key is its first word
+        more = np.flatnonzero(left > 2 * _WORD)
+        for rows, k, block in _long_words(words, at[more], left[more]):
+            mix = 2 * np.arange(k, k + len(block), dtype=np.uint64) + 5
+            hashed[more[rows]] += (block * mix[:, None]).sum(axis=0)
+        hashed *= _KEY_MIX[1]
+        hashed += left.astype(np.uint64) * _KEY_MIX[0]
+        key.ravel()[long] = hashed | _LONG
+    return key
+
+
+def _find(distinct: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The index of each key in the sorted, distinct keys that hold them all.
+
+    The distinct keys go into a slot table of 8 to 16 slots per key, or 2
+    to 4 per cell where there are more keys than a quarter of the cells, by
+    multiplicative hashing: most cells find their key in one gather, and a
+    cell whose slot holds another key takes a binary search.
+    """
+    bits = min(8 * len(distinct), 2 * len(key)).bit_length()
+    shift = np.uint64(64 - bits)
+    slot = distinct * _SLOT_MIX
+    slot >>= shift
+    table = np.zeros(1 << bits, dtype=np.intp)
+    table[slot.view(np.intp)] = np.arange(len(distinct))
+    slot = key * _SLOT_MIX
+    slot >>= shift
+    found = table[slot.view(np.intp)]
+    miss = np.flatnonzero(distinct[found] != key)
+    found[miss] = np.searchsorted(distinct, key[miss])
+    return found
+
+
+def _key_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells grouped by key: each cell's group, and whether it is its group's first.
+
+    Groups are numbered 0, 1, ... in order of first occurrence, as int32.
+    The distinct keys come from a sort, and `_find` gives each cell its
+    key's place among them.
+    """
+    ordered = np.sort(key)
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered, new
+    if len(distinct) == len(key):
+        # Every cell has a key of its own: each is its own group.
+        return np.arange(len(key), dtype=np.int32), np.ones(len(key), dtype=bool)
+    group = _find(distinct, key)
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[_first_rows(group, len(distinct))] = True
     first = np.flatnonzero(is_first)
-    rank = np.empty(len(keys), dtype=np.int32)
+    rank = np.empty(len(distinct), dtype=np.int32)
     rank[group[first]] = np.arange(len(first), dtype=np.int32)
-    return rank[group], first
+    return rank[group], is_first
+
+
+def _exact_groups(key: np.ndarray, words: np.ndarray, rows: np.ndarray,
+                  at: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Keys equal exactly where the cells are: the long cells' hashes replaced.
+
+    The long cells are at rows, at `at`, with `left` bytes.  They are
+    grouped by length, then the groups are split block by block of
+    `_long_words`.  Cells of one group have one length, so a block splits
+    only the groups it reaches.
+    """
+    ids = left.astype(np.intp)
+    for sub, _, block in _long_words(words, at, left):
+        pairs = np.column_stack((ids[sub], block.T.view(np.intp)))
+        split = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(-1)
+        ids[sub] = split + int(ids.max()) + 1
+    exact = key.copy()
+    exact[rows] = ids.astype(np.uint64) | _LONG
+    return exact
+
+
+def _first_cells(u8: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 groups: list, is_first: np.ndarray) -> tuple[list, np.ndarray]:
+    """Each group's first cell, and which columns' keys join unequal long cells.
+
+    A second pass over the row blocks: for each column, it notes where each
+    group's first cell is and its length, and compares each other long cell
+    with its group's first while its block is in cache.  groups[j] are
+    column j's groups, and is_first[j] marks the first cell of each.
+    """
+    width = len(groups)
+    base = np.cumsum([0, *map(np.count_nonzero, is_first)])
+    cell_at = np.empty(base[-1], dtype=np.int32)
+    cell_left = np.empty(base[-1], dtype=np.int32)
+    found = base[:-1].tolist()
+    unequal = np.zeros(width, dtype=bool)
+    for r0, at, left, _ in _cell_blocks(u8, starts, ends, width):
+        rows = at.shape[1]
+        firsts = is_first[:, r0 : r0 + rows]
+        for j in range(width):
+            new = np.flatnonzero(firsts[j])
+            if new.size:
+                a, b = found[j], found[j] + new.size
+                cell_at[a:b] = at[j][new]
+                cell_left[a:b] = left[j][new]
+                found[j] = b
+        # The other long cells, of columns not yet found unequal.
+        long = np.flatnonzero((left >= _WORD) & ~firsts & ~unequal[:, None])
+        column, row = np.divmod(long, rows)
+        row += r0
+        head = np.empty_like(long)
+        bounds = np.searchsorted(column, np.arange(width + 1)).tolist()
+        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            head[a:b] = groups[j][row[a:b]]
+        head += base[column]
+        size = left.ravel()[long]
+        same = cell_left[head] == size
+        unequal[column[~same]] = True
+        mine, theirs, size = at.ravel()[long[same]], cell_at[head[same]], size[same]
+        column = column[same]
+        # The first and last 8 bytes, then the words of cells over 16 bytes.
+        same = words[mine] == words[theirs]
+        same &= words[mine + size - _WORD] == words[theirs + size - _WORD]
+        more = np.flatnonzero(same & (size > 2 * _WORD))
+        size = size[more]
+        for (sub, _, block), (_, _, other) in zip(
+            _long_words(words, mine[more], size), _long_words(words, theirs[more], size)
+        ):
+            same[more[sub]] &= (block == other).all(axis=0)
+        unequal[column[~same]] = True
+    cells = [(cell_at[a:b], cell_left[a:b]) for a, b in zip(base, base[1:])]
+    return cells, unequal
+
+
+def _regrouped(u8: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               width: int, j: int) -> tuple[np.ndarray, tuple]:
+    """Column j grouped exactly, and its groups' first cells' offsets and lengths."""
+    at = np.empty(len(starts), dtype=np.intp)
+    left = np.empty(len(starts), dtype=np.intp)
+    for r0, block_at, block_left, _ in _cell_blocks(u8, starts, ends, width):
+        at[r0 : r0 + block_at.shape[1]] = block_at[j]
+        left[r0 : r0 + block_at.shape[1]] = block_left[j]
+    long = np.flatnonzero(left >= _WORD)
+    exact = _exact_groups(_cell_keys(words, at, left), words, long, at[long], left[long])
+    group, is_first = _key_groups(exact)
+    return group, (at[is_first], left[is_first])
 
 
 def _joined(u8: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Optional[mmap.mmap]:
@@ -470,14 +606,17 @@ def _byte_table(path: str, buf: bytearray, size: int):
     Reads a file that `_plain` accepts from its bytes, giving what the csv
     route gives: numpy finds the line ends and the commas, and a line is
     read in Python only where the comment rule or the field size limit
-    needs it.  Each column comes as the arguments of `_text_column`, which
-    hold no reference to buf.
+    needs it.  Every cell is keyed while its row block is in cache, each
+    column is grouped by its keys, and one more pass over the blocks finds
+    each group's first cell and checks the long cells.  Each column comes
+    as the arguments of `_text_column`, which hold no reference to buf.
     """
     u8 = np.frombuffer(buf, dtype=np.uint8)
     words = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))
     breaks = np.flatnonzero(u8[:size] == ord("\n"))
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [size]))
+    del breaks
     ends -= (ends > starts) & (u8[ends - 1] == ord("\r"))
 
     def line(i: int) -> str:
@@ -488,6 +627,7 @@ def _byte_table(path: str, buf: bytearray, size: int):
     for i in np.flatnonzero(used & _SPACE[lead]).tolist():
         used[i] = not _is_comment(line(i).split(",", 1))
     lines = np.flatnonzero(used)
+    del lead, used
     limit = csv.field_size_limit()
     over = next(
         (i for i in np.flatnonzero(ends - starts > limit).tolist()
@@ -503,38 +643,36 @@ def _byte_table(path: str, buf: bytearray, size: int):
     width = len(char_names) + 2
     rows = lines[1:]
     rows = rows[rows < over]
-    # table[j] holds column j's cell starts, table[width] each row's end + 1.
-    table = [np.empty(len(rows), dtype=np.int32) for _ in range(width + 1)]
-    stop = None
-    for r0 in range(0, len(rows), _BYTE_BLOCK_ROWS):
-        block = rows[r0 : r0 + _BYTE_BLOCK_ROWS]
-        lo = starts[block[0]]
-        commas = np.flatnonzero(u8[lo : ends[block[-1]]] == ord(",")) + lo
-        comma0 = np.searchsorted(commas, starts[block])
-        fields = np.searchsorted(commas, ends[block]) - comma0 + 1
-        ragged = np.flatnonzero(fields != width)
-        if ragged.size:
-            b = int(ragged[0])
-            stop = f"{path}: row {r0 + b + 1} has {fields[b]} fields, expected {width}"
-            block, comma0 = block[:b], comma0[:b]
-        r1 = r0 + len(block)
-        table[0][r0:r1] = starts[block]
-        cells = commas[comma0[:, None] + np.arange(width - 1)] + 1
-        for j in range(1, width):
-            table[j][r0:r1] = cells[:, j - 1]
-        table[width][r0:r1] = ends[block] + 1
-        if stop:
-            table = [column[:r1] for column in table]
-            break
-    if stop is None and over < len(starts):
-        stop = f"{path}: row {len(rows) + 1}: {too_long}"
-    columns = []
+    stop = f"{path}: row {len(rows) + 1}: {too_long}" if over < len(starts) else None
+    starts, ends = starts[rows], ends[rows]
+    del lines, rows
+    # Each column's keys live in an anonymous memory map, which returns to
+    # the system as soon as the column is grouped; heap blocks would stay
+    # resident under what comes after.
+    keys = [
+        np.frombuffer(mmap.mmap(-1, _WORD * len(starts) or 1), dtype=np.uint64, count=len(starts))
+        for _ in range(width)
+    ]
+    for r0, at, left, ragged in _cell_blocks(u8, starts, ends, width):
+        key = _cell_keys(words, at, left)
+        for j in range(width):
+            keys[j][r0 : r0 + key.shape[1]] = key[j]
+        if ragged:
+            stop = f"{path}: row {ragged[0] + 1} has {ragged[1]} fields, expected {width}"
+            starts, ends = starts[: ragged[0]], ends[: ragged[0]]
+    groups = []
+    is_first = np.empty((width, len(starts)), dtype=bool)
     for j in range(width):
-        at = table[j].astype(np.intp)
-        lengths = table[j + 1] - table[j] - 1
-        table[j] = None  # the next column needs only its own starts
-        group, first = _byte_groups(words, at, lengths)
-        at, lengths = at[first], lengths[first]
+        group, is_first[j] = _key_groups(keys[j][: len(starts)])
+        keys[j] = None
+        groups.append(group)
+    cells, unequal = _first_cells(u8, words, starts, ends, groups, is_first)
+    del is_first
+    for j in np.flatnonzero(unequal).tolist():
+        # Some key joins long cells that differ.
+        groups[j], cells[j] = _regrouped(u8, words, starts, ends, width, j)
+    columns = []
+    for group, (at, lengths) in zip(groups, cells):
         padded = (_SPACE[u8[at]] | _SPACE[u8[at + lengths - 1]])[lengths > 0].any()
         empty = np.flatnonzero(lengths == 0).tolist()
         columns.append((_joined(u8, at, lengths), group, padded, empty))
@@ -568,13 +706,13 @@ def load_sample(path: str) -> Sample:
 
     The file is read once as bytes.  One that is ASCII, holds no `"`, has
     each `\\r` directly before a `\\n` and is under 2 GiB (as files that
-    `scorecraft gen` writes are) takes the byte route: numpy splits it and
-    factorizes each column by its cells' bytes, so no Python object is made
-    per cell.  Any other file streams through the csv module, which
-    unescapes quoted cells.  Both give each column as a `Column` of distinct
-    stripped cells and an inverse (the csv route keeps a column's cells as
-    read once most are distinct); y and w are parsed once per distinct
-    cell.
+    `scorecraft gen` writes are) takes the byte route: numpy splits it, keys
+    each cell by its bytes block by block of rows and groups each column by
+    its keys (`_byte_table`), so no Python object is made per cell.  Any
+    other file streams through the csv module, which unescapes quoted
+    cells.  Both give each column as a `Column` of distinct stripped cells
+    and an inverse (the csv route keeps a column's cells as read once most
+    are distinct); y and w are parsed once per distinct cell.
 
     A faulty file reports its first faulty row; within a row a field over
     the csv module's size limit comes first, then the field count, then y,

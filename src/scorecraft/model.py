@@ -30,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "SpecError",
+    "StepError",
     "SpecialBin",
     "IntervalBin",
     "CategoryBin",
@@ -60,6 +61,10 @@ SPEC_HEADER = ("char", "att", "label", "kind", "lo", "hi", "categories", "constr
 
 class SpecError(ValueError):
     """Raised for malformed or inconsistent scorecard specifications."""
+
+
+class StepError(RuntimeError):
+    """A QP step failed: infeasible constraints or unmet solver tolerances."""
 
 
 # ---------------------------------------------------------------------------

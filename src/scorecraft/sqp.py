@@ -35,7 +35,7 @@ from .constraints import (
     ConstraintSet,
     constraint_residuals,
 )
-from .model import DesignMatrix, SpecError
+from .model import DesignMatrix, SpecError, StepError
 from .qp import KktResiduals, QpProblem, QpSolution, kkt_residuals, solve_qp
 
 __all__ = [
@@ -58,10 +58,6 @@ __all__ = [
 
 class FitWarning(UserWarning):
     """Non-fatal fitting conditions, e.g. apparent class separation."""
-
-
-class StepError(RuntimeError):
-    """A QP step failed: infeasible constraints or unmet solver tolerances."""
 
 
 def _check_sample(design: DesignMatrix, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +354,11 @@ def _merged(
     if not same.all():
         return design, y, w
     first = np.flatnonzero(first_of == np.arange(n))
-    merged = DesignMatrix(design.column_labels, codes[first], design.blocks)
+    # The merged codes are column-major like the design's: runs and rmatvec
+    # read whole code columns.
+    kept = np.empty((first.size, codes.shape[1]), dtype=codes.dtype, order="F")
+    np.take(codes, first, axis=0, out=kept)
+    merged = DesignMatrix(design.column_labels, kept, design.blocks)
     weights = np.bincount(np.searchsorted(first, first_of), weights=w, minlength=first.size)
     return merged, y[first], weights
 

@@ -28,7 +28,7 @@ from scorecraft.data_io import (
     save_qp_problem,
     save_score_csv,
 )
-from scorecraft.metrics import score_metrics
+from scorecraft.metrics import score_cdfs, score_metrics
 from scorecraft.model import (
     Column,
     NoInformationBin,
@@ -383,14 +383,62 @@ def test_load_sample_byte_route_tells_cells_apart_by_their_last_byte(tmp_path, m
         assert len(set(cells(expected.records[f"c{k}"]))) == 2
 
 
+def test_load_sample_byte_route_keys_cells_either_side_of_8_bytes(tmp_path, monkeypatch):
+    # A cell under 8 bytes is keyed by its bytes and length, a longer one by
+    # a hash: cells of 6 to 10 bytes that differ only in a trailing NUL (read
+    # as text by the csv module from Python 3.11) or in their last byte stay
+    # apart, in every column and on both routes.  Long cells that differ in
+    # a middle byte get keys of their own, so nothing is regrouped.
+    nul = sys.version_info >= (3, 11)
+    stems = [b"abcdef", b"abcdefg", b"abcdefgh", b"abcdefghi"]
+    variants = [cell for stem in stems for cell in (stem, stem[:-1] + b"z")]
+    for c in (b"x", b"y"):
+        variants += [b"m" * 10 + c + b"m" * 13, b"m" * 20 + c + b"m" * 19]
+    if nul:
+        variants += [stem + b"\0" for stem in stems] + [b"\0" * 7, b"\0" * 8, b"\0" * 9]
+    rows = [b"y,w,a,b"]
+    for i in range(3 * len(variants)):
+        a = variants[i % len(variants)]
+        b = variants[(7 * i + 3) % len(variants)]
+        rows.append(b"%d,1,%s,%s" % (i % 2, a, b))
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    monkeypatch.setattr(data_io, "_exact_groups", None)
+    expected = assert_routes_match_oracle(path, monkeypatch)
+    for name in ("a", "b"):
+        assert len(set(cells(expected.records[name]))) == len(variants)
+
+
+def test_load_sample_byte_route_groups_a_text_across_row_blocks(tmp_path, monkeypatch):
+    # Keys are made block by block; one text, short or long, in every block
+    # and in cells of other texts between, is one value in first-occurrence
+    # order.
+    n = 2 * data_io._BYTE_BLOCK_ROWS + 5
+    rows = ["y,w,short,long,mixed"]
+    for i in range(n):
+        mixed = ("7", "seventeen-bytes-x", "")[i % 3] if i % 1000 else f"other-{i}"
+        rows.append(f"{i % 2},{1 + i % 3 / 4},7,seventeen-bytes-x,{mixed}")
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    expected = assert_routes_match_oracle(path, monkeypatch)
+    sample = load_by("bytes", path, monkeypatch)
+    assert sample.records["short"].values == ["7"]
+    assert sample.records["long"].values == ["seventeen-bytes-x"]
+    assert sample.records["mixed"].values[:4] == ["other-0", "seventeen-bytes-x", None, "7"]
+    assert (sample.records["long"].inverse == 0).all()
+    assert len(expected.records["mixed"].values) == 3 + len(range(0, n, 1000))
+
+
 def test_load_sample_byte_route_regroups_exactly_when_keys_collide(tmp_path, monkeypatch):
     # Cells that differ only in trailing NULs have equal words and differ in
     # length alone; the csv module reads NUL as text from Python 3.11.
     nul = b"\0" if sys.version_info >= (3, 11) else b""
+    # Cells of one length that differ only in their last byte (e), only in
+    # a middle byte (f) or only in their first byte (g).
     text = (
-        b"y,w,a,b,c,d\n"
+        b"y,w,a,b,c,d,e,f,g\n"
         + b"".join(
-            b"%d,%s,%s,%s,%s,%s\n"
+            b"%d,%s,%s,%s,%s,%s,%s,%s,%s\n"
             % (
                 i % 2,
                 b"1." + b"0" * (i % 3),
@@ -398,6 +446,9 @@ def test_load_sample_byte_route_regroups_exactly_when_keys_collide(tmp_path, mon
                 b" 5"[: i % 3],
                 b"q" * 17 + b"%d" % (i % 4),
                 b"7" + nul * (i % 3),
+                b"e" * 10 + b"%d" % (i % 3),
+                b"f" * 10 + b"%d" % (i % 5) + b"f" * 13,
+                b"%d" % (i % 3) + b"g" * 9,
             )
             for i in range(40)
         )
@@ -885,7 +936,12 @@ def test_cli_eval_dump_cdfs(tmp_path, small_spec, small_spec_text, capsys):
         "--dump-cdfs", str(dump_path),
     ]) == 0
     capsys.readouterr()
-    lines = dump_path.read_text().splitlines()
+    model = load_model(str(model_path))
+    sample = load_sample(str(data_path))
+    theta = score_vector(build_design_matrix(model.spec(), sample), model.beta)
+    text = dump_path.read_text()
+    assert text == per_row_cdf_dump(score_cdfs(theta, sample.y, sample.w))
+    lines = text.splitlines()
     assert lines[0] == "# score goods_cdf bads_cdf"
     assert len(lines) == 161
     # Rows are plain plot-ready numbers, one triple per record.
@@ -893,6 +949,36 @@ def test_cli_eval_dump_cdfs(tmp_path, small_spec, small_spec_text, capsys):
         fields = [float(v) for v in line.split()]
         assert len(fields) == 3
     assert fields[1] == fields[2] == 1.0
+
+
+def per_row_cdf_dump(cdfs):
+    """The --dump-cdfs text as one f-string per record."""
+    lines = ["# score goods_cdf bads_cdf"]
+    for s, fg, fb in zip(cdfs.sorted_score, cdfs.goods_cdf, cdfs.bads_cdf):
+        lines.append(f"{float(s)!r} {float(fg)!r} {float(fb)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cdf_dump_matches_a_line_per_record(monkeypatch):
+    # Each value is formatted once per run of equal bits, in write blocks:
+    # tied scores, -0.0 next to 0.0, fractional weights and more rows than
+    # one block give the per-record text byte for byte.
+    from scorecraft import cli
+
+    rng = np.random.default_rng(5)
+    n = 2000
+    score = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=n)
+    score[rng.random(n) < 0.3] = rng.normal()  # one more tied value
+    score[::7] = rng.normal(size=len(score[::7]))
+    y = (rng.random(n) < 0.6).astype(float)
+    w = rng.uniform(0.1, 2.0, n)
+    w[::11] = 0.0
+    cdfs = score_cdfs(score, y, w)
+    expected = per_row_cdf_dump(cdfs)
+    assert "\n-0.0 " in expected and "\n0.0 " in expected
+    for rows in (cli._DUMP_ROWS, 1, 7, 333):
+        monkeypatch.setattr(cli, "_DUMP_ROWS", rows)
+        assert "".join(cli._cdf_table(cdfs)) == expected
 
 
 def test_cli_fit_iteration_cap_exit_code(tmp_path, small_spec_text, capsys):
@@ -1191,6 +1277,34 @@ def test_no_cli_command_imports_scipy(tmp_path, small_spec_text):
         f" '--data', {str(data_path)!r}]) == 0\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, f'scipy modules were imported: {loaded}'\n"
+    )
+    src = os.path.dirname(os.path.dirname(scorecraft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_compile_imports_only_what_it_runs(tmp_path, small_spec_text):
+    # compile without data loads neither the data reader nor the fitter;
+    # StepError, which main catches, is one class wherever it is imported.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "train.csv"
+    data_path.write_text(DATA_TEXT)
+    script = (
+        "import sys\n"
+        "from scorecraft.cli import main\n"
+        f"assert main(['compile', '--spec', {str(spec_path)!r}]) == 0\n"
+        "loaded = {m for m in sys.modules if m.startswith('scorecraft.')}\n"
+        "expected = {'scorecraft.cli', 'scorecraft.model', 'scorecraft.constraints'}\n"
+        "assert loaded == expected, loaded\n"
+        f"assert main(['compile', '--spec', {str(spec_path)!r}, '--data', {str(data_path)!r},"
+        " '--centering', 'weighted']) == 0\n"
+        "assert 'scorecraft.data_io' in sys.modules\n"
+        "import scorecraft\n"
+        "from scorecraft import model, sqp\n"
+        "assert scorecraft.StepError is sqp.StepError is model.StepError\n"
     )
     src = os.path.dirname(os.path.dirname(scorecraft.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -467,3 +467,36 @@ def test_fit_merges_repeated_rows(small_spec, monkeypatch):
     y6 = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
     fit(colliding, y6, np.ones(6), PenaltySpec(lam=0.5), ConstraintSet.empty(9))
     assert seen and all(d is colliding for d in seen)
+
+
+def test_merged_codes_are_column_major(small_spec, monkeypatch):
+    # Runs and rmatvec read whole code columns, so the merged design keeps
+    # the column-major codes build_design_matrix gives; the layout changes
+    # no fitted number.
+    rng = np.random.default_rng(23)
+    n = 600
+    ages = rng.choice([-9999999.0, 20.0, 40.0, 60.0, None], size=n)
+    fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
+    y = (rng.random(n) < 0.6).astype(float)
+    w = rng.choice([0.5, 1.0, 2.0], size=n)
+    sample = Sample(y=y, w=w, records={"age": ages, "fuel": fuels}).validate()
+    dm = build_design_matrix(small_spec, sample)
+    assert dm.codes.flags.f_contiguous
+    merged = sqp._merged(dm, y, w)
+    assert merged[0].n < n / 10 and merged[0].codes.flags.f_contiguous
+    for got, expected in zip(merged, merged_by_hand(dm, y, w)):
+        assert np.array_equal(getattr(got, "codes", got), getattr(expected, "codes", expected))
+
+    cs = compile_constraints(small_spec)
+    expected = fit(dm, y, w, PenaltySpec(lam=0.5), cs)
+    merge = sqp._merged
+
+    def row_major(*args):
+        design, my, mw = merge(*args)
+        codes = np.ascontiguousarray(design.codes)
+        return DesignMatrix(design.column_labels, codes, design.blocks), my, mw
+
+    monkeypatch.setattr(sqp, "_merged", row_major)
+    got = fit(dm, y, w, PenaltySpec(lam=0.5), cs)
+    assert got.iterations == expected.iterations
+    assert got.beta.tobytes() == expected.beta.tobytes()
