@@ -33,7 +33,6 @@ _EXPORTS = {
     "Sample": "model",
     "DesignMatrix": "model",
     "parse_spec": "model",
-    "write_spec": "model",
     "bin_value": "model",
     "build_design_matrix": "model",
     "score_vector": "model",
@@ -43,10 +42,8 @@ _EXPORTS = {
     "ConstraintSet": "constraints",
     "CenteringPolicy": "constraints",
     "ConstraintResiduals": "constraints",
-    "FeasibilityReport": "constraints",
     "compile_constraints": "constraints",
     "constraint_residuals": "constraints",
-    "check_feasible": "constraints",
     # qp
     "QpProblem": "qp",
     "QpSolution": "qp",
@@ -59,10 +56,8 @@ _EXPORTS = {
     "FitConfig": "sqp",
     "FitResult": "sqp",
     "logistic_terms": "sqp",
-    "minus_log_likelihood": "sqp",
     "score_minus_log_likelihood": "sqp",
     "assemble_qp": "sqp",
-    "sqp_step": "sqp",
     "initial_beta": "sqp",
     "fit": "sqp",
     # metrics
@@ -83,16 +78,11 @@ _EXPORTS = {
     "load_sample": "data_io",
     "representatives": "data_io",
     "gen_synthetic": "data_io",
-    "implied_true_beta": "data_io",
     "save_model": "data_io",
     "load_model": "data_io",
-    "save_qp_problem": "data_io",
-    "load_qp_problem": "data_io",
     "load_score_csv": "data_io",
-    "save_score_csv": "data_io",
     # report
     "write_report": "report",
-    "parse_report_csv": "report",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,4 +1,4 @@
-"""Command line surface: compile, fit, eval, compare, gen, qp-solve.
+"""Command line surface: compile, fit, eval, compare, gen.
 
 Exit codes: 0 success, 1 validation/usage errors, 2 numerical failures
 (infeasible constraints, unmet solver or fit tolerances).
@@ -110,9 +110,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--probs",
                    help="JSON {char: {good: [...], bad: [...]}}; default uniform "
                         "over each characteristic's reachable informative attributes")
-
-    p = sub.add_parser("qp-solve", help="solve a QP problem dump and print residuals")
-    p.add_argument("dump", help="QP problem JSON")
 
     return parser
 
@@ -345,32 +342,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_qp_solve(args) -> int:
-    from dataclasses import asdict
-
-    from .data_io import load_qp_problem
-    from .qp import solve_qp
-
-    problem = load_qp_problem(args.dump)
-    solution = solve_qp(problem)
-    print(f"status: {solution.status}")
-    print(f"objective: {solution.objective:.12g}")
-    print(f"iterations: {solution.iterations}")
-    print("kkt residuals:")
-    for name, value in asdict(solution.kkt).items():
-        print(f"  {name:<15} {value:.3e}")
-    if solution.note:
-        print(f"note: {solution.note}")
-    return 0 if solution.status == "optimal" else 2
-
-
 _HANDLERS = {
     "compile": _cmd_compile,
     "fit": _cmd_fit,
     "eval": _cmd_eval,
     "compare": _cmd_compare,
     "gen": _cmd_gen,
-    "qp-solve": _cmd_qp_solve,
 }
 
 

@@ -33,10 +33,8 @@ __all__ = [
     "ConstraintSet",
     "CenteringPolicy",
     "ConstraintResiduals",
-    "FeasibilityReport",
     "compile_constraints",
     "constraint_residuals",
-    "check_feasible",
 ]
 
 
@@ -138,26 +136,6 @@ class ConstraintResiduals:
 
     eq_residual: float
     ineq_violation: float
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One violated row: its side, row index, provenance, and magnitude."""
-
-    side: str  # "eq" or "ineq"
-    row_index: int
-    row: ConstraintRow
-    amount: float
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    residuals: ConstraintResiduals
-    violations: tuple[Violation, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 def compile_constraints(
@@ -326,26 +304,3 @@ def constraint_residuals(cs: ConstraintSet, beta: np.ndarray) -> ConstraintResid
         ineq = float(np.maximum(cs.a @ beta - cs.b, 0.0).max())
     return ConstraintResiduals(eq_residual=eq, ineq_violation=ineq)
 
-
-def check_feasible(
-    cs: ConstraintSet, beta: np.ndarray, tol: float = 1e-8
-) -> FeasibilityReport:
-    """True plus an empty report when beta satisfies every row within tol."""
-    beta = np.asarray(beta, dtype=float)
-    residuals = constraint_residuals(cs, beta)
-    violations: list[Violation] = []
-    if cs.m_e:
-        eq_res = np.abs(cs.aeq @ beta - cs.beq)
-        for i in np.flatnonzero(eq_res > tol):
-            row = cs.eq_rows[i] if i < len(cs.eq_rows) else ConstraintRow("eq", ())
-            violations.append(Violation("eq", int(i), row, float(eq_res[i])))
-    if cs.m_i:
-        ineq_res = cs.a @ beta - cs.b
-        for i in np.flatnonzero(ineq_res > tol):
-            row = cs.ineq_rows[i] if i < len(cs.ineq_rows) else ConstraintRow("ineq", ())
-            violations.append(Violation("ineq", int(i), row, float(ineq_res[i])))
-    return FeasibilityReport(
-        feasible=not violations,
-        residuals=residuals,
-        violations=tuple(violations),
-    )

@@ -1,4 +1,4 @@
-"""File formats and synthetic data: sample CSVs, model JSON, QP dumps.
+"""File formats and synthetic data: sample CSVs, model JSON, score CSVs.
 
 The data CSV has header y,w,<characteristic names...>; empty cells are
 missing values, y is 0/1 with 1 = Good, and w is a required nonnegative
@@ -42,7 +42,7 @@ from typing import Iterable, Optional, Union, get_type_hints
 
 import numpy as np
 
-from .constraints import ConstraintResiduals, ConstraintSet
+from .constraints import ConstraintResiduals
 from .model import (
     CategoryBin,
     Characteristic,
@@ -56,7 +56,7 @@ from .model import (
     bin_value,
     parse_spec,
 )
-from .qp import KktResiduals, QpProblem
+from .qp import KktResiduals
 from .sqp import FitResult, IterationRecord, PenaltySpec
 
 __all__ = [
@@ -66,20 +66,14 @@ __all__ = [
     "load_sample",
     "representatives",
     "gen_synthetic",
-    "implied_true_beta",
     "save_model",
     "load_model",
-    "save_qp_problem",
-    "load_qp_problem",
     "load_score_csv",
-    "save_score_csv",
     "atomic_write_text",
 ]
 
 MODEL_FORMAT = "scorecraft-model"
 MODEL_VERSION = 1
-QP_FORMAT = "scorecraft-qp"
-QP_VERSION = 2
 
 
 class DataError(ValueError):
@@ -897,32 +891,6 @@ def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
     return sample
 
 
-def implied_true_beta(cfg: SyntheticConfig) -> np.ndarray:
-    """Coefficients the generator implies under class-conditional independence.
-
-    Intercept log(n_good/n_bad); attribute weight log(PGood/PBad) where both
-    class probabilities are positive, 0 where both are zero.  An attribute
-    drawn by only one class has no finite weight and raises.
-    """
-    cfg.validate()
-    beta = np.zeros(cfg.spec.q)
-    beta[0] = math.log(cfg.n_good / cfg.n_bad)
-    for ch in cfg.spec.characteristics:
-        pg = np.asarray(cfg.good_probs[ch.name], dtype=float)
-        pb = np.asarray(cfg.bad_probs[ch.name], dtype=float)
-        for k, att in enumerate(ch.attributes):
-            if pg[k] > 0 and pb[k] > 0:
-                beta[att.att_index] = math.log(pg[k] / pb[k])
-            elif pg[k] == 0 and pb[k] == 0:
-                beta[att.att_index] = 0.0
-            else:
-                raise DataError(
-                    f"attribute {att.att_index} ({ch.name!r}) is drawn by only "
-                    "one class; its implied weight is not finite"
-                )
-    return beta
-
-
 # ---------------------------------------------------------------------------
 # Model persistence
 
@@ -1002,8 +970,8 @@ def _text(value) -> str:
     return value
 
 
-def _read_json(path: str, fmt: str, version: int, kind: str) -> dict:
-    """Load a versioned JSON file; reading a key it lacks raises DataError."""
+def _read_json(path: str) -> dict:
+    """Load a model JSON file; reading a key it lacks raises DataError."""
 
     class Fields(dict):
         def __missing__(self, key):
@@ -1030,16 +998,16 @@ def _read_json(path: str, fmt: str, version: int, kind: str) -> dict:
             payload = json.load(handle, object_hook=Fields)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("format") != fmt:
-        raise DataError(f"{path}: not a {fmt} file")
-    if payload.get("version") != version:
-        raise DataError(f"{path}: unsupported {kind} version {payload.get('version')}")
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+        raise DataError(f"{path}: not a {MODEL_FORMAT} file")
+    if payload.get("version") != MODEL_VERSION:
+        raise DataError(f"{path}: unsupported model version {payload.get('version')}")
     return payload
 
 
 def load_model(path: str) -> ModelFile:
     """Read a model JSON, checking format, version, key types and spec hash."""
-    payload = _read_json(path, MODEL_FORMAT, MODEL_VERSION, "model")
+    payload = _read_json(path)
     read = payload.read
     beta = read("beta", _floats)
     if beta.shape != (read("q", int),):
@@ -1062,49 +1030,6 @@ def load_model(path: str) -> ModelFile:
         minus_ll=read("minus_ll", float),
         spec_text=spec_text,
         note=str(payload.get("note", "")),
-    )
-
-
-# ---------------------------------------------------------------------------
-# QP problem dumps
-
-
-def save_qp_problem(path: str, problem: QpProblem) -> None:
-    """Dump one QP instance as self-describing JSON for offline debugging."""
-    payload = {
-        "format": QP_FORMAT,
-        "version": QP_VERSION,
-        "q": problem.q,
-        "h": problem.h.tolist(),
-        "f": problem.f.tolist(),
-        "aeq": problem.cs.aeq.tolist(),
-        "beq": problem.cs.beq.tolist(),
-        "a": problem.cs.a.tolist(),
-        "b": problem.cs.b.tolist(),
-        "warm_start": None if problem.warm_start is None else problem.warm_start.tolist(),
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-def load_qp_problem(path: str) -> QpProblem:
-    payload = _read_json(path, QP_FORMAT, QP_VERSION, "dump")
-    read = payload.read
-    q = read("q", int)
-    h = read("h", lambda v: _floats(v).reshape(q, q))
-    try:
-        cs = ConstraintSet(
-            aeq=read("aeq", lambda v: _floats(v).reshape(-1, q)),
-            beq=read("beq", _floats),
-            a=read("a", lambda v: _floats(v).reshape(-1, q)),
-            b=read("b", _floats),
-        )
-    except SpecError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return QpProblem(
-        h=h,
-        f=read("f", _floats),
-        cs=cs,
-        warm_start=read("warm_start", _floats, optional=True),
     )
 
 
@@ -1132,7 +1057,3 @@ def load_score_csv(path: str) -> np.ndarray:
             raise DataError(f"{path}: row {i}: bad score {row[0]!r}") from None
     return values
 
-
-def save_score_csv(path: str, score: np.ndarray) -> None:
-    lines = ["score"] + [repr(float(v)) for v in np.asarray(score, dtype=float)]
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -154,45 +154,31 @@ def roc(score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None) -> Roc
     return RocStats(ks=ks, roc_area=area)
 
 
-def _class_moments(
-    score: np.ndarray, mass: np.ndarray, variance: str, label: str
-) -> tuple[float, float]:
+def _class_moments(score: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
+    """Weighted mean and weight-normalized (population) variance of one class."""
     total = mass.sum()
     mean = float((mass @ score) / total)
     centered = score - mean
-    var = float((mass @ (centered * centered)) / total)
-    if variance == "sample":
-        if total <= 1.0:
-            raise MetricsError(
-                f"sample variance needs {label} weight above 1, got {total:g}"
-            )
-        var *= total / (total - 1.0)
-    elif variance != "population":
-        raise MetricsError(f"unknown variance mode {variance!r}")
-    return mean, var
+    return mean, float((mass @ (centered * centered)) / total)
 
 
 def divergence(
-    score: np.ndarray,
-    y: np.ndarray,
-    w: Optional[np.ndarray] = None,
-    variance: str = "population",
+    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None
 ) -> float:
     """Separation measure (muG - muB)^2 / ((sigmaG^2 + sigmaB^2) / 2).
 
-    Means and variances are weighted per class; variance is "population"
-    (weight-normalized, the default) or "sample" (frequency-weight
-    corrected).  One zero class variance is fine; both zero is an error.
-    The measure is invariant under affine score transforms with nonzero
-    slope.
+    Means and variances are weighted per class, and the variances are
+    population (weight-normalized) ones.  One zero class variance is fine;
+    both zero is an error.  The measure is invariant under affine score
+    transforms with nonzero slope.
     """
     score, y, w = _check_scores(score, y, w)
     good_mass = w * y
     bad_mass = w * (1.0 - y)
     if not good_mass.sum() > 0 or not bad_mass.sum() > 0:
         raise MetricsError("both classes need positive weight for divergence")
-    mu_g, var_g = _class_moments(score, good_mass, variance, "Good")
-    mu_b, var_b = _class_moments(score, bad_mass, variance, "Bad")
+    mu_g, var_g = _class_moments(score, good_mass)
+    mu_b, var_b = _class_moments(score, bad_mass)
     pooled = 0.5 * (var_g + var_b)
     if pooled == 0.0:
         raise MetricsError("both class variances are zero; divergence undefined")
@@ -201,10 +187,7 @@ def divergence(
 
 
 def score_metrics(
-    score: np.ndarray,
-    y: np.ndarray,
-    w: Optional[np.ndarray] = None,
-    variance: str = "population",
+    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None
 ) -> ScoreMetrics:
     """All four comparison measures for one score column."""
     score, y, w = _check_scores(score, y, w)
@@ -212,7 +195,7 @@ def score_metrics(
     return ScoreMetrics(
         ks=stats.ks,
         roc_area=stats.roc_area,
-        divergence=divergence(score, y, w, variance),
+        divergence=divergence(score, y, w),
         minus_ll=score_minus_log_likelihood(score, y, w),
     )
 
@@ -221,7 +204,6 @@ def compare_scores(
     scores: Sequence[tuple[str, np.ndarray]],
     y: np.ndarray,
     w: Optional[np.ndarray] = None,
-    variance: str = "population",
 ) -> ComparisonTable:
     """Metrics for several score columns over one sample, plus the winners.
 
@@ -232,7 +214,7 @@ def compare_scores(
         raise MetricsError("compare_scores needs at least one score")
     rows = []
     for name, score in scores:
-        rows.append((str(name), score_metrics(score, y, w, variance)))
+        rows.append((str(name), score_metrics(score, y, w)))
     winners = {
         "divergence": max(rows, key=lambda r: r[1].divergence)[0],
         "minus_ll": min(rows, key=lambda r: r[1].minus_ll)[0],

@@ -49,7 +49,6 @@ __all__ = [
     "Sample",
     "DesignMatrix",
     "parse_spec",
-    "write_spec",
     "format_tag",
     "bin_value",
     "build_design_matrix",
@@ -218,28 +217,6 @@ class ScorecardSpec:
         for ch in self.characteristics:
             for att in ch.attributes:
                 yield ch, att
-
-    @cached_property
-    def _by_index(self) -> dict[int, tuple[Characteristic, Attribute]]:
-        return {att.att_index: (ch, att) for ch, att in self.iter_attributes()}
-
-    def attribute(self, att_index: int) -> Attribute:
-        try:
-            return self._by_index[att_index][1]
-        except KeyError:
-            raise SpecError(f"no attribute with index {att_index}") from None
-
-    def characteristic_of(self, att_index: int) -> Characteristic:
-        try:
-            return self._by_index[att_index][0]
-        except KeyError:
-            raise SpecError(f"no attribute with index {att_index}") from None
-
-    def characteristic(self, name: str) -> Characteristic:
-        for ch in self.characteristics:
-            if ch.name == name:
-                return ch
-        raise SpecError(f"no characteristic named {name!r}")
 
     def validate(self) -> "ScorecardSpec":
         """Check structural invariants, returning self; raise SpecError otherwise."""
@@ -835,30 +812,3 @@ def format_tag(tag: ConstraintTag) -> str:
             parts.append(f"~ {term.att}")
     return " & ".join(parts)
 
-
-def write_spec(spec: ScorecardSpec) -> str:
-    """Serialize a spec back to the CSV format; inverse of parse_spec."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SPEC_HEADER)
-    for ch, att in spec.iter_attributes():
-        lo = hi = cats = ""
-        rule = att.bin
-        if isinstance(rule, SpecialBin):
-            kind = "special"
-            lo = _format_number(rule.value)
-        elif isinstance(rule, IntervalBin):
-            kind = "interval"
-            if math.isfinite(rule.lo):
-                lo = _format_number(rule.lo)
-            if math.isfinite(rule.hi):
-                hi = _format_number(rule.hi)
-        elif isinstance(rule, CategoryBin):
-            kind = "category"
-            cats = "|".join(sorted(rule.labels))
-        else:
-            kind = "noinfo"
-        writer.writerow(
-            [ch.name, att.att_index, att.label, kind, lo, hi, cats, format_tag(att.tag)]
-        )
-    return out.getvalue()

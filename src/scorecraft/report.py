@@ -4,7 +4,7 @@ The text report lists every attribute row (characteristic, attribute number,
 label, constraint tag) with one weight column per model at 4 decimal places,
 followed by per-model intercept lines and, when metrics are supplied, a
 comparison footer.  A machine-readable CSV twin is written alongside at
-<path>.csv; weights parse back from it at printed precision.
+<path>.csv, with the intercept as its att-0 row.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data_io import DataError, atomic_write_text
+from .data_io import atomic_write_text
 from .metrics import ScoreMetrics
 from .model import ScorecardSpec, SpecError, format_tag
 
-__all__ = ["write_report", "parse_report_csv"]
+__all__ = ["write_report"]
 
 
 def _fmt4(value: float) -> str:
@@ -119,32 +119,3 @@ def write_report(
         writer.writerow([char_name, att_no, label, tag] + weights)
     atomic_write_text(path + ".csv", buffer.getvalue())
 
-
-def parse_report_csv(path: str) -> dict[str, np.ndarray]:
-    """Read a report's CSV twin back into name -> full coefficient vector.
-
-    The intercept comes from the att-0 row; attribute weights land at their
-    attribute index.  Values carry the file's printed precision.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows or rows[0][:4] != ["char", "att", "label", "constraint"]:
-        raise DataError(f"{path}: not a report CSV twin")
-    names = rows[0][4:]
-    if not names:
-        raise DataError(f"{path}: report has no model columns")
-    body = rows[1:]
-    att_numbers = []
-    for row in body:
-        if len(row) != 4 + len(names):
-            raise DataError(f"{path}: ragged report row {row[:2]}")
-        att_numbers.append(int(row[1]))
-    q = max(att_numbers) + 1
-    if sorted(att_numbers) != list(range(q)):
-        raise DataError(f"{path}: report rows do not cover attributes 0..{q - 1}")
-    out = {name: np.zeros(q) for name in names}
-    for row in body:
-        att = int(row[1])
-        for k, name in enumerate(names):
-            out[name][att] = float(row[4 + k])
-    return out

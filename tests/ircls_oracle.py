@@ -1,7 +1,8 @@
 """Iteratively reweighted constrained least squares step, on dense arrays.
 
-An equivalence oracle for `scorecraft.sqp.sqp_step`: it reaches the same
-iterate by a separate route and shares no design code with the package.
+An equivalence oracle for one outer iteration of `scorecraft.sqp.fit`
+(`FitConfig(max_outer_iters=1, beta0=beta)`): it reaches the same iterate
+by a separate route and shares no design code with the package.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ def ircls_step(x, y, w, pen, cs, beta_in):
 
     Minimizes 1/2 sum_i omega_i (z_i - x_i'beta)^2 + penalty over the
     constraints, with working weights omega = w p (1-p) and working response
-    z = theta + (y - p) / (p (1-p)).  Expanding the square gives the same
-    QP as sqp_step up to a constant, so the two agree to solver tolerance.
+    z = theta + (y - p) / (p (1-p)).  Expanding the square gives the fit's
+    Newton model (`scorecraft.sqp.assemble_qp`) up to a constant, so the two
+    agree to solver tolerance.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

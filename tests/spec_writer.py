@@ -1,0 +1,51 @@
+"""Writes a `ScorecardSpec` back to the spec CSV format.
+
+The inverse of `scorecraft.model.parse_spec`, for round-trip tests:
+`parse_spec(write_spec(spec)) == spec` for every valid spec.
+"""
+
+import csv
+import io
+import math
+
+from scorecraft.model import (
+    SPEC_HEADER,
+    CategoryBin,
+    IntervalBin,
+    SpecialBin,
+    format_tag,
+)
+
+
+def _number(value):
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+def write_spec(spec):
+    """Serialize a spec to the CSV format that parse_spec reads."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SPEC_HEADER)
+    for ch, att in spec.iter_attributes():
+        lo = hi = cats = ""
+        rule = att.bin
+        if isinstance(rule, SpecialBin):
+            kind = "special"
+            lo = _number(rule.value)
+        elif isinstance(rule, IntervalBin):
+            kind = "interval"
+            if math.isfinite(rule.lo):
+                lo = _number(rule.lo)
+            if math.isfinite(rule.hi):
+                hi = _number(rule.hi)
+        elif isinstance(rule, CategoryBin):
+            kind = "category"
+            cats = "|".join(sorted(rule.labels))
+        else:
+            kind = "noinfo"
+        writer.writerow(
+            [ch.name, att.att_index, att.label, kind, lo, hi, cats, format_tag(att.tag)]
+        )
+    return out.getvalue()

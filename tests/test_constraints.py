@@ -5,7 +5,6 @@ from scorecraft.constraints import (
     CenteringPolicy,
     ConstraintCompileError,
     ConstraintSet,
-    check_feasible,
     compile_constraints,
     constraint_residuals,
 )
@@ -175,37 +174,33 @@ def test_constraint_residuals_and_feasibility(small_spec):
     beta = np.zeros(9)
     beta[2], beta[3], beta[4] = 3.0, 2.0, 1.0
     beta[6], beta[7] = 0.5, -0.5
-    report = check_feasible(cs, beta)
-    assert report
-    assert report.residuals == constraint_residuals(cs, beta)
-    assert report.residuals.eq_residual == 0.0
-    assert report.residuals.ineq_violation == 0.0
+    res = constraint_residuals(cs, beta)
+    assert res.eq_residual == 0.0
+    assert res.ineq_violation == 0.0
 
     # Ties are feasible: the compiled rows are non-strict.
     tied = beta.copy()
     tied[3] = tied[2]
-    assert check_feasible(cs, tied)
+    res = constraint_residuals(cs, tied)
+    assert res.eq_residual == 0.0 and res.ineq_violation == 0.0
 
-    # Violating "age 18-<30 > att 3" is reported with its provenance.
+    # Violating "age 18-<30 > att 3" violates that row alone, by 1.
     bad = beta.copy()
     bad[2], bad[3] = 1.0, 2.0
-    report = check_feasible(cs, bad)
-    assert not report
-    assert report.residuals.ineq_violation == pytest.approx(1.0)
-    assert len(report.violations) == 1
-    v = report.violations[0]
-    assert v.side == "ineq" and v.row.atts == (2, 3)
-    assert v.amount == pytest.approx(1.0)
+    res = constraint_residuals(cs, bad)
+    assert res.eq_residual == 0.0
+    assert res.ineq_violation == pytest.approx(1.0)
+    violated = np.flatnonzero(cs.a @ bad - cs.b > 1e-8)
+    assert [cs.ineq_rows[i].atts for i in violated] == [(2, 3)]
 
     # Breaking a pin shows up on the equality side.
     bad = beta.copy()
     bad[1] = 0.1
-    report = check_feasible(cs, bad)
-    assert not report
-    assert report.violations[0].side == "eq"
-    assert report.violations[0].row.atts == (1,)
-    # Loose tolerance forgives it.
-    assert check_feasible(cs, bad, tol=0.2)
+    res = constraint_residuals(cs, bad)
+    assert res.eq_residual == pytest.approx(0.1)
+    assert res.ineq_violation == 0.0
+    violated = np.flatnonzero(np.abs(cs.aeq @ bad - cs.beq) > 1e-8)
+    assert [cs.eq_rows[i].atts for i in violated] == [(1,)]
 
 
 def test_residuals_require_full_length(small_spec):
@@ -219,7 +214,6 @@ def test_empty_constraint_set():
     assert cs.q == 5 and cs.m_e == 0 and cs.m_i == 0
     res = constraint_residuals(cs, np.ones(5))
     assert res.eq_residual == 0.0 and res.ineq_violation == 0.0
-    assert check_feasible(cs, np.ones(5))
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -11,22 +12,18 @@ import pytest
 import scorecraft
 from scorecraft import data_io
 from scorecraft.cli import main
-from scorecraft.constraints import ConstraintSet, compile_constraints
+from scorecraft.constraints import compile_constraints
 from scorecraft.data_io import (
     DataError,
     ModelFile,
     SyntheticConfig,
     atomic_write_text,
     gen_synthetic,
-    implied_true_beta,
     load_model,
-    load_qp_problem,
     load_sample,
     load_score_csv,
     representatives,
     save_model,
-    save_qp_problem,
-    save_score_csv,
 )
 from scorecraft.metrics import score_cdfs, score_metrics
 from scorecraft.model import (
@@ -34,14 +31,13 @@ from scorecraft.model import (
     NoInformationBin,
     bin_value,
     build_design_matrix,
-    parse_spec,
     score_vector,
 )
-from scorecraft.qp import QpProblem, solve_qp
-from scorecraft.report import parse_report_csv, write_report
+from scorecraft.report import write_report
 from scorecraft.sqp import PenaltySpec, fit
 
 from sample_oracle import cells, load_sample_rows
+from true_beta import implied_true_beta
 
 # The csv module's default field size limit, which both routes apply.
 LIMIT = 131072
@@ -638,7 +634,7 @@ def test_implied_true_beta(small_spec):
 
 
 # ---------------------------------------------------------------------------
-# Model and QP persistence
+# Model persistence
 
 
 def fitted_model(small_spec, tmp_path):
@@ -710,46 +706,10 @@ def test_model_without_spec_text(tmp_path, small_spec):
         loaded.spec()
 
 
-def test_qp_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    q = 4
-    r = rng.standard_normal((q, q))
-    cs = ConstraintSet(
-        aeq=rng.standard_normal((1, q)),
-        beq=rng.standard_normal(1),
-        # Two general rows, then bounds as unit rows: beta[2] <= 2,
-        # beta[3] <= 5, beta[1] >= -1 and beta[3] >= 0.
-        a=np.vstack([rng.standard_normal((2, q)), np.eye(q)[[2, 3]], -np.eye(q)[[1, 3]]]),
-        b=np.concatenate([rng.standard_normal(2) + 3.0, [2.0, 5.0, 1.0, 0.0]]),
-    )
-    problem = QpProblem(
-        h=r.T @ r + np.eye(q),
-        f=rng.standard_normal(q),
-        cs=cs,
-        warm_start=rng.standard_normal(q),
-    )
-    path = tmp_path / "problem.json"
-    save_qp_problem(str(path), problem)
-    loaded = load_qp_problem(str(path))
-    assert np.array_equal(loaded.h, problem.h)
-    assert np.array_equal(loaded.f, problem.f)
-    assert np.array_equal(loaded.cs.a, problem.cs.a)
-    assert np.array_equal(loaded.cs.b, problem.cs.b)
-    assert np.array_equal(loaded.warm_start, problem.warm_start)
-    a = solve_qp(problem)
-    b = solve_qp(loaded)
-    assert np.array_equal(a.beta, b.beta)
-    assert a.status == b.status == "optimal"
-
-    path.write_text('{"format": "nope"}')
-    with pytest.raises(DataError, match="not a scorecraft-qp"):
-        load_qp_problem(str(path))
-
-
 def test_score_csv_round_trip(tmp_path):
     path = tmp_path / "score.csv"
     score = np.array([1.5, -2.25, 1e-17, 3.0])
-    save_score_csv(str(path), score)
+    path.write_text("score\n" + "".join(f"{v!r}\n" for v in score.tolist()))
     assert np.array_equal(load_score_csv(str(path)), score)
     path.write_text("value\n1.0\n")
     with pytest.raises(DataError, match="single `score` column"):
@@ -790,11 +750,15 @@ def test_write_report_text_and_csv_twin(tmp_path, small_spec):
     # Every attribute appears with its tag.
     assert "age" in text and "Gas or Diesel" in text and "> 3" in text
 
-    parsed = parse_report_csv(str(path) + ".csv")
-    assert set(parsed) == {"alpha", "beta"}
-    for name, beta in (("alpha", beta_a), ("beta", beta_b)):
-        assert parsed[name].shape == (q,)
-        assert np.abs(parsed[name] - beta).max() <= 5e-5  # printed at 4 dp
+    # The CSV twin has the intercept as its att-0 row, then one row per
+    # attribute in index order, with each model's weights at 4 dp.
+    with open(str(path) + ".csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["char", "att", "label", "constraint", "alpha", "beta"]
+    assert [int(row[1]) for row in rows[1:]] == list(range(q))
+    for k, beta in enumerate((beta_a, beta_b)):
+        column = np.array([float(row[4 + k]) for row in rows[1:]])
+        assert np.abs(column - beta).max() <= 5e-5  # printed at 4 dp
 
 
 def test_write_report_without_metrics(tmp_path, small_spec):
@@ -818,22 +782,6 @@ def test_write_report_validation(tmp_path, small_spec):
             None,
             path,
         )
-
-
-def test_parse_report_csv_rejects(tmp_path):
-    path = tmp_path / "twin.csv"
-    path.write_text("nope,att,label,constraint,m\n")
-    with pytest.raises(DataError, match="not a report CSV twin"):
-        parse_report_csv(str(path))
-    path.write_text("char,att,label,constraint,m\n(intercept),0,,,1.0\nx,2,a,,2.0\n")
-    with pytest.raises(DataError, match="cover attributes"):
-        parse_report_csv(str(path))
-    path.write_text("char,att,label,constraint,m\n(intercept),0,,\n")
-    with pytest.raises(DataError, match="ragged"):
-        parse_report_csv(str(path))
-    path.write_text("char,att,label,constraint\n")
-    with pytest.raises(DataError, match="no model columns"):
-        parse_report_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +837,8 @@ def test_cli_end_to_end(tmp_path, small_spec, small_spec_text, capsys):
     assert "iter " in out and "kkt:" in out
     assert model_path.exists()
     assert report_path.exists()
-    parsed = parse_report_csv(str(report_path) + ".csv")
-    assert "demo" in parsed
+    with open(str(report_path) + ".csv", newline="") as handle:
+        assert next(csv.reader(handle))[4:] == ["demo"]
 
     # The saved model evaluates and the metrics lines print at 4 dp.
     code = main(["eval", "--model", str(model_path), "--data", str(data_path)])
@@ -904,7 +852,7 @@ def test_cli_end_to_end(tmp_path, small_spec, small_spec_text, capsys):
     sample = load_sample(str(data_path))
     theta = score_vector(build_design_matrix(small_spec, sample), model.beta)
     score_path = tmp_path / "score.csv"
-    save_score_csv(str(score_path), theta)
+    score_path.write_text("score\n" + "".join(f"{v!r}\n" for v in theta.tolist()))
     code = main([
         "compare", "--data", str(data_path),
         "--model", f"fitted={model_path}", "--score", f"saved={score_path}",
@@ -1094,7 +1042,7 @@ def test_cli_compare_length_mismatch(tmp_path, small_spec_text, capsys):
     data_path = tmp_path / "data.csv"
     data_path.write_text(DATA_TEXT)
     score_path = tmp_path / "score.csv"
-    save_score_csv(str(score_path), np.array([1.0, 2.0]))
+    score_path.write_text("score\n1.0\n2.0\n")
     code = main([
         "compare", "--data", str(data_path), "--score", f"s={score_path}",
     ])
@@ -1103,41 +1051,6 @@ def test_cli_compare_length_mismatch(tmp_path, small_spec_text, capsys):
     code = main(["compare", "--data", str(data_path)])
     assert code == 1
     assert "at least one" in capsys.readouterr().err
-
-
-def test_cli_qp_solve(tmp_path, capsys):
-    dump = tmp_path / "qp.json"
-    cs = ConstraintSet(
-        aeq=np.zeros((0, 2)), beq=np.zeros(0),
-        a=np.array([[1.0, 1.0]]), b=np.array([1.0]),
-    )
-    save_qp_problem(
-        str(dump),
-        QpProblem(h=np.eye(2), f=np.array([-1.0, -1.0]), cs=cs),
-    )
-    assert main(["qp-solve", str(dump)]) == 0
-    out = capsys.readouterr().out
-    assert "status: optimal" in out
-    assert "complementarity" in out
-
-    infeasible = ConstraintSet(
-        aeq=np.array([[1.0, 0.0], [1.0, 0.0]]), beq=np.array([0.0, 1.0]),
-        a=np.zeros((0, 2)), b=np.zeros(0),
-    )
-    save_qp_problem(
-        str(dump), QpProblem(h=np.eye(2), f=np.zeros(2), cs=infeasible)
-    )
-    assert main(["qp-solve", str(dump)]) == 2
-    assert "status: infeasible" in capsys.readouterr().out
-
-
-def test_cli_qp_solve_truncated_dump(tmp_path, capsys):
-    dump = tmp_path / "qp.json"
-    dump.write_text('{"format": "scorecraft-qp", "version": 2, "q": 2}')
-    assert main(["qp-solve", str(dump)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "missing key 'h'" in err
 
 
 def test_cli_eval_model_without_kkt(tmp_path, small_spec_text, capsys):
@@ -1164,31 +1077,17 @@ def test_cli_eval_model_without_kkt(tmp_path, small_spec_text, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind,key,value",
-    [
-        ("model", "kkt", []),
-        ("model", "trajectory", [1]),
-        ("model", "beta", {"a": 1}),
-        ("model", "lam", "x"),
-        ("model", "spec_text", 5),
-        ("qp", "h", "x"),
-        ("qp", "b", "x"),
-    ],
-    ids=["kkt", "trajectory", "beta", "lam", "spec_text", "qp-h", "qp-b"],
+    "key,value",
+    [("kkt", []), ("trajectory", [1]), ("beta", {"a": 1}), ("lam", "x"), ("spec_text", 5)],
+    ids=["kkt", "trajectory", "beta", "lam", "spec_text"],
 )
 def test_cli_rejects_a_key_of_the_wrong_type(
-    tmp_path, small_spec, small_spec_text, capsys, kind, key, value
+    tmp_path, small_spec, small_spec_text, capsys, key, value
 ):
-    if kind == "model":
-        result, pen, _, data_path = fitted_model(small_spec, tmp_path)
-        path = tmp_path / "model.json"
-        save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
-        argv = ["eval", "--model", str(path), "--data", str(data_path)]
-    else:
-        path = tmp_path / "qp.json"
-        cs = ConstraintSet(aeq=np.zeros((0, 2)), beq=np.zeros(0), a=np.ones((1, 2)), b=np.ones(1))
-        save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
-        argv = ["qp-solve", str(path)]
+    result, pen, _, data_path = fitted_model(small_spec, tmp_path)
+    path = tmp_path / "model.json"
+    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    argv = ["eval", "--model", str(path), "--data", str(data_path)]
     payload = json.loads(path.read_text())
     payload[key] = value
     path.write_text(json.dumps(payload))
@@ -1199,54 +1098,6 @@ def test_cli_rejects_a_key_of_the_wrong_type(
     assert f"{path}: key {key!r} has a value of the wrong type" in err
 
 
-def test_cli_qp_solve_rejects_a_bound_per_row_mismatch(tmp_path, capsys):
-    path = tmp_path / "qp.json"
-    cs = ConstraintSet(
-        aeq=np.zeros((0, 2)), beq=np.zeros(0), a=np.ones((1, 2)), b=np.ones(1)
-    )
-    save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
-    payload = json.loads(path.read_text())
-    payload["b"] = [1, 2, 3]
-    path.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["qp-solve", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"{path}: constraint set: b must have one entry per row (1)" in err
-
-
-def test_cli_qp_solve_rejects_a_non_finite_bound(tmp_path, capsys):
-    path = tmp_path / "qp.json"
-    cs = ConstraintSet(
-        aeq=np.zeros((0, 2)), beq=np.zeros(0), a=np.ones((1, 2)), b=np.ones(1)
-    )
-    save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
-    payload = json.loads(path.read_text())
-    payload["b"] = [math.inf]
-    path.write_text(json.dumps(payload))
-    assert '"b": [Infinity]' in path.read_text()
-    capsys.readouterr()
-    assert main(["qp-solve", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"{path}: constraint set: b has an entry that is not finite" in err
-
-
-def test_cli_qp_solve_rejects_a_version_1_dump(tmp_path, capsys):
-    # Version 1 dumps could carry bounds; reading one must not drop them.
-    path = tmp_path / "qp.json"
-    cs = ConstraintSet.empty(2)
-    save_qp_problem(str(path), QpProblem(h=np.eye(2), f=-np.ones(2), cs=cs))
-    payload = json.loads(path.read_text())
-    payload.update(version=1, l=[0.0, None], u=[None, 1.0])
-    path.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["qp-solve", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"{path}: unsupported dump version 1" in err
-
-
 def test_every_export_resolves():
     # The lazy exports name only what their modules export.
     import importlib
@@ -1255,6 +1106,35 @@ def test_every_export_resolves():
         module = importlib.import_module(f"scorecraft.{scorecraft._EXPORTS[name]}")
         assert name in module.__all__, name
         assert getattr(scorecraft, name) is getattr(module, name)
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    # A module-level function or class that no other line of the package
+    # names is reached only by tests or through __all__: it belongs in tests/
+    # or nowhere.  Names inside strings (__all__, the lazy exports) do not
+    # count; module hooks such as __getattr__ are called by the interpreter.
+    import ast
+    from pathlib import Path
+
+    defined, lines = [], {}
+    for path in sorted(Path(scorecraft.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [
+            (path.name, node.lineno, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                lines.setdefault(name, set()).add((path.name, node.lineno))
+    unused = [
+        f"{module}:{line} {name}"
+        for module, line, name in defined
+        if not lines.get(name, set()) - {(module, line)}
+    ]
+    assert not unused, unused
 
 
 def test_no_cli_command_imports_scipy(tmp_path, small_spec_text):
@@ -1322,6 +1202,8 @@ def test_cli_usage_and_environment_errors(tmp_path, capsys, monkeypatch):
     assert main(["eval", "--model", str(tmp_path / "nope.json"),
                  "--data", str(tmp_path / "nope.csv")]) == 1
     capsys.readouterr()
+    assert main(["qp-solve", "x"]) == 1  # not a command
+    assert "invalid choice: 'qp-solve'" in capsys.readouterr().err
     monkeypatch.setenv("SCORECRAFT_THREADS", "zero")
     assert main(["compile", "--spec", "x"]) == 1
     assert "SCORECRAFT_THREADS" in capsys.readouterr().err

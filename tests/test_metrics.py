@@ -136,11 +136,10 @@ def test_divergence_hand_cases():
     score = np.array([1.0, 3.0, -1.0, -3.0])
     y = np.array([1.0, 1.0, 0.0, 0.0])
     assert divergence(score, y) == pytest.approx(16.0)
-    # Population vs sample variance: goods {0,2}, bads {5,7}.
+    # Population variances: goods {0,2}, bads {5,7}, both variances 1.
     score = np.array([0.0, 2.0, 5.0, 7.0])
     y = np.array([1.0, 1.0, 0.0, 0.0])
     assert divergence(score, y) == pytest.approx(25.0)
-    assert divergence(score, y, variance="sample") == pytest.approx(12.5)
 
 
 def test_divergence_affine_invariance():
@@ -193,12 +192,6 @@ def test_metric_input_validation():
         score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(MetricsError, match="both classes"):
         divergence(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-    with pytest.raises(MetricsError, match="unknown variance"):
-        divergence(np.array([1.0, 2.0]), y, variance="bessel")
-    with pytest.raises(MetricsError, match="weight above 1"):
-        divergence(
-            np.array([1.0, 2.0]), y, np.array([0.5, 0.5]), variance="sample"
-        )
 
 
 def test_score_metrics_shares_likelihood_definition():

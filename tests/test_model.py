@@ -29,8 +29,9 @@ from scorecraft.model import (
     format_tag,
     parse_spec,
     score_vector,
-    write_spec,
 )
+
+from spec_writer import write_spec
 
 SPEC_TEXT = """\
 char,att,label,kind,lo,hi,categories,constraint
@@ -49,17 +50,21 @@ def small_spec():
     return parse_spec(SPEC_TEXT)
 
 
+def characteristic(spec, name):
+    return next(ch for ch in spec.characteristics if ch.name == name)
+
+
 def test_parse_spec_structure():
     spec = small_spec()
     assert spec.q == 9
     assert [ch.name for ch in spec.characteristics] == ["age", "fuel"]
-    age = spec.characteristic("age")
+    age = characteristic(spec, "age")
     assert [att.att_index for att in age.attributes] == [1, 2, 3, 4, 5]
     assert age.attributes[0].bin == SpecialBin(-9999999.0)
     assert age.attributes[1].bin == IntervalBin(18.0, 30.0)
     assert age.attributes[3].bin == IntervalBin(50.0, math.inf)
     assert age.noinfo.att_index == 5
-    fuel = spec.characteristic("fuel")
+    fuel = characteristic(spec, "fuel")
     assert fuel.attributes[0].bin == CategoryBin(frozenset({"Gas", "Diesel"}))
     assert age.attributes[0].tag.terms == (FixedTo(0.0),)
     assert age.attributes[1].tag.terms == (GreaterThan(3),)
@@ -75,16 +80,6 @@ def test_parse_spec_comments_and_blank_lines():
 def test_round_trip_identity():
     spec = small_spec()
     assert parse_spec(write_spec(spec)) == spec
-
-
-def test_spec_lookup_helpers():
-    spec = small_spec()
-    assert spec.attribute(6).label == "Gas or Diesel"
-    assert spec.characteristic_of(6).name == "fuel"
-    with pytest.raises(SpecError):
-        spec.attribute(9)
-    with pytest.raises(SpecError):
-        spec.characteristic("income")
 
 
 def test_format_tag_grammar():
@@ -128,8 +123,8 @@ def test_parse_spec_requires_noinfo_and_consecutive_indices():
 
 def test_bin_value_small_spec():
     spec = small_spec()
-    age = spec.characteristic("age")
-    fuel = spec.characteristic("fuel")
+    age = characteristic(spec, "age")
+    fuel = characteristic(spec, "fuel")
     assert bin_value(age, -9999999) == 1
     assert bin_value(age, 18) == 2
     assert bin_value(age, 29.999) == 2
@@ -452,13 +447,13 @@ def test_vectorized_binning_equals_bin_value(fixture_spec, random_spec_factory, 
         assert design.codes[:, c].tolist() == expected, ch.name
     # char950's overlapping rows: first declared wins, so 126 and 130-134,
     # 136-139 are never reached, while values >= 7011 reach 128.
-    char950 = fixture_spec.characteristic("char950")
+    char950 = characteristic(fixture_spec, "char950")
     assert set(design.codes[:, names.index("char950") + 1]) >= {125, 127, 128, 129, 135, 140}
     assert bin_value(char950, 7011) == 128 and bin_value(char950, 7010.5) == 125
 
 
 def test_binning_parses_numbers_and_labels_without_a_call_per_value(fixture_spec, monkeypatch):
-    char950 = fixture_spec.characteristic("char950")
+    char950 = characteristic(fixture_spec, "char950")
     labels = sorted(
         label
         for att in char950.attributes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scorecraft import qp
-from scorecraft.constraints import ConstraintSet, check_feasible, compile_constraints
+from scorecraft.constraints import ConstraintSet, compile_constraints, constraint_residuals
 from scorecraft.model import SpecError
 from scorecraft.qp import (
     QpProblem,
@@ -295,8 +295,8 @@ def test_optimality_against_feasible_samples():
         sol = solve_qp(p)
         assert sol.status == "optimal"
         assert sol.kkt.max() <= 1e-6
-        report = check_feasible(p.cs, sol.beta, tol=1e-7)
-        assert report
+        res = constraint_residuals(p.cs, sol.beta)
+        assert max(res.eq_residual, res.ineq_violation) <= 1e-7
         best = qp_objective(p, sol.beta)
         for z in feasible_samples(rng, p, feas):
             assert best <= qp_objective(p, z) + 1e-7
@@ -351,7 +351,8 @@ def test_solve_with_compiled_constraints(small_spec):
     sol = solve_qp(p)
     assert sol.status == "optimal"
     assert sol.kkt.max() <= 1e-7
-    assert check_feasible(cs, sol.beta, tol=1e-7)
+    res = constraint_residuals(cs, sol.beta)
+    assert max(res.eq_residual, res.ineq_violation) <= 1e-7
     # Pinned attributes actually land on their pins.
     assert sol.beta[1] == pytest.approx(0.0, abs=1e-8)
     assert sol.beta[5] == pytest.approx(0.0, abs=1e-8)

@@ -16,9 +16,7 @@ from scorecraft.sqp import (
     fit,
     initial_beta,
     logistic_terms,
-    minus_log_likelihood,
     score_minus_log_likelihood,
-    sqp_step,
 )
 
 from dense_design import DenseDesign
@@ -33,6 +31,15 @@ def cs_of(q, aeq=None, beq=None, a=None, b=None):
         a=np.asarray(a, float).reshape(-1, q) if a is not None else empty.a,
         b=np.asarray(b, float).ravel() if b is not None else empty.b,
     )
+
+
+def minus_log_likelihood(design, y, w, beta):
+    return logistic_terms(design, y, w, beta, hessian=False).minus_ll
+
+
+def first_step(design, y, w, pen, cs, beta):
+    """The fit's first constrained Newton step from beta."""
+    return fit(design, y, w, pen, cs, FitConfig(max_outer_iters=1, beta0=beta)).beta
 
 
 def make_logistic(rng, n=200, q=5):
@@ -182,7 +189,7 @@ def test_sqp_step_is_newton_without_constraints():
     beta = rng.standard_normal(4) * 0.3
     terms = logistic_terms(x, y, w, beta)
     newton = beta - np.linalg.solve(terms.hess, terms.grad)
-    step = sqp_step(x, y, w, PenaltySpec(), ConstraintSet.empty(4), beta)
+    step = first_step(x, y, w, PenaltySpec(), ConstraintSet.empty(4), beta)
     assert np.abs(step - newton).max() <= 1e-9
 
 
@@ -198,7 +205,7 @@ def test_sqp_and_ircls_steps_agree():
             aeq[0, 1] = 1.0
             cs = cs_of(5, aeq=aeq, beq=[0.1], a=a, b=b)
             pen = PenaltySpec(lam=lam)
-            s1 = sqp_step(x, y, w, pen, cs, beta)
+            s1 = first_step(x, y, w, pen, cs, beta)
             s2 = ircls_step(x.x, y, w, pen, cs, beta)
             assert np.abs(s1 - s2).max() <= 1e-8
 
@@ -500,3 +507,30 @@ def test_merged_codes_are_column_major(small_spec, monkeypatch):
     got = fit(dm, y, w, PenaltySpec(lam=0.5), cs)
     assert got.iterations == expected.iterations
     assert got.beta.tobytes() == expected.beta.tobytes()
+
+
+def test_merged_skips_the_argsort_without_repeated_rows(small_spec, monkeypatch):
+    # One plain sort of the row keys shows that no two rows are equal, so a
+    # design of distinct (codes, y) rows never pays for the stable argsort.
+    rng = np.random.default_rng(29)
+    n = 600
+    ages = rng.choice([-9999999.0, 20.0, 40.0, 60.0, None], size=n)
+    fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
+    y = (rng.random(n) < 0.6).astype(float)
+    w = rng.choice([0.5, 1.0, 2.0], size=n)
+    sample = Sample(y=y, w=w, records={"age": ages, "fuel": fuels}).validate()
+    dm = build_design_matrix(small_spec, sample)
+    argsort = np.argsort
+    stable = []
+
+    def counting(*args, **kwargs):
+        stable.append(kwargs.get("kind") == "stable")
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    distinct = sqp._merged(dm, y, w)
+    assert distinct[0].n < n and stable == [True]
+    stable.clear()
+    again = sqp._merged(*distinct)
+    assert all(got is given for got, given in zip(again, distinct))
+    assert stable == []
