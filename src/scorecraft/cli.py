@@ -231,13 +231,13 @@ def _cmd_eval(args) -> int:
     sample = load_sample(args.data)
     design = build_design_matrix(model.spec(), sample)
     theta = score_vector(design, model.beta)
-    m = score_metrics(theta, sample.y, sample.w)
+    cdfs = score_cdfs(theta, sample.y, sample.w) if args.dump_cdfs else None
+    m = score_metrics(theta, sample.y, sample.w, _cdfs=cdfs)
     print(f"divergence {m.divergence:.4f}")
     print(f"minus_ll {m.minus_ll:.4f}")
     print(f"ks {m.ks:.4f}")
     print(f"roc_area {m.roc_area:.4f}")
     if args.dump_cdfs:
-        cdfs = score_cdfs(theta, sample.y, sample.w)
         atomic_write_text(args.dump_cdfs, _cdf_table(cdfs))
         print(f"wrote cdf dump to {args.dump_cdfs}")
     return 0
@@ -247,31 +247,19 @@ def _cmd_eval(args) -> int:
 _DUMP_ROWS = 1 << 14
 
 
-def _reprs(values) -> list[str]:
-    """repr of each value of a nondecreasing float array, made once per run.
-
-    A run is equal bits, so -0.0 and 0.0 stay apart.
-    """
-    import numpy as np
-
-    bits = values.view(np.int64)
-    start = np.ones(len(values), dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=start[1:])
-    texts = np.array(list(map(repr, values[start].tolist())), dtype=object)
-    return texts[np.cumsum(start) - 1].tolist()
-
-
 def _cdf_table(cdfs):
-    """The --dump-cdfs table in blocks of _DUMP_ROWS lines: score, goods and bads CDFs.
+    """The --dump-cdfs text: its header, then a line per record of score, goods and bads CDFs.
 
-    Every column is nondecreasing, so equal values are adjacent and each
-    is formatted once per run in a block.
+    Each value is Python's shortest round-trip repr, made by numpy in blocks
+    of _DUMP_ROWS lines (floatrepr.repr_lines).  The columns are nondecreasing,
+    so equal values are adjacent and each is formatted once per run.
     """
+    from .floatrepr import repr_lines
+
     columns = (cdfs.sorted_score, cdfs.goods_cdf, cdfs.bads_cdf)
     yield "# score goods_cdf bads_cdf\n"
     for a in range(0, len(columns[0]), _DUMP_ROWS):
-        texts = [_reprs(column[a : a + _DUMP_ROWS]) for column in columns]
-        yield "".join(map("{} {} {}\n".format, *texts))
+        yield repr_lines([column[a : a + _DUMP_ROWS] for column in columns])
 
 
 def _cmd_compare(args) -> int:

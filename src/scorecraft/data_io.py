@@ -81,18 +81,25 @@ class DataError(ValueError):
 
 
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
-    """Write text, or its pieces in turn, via a same-directory temp file and atomic rename."""
+    """Write text, or its pieces in turn, via a same-directory temp file and atomic rename.
+
+    An OSError names `path`, not the temp file, and the temp file is removed.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise type(exc)(f"{path}: {exc.strerror or exc}") from exc
         raise
 
 

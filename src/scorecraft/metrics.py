@@ -147,7 +147,10 @@ def roc(score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None) -> Roc
     Both are rank statistics, invariant under strictly increasing transforms
     of the score.  The final record has FB = FG = 1, so ks is never negative.
     """
-    cdfs = score_cdfs(score, y, w)
+    return _roc_stats(score_cdfs(score, y, w))
+
+
+def _roc_stats(cdfs: ScoreCdfs) -> RocStats:
     fg, fb = cdfs.goods_cdf, cdfs.bads_cdf
     ks = float(np.max(fb - fg))
     area = float(0.5 * ((fg[1:] - fg[:-1]) * (fb[1:] + fb[:-1])).sum())
@@ -187,11 +190,14 @@ def divergence(
 
 
 def score_metrics(
-    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None
+    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None, *, _cdfs=None
 ) -> ScoreMetrics:
-    """All four comparison measures for one score column."""
+    """All four comparison measures for one score column.
+
+    `_cdfs` is score_cdfs(score, y, w) if the caller has it, so it is not made twice.
+    """
     score, y, w = _check_scores(score, y, w)
-    stats = roc(score, y, w)
+    stats = roc(score, y, w) if _cdfs is None else _roc_stats(_cdfs)
     return ScoreMetrics(
         ks=stats.ks,
         roc_area=stats.roc_area,

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -897,6 +898,38 @@ def test_cli_eval_dump_cdfs(tmp_path, small_spec, small_spec_text, capsys):
         fields = [float(v) for v in line.split()]
         assert len(fields) == 3
     assert fields[1] == fields[2] == 1.0
+
+
+@pytest.mark.parametrize("flag", ["eval --dump-cdfs", "fit --out", "fit --report"])
+@pytest.mark.parametrize(
+    "target, error",
+    [("missing/out.txt", errno.ENOENT), ("adir", errno.EISDIR)],
+)
+def test_cli_output_errors_name_the_path(tmp_path, small_spec_text, capsys, flag, target, error):
+    # A missing directory or a directory as the target is one line naming
+    # the path the user gave, exit 1, and no temp file is left behind.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "train.csv"
+    model_path = tmp_path / "model.json"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data_path),
+        "--seed", "9", "--n-good", "60", "--n-bad", "60",
+        "--probs", str(write_probs(tmp_path)),
+    ]) == 0
+    assert main([
+        "fit", "--spec", str(spec_path), "--data", str(data_path), "--out", str(model_path),
+    ]) == 0
+    (tmp_path / "adir").mkdir()
+    path = str(tmp_path / target)
+    command, option = flag.split()
+    inputs = (
+        ["--model", str(model_path)] if command == "eval" else ["--spec", str(spec_path)]
+    )
+    capsys.readouterr()
+    assert main([command, *inputs, "--data", str(data_path), option, path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"scorecraft {command}: error: {path}: {os.strerror(error)}\n"
+    assert not [p.name for p in tmp_path.rglob(".tmp-*")]
 
 
 def per_row_cdf_dump(cdfs):
