@@ -11,6 +11,7 @@ this module defers all package imports into the command handlers.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -119,6 +120,25 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Fail before any work on an output path a write could not replace.
+
+    The path's directory must exist and the path must not be a directory;
+    the error reads as the write's own would.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            continue
+        raise OSError(f"{path}: {os.strerror(code)}")
+
+
 def _parse_pairs(pairs: list[str], what: str) -> list[tuple[str, str]]:
     out = []
     for pair in pairs:
@@ -178,10 +198,10 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    twin = args.report + ".csv" if args.report else None
+    _check_outputs(args.out, args.report, twin)
     from .data_io import ModelFile, load_model, load_sample, save_model
-    from .metrics import score_metrics
     from .model import build_design_matrix, parse_spec, score_vector
-    from .report import write_report
     from .sqp import FitConfig, PenaltySpec, fit
 
     spec_text = _read_text(args.spec)
@@ -215,6 +235,9 @@ def _cmd_fit(args) -> int:
         save_model(args.out, ModelFile.from_fit(result, pen, spec_text))
         print(f"wrote model to {args.out}")
     if args.report:
+        from .metrics import score_metrics
+        from .report import write_report
+
         theta = score_vector(design, result.beta)
         metrics = {args.name: score_metrics(theta, sample.y, sample.w)}
         write_report(spec, [(args.name, result.beta)], metrics, args.report)
@@ -223,6 +246,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(args.dump_cdfs)
     from .data_io import atomic_write_text, load_model, load_sample
     from .metrics import score_cdfs, score_metrics
     from .model import build_design_matrix, score_vector

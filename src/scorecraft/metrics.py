@@ -158,11 +158,14 @@ def _roc_stats(cdfs: ScoreCdfs) -> RocStats:
 
 
 def _class_moments(score: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
-    """Weighted mean and weight-normalized (population) variance of one class."""
+    """Weighted mean and weight-normalized (population) variance of one class.
+
+    The sums are elementwise: a BLAS dot of n-vectors may start a thread pool.
+    """
     total = mass.sum()
-    mean = float((mass @ score) / total)
+    mean = float((mass * score).sum() / total)
     centered = score - mean
-    return mean, float((mass @ (centered * centered)) / total)
+    return mean, float((mass * (centered * centered)).sum() / total)
 
 
 def divergence(

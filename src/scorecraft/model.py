@@ -385,11 +385,11 @@ class DesignMatrix:
     characteristic c.  `blocks` maps each characteristic (name, start,
     stop) to its column range; the ranges follow one another from column 1.
 
-    `scores`, `rmatvec` and `gram` are the operations a fit needs.
-    `scores` and `gram` work on `runs`, which join consecutive
-    characteristics into one code per row; `rmatvec` sums each code
-    column.  `x` is the dense n x q float view, built on first read and
-    then kept.
+    `scores`, `rmatvec_runs` and `gram` are the operations a fit needs.
+    They work on `runs`, which join consecutive characteristics into one
+    code per row.  `rmatvec` computes X' r as row-order sums per code
+    column, for results that must not depend on how the runs fall.  `x` is
+    the dense n x q float view, built on first read and then kept.
     """
 
     column_labels: tuple[str, ...]
@@ -472,6 +472,19 @@ class DesignMatrix:
         out = np.zeros(self.q)
         for column in self.codes.T:
             out += np.bincount(column, weights=r, minlength=self.q)
+        return out
+
+    def rmatvec_runs(self, r: np.ndarray) -> np.ndarray:
+        """X' r through the runs: r.sum() for the intercept, and per run
+        table' h for the histogram h = bincount(joint, r) of its joint codes.
+
+        One pass over the rows per run instead of per code column; equal to
+        `rmatvec` up to rounding.
+        """
+        out = np.empty(self.q)
+        out[0] = r.sum()
+        for lo, hi, joint, table in self.runs:
+            out[lo:hi] = np.bincount(joint, weights=r, minlength=table.shape[0]) @ table
         return out
 
     def gram(self, c: np.ndarray) -> np.ndarray:

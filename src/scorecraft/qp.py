@@ -5,7 +5,7 @@ Solves  minimize 1/2 beta' H beta + f' beta
         subject to  Aeq beta = beq,  A beta <= b
 
 for symmetric positive semidefinite H; a bound on a coefficient is a unit row
-of A.  Every problem takes one path:
+of A.  A cold solve takes three steps:
 
 1. Factor H + delta I = L L' with delta tiny and relative to H, so that the
    model is strictly convex where H is singular (scorecard designs are rank
@@ -17,11 +17,19 @@ of A.  Every problem takes one path:
 3. An active-set polish settles that set on H itself and yields exact
    multipliers.
 
+A warm solve is given the inequality rows active at a nearby solution, as an
+SQP step is by the step before it (Nocedal & Wright, Numerical Optimization,
+ch. 18), and polishes from them directly; its result is returned only if it
+passes the certification a cold solve applies, else the cold solve runs.
+The polish solves each KKT system by one LU solve where H is definite, and
+by iterative refinement on a shifted inverse where it is singular.
+
 "infeasible" comes only with a Farkas vector and "unbounded" only with a
 descent ray, each checked on the problem data.  `iterations` counts NNLS
-iterations plus the polish rounds that changed the active set, and
-MAX_ITERS caps it.  Identical inputs give bitwise identical outputs.  All
-linear algebra is numpy.linalg.
+iterations plus the polish rounds that changed the active set (so a warm
+solve counts only the latter, and may report 0), and MAX_ITERS caps it.
+Identical inputs give bitwise identical outputs.  All linear algebra is
+numpy.linalg.
 """
 
 from __future__ import annotations
@@ -216,11 +224,15 @@ def _as_mult(v: Optional[np.ndarray], m: int, name: str) -> np.ndarray:
 # Solver
 
 
-def solve_qp(p: QpProblem) -> QpSolution:
+def solve_qp(p: QpProblem, active: Optional[np.ndarray] = None) -> QpSolution:
     """Solve the QP, certifying the result through KKT residuals.
 
     A least-distance NNLS on H + delta I guesses the active set and the
-    polish settles it on H.
+    polish settles it on H.  `active`, a boolean mask over the inequality
+    rows (the rows active at a previous, nearby solution), lets the polish
+    start from those rows and the equality rows instead; that result is
+    returned only if it passes the same certification, else the cold path
+    runs.  The mask is ignored when the problem has no inequality rows.
     """
     q, h, f, m_e = p.q, p.h, p.f, p.cs.m_e
     # The rows s beta <= t of [Aeq; A]; the first m_e hold with equality, and
@@ -234,6 +246,55 @@ def solve_qp(p: QpProblem) -> QpSolution:
     # residuals and multiplier signs against the objective's.
     tol_row = KKT_TOL * (1.0 + _max_abs(t))
     tol_grad = KKT_TOL * (1.0 + max(_max_abs(f), _max_abs(h)))
+    definite = _is_definite(h)
+    # Solving the KKT system costs roundoff in proportion to the row sums of
+    # [[H, S'], [S, 0]] and to its solution.
+    abs_s = np.abs(s)
+    norm_kkt = max(
+        float((np.abs(h).sum(axis=1) + abs_s.sum(axis=0)).max(initial=0.0)),
+        float(abs_s.sum(axis=1).max(initial=0.0)),
+    )
+    iterations = 0
+
+    def split(v):
+        """(mu, nu) from per-row multipliers v."""
+        return v[:m_e], np.maximum(v[m_e:], 0.0)
+
+    def error(beta, v):
+        """Largest KKT residual over its tolerance; "optimal" needs <= 1."""
+        kkt = kkt_residuals(p, beta, *split(v))
+        slack = ROUNDOFF * norm_kkt * max(_max_abs(beta), _max_abs(v))
+        rows = max(kkt.primal_eq, kkt.primal_ineq) / (tol_row + slack)
+        grads = max(kkt.stationarity, kkt.dual, kkt.complementarity) / (tol_grad + slack)
+        return max(rows, grads)
+
+    def finish(beta, v, status, note="", certificate=None):
+        if status == "optimal":
+            _warn_if_not_unique(h, s[free | (v != 0)], definite)
+        mu, nu = split(v)
+        return QpSolution(
+            beta=beta,
+            eq_multipliers=mu,
+            ineq_multipliers=nu,
+            status=status,
+            kkt=kkt_residuals(p, beta, mu, nu),
+            objective=qp_objective(p, beta),
+            iterations=iterations,
+            note=note,
+            certificate=certificate,
+        )
+
+    if active is not None and p.cs.m_i:
+        active = np.asarray(active, dtype=bool)
+        if active.shape != (p.cs.m_i,):
+            raise SpecError(f"active must have length {p.cs.m_i}, got {active.shape}")
+        warm = _polish(
+            h, f, s, t, free, np.concatenate([free[:m_e], active]),
+            definite, tol_row, tol_grad, MAX_ITERS,
+        )
+        if warm is not None and error(warm[0], warm[1]) <= 1.0:
+            iterations = warm[2]
+            return finish(warm[0], warm[1], "optimal")
 
     delta = DELTA * (float(np.diag(h).max(initial=0.0)) or 1.0)
     try:
@@ -252,24 +313,6 @@ def solve_qp(p: QpProblem) -> QpSolution:
         beta = -np.linalg.solve(chol.T, w0 + lg @ v)
         candidates.insert(0, (beta, v))
 
-    def split(v):
-        """(mu, nu) from per-row multipliers v."""
-        return v[:m_e], np.maximum(v[m_e:], 0.0)
-
-    def finish(beta, v, status, note="", certificate=None):
-        mu, nu = split(v)
-        return QpSolution(
-            beta=beta,
-            eq_multipliers=mu,
-            ineq_multipliers=nu,
-            status=status,
-            kkt=kkt_residuals(p, beta, mu, nu),
-            objective=qp_objective(p, beta),
-            iterations=iterations,
-            note=note,
-            certificate=certificate,
-        )
-
     limit_note = "iteration limit reached before the active set was certified"
     if limited:
         return finish(*candidates[0], "max_iterations", limit_note)
@@ -281,24 +324,16 @@ def solve_qp(p: QpProblem) -> QpSolution:
             note = "constraint system admits a Farkas certificate"
             return finish(centre, no_mult, "infeasible", note, -v / _max_abs(v))
 
-    polished = _polish(h, f, s, t, free, v, tol_row, tol_grad, MAX_ITERS - iterations)
+    polished = _polish(
+        h, f, s, t, free, free | (v > 0), definite, tol_row, tol_grad, MAX_ITERS - iterations
+    )
     if polished is not None:
         beta, v, changes = polished
         iterations += changes
         candidates.insert(0, (beta, v))
-    # Solving the KKT system costs roundoff in proportion to its solution.
-    kkt_matrix = np.block([[h, s.T], [s, np.zeros((t.size, t.size))]])
-    norm_kkt = float(np.abs(kkt_matrix).sum(axis=1).max(initial=0.0))
-    errors = []
-    for b, m in candidates:
-        kkt = kkt_residuals(p, b, *split(m))
-        slack = ROUNDOFF * norm_kkt * max(_max_abs(b), _max_abs(m))
-        rows = max(kkt.primal_eq, kkt.primal_ineq) / (tol_row + slack)
-        grads = max(kkt.stationarity, kkt.dual, kkt.complementarity) / (tol_grad + slack)
-        errors.append(max(rows, grads))
+    errors = [error(b, m) for b, m in candidates]
     beta, v = candidates[int(np.argmin(errors))]
     if min(errors) <= 1.0:
-        _warn_if_not_unique(h, s[free | (v != 0)])
         return finish(beta, v, "optimal")
 
     # A descent ray means "unbounded" only where a feasible point is known.
@@ -446,27 +481,28 @@ def _polish(
     s: np.ndarray,
     t: np.ndarray,
     free: np.ndarray,
-    v: np.ndarray,
+    active: np.ndarray,
+    definite: bool,
     tol_row: float,
     tol_grad: float,
     budget: int,
 ) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
     """Solve the KKT system on the active rows until the set settles.
 
-    Rows start active where v > 0; free rows always are.  Each round solves
-    the KKT system on the active rows, drops those whose multipliers have
-    the wrong sign and adds violated ones.  Returns (x, multipliers, rounds
-    that changed the set) from the last solve, settled or not, or None when
-    no trusted solve settles the set.
+    The rows start as `active`, plus the free rows, which always are.  Each
+    round solves the KKT system on the active rows, drops those whose
+    multipliers have the wrong sign and adds violated ones.  Returns (x,
+    multipliers, rounds that changed the set) from the last solve, settled
+    or not, or None when no trusted solve settles the set.
     """
     q = h.shape[0]
-    active = free | (v > 0)
+    active = active | free
     changes = 0
     for _ in range(POLISH_ROUNDS):
         idx = np.flatnonzero(active)
         s_act = s[idx]
         kkt = np.block([[h, s_act.T], [s_act, np.zeros((idx.size, idx.size))]])
-        sol, trusted = _kkt_solve(kkt, np.concatenate([-f, t[idx]]), q)
+        sol, trusted = _kkt_solve(kkt, np.concatenate([-f, t[idx]]), q, definite)
         if sol is None:
             return None
         x, v = sol[:q], np.zeros(t.size)
@@ -484,16 +520,34 @@ def _polish(
 
 
 def _kkt_solve(
-    kkt: np.ndarray, rhs: np.ndarray, q: int
+    kkt: np.ndarray, rhs: np.ndarray, q: int, definite: bool
 ) -> tuple[Optional[np.ndarray], bool]:
-    """Solve kkt t = rhs by iterative refinement on a shifted inverse.
+    """Solve kkt t = rhs, checking the residual.
 
-    The shift diag(delta I, -delta I) suits a singular H; where refinement
-    cannot close the gap (H definite but nearly singular, or active rows
-    that cannot all hold), the unshifted matrix is tried.  Returns (t,
-    trusted): the first solve whose residual passes, else the shifted
+    Where H (the leading q x q block) is definite, one LU solve of the
+    unshifted matrix comes first.  Otherwise, or where that solve fails its
+    residual (active rows that cannot all hold), iterative refinement on a
+    shifted inverse follows: the shift diag(delta I, -delta I) suits a
+    singular H, whose KKT systems an LU solve would pass with arbitrary
+    parts in the null space.  Where refinement cannot close the gap (H
+    definite but nearly singular), the unshifted inverse is tried.  Returns
+    (t, trusted): the first solve whose residual passes, else the shifted
     solution, or None when it is not finite.
     """
+
+    def passes(t: np.ndarray) -> bool:
+        return bool(np.isfinite(t).all()) and (
+            _max_abs(rhs - kkt @ t) <= 1e-6 * (1.0 + _max_abs(rhs))
+        )
+
+    if definite:
+        with np.errstate(all="ignore"):
+            try:
+                t = np.linalg.solve(kkt, rhs)
+                if passes(t):
+                    return t, True
+            except np.linalg.LinAlgError:
+                pass  # exactly singular: the active rows are dependent
     fallback = None
     for reg in (POLISH_DELTA, 0.0):
         shift = np.concatenate([np.full(q, reg), np.full(kkt.shape[0] - q, -reg)])
@@ -507,7 +561,7 @@ def _kkt_solve(
                 t = t + inverse @ (rhs - kkt @ t)
             if not np.isfinite(t).all():
                 continue
-            if _max_abs(rhs - kkt @ t) <= 1e-6 * (1.0 + _max_abs(rhs)):
+            if passes(t):
                 return t, True
         if fallback is None:
             fallback = t
@@ -524,15 +578,24 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return vt[int((sv > tol).sum()) :].T
 
 
-def _warn_if_not_unique(h: np.ndarray, s_act: np.ndarray) -> None:
-    """Warn when H is singular and Z' H Z is too, for Z spanning the null
-    space of the active rows: the optimum is then not unique."""
+def _is_definite(h: np.ndarray) -> bool:
+    """Whether H passes the Cholesky pivot test: every squared pivot above
+    RANK_TOL times its largest diagonal entry."""
     try:
         chol = np.linalg.cholesky(h)
-        if float(np.diag(chol).min()) ** 2 > RANK_TOL * float(np.diag(h).max()):
-            return
     except np.linalg.LinAlgError:
-        pass
+        return False
+    return float(np.diag(chol).min(initial=np.inf)) ** 2 > RANK_TOL * float(
+        np.diag(h).max(initial=0.0)
+    )
+
+
+def _warn_if_not_unique(h: np.ndarray, s_act: np.ndarray, definite: bool) -> None:
+    """Warn when H is singular (not `definite`) and Z' H Z is too, for Z
+    spanning the null space of the active rows: the optimum is then not
+    unique."""
+    if definite:
+        return
     null = _null_space(s_act) if s_act.shape[0] else np.eye(h.shape[0])
     if null.shape[1] == 0:
         return
@@ -543,5 +606,5 @@ def _warn_if_not_unique(h: np.ndarray, s_act: np.ndarray) -> None:
             "null space free: the optimum is not unique, and the polish "
             "returns the solution nearest its regularized start",
             QpWarning,
-            stacklevel=3,
+            stacklevel=4,
         )

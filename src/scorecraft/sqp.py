@@ -15,11 +15,16 @@ carries their summed weight, so a sample drawn from few profiles costs as
 many rows as it has distinct ones; every term is a weighted sum over rows,
 so only rounding changes.  Every iterate is evaluated once: one gather of
 its scores gives minus log likelihood and gradient, and the Gram matrix is
-built only where another QP follows.  Convergence is measured by
-max|delta beta| between iterations, with no step damping: full QP steps, an
-iteration cap, and a recorded trajectory.  The final beta is certified by
-the KKT residuals of its penalized gradient with the last step's
-multipliers.
+built only where another QP follows.  Each QP after the first is warm
+started from the inequality rows the step before left active (those with
+positive multipliers); the constraints do not change between steps, so the
+active set rarely does, and `solve_qp` falls back to its cold path
+wherever that start does not certify.  A warm solve's `iterations` counts
+only the polish rounds that changed the active set.  Convergence is
+measured by max|delta beta| between iterations, with no step damping: full
+QP steps, an iteration cap, and a recorded trajectory.  The final beta is
+certified by the KKT residuals of its penalized gradient with the last
+step's multipliers.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class FitWarning(UserWarning):
 
 
 def _check_sample(design: DesignMatrix, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if not all(hasattr(design, op) for op in ("n", "q", "scores", "rmatvec", "gram")):
+    if not all(hasattr(design, op) for op in ("n", "q", "scores", "rmatvec_runs", "gram")):
         raise SpecError("design must be a DesignMatrix")
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -190,7 +195,16 @@ def score_minus_log_likelihood(theta: np.ndarray, y: np.ndarray, w: np.ndarray) 
     w = np.asarray(w, dtype=float)
     if theta.shape != y.shape or theta.shape != w.shape:
         raise SpecError("theta, y, w must have equal lengths")
-    return float(w @ (np.logaddexp(0.0, theta) - y * theta))
+    return _minus_ll(theta, np.exp(-np.abs(theta)), y, w)
+
+
+def _minus_ll(theta: np.ndarray, e: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """sum w (max(theta, 0) + log1p(e) - y theta) for e = e^-|theta|.
+
+    log(1+e^theta) = max(theta, 0) + log(1 + e^-|theta|) never overflows.
+    The sum is elementwise: a BLAS dot of n-vectors may start a thread pool.
+    """
+    return float((w * (np.maximum(theta, 0.0) + np.log1p(e) - y * theta)).sum())
 
 
 def logistic_terms(
@@ -208,9 +222,8 @@ def logistic_terms(
         hess = X' diag(w prob (1-prob)) X   (None unless hessian is set)
         minus_ll = w' (log(1+e^theta) - y theta)
     On a `DesignMatrix`, theta is one table lookup per run of
-    characteristics, grad one bincount per code column, and hess, the
-    largest cost, one weighted histogram of joint codes per run and per
-    pair of runs.
+    characteristics, grad one bincount per run, and hess, the largest cost,
+    one weighted histogram of joint codes per run and per pair of runs.
     """
     y, w = _check_sample(design, y, w)
     beta = _check_beta(design, beta)
@@ -218,9 +231,9 @@ def logistic_terms(
     # e^-|theta| never overflows: prob = 1/(1+e) for theta >= 0, else e/(1+e).
     e = np.exp(-np.abs(theta))
     prob = np.where(theta >= 0, 1.0, e) / (1.0 + e)
-    grad = design.rmatvec(w * (prob - y))
+    grad = design.rmatvec_runs(w * (prob - y))
     hess = design.gram(w * prob * (1.0 - prob)) if hessian else None
-    minus_ll = score_minus_log_likelihood(theta, y, w)
+    minus_ll = _minus_ll(theta, e, y, w)
     return LogisticTerms(theta=theta, prob=prob, grad=grad, hess=hess, minus_ll=minus_ll)
 
 
@@ -245,8 +258,8 @@ def assemble_qp(
     return QpProblem(h=h, f=f, cs=cs, warm_start=beta_hat)
 
 
-def _solve_step(problem: QpProblem) -> QpSolution:
-    solution = solve_qp(problem)
+def _solve_step(problem: QpProblem, active: Optional[np.ndarray]) -> QpSolution:
+    solution = solve_qp(problem, active)
     if solution.status != "optimal":
         raise StepError(
             f"quadratic programming step failed: QP status {solution.status}"
@@ -277,8 +290,8 @@ def initial_beta(
         return warm.copy()
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    good = float(w @ y)
-    bad = float(w @ (1.0 - y))
+    good = float((w * y).sum())
+    bad = float((w * (1.0 - y)).sum())
     if good <= 0 or bad <= 0:
         raise SpecError(
             "initial intercept needs both outcome classes with positive weight"
@@ -288,6 +301,26 @@ def initial_beta(
     return beta
 
 
+# splitmix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): its increment and its two mixing multipliers.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
+def _multipliers(count: int) -> np.ndarray:
+    """`count` odd hash multipliers below 2^62, the splitmix64 sequence from
+    seed 0 with its top two bits dropped, computed in Python ints."""
+    out = []
+    state = 0
+    for _ in range(count):
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        out.append(((z ^ (z >> 31)) >> 2) | 1)
+    return np.array(out, dtype=np.int64)
+
+
 def _merged(
     design: DesignMatrix, y: np.ndarray, w: np.ndarray
 ) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
@@ -295,15 +328,16 @@ def _merged(
 
     Each group stands where its first row stood.  Likelihood, gradient and
     Hessian are sums over rows, linear in w, so the merged sample has the
-    same ones.  Rows are grouped by a random linear hash of their codes and
-    y, and each group is checked against its first row; a design with no
-    repeated row, no codes, or a hash collision comes back as given.
+    same ones.  Rows are grouped by a linear hash of their codes and y with
+    pseudorandom multipliers, and each group is checked against its first
+    row; a design with no repeated row, no codes, or a hash collision comes
+    back as given.
     """
     codes = getattr(design, "codes", None)
     if codes is None:
         return design, y, w
     n = design.n
-    mix = np.random.default_rng(0).integers(1, 2**62, codes.shape[1]) | 1
+    mix = _multipliers(codes.shape[1])
     # Integer products wrap around; column 0 is the intercept's code 0.
     key = y.view(np.int64) * mix[0]
     for c in range(1, codes.shape[1]):
@@ -369,7 +403,9 @@ def fit(
     warned_separation = False
 
     for iteration in range(1, config.max_outer_iters + 1):
-        solution = _solve_step(assemble_qp(terms, pen, beta, cs))
+        # The last step's active rows seed this step's active set.
+        active = None if solution is None else solution.ineq_multipliers > 0
+        solution = _solve_step(assemble_qp(terms, pen, beta, cs), active)
         delta = float(np.abs(solution.beta - beta).max())
         beta = solution.beta
         last = delta <= config.tol or iteration == config.max_outer_iters

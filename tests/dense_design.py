@@ -1,8 +1,8 @@
 """A dense design for tests, on plain numpy arrays.
 
-`DenseDesign(x)` offers the operations the fit reads from a design (n, q,
-scores, rmatvec and gram) as textbook matrix products over an n x q float
-matrix.  It shares no code with `scorecraft.model.DesignMatrix`, so a
+`DenseDesign(x)` offers the operations the package reads from a design
+(n, q, scores, rmatvec, rmatvec_runs and gram) as textbook matrix products
+over an n x q float matrix.  It shares no code with `scorecraft.model.DesignMatrix`, so a
 parity check against it compares two independent routes.
 """
 
@@ -27,6 +27,9 @@ class DenseDesign:
         return self.x @ beta
 
     def rmatvec(self, r):
+        return self.x.T @ r
+
+    def rmatvec_runs(self, r):
         return self.x.T @ r
 
     def gram(self, c):

@@ -932,6 +932,29 @@ def test_cli_output_errors_name_the_path(tmp_path, small_spec_text, capsys, flag
     assert not [p.name for p in tmp_path.rglob(".tmp-*")]
 
 
+@pytest.mark.parametrize(
+    "command, option, target",
+    [
+        ("fit", "--out", "missing/model.json"),
+        ("fit", "--report", "missing/report.txt"),
+        ("fit", "--report", "twin"),
+        ("eval", "--dump-cdfs", "missing/cdfs.txt"),
+    ],
+)
+def test_cli_checks_outputs_before_reading_inputs(tmp_path, capsys, command, option, target):
+    # The inputs do not exist, so any work before the check would fail on
+    # them first; a --report whose csv twin is a directory fails as well.
+    (tmp_path / "twin.csv").mkdir()
+    path = str(tmp_path / target)
+    named = path + ".csv" if target == "twin" else path
+    error = errno.EISDIR if target == "twin" else errno.ENOENT
+    inputs = ["--model" if command == "eval" else "--spec", str(tmp_path / "no-such-input")]
+    assert main([command, *inputs, "--data", str(tmp_path / "no-data.csv"), option, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"scorecraft {command}: error: {named}: {os.strerror(error)}\n"
+    assert captured.out == ""
+
+
 def per_row_cdf_dump(cdfs):
     """The --dump-cdfs text as one f-string per record."""
     lines = ["# score goods_cdf bads_cdf"]
@@ -1218,6 +1241,30 @@ def test_cli_compile_imports_only_what_it_runs(tmp_path, small_spec_text):
         "import scorecraft\n"
         "from scorecraft import model, sqp\n"
         "assert scorecraft.StepError is sqp.StepError is model.StepError\n"
+    )
+    src = os.path.dirname(os.path.dirname(scorecraft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_fit_without_report_skips_the_metrics(tmp_path, small_spec_text):
+    # Only --report needs the metrics and the report writer.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "train.csv"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data_path),
+        "--seed", "9", "--n-good", "60", "--n-bad", "60",
+        "--probs", str(write_probs(tmp_path)),
+    ]) == 0
+    script = (
+        "import sys\n"
+        "from scorecraft.cli import main\n"
+        f"assert main(['fit', '--spec', {str(spec_path)!r}, '--data', {str(data_path)!r}]) == 0\n"
+        "loaded = {'scorecraft.metrics', 'scorecraft.report'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(scorecraft.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -207,6 +207,28 @@ def test_score_metrics_shares_likelihood_definition():
     assert m.divergence == divergence(score, y, w)
 
 
+def test_elementwise_sums_keep_the_metrics_of_blas_dots():
+    # Divergence and minus_ll sum elementwise products instead of taking
+    # BLAS dots of n-vectors; the values eval prints move by rounding only.
+    rng = np.random.default_rng(20261019)
+    n = 100_000
+    score = rng.normal(0.0, 2.0, n)
+    y = (rng.random(n) < 0.3).astype(float)
+    w = rng.uniform(0.25, 4.0, n)
+
+    def moments(mass):
+        mean = (mass @ score) / mass.sum()
+        centered = score - mean
+        return mean, (mass @ (centered * centered)) / mass.sum()
+
+    (mu_g, var_g), (mu_b, var_b) = moments(w * y), moments(w * (1.0 - y))
+    dot_divergence = (mu_g - mu_b) ** 2 / (0.5 * (var_g + var_b))
+    dot_minus_ll = w @ (np.logaddexp(0.0, score) - y * score)
+    m = score_metrics(score, y, w)
+    assert abs(m.divergence - dot_divergence) <= 1e-12 * dot_divergence
+    assert abs(m.minus_ll - dot_minus_ll) <= 1e-12 * dot_minus_ll
+
+
 def test_compare_scores_winners_and_text():
     score = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([0.0, 0.0, 1.0, 1.0])

@@ -340,6 +340,7 @@ def test_design_operations_equal_the_dense_products(fixture_spec, n):
         r = rng.normal(0.0, 1.0, n)
         assert relative_gap(design.scores(beta), dense.scores(beta)) <= 1e-12
         assert relative_gap(design.rmatvec(r), dense.rmatvec(r)) <= 1e-12
+        assert relative_gap(design.rmatvec_runs(r), dense.rmatvec_runs(r)) <= 1e-12
         gram = design.gram(c)
         assert relative_gap(gram, dense.gram(c)) <= 1e-12
         assert np.array_equal(gram, gram.T)

@@ -493,3 +493,184 @@ def test_infeasible_problems_carry_a_checked_certificate():
         sol = solve_qp(p)
         assert sol.status == "infeasible"
         assert_farkas(p, sol.certificate)
+
+
+# ---------------------------------------------------------------------------
+# Warm start from a previous active set
+
+
+def relative_gap(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def hints(p, cold):
+    """The right active set, every inequality row, and none."""
+    return {
+        "right": cold.ineq_multipliers > 0,
+        "all": np.ones(p.cs.m_i, dtype=bool),
+        "none": np.zeros(p.cs.m_i, dtype=bool),
+    }
+
+
+def assert_warm_matches_cold(p, cold):
+    for name, hint in hints(p, cold).items():
+        warm = solve_qp(p, active=hint)
+        assert warm.status == "optimal", name
+        assert relative_gap(warm.beta, cold.beta) <= 1e-12, name
+        kkt = kkt_residuals(p, warm.beta, warm.eq_multipliers, warm.ineq_multipliers)
+        assert kkt == warm.kkt
+
+
+def test_warm_active_set_matches_cold_on_random_problems():
+    rng = np.random.default_rng(20261019)
+    for with_eq in (True, False):
+        for _ in range(40):
+            p, _ = random_problem(rng, with_eq)
+            cold = solve_qp(p)
+            assert cold.status == "optimal"
+            assert_warm_matches_cold(p, cold)
+
+
+def bundled_gen_design(tmp_path, fixture_spec_text):
+    """The bundled spec, a 4000-row `gen` sample of it, and its design."""
+    from scorecraft.cli import main
+    from scorecraft.data_io import load_sample
+    from scorecraft.model import build_design_matrix, parse_spec
+
+    spec_path, data = tmp_path / "spec.csv", tmp_path / "train.csv"
+    spec_path.write_text(fixture_spec_text)
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data),
+        "--seed", "1", "--n-good", "3000", "--n-bad", "1000",
+    ]) == 0
+    spec = parse_spec(fixture_spec_text)
+    sample = load_sample(str(data))
+    return spec, sample, build_design_matrix(spec, sample)
+
+
+def centered_gen_fit_qps(tmp_path, fixture_spec_text):
+    """The QPs of a centered, penalized fit of a bundled-spec `gen` sample,
+    each with the active set the fit passed to it."""
+    from scorecraft import sqp
+    from scorecraft.constraints import CenteringPolicy
+
+    spec, sample, design = bundled_gen_design(tmp_path, fixture_spec_text)
+    cs = compile_constraints(spec, CenteringPolicy.weighted_from_sample(design, sample.w))
+    recorded = []
+
+    def spy(problem, active=None):
+        recorded.append((problem, active))
+        return solve_qp(problem, active)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sqp, "solve_qp", spy)
+        result = sqp.fit(design, sample.y, sample.w, sqp.PenaltySpec(lam=0.5), cs)
+    assert result.status == "converged" and cs.m_i > 0
+    return recorded
+
+
+def test_warm_active_set_matches_cold_on_fit_qps(tmp_path, fixture_spec_text, monkeypatch):
+    recorded = centered_gen_fit_qps(tmp_path, fixture_spec_text)
+    # The first step starts cold; every later one gets the last step's rows.
+    assert recorded[0][1] is None and all(a is not None for _, a in recorded[1:])
+    for problem, passed in recorded:
+        cold = solve_qp(problem)
+        assert cold.status == "optimal"
+        assert_warm_matches_cold(problem, cold)
+        if passed is not None:
+            # The hint the fit passed settles without the cold path's NNLS.
+            monkeypatch.setattr(qp, "_nnls", None)
+            warm = solve_qp(problem, active=passed)
+            monkeypatch.undo()
+            assert warm.status == "optimal"
+            assert relative_gap(warm.beta, cold.beta) <= 1e-12
+
+
+def test_failed_warm_start_falls_back_to_the_cold_path(monkeypatch):
+    # A warm polish that fails certification leaves the cold result as it is,
+    # bit for bit.
+    rng = np.random.default_rng(20261020)
+    polish = qp._polish
+    for _ in range(10):
+        p, _ = random_problem(rng)
+        cold = solve_qp(p)
+        calls = []
+
+        def bogus_first(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                x, v, changes = polish(*args)
+                return x + 1.0, v, changes
+            return polish(*args)
+
+        monkeypatch.setattr(qp, "_polish", bogus_first)
+        warm = solve_qp(p, active=cold.ineq_multipliers > 0)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert warm.status == "optimal"
+        assert warm.beta.tobytes() == cold.beta.tobytes()
+        assert warm.iterations == cold.iterations
+
+
+def test_warm_hint_is_ignored_without_inequality_rows(monkeypatch):
+    # The cold path, least-distance guess included, runs as if no hint came.
+    rng = np.random.default_rng(20261021)
+    ldp = qp._ldp
+    guesses = []
+
+    def counting(*args):
+        guesses.append(1)
+        return ldp(*args)
+
+    monkeypatch.setattr(qp, "_ldp", counting)
+    for _ in range(10):
+        q = int(rng.integers(3, 9))
+        r = rng.standard_normal((q, q))
+        aeq = rng.standard_normal((2, q))
+        p = QpProblem(
+            h=r.T @ r + 0.5 * np.eye(q), f=rng.standard_normal(q),
+            cs=cs_of(q, aeq=aeq, beq=aeq @ rng.standard_normal(q)),
+        )
+        cold = solve_qp(p)
+        guesses.clear()
+        warm = solve_qp(p, active=np.zeros(0, dtype=bool))
+        assert guesses == [1]
+        assert warm.beta.tobytes() == cold.beta.tobytes()
+        assert warm.iterations == cold.iterations
+
+
+def test_warm_hint_must_cover_the_inequality_rows():
+    rng = np.random.default_rng(20261022)
+    p, _ = random_problem(rng)
+    with pytest.raises(SpecError, match="active must have length"):
+        solve_qp(p, active=np.ones(p.cs.m_i + 1, dtype=bool))
+
+
+def test_singular_h_never_takes_the_direct_kkt_solve(tmp_path, fixture_spec_text, monkeypatch):
+    # lam = 0 and no pins leave H singular: each characteristic's columns sum
+    # to the intercept's.  An LU solve of such a KKT system passes its
+    # residual test with arbitrary null-space parts, so only the shifted
+    # inverse may solve it.
+    from scorecraft.sqp import PenaltySpec, assemble_qp, initial_beta, logistic_terms
+
+    spec, sample, design = bundled_gen_design(tmp_path, fixture_spec_text)
+    pins = compile_constraints(spec)
+    unpinned = ConstraintSet(aeq=np.zeros((0, spec.q)), beq=np.zeros(0), a=pins.a, b=pins.b)
+    beta = initial_beta(spec.q, sample.y, sample.w)
+    terms = logistic_terms(design, sample.y, sample.w, beta)
+    p = assemble_qp(terms, PenaltySpec(lam=0.0), beta, unpinned)
+    assert p.cs.m_i > 0
+    assert not qp._is_definite(p.h)
+    definite = []
+    kkt_solve = qp._kkt_solve
+
+    def spy(kkt, rhs, q, is_definite):
+        definite.append(is_definite)
+        return kkt_solve(kkt, rhs, q, is_definite)
+
+    monkeypatch.setattr(qp, "_kkt_solve", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QpWarning)
+        cold = solve_qp(p)
+        solve_qp(p, active=cold.ineq_multipliers > 0)
+    assert definite and not any(definite)

@@ -464,16 +464,24 @@ def test_fit_merges_repeated_rows(small_spec, monkeypatch):
 
     # Rows whose hashes collide are never merged: with every multiplier 1,
     # codes (2, 7) and (3, 6) hash alike, and the design is kept as given.
-    class Ones:
-        def integers(self, low, high, size):
-            return np.ones(size, dtype=np.int64)
-
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Ones())
+    monkeypatch.setattr(sqp, "_multipliers", lambda count: np.ones(count, dtype=np.int64))
     colliding = DesignMatrix(dm.column_labels, np.array([[0, 2, 7], [0, 3, 6]] * 3), dm.blocks)
     seen.clear()
     y6 = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
     fit(colliding, y6, np.ones(6), PenaltySpec(lam=0.5), ConstraintSet.empty(9))
     assert seen and all(d is colliding for d in seen)
+
+
+def test_merge_multipliers_are_the_splitmix64_sequence():
+    # The first outputs of splitmix64 from seed 0, with the top two bits
+    # dropped so that products of codes stay clear of the sign bit.
+    first = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    mix = sqp._multipliers(40)
+    assert mix.dtype == np.int64
+    assert [int(m) for m in mix[:3]] == [(v >> 2) | 1 for v in first]
+    assert (mix % 2 == 1).all() and (mix > 0).all() and (mix < 2**62).all()
+    assert len(set(mix.tolist())) == 40
+    assert np.array_equal(sqp._multipliers(3), mix[:3])
 
 
 def test_merged_codes_are_column_major(small_spec, monkeypatch):
