@@ -329,6 +329,7 @@ def _default_probs(spec):
 
 
 def _cmd_gen(args) -> int:
+    _check_outputs(args.out)
     import numpy as np
 
     from .data_io import SyntheticConfig, gen_synthetic

@@ -2,19 +2,11 @@
 
 The data CSV has header y,w,<characteristic names...>; empty cells are
 missing values, y is 0/1 with 1 = Good, and w is a required nonnegative
-weight.  Each column is read as its distinct stripped cells and an integer
-inverse (a `Column`), by one of two routes that give the same Sample and
-the same errors.  A plain file (ASCII, no `"`, each `\\r` before a `\\n`,
-under 2 GiB), as `scorecraft gen` writes, takes the byte route: numpy
-finds the commas and line ends in the file's bytes, keys every cell by its
-bytes while its row block is in cache and groups each column by its keys,
-and Python decodes distinct cells only.  Any other file streams through
-the csv module in blocks, mapping cell texts to indices in one `map` per
-block; there a column whose cells are mostly distinct keeps them as read
-instead.  y and w are parsed once per distinct cell.  Fitted models persist
-as versioned JSON with the spec text embedded so evaluation can rebuild the
-design matrix.  All writes go through a temporary file and an atomic
-rename.
+weight.  `load_sample` reads it as the csv module would, each column as
+its distinct stripped cells and an integer inverse (a `Column`), with no
+Python object per cell.  Fitted models persist as versioned JSON with the
+spec text embedded so evaluation can rebuild the design matrix.  All
+writes go through a temporary file and an atomic rename.
 
 Synthetic samples draw each characteristic's attribute from class
 conditional multinomials using the counter-based Philox generator, so one
@@ -26,6 +18,7 @@ probability by default.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -37,7 +30,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import repeat
 from typing import Iterable, Optional, Union, get_type_hints
 
 import numpy as np
@@ -164,94 +157,6 @@ def _parsed(path: str, values: list, value, valid) -> np.ndarray:
     return out
 
 
-# Rows are read in blocks of this many.  A column is factorized until a block
-# ends with over half of its cells read so far distinct: then a dictionary of
-# nearly every cell costs more memory and time than it saves.  A block is
-# long enough that a column of a couple of thousand values among many more
-# rows is not judged by its first, mostly new, cells alone, and short
-# enough that a column of distinct cells is dropped from the table early.
-SHARE_BLOCK_ROWS = 4096
-_NONE_IF_EMPTY = {"": None}
-
-
-class _CellIndex(dict):
-    """Cell text -> index of its stripped text (None if empty) in `values`.
-
-    One table serves every column; a stripped text gets one index wherever
-    it appears.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.values = _Index()
-
-    def __missing__(self, text: str) -> int:
-        self[text] = i = self.values[text.strip() or None]
-        return i
-
-
-def _stripped(cells: list) -> list:
-    cells = list(map(str.strip, cells))
-    return list(map(_NONE_IF_EMPTY.get, cells, cells))
-
-
-def _factorized_columns(rows, width: int) -> list[Column]:
-    """Each column's stripped cells, empty ones as None, as a Column.
-
-    One table maps each cell text to the index of its stripped text.  While
-    every column is factorized, a block's texts map to indices in one `map`;
-    after that, one `map` per factorized column and block.  A column that
-    stops keeps its cells as values, with inverse arange; once all columns
-    have stopped, the table is dropped.
-    """
-    table: Optional[_CellIndex] = _CellIndex()
-    parts: list[list] = [[] for _ in range(width)]  # index blocks, or cells
-    factorized = [True] * width
-    seen = np.zeros((width, 0), dtype=bool)  # seen[j, i]: column j holds value i
-    read = 0
-    while block := list(chain.from_iterable(islice(rows, SHARE_BLOCK_ROWS))):
-        read += len(block) // width
-        if all(factorized):
-            ids = np.fromiter(map(table.__getitem__, block), np.int32, len(block))
-            for j, part in enumerate(parts):
-                part.append(ids[j::width])
-        else:
-            for j, part in enumerate(parts):
-                cells = block[j::width]
-                if factorized[j]:
-                    part.append(np.fromiter(map(table.__getitem__, cells), np.int32, len(cells)))
-                else:
-                    part += _stripped(cells)
-        if table is None:
-            continue
-        if len(table.values) > seen.shape[1]:
-            grown = np.zeros((width, 2 * len(table.values)), dtype=bool)
-            grown[:, : seen.shape[1]] = seen
-            seen = grown
-        for j in filter(factorized.__getitem__, range(width)):
-            seen[j, parts[j][-1]] = True
-        stopping = [
-            j for j in range(width) if factorized[j] and np.count_nonzero(seen[j]) > read // 2
-        ]
-        distinct = list(table.values) if stopping else []
-        for j in stopping:
-            parts[j] = list(map(distinct.__getitem__, np.concatenate(parts[j]).tolist()))
-            factorized[j] = False
-        if not any(factorized):
-            table = None
-    distinct = list(table.values) if table is not None else []
-    columns = []
-    for part, keep, mark in zip(parts, factorized, seen):
-        if not keep:
-            columns.append(Column(part, np.arange(len(part), dtype=np.int32)))
-            continue
-        # Renumber the column's own values 0, 1, ... in table order.
-        ids = np.concatenate(part) if part else np.zeros(0, np.int32)
-        values = list(map(distinct.__getitem__, np.flatnonzero(mark).tolist()))
-        columns.append(Column(values, (np.cumsum(mark, dtype=np.int32) - 1)[ids]))
-    return columns
-
-
 def _char_names(path: str, header: list[str]) -> list[str]:
     """The characteristic names of a header row; DataError if it is faulty."""
     header = [cell.strip() for cell in header]
@@ -269,46 +174,11 @@ def _is_comment(row: list[str]) -> bool:
     return row[0].lstrip().startswith("#")
 
 
-def _csv_table(path: str, handle) -> tuple[list[str], list[Column], Optional[str]]:
-    """Characteristic names, the columns y, w, ... and the fault that ended reading.
-
-    Reads an open text file with the csv module, the one route that
-    unescapes quoted cells.
-    """
-    rows = (row for row in csv.reader(handle) if row and not _is_comment(row))
-    try:
-        header = next(rows, None)
-    except csv.Error as exc:
-        raise DataError(f"{path}: header: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty data file")
-    char_names = _char_names(path, header)
-    width = len(char_names) + 2
-    stop: list[str] = []
-
-    def full_rows():
-        # Reading stops at a row of the wrong length or one the csv module
-        # cannot read; the rows before it are still checked, since an earlier
-        # fault is the one to report.
-        i = 0
-        try:
-            for i, row in enumerate(rows, start=1):
-                if len(row) != width:
-                    stop.append(f"{path}: row {i} has {len(row)} fields, expected {width}")
-                    return
-                yield row
-        except csv.Error as exc:
-            stop.append(f"{path}: row {i + 1}: {exc}")
-
-    columns = _factorized_columns(full_rows(), width)
-    return char_names, columns, stop[0] if stop else None
-
-
-# The byte route.  Every cell gets a 64-bit key while its row block is in
-# cache.  A cell under 8 bytes is keyed exactly: its bytes as a little-endian
-# word, with its length in the top byte.  A longer cell's key is a hash with
-# the top bit set: its length times the first constant plus the second times
-# the sum of its first 8 bytes, 3 times its last 8 bytes and, over 16 bytes,
+# Every cell gets a 64-bit key while its row block is in cache.  A cell
+# under 8 bytes is keyed exactly: its bytes as a little-endian word, with
+# its length in the top byte.  A longer cell's key is a hash with the top
+# bit set: its length times the first constant plus the second times the
+# sum of its first 8 bytes, 3 times its last 8 bytes and, over 16 bytes,
 # 2k + 5 times its word k (see `_long_words`), all modulo 2**64.  Keys only
 # group cells: a second pass over the row blocks compares each long cell with
 # its group's first, so a collision costs an exact regrouping, never a wrong
@@ -321,35 +191,23 @@ _LONG = np.uint64(1 << 63)
 _KEY_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
 # Multiplier of the slot table that finds each key among a column's distinct keys.
 _SLOT_MIX = np.uint64(0x9E3779B97F4A7C15)
-# Whether a byte is whitespace that str.strip removes.
-_SPACE = np.array([chr(c).isspace() for c in range(256)]) & (np.arange(256) < 128)
+# Whether a byte may begin or end whitespace that str.strip removes: ASCII
+# whitespace, or any byte of a multibyte UTF-8 character.
+_SPACE = np.array([chr(c).isspace() or c >= 128 for c in range(256)])
 # Data rows whose cells are found and keyed in one go.
 _BYTE_BLOCK_ROWS = 1 << 12
 # Words of long cells read in one go, at most (a block spans one word at least).
 _BLOCK_WORDS = 1 << 20
 # Distinct cells' bytes are gathered in pieces of about this many.
 _PIECE_BYTES = 1 << 16
-# Before Python 3.11 the csv module rejects a NUL byte; from 3.11 it is text.
-_CSV_ONLY = (b'"', b"\0") if sys.version_info < (3, 11) else (b'"',)
-
-
-def _plain(buf: bytearray, size: int) -> bool:
-    """Whether the byte route reads the first size bytes of buf.
-
-    The file must be ASCII with no `"`, so no cell is quoted, and each `\\r`
-    must end a line before its `\\n`.  The byte route holds the whole file
-    and int32 offsets into it, so the file must also be under 2 GiB; a
-    larger one streams through the csv route.
-    """
-    return (
-        size < 2**31 - 1
-        and buf.isascii()
-        and all(buf.find(byte, 0, size) < 0 for byte in _CSV_ONLY)
-        and (
-            buf.find(b"\r", 0, size) < 0
-            or buf.count(b"\r", 0, size) == buf.count(b"\r\n", 0, size)
-        )
-    )
+# Bytes that send a line to the csv module: a quote, and before Python 3.11
+# a NUL, which the csv module rejects (from 3.11 it is text).
+_CSV_ONLY = b'"\0' if sys.version_info < (3, 11) else b'"'
+# A comma inside a cell that the csv module read is written as the byte 0xFF,
+# which no UTF-8 text holds: this str under the "surrogateescape" handler.
+_CELL_COMMA = "\udcff"
+# UTF-8 text is checked in pieces of this many bytes.
+_CHECK_BYTES = 1 << 20
 
 
 def _first_rows(group: np.ndarray, groups: int) -> np.ndarray:
@@ -519,7 +377,7 @@ def _first_cells(u8: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np
     """
     width = len(groups)
     base = np.cumsum([0, *map(np.count_nonzero, is_first)])
-    cell_at = np.empty(base[-1], dtype=np.int32)
+    cell_at = np.empty(base[-1], dtype=np.intp)
     cell_left = np.empty(base[-1], dtype=np.int32)
     found = base[:-1].tolist()
     unequal = np.zeros(width, dtype=bool)
@@ -601,50 +459,128 @@ def _joined(u8: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Optional
     return joined
 
 
+def _read_records(buf: bytearray, size: int, starts: np.ndarray, ends: np.ndarray,
+                  holds: np.ndarray) -> tuple[list[int], Optional[tuple[int, str]]]:
+    """Read with the csv module the record at each line k where holds[k].
+
+    holds marks the lines that hold a byte of _CSV_ONLY.  A record may take
+    in the lines after it, which start no record then.  It is written back
+    over its own bytes as its cells joined by commas, each comma inside a
+    cell written as _CELL_COMMA (unquoting only shrinks a record, so this
+    fits), and ends[k] moves to the end of those bytes.  The lines it took
+    in are blanked (ends = starts), as is a record that is a comment.
+    Returns the lines that now hold a record, and the line and the csv
+    module's message where a record cannot be read and reading stops, or None.
+    """
+    records, lengths, blank, fault = [], [], [], None
+    bounds = np.append(starts, size)  # line i with its line break is bounds[i:i + 2]
+    taken = 0  # lines the csv module has read
+
+    def lines():
+        nonlocal taken
+        while taken < len(starts):
+            taken += 1
+            yield str(buf[bounds[taken - 1] : bounds[taken]], "utf-8")
+
+    reader = csv.reader(lines())
+    for k in np.flatnonzero(holds).tolist():
+        if k < taken:
+            continue  # a line that the record before took in
+        taken = k
+        try:
+            record = next(reader)
+        except csv.Error as exc:
+            fault = (k, str(exc))
+            break
+        blank.extend(range(k + 1, taken))
+        if _is_comment(record):
+            blank.append(k)
+            continue
+        text = ",".join(record)
+        if text.count(",") >= len(record):
+            text = ",".join([cell.replace(",", _CELL_COMMA) for cell in record])
+        cells = text.encode("utf-8", "surrogateescape")
+        buf[bounds[k] : bounds[k] + len(cells)] = cells
+        records.append(k)
+        lengths.append(len(cells))
+    ends[blank] = starts[blank]
+    ends[records] = starts[records] + lengths
+    return records, fault
+
+
 def _byte_table(path: str, buf: bytearray, size: int):
     """Characteristic names, the cells of y, w, ... and the fault that ended reading.
 
-    Reads a file that `_plain` accepts from its bytes, giving what the csv
-    route gives: numpy finds the line ends and the commas, and a line is
-    read in Python only where the comment rule or the field size limit
-    needs it.  Every cell is keyed while its row block is in cache, each
-    column is grouped by its keys, and one more pass over the blocks finds
-    each group's first cell and checks the long cells.  Each column comes
-    as the arguments of `_text_column`, which hold no reference to buf.
+    Reads a file from its bytes, giving what the csv module gives: numpy
+    finds the line ends and the commas, and a line is read in Python only
+    where a quote (`_read_records`), the comment rule or the field size
+    limit needs it.  Every cell is keyed while its row block is in cache,
+    each column is grouped by its keys, and one more pass over the blocks
+    finds each group's first cell and checks the long cells.  Each column
+    comes as the arguments of `_text_column`, which hold no reference to
+    buf.
     """
+    if not buf.isascii():
+        # Each piece is decoded but for a character it cuts, which starts the next.
+        at = 0
+        while at < size:
+            piece = buf[at : min(at + _CHECK_BYTES, size)]
+            try:
+                at += codecs.utf_8_decode(piece, None, at + len(piece) == size)[1]
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text at byte {at + exc.start}") from None
     u8 = np.frombuffer(buf, dtype=np.uint8)
     words = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))
-    breaks = np.flatnonzero(u8[:size] == ord("\n"))
+    # One mask of the file's bytes serves every scan.  Lines end where the
+    # csv module ends them: at \n, \r\n and a lone \r.
+    mask = np.zeros(size + 1, dtype=bool)  # mask[size] stays False
+    cr = np.flatnonzero(np.equal(u8[:size], ord("\r"), out=mask[:size]))
+    np.equal(u8[:size], ord("\n"), out=mask[:size])
+    mask[cr[u8[cr + 1] != ord("\n")]] = True
+    breaks = np.flatnonzero(mask)
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [size]))
-    del breaks
+    del breaks, cr
     ends -= (ends > starts) & (u8[ends - 1] == ord("\r"))
+    holds = np.zeros(len(starts), dtype=bool)
+    for byte in _CSV_ONLY:
+        if buf.find(byte, 0, size) >= 0:
+            np.equal(u8[:size], byte, out=mask[:size])
+            holds |= np.logical_or.reduceat(mask, starts)
+    del mask
+    records, fault = _read_records(buf, size, starts, ends, holds)
 
-    def line(i: int) -> str:
-        return buf[starts[i] : ends[i]].decode("ascii")
+    def line_cells(i: int) -> list[str]:
+        text = str(buf[starts[i] : ends[i]], "utf-8", "surrogateescape")
+        return [cell.replace(_CELL_COMMA, ",") for cell in text.split(",")]
 
     lead = u8[starts]
     used = (ends > starts) & (lead != ord("#"))
+    used[records] = True  # a record of one empty cell holds no byte, but is a row
     for i in np.flatnonzero(used & _SPACE[lead]).tolist():
-        used[i] = not _is_comment(line(i).split(",", 1))
+        used[i] = not _is_comment(line_cells(i))
     lines = np.flatnonzero(used)
     del lead, used
+    # A line is over the limit where a cell holds more characters than the
+    # limit, so more bytes too; a record's cells are within it.
     limit = csv.field_size_limit()
     over = next(
         (i for i in np.flatnonzero(ends - starts > limit).tolist()
-         if max(map(len, line(i).split(","))) > limit),
+         if max(map(len, line_cells(i))) > limit),
         len(starts),
     )
-    too_long = f"field larger than field limit ({limit})"
+    message = f"field larger than field limit ({limit})"
+    if fault and fault[0] < over:
+        over, message = fault
     if over < len(starts) and (not lines.size or over <= lines[0]):
-        raise DataError(f"{path}: header: {too_long}")
+        raise DataError(f"{path}: header: {message}")
     if not lines.size:
         raise DataError(f"{path}: empty data file")
-    char_names = _char_names(path, line(lines[0]).split(","))
+    char_names = _char_names(path, line_cells(lines[0]))
     width = len(char_names) + 2
     rows = lines[1:]
     rows = rows[rows < over]
-    stop = f"{path}: row {len(rows) + 1}: {too_long}" if over < len(starts) else None
+    stop = f"{path}: row {len(rows) + 1}: {message}" if over < len(starts) else None
     starts, ends = starts[rows], ends[rows]
     del lines, rows
     # Each column's keys live in an anonymous memory map, which returns to
@@ -691,46 +627,43 @@ def _text_column(joined: Optional[mmap.mmap], group: np.ndarray, padded: bool,
     texts = []
     if joined is not None:
         with joined:
-            texts = str(joined, "ascii").split(",")
-        texts.pop()
+            text = str(joined, "utf-8", "surrogateescape")
+        texts = text.split(",")[:-1]
+        if _CELL_COMMA in text:
+            texts = [cell.replace(_CELL_COMMA, ",") for cell in texts]
     if not padded:
         for i in empty:
             texts[i] = None
         return Column(texts, group)
     index = _Index()
-    code = np.fromiter(map(index.__getitem__, _stripped(texts)), np.int32, len(texts))
+    stripped = (cell.strip() or None for cell in texts)
+    code = np.fromiter(map(index.__getitem__, stripped), np.int32, len(texts))
     return Column(list(index), code[group])
 
 
 def load_sample(path: str) -> Sample:
     """Read a data CSV into a Sample; empty characteristic cells are missing.
 
-    The file is read once as bytes.  One that is ASCII, holds no `"`, has
-    each `\\r` directly before a `\\n` and is under 2 GiB (as files that
-    `scorecraft gen` writes are) takes the byte route: numpy splits it, keys
-    each cell by its bytes block by block of rows and groups each column by
-    its keys (`_byte_table`), so no Python object is made per cell.  Any
-    other file streams through the csv module, which unescapes quoted
-    cells.  Both give each column as a `Column` of distinct stripped cells
-    and an inverse (the csv route keeps a column's cells as read once most
-    are distinct); y and w are parsed once per distinct cell.
+    The file must be UTF-8 text; it is read as the csv module reads it,
+    once, as bytes.  numpy splits it into lines where the csv module does,
+    a line that holds a `"` starts a record that the csv module reads and
+    `_read_records` writes back unquoted in place, and numpy finds the
+    commas, keys each cell by its bytes block by block of rows and groups
+    each column by its keys (`_byte_table`).  Each column comes as a
+    `Column` of distinct stripped cells and an inverse; y and w are parsed
+    once per distinct cell.
 
     A faulty file reports its first faulty row; within a row a field over
-    the csv module's size limit comes first, then the field count, then y,
-    then w.
+    the csv module's size limit (or another fault the csv module finds)
+    comes first, then the field count, then y, then w.
     """
     with open(path, "rb") as handle:
         # A file that grows while it is read is read as it was when opened.
         buf = bytearray(os.fstat(handle.fileno()).st_size + _WORD)
         size = handle.readinto(memoryview(buf)[:-_WORD])
-    if _plain(buf, size):
-        char_names, cells, stop = _byte_table(path, buf, size)
-        del buf  # decode the distinct cells once the file is gone
-        cells = [_text_column(*cell) for cell in cells]
-    else:
-        del buf
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            char_names, cells, stop = _csv_table(path, handle)
+    char_names, cells, stop = _byte_table(path, buf, size)
+    del buf  # decode the distinct cells once the file is gone
+    cells = [_text_column(*cell) for cell in cells]
     y_cells, w_cells, *columns = cells
     y = _parsed(path, y_cells.values, _y_value, _y_valid)[y_cells.inverse]
     w = _parsed(path, w_cells.values, _w_value, _w_valid)[w_cells.inverse]

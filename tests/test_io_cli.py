@@ -30,6 +30,7 @@ from scorecraft.metrics import score_cdfs, score_metrics
 from scorecraft.model import (
     Column,
     NoInformationBin,
+    Sample,
     bin_value,
     build_design_matrix,
     score_vector,
@@ -40,7 +41,7 @@ from scorecraft.sqp import PenaltySpec, fit
 from sample_oracle import cells, load_sample_rows
 from true_beta import implied_true_beta
 
-# The csv module's default field size limit, which both routes apply.
+# The csv module's default field size limit, which load_sample applies.
 LIMIT = 131072
 
 DATA_TEXT = """\
@@ -67,25 +68,6 @@ def probs_for_small_spec():
 # ---------------------------------------------------------------------------
 # Sample CSV
 
-ROUTES = ("csv", "bytes")
-
-
-def load_by(route, path, monkeypatch):
-    """load_sample through one route: the csv module, or the byte route.
-
-    Only a file the byte route takes may be forced onto it.
-    """
-    plain = data_io._plain
-
-    def forced(buf, size):
-        assert route == "csv" or plain(buf, size), "the byte route reads plain files only"
-        return route == "bytes"
-
-    with monkeypatch.context() as patch:
-        patch.setattr(data_io, "_plain", forced)
-        return load_sample(str(path))
-
-
 def assert_same_sample(sample, expected):
     assert sample.y.tobytes() == expected.y.tobytes()
     assert sample.w.tobytes() == expected.w.tobytes()
@@ -94,6 +76,7 @@ def assert_same_sample(sample, expected):
         got = sample.records[name]
         assert isinstance(got, Column) and got.inverse.dtype == np.int32
         assert cells(got) == cells(column)
+        assert len(set(got.values)) == len(got.values)  # padded cells merge
 
 
 def test_load_sample(tmp_path):
@@ -153,15 +136,14 @@ def test_load_sample(tmp_path):
         ),
     ],
 )
-def test_load_sample_rejects(tmp_path, monkeypatch, text, message):
+def test_load_sample_rejects(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(DataError) as expected:
         load_sample_rows(str(path))
-    for route in ROUTES:
-        with pytest.raises(DataError, match=message) as raised:
-            load_by(route, path, monkeypatch)
-        assert str(raised.value) == str(expected.value)
+    with pytest.raises(DataError, match=message) as raised:
+        load_sample(str(path))
+    assert str(raised.value) == str(expected.value)
 
 
 MESSY_TEXT = (
@@ -195,9 +177,13 @@ PLAIN_TEXT = (
 )
 
 
-@pytest.mark.parametrize(
-    "block_rows", [data_io.SHARE_BLOCK_ROWS, 1], ids=["shared", "unshared"]
+# Rows share row blocks of the default size, or each row has a block of its own.
+BLOCK_ROWS = pytest.mark.parametrize(
+    "block_rows", [data_io._BYTE_BLOCK_ROWS, 1], ids=["shared", "unshared"]
 )
+
+
+@BLOCK_ROWS
 @pytest.mark.parametrize(
     "text,n",
     [(MESSY_TEXT, 7), ("y,w,age,fuel,note\n", 0), (PLAIN_TEXT, 7)],
@@ -206,50 +192,23 @@ PLAIN_TEXT = (
 def test_load_sample_matches_per_cell_oracle(
     tmp_path, monkeypatch, small_spec, text, n, block_rows
 ):
-    # One-row blocks stop factorizing after the first row, whose cells all
-    # differ; on the byte route they put each row in a block of its own.
-    monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(data_io, "_BYTE_BLOCK_ROWS", block_rows)
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = load_sample_rows(str(path))
-    for route in ROUTES if '"' not in text else ("csv",):
-        sample = load_by(route, path, monkeypatch)
-        assert sample.n == n
-        assert_same_sample(sample, expected)
-        del sample.records["note"]
-        design = build_design_matrix(small_spec, sample)
-        for c, ch in enumerate(small_spec.characteristics, start=1):
-            per_cell = [bin_value(ch, v) for v in cells(sample.records[ch.name])]
-            assert design.codes[:, c].tolist() == per_cell
-
-
-def test_load_sample_stops_sharing_when_most_cells_are_distinct(tmp_path, monkeypatch):
-    # The stop rule is the csv route's; the byte route factorizes every column.
-    monkeypatch.setattr(data_io, "_plain", lambda buf, size: False)
-    monkeypatch.setattr(data_io, "SHARE_BLOCK_ROWS", 2)
-    repeated = "1,1,Gas,Gas,Gas\n" * 4
-    distinct = "".join(f"0,{i}.5,{i},x{i},Gas\n" for i in range(20))
-    path = tmp_path / "data.csv"
-    path.write_text("y,w,a,b,c\n" + repeated + distinct + repeated)
     sample = load_sample(str(path))
-    expected = load_sample_rows(str(path))
-    assert sample.y.tobytes() == expected.y.tobytes()
-    assert sample.w.tobytes() == expected.w.tobytes()
-    for name, column in expected.records.items():
-        assert cells(sample.records[name]) == cells(column)
-    # A column of few distinct cells stays factorized, each per column; one
-    # that turns mostly distinct stops, and then each cell is its own value.
-    c = sample.records["c"]
-    assert c.values == ["Gas"] and (c.inverse == 0).all()
-    a = sample.records["a"]
-    assert (a.inverse == np.arange(len(a))).all()
-    assert a.values[-1] == a.values[0] and a.inverse[-1] != a.inverse[0]
+    assert sample.n == n
+    assert_same_sample(sample, expected)
+    del sample.records["note"]
+    design = build_design_matrix(small_spec, sample)
+    for c, ch in enumerate(small_spec.characteristics, start=1):
+        per_cell = [bin_value(ch, v) for v in cells(sample.records[ch.name])]
+        assert design.codes[:, c].tolist() == per_cell
 
 
-def test_load_sample_high_cardinality_matches_oracle(tmp_path, monkeypatch, fixture_spec):
-    # Every numeric cell and every weight distinct: each column stops being
-    # factorized after its first block, and keeps its cells as values.
+def test_load_sample_high_cardinality_matches_oracle(tmp_path, fixture_spec):
+    # Every numeric cell and every weight distinct: each column keeps every
+    # cell as a value of its own.
     rng = np.random.default_rng(20261018)
     n = 3000
     names = [ch.name for ch in fixture_spec.characteristics]
@@ -264,16 +223,15 @@ def test_load_sample_high_cardinality_matches_oracle(tmp_path, monkeypatch, fixt
     path.write_text("\n".join(lines) + "\n")
     expected = load_sample_rows(str(path))
     assert len(set(expected.w)) == n
-    for route in ROUTES:
-        sample = load_by(route, path, monkeypatch)
-        assert sample.y.tobytes() == expected.y.tobytes()
-        assert sample.w.tobytes() == expected.w.tobytes()
-        design = build_design_matrix(fixture_spec, sample)
-        for c, ch in enumerate(fixture_spec.characteristics, start=1):
-            got, column = sample.records[ch.name], cells(expected.records[ch.name])
-            assert len(set(column)) == n
-            assert got.values == column and (got.inverse == np.arange(n)).all()
-            assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column]
+    sample = load_sample(str(path))
+    assert sample.y.tobytes() == expected.y.tobytes()
+    assert sample.w.tobytes() == expected.w.tobytes()
+    design = build_design_matrix(fixture_spec, sample)
+    for c, ch in enumerate(fixture_spec.characteristics, start=1):
+        got, column = sample.records[ch.name], cells(expected.records[ch.name])
+        assert len(set(column)) == n
+        assert got.values == column and (got.inverse == np.arange(n)).all()
+        assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column]
 
 
 def test_load_sample_parses_y_and_w_without_a_call_per_value(tmp_path, monkeypatch):
@@ -293,23 +251,20 @@ def test_load_sample_parses_y_and_w_without_a_call_per_value(tmp_path, monkeypat
 
     for name in ("_y_value", "_w_value"):
         monkeypatch.setattr(data_io, name, counted(getattr(data_io, name)))
-    for route in ROUTES:
-        sample = load_by(route, path, monkeypatch)
-        assert sample.y.tobytes() == expected.y.tobytes()
-        assert sample.w.tobytes() == expected.w.tobytes()
+    sample = load_sample(str(path))
+    assert sample.y.tobytes() == expected.y.tobytes()
+    assert sample.w.tobytes() == expected.w.tobytes()
     assert calls == []
     # An empty weight sends its column through a call per value; the
     # message is the oracle's.
     path.write_text("\n".join(lines[:-1] + ["1,,3"]) + "\n")
     with pytest.raises(DataError) as expected_fault:
         load_sample_rows(str(path))
-    for route in ROUTES:
-        calls.clear()
-        with pytest.raises(DataError) as raised:
-            load_by(route, path, monkeypatch)
-        assert str(raised.value) == str(expected_fault.value)
-        assert str(raised.value).endswith(f"row {n}, column w: weight is required")
-        assert len(calls) >= n
+    with pytest.raises(DataError) as raised:
+        load_sample(str(path))
+    assert str(raised.value) == str(expected_fault.value)
+    assert str(raised.value).endswith(f"row {n}, column w: weight is required")
+    assert len(calls) >= n
 
 
 def load_or_fault(load, path):
@@ -320,15 +275,14 @@ def load_or_fault(load, path):
         return str(exc)
 
 
-def assert_routes_match_oracle(path, monkeypatch):
-    """Every route the file takes gives the oracle's Sample, or its message."""
+def assert_matches_oracle(path):
+    """load_sample gives the oracle's Sample, or its message."""
     expected = load_or_fault(load_sample_rows, str(path))
-    for route in ROUTES:
-        got = load_or_fault(lambda p: load_by(route, p, monkeypatch), path)
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert_same_sample(got, expected)
+    got = load_or_fault(load_sample, str(path))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_sample(got, expected)
     return expected
 
 
@@ -353,18 +307,25 @@ def assert_routes_match_oracle(path, monkeypatch):
         pytest.param(b"y,w,a\n", id="header-only"),
         pytest.param(b"y,w,a", id="header-only-no-newline"),
         pytest.param(b"y,w,a\n1,1," + b"x" * LIMIT + b"\n", id="field-at-limit"),
+        # The limit counts characters, not bytes.
+        pytest.param(b"y,w,a\n1,1," + "é".encode() * LIMIT + b"\n", id="utf8-field-at-limit"),
+        pytest.param(
+            "y,w,a\n1,1,é\n0,1,café\n1,1,\u3000café\n0,1,ééééé\n1,1,éééé \n".encode(),
+            id="utf8-cells",
+        ),
+        pytest.param(
+            "y,w,a\n\u3000# note,1\n1,1,5\n\u00a0 #\n0,1,6\n".encode(), id="unicode-indented-comment"
+        ),
     ],
 )
-def test_load_sample_byte_route_edge_cases(tmp_path, monkeypatch, text):
+def test_load_sample_byte_route_edge_cases(tmp_path, text):
+    # Before Python 3.11 the csv module rejects a line that holds a NUL.
     path = tmp_path / "data.csv"
     path.write_bytes(text)
-    if b"\0" in text and sys.version_info < (3, 11):
-        pytest.skip("the csv module reads a NUL byte as text from Python 3.11")
-    assert data_io._plain(bytearray(text), len(text))
-    assert_routes_match_oracle(path, monkeypatch)
+    assert_matches_oracle(path)
 
 
-def test_load_sample_byte_route_tells_cells_apart_by_their_last_byte(tmp_path, monkeypatch):
+def test_load_sample_byte_route_tells_cells_apart_by_their_last_byte(tmp_path):
     # Cells either side of each 8-byte word boundary, equal but for their
     # last byte; the file ends without a newline so the last cell runs to
     # its end.
@@ -375,7 +336,7 @@ def test_load_sample_byte_route_tells_cells_apart_by_their_last_byte(tmp_path, m
         rows.append(f"{i % 2},1," + ",".join(cells_i))
     path = tmp_path / "data.csv"
     path.write_text("\n".join(rows))
-    expected = assert_routes_match_oracle(path, monkeypatch)
+    expected = assert_matches_oracle(path)
     for k in lengths:
         assert len(set(cells(expected.records[f"c{k}"]))) == 2
 
@@ -384,7 +345,7 @@ def test_load_sample_byte_route_keys_cells_either_side_of_8_bytes(tmp_path, monk
     # A cell under 8 bytes is keyed by its bytes and length, a longer one by
     # a hash: cells of 6 to 10 bytes that differ only in a trailing NUL (read
     # as text by the csv module from Python 3.11) or in their last byte stay
-    # apart, in every column and on both routes.  Long cells that differ in
+    # apart, in every column.  Long cells that differ in
     # a middle byte get keys of their own, so nothing is regrouped.
     nul = sys.version_info >= (3, 11)
     stems = [b"abcdef", b"abcdefg", b"abcdefgh", b"abcdefghi"]
@@ -401,12 +362,12 @@ def test_load_sample_byte_route_keys_cells_either_side_of_8_bytes(tmp_path, monk
     path = tmp_path / "data.csv"
     path.write_bytes(b"\n".join(rows) + b"\n")
     monkeypatch.setattr(data_io, "_exact_groups", None)
-    expected = assert_routes_match_oracle(path, monkeypatch)
+    expected = assert_matches_oracle(path)
     for name in ("a", "b"):
         assert len(set(cells(expected.records[name]))) == len(variants)
 
 
-def test_load_sample_byte_route_groups_a_text_across_row_blocks(tmp_path, monkeypatch):
+def test_load_sample_byte_route_groups_a_text_across_row_blocks(tmp_path):
     # Keys are made block by block; one text, short or long, in every block
     # and in cells of other texts between, is one value in first-occurrence
     # order.
@@ -417,8 +378,8 @@ def test_load_sample_byte_route_groups_a_text_across_row_blocks(tmp_path, monkey
         rows.append(f"{i % 2},{1 + i % 3 / 4},7,seventeen-bytes-x,{mixed}")
     path = tmp_path / "data.csv"
     path.write_text("\n".join(rows) + "\n")
-    expected = assert_routes_match_oracle(path, monkeypatch)
-    sample = load_by("bytes", path, monkeypatch)
+    expected = assert_matches_oracle(path)
+    sample = load_sample(str(path))
     assert sample.records["short"].values == ["7"]
     assert sample.records["long"].values == ["seventeen-bytes-x"]
     assert sample.records["mixed"].values[:4] == ["other-0", "seventeen-bytes-x", None, "7"]
@@ -452,17 +413,94 @@ def test_load_sample_byte_route_regroups_exactly_when_keys_collide(tmp_path, mon
     )
     path = tmp_path / "data.csv"
     path.write_bytes(text)
-    expected = load_by("bytes", path, monkeypatch)
+    expected = load_sample(str(path))
     regroups = []
     exact_groups = data_io._exact_groups
     monkeypatch.setattr(data_io, "_exact_groups", lambda *a: regroups.append(1) or exact_groups(*a))
     monkeypatch.setattr(data_io, "_KEY_MIX", (np.uint64(0), np.uint64(0)))
-    sample = load_by("bytes", path, monkeypatch)
+    sample = load_sample(str(path))
     assert regroups
     assert_same_sample(sample, load_sample_rows(str(path)))
     for name, column in expected.records.items():
         assert sample.records[name].values == column.values
         assert sample.records[name].inverse.tolist() == column.inverse.tolist()
+
+
+def quoted_break_across_blocks(block_rows):
+    """A file whose last row in the first row block holds a quoted line break."""
+    rows = [f"{i % 2},1,{i % 3}" for i in range(block_rows + 2)]
+    rows[block_rows - 1] = '1,1,"a\nb, c"'
+    return "y,w,a\n" + "\n".join(rows) + "\n"
+
+
+# Records that the csv module reads: a line that holds a quote starts one,
+# and a quoted field may take in the lines after it.
+QUOTED_CASES = {
+    "quoted-header": '"y","w",a\n1,1,5\n0,1,"5"\n',
+    "break-across-blocks": quoted_break_across_blocks,
+    "comma-in-w": 'y,w,a\n1,1,"x,y"\n0,"1,5",z\n',
+    "comma-in-cell": 'y,w,a,b\n1,1,"x,y",z\n0,1,"x,y","z,"\n1,1,x,"y"\n',
+    "comment-takes-next-line": 'y,w,a\n# note,"1\n1,1,5"\n0,1,6\n',
+    "field-over-limit-quoted": 'y,w,a\n1,1,5\n0,1,"ab\n' + "x" * (LIMIT - 2) + '"\n',
+    "field-at-limit-quoted": 'y,w,a\n1,1,"' + "x" * LIMIT + '"\n0,1,x\n',
+    "unicode-padding-merges": 'y,w,fuel\n1,1,Gas\n0,1,"\u00a0Gas\u3000"\n1,1,\u00a0Gas\n0,1,é\n',
+    "lone-cr": 'y,w,a\r1,1,"x\ry"\r0,1,5\r\n1,1,"x\ry"',
+    "unquoted-quote": 'y,w,a\n1,1,x"y\n0,1,"x"y\n1,1,"x\n',
+}
+
+
+@BLOCK_ROWS
+@pytest.mark.parametrize("case", list(QUOTED_CASES))
+def test_load_sample_reads_quoted_records_as_the_csv_module_does(
+    tmp_path, monkeypatch, case, block_rows
+):
+    monkeypatch.setattr(data_io, "_BYTE_BLOCK_ROWS", block_rows)
+    text = QUOTED_CASES[case]
+    if callable(text):
+        text = text(block_rows)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_matches_oracle(path)
+    if case == "unicode-padding-merges":
+        assert load_sample(str(path)).records["fuel"].values == ["Gas", "é"]
+
+
+def noisy_text(rng):
+    """A short data file with one to three tokens put in at random places.
+
+    The tokens are quotes, line breaks, commas, comment marks and Unicode
+    whitespace, and from Python 3.11 a NUL.
+    """
+    tokens = ['"', '""', ",", "\n", "\r\n", "\r", "#", " ", "é", "\u00a0", "\u3000"]
+    if sys.version_info >= (3, 11):
+        tokens.append("\0")
+    rows = ["y,w,a"] + [
+        f"{rng.integers(2)},1," + "ab" * int(rng.integers(5)) for _ in range(rng.integers(1, 6))
+    ]
+    text = "\n".join(rows) + "\n"
+    for _ in range(rng.integers(1, 4)):
+        at = int(rng.integers(len(text) + 1))
+        text = text[:at] + tokens[rng.integers(len(tokens))] + text[at:]
+    return text
+
+
+@BLOCK_ROWS
+@pytest.mark.parametrize("limit", [LIMIT, 6], ids=["default-limit", "limit-6"])
+def test_load_sample_matches_oracle_on_noisy_texts(tmp_path, monkeypatch, block_rows, limit):
+    monkeypatch.setattr(data_io, "_BYTE_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(20261019)
+    path = tmp_path / "data.csv"
+    outcomes = set()
+    old = csv.field_size_limit(limit)
+    try:
+        for _ in range(300):
+            text = noisy_text(rng)
+            path.write_bytes(text.encode("utf-8"))
+            expected = assert_matches_oracle(path)
+            outcomes.add(type(expected))
+    finally:
+        csv.field_size_limit(old)
+    assert outcomes == {str, Sample}  # both loads and faults were compared
 
 
 def test_atomic_write_text(tmp_path):
@@ -1075,21 +1113,50 @@ def test_cli_fit_rejects_non_finite_numbers(tmp_path, small_spec_text, capsys, f
     assert message in err
 
 
-@pytest.mark.parametrize("route", ROUTES)
+# numpy finds a field over the limit in a plain line, the csv module in a
+# quoted one.
+@pytest.mark.parametrize(
+    "cell", ["9" * (LIMIT + 1), '"' + "9" * (LIMIT + 1) + '"'], ids=["bytes", "csv"]
+)
 def test_cli_reports_a_field_over_the_csv_limit_in_one_line(
-    tmp_path, small_spec_text, capsys, monkeypatch, route
+    tmp_path, small_spec_text, capsys, cell
 ):
     spec_path = write_small_spec(tmp_path, small_spec_text)
     data_path = tmp_path / "data.csv"
-    data_path.write_text("y,w,age,fuel\n1,1," + "9" * (LIMIT + 1) + ",Gas\n")
-    plain = data_io._plain
-    monkeypatch.setattr(data_io, "_plain", lambda buf, size: route == "bytes" and plain(buf, size))
+    data_path.write_text("y,w,age,fuel\n1,1," + cell + ",Gas\n")
     code = main(["compile", "--spec", str(spec_path), "--data", str(data_path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err == (
         f"scorecraft compile: error: {data_path}: row 1: "
         f"field larger than field limit ({LIMIT})\n"
+    )
+
+
+def test_cli_gen_checks_its_output_before_drawing(tmp_path, small_spec_text, capsys, monkeypatch):
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    monkeypatch.setattr(data_io, "gen_synthetic", lambda *args: pytest.fail("drew a sample"))
+    path = str(tmp_path / "missing" / "x.csv")
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", path, "--n-good", "5", "--n-bad", "5",
+        "--probs", str(write_probs(tmp_path)),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"scorecraft gen: error: {path}: {os.strerror(errno.ENOENT)}\n"
+    assert captured.out == ""
+
+
+# The file is checked in pieces; pieces of 4 bytes cut the two-byte é.
+@pytest.mark.parametrize("piece", [data_io._CHECK_BYTES, 4], ids=["default-pieces", "4-byte-pieces"])
+def test_cli_names_a_data_file_that_is_not_utf8(tmp_path, capsys, monkeypatch, piece):
+    monkeypatch.setattr(data_io, "_CHECK_BYTES", piece)
+    data_path = tmp_path / "data.csv"
+    text = "y,w,a\n".encode() + "1,1,é\n".encode() * 5 + b"1,1,caf\xff\n"
+    data_path.write_bytes(text)
+    code = main(["compare", "--data", str(data_path), "--model", "m=nope.json"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"scorecraft compare: error: {data_path}: not UTF-8 text at byte {text.index(0xFF)}\n"
     )
 
 
