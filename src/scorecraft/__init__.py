@@ -16,6 +16,7 @@ thread pools before numpy is first loaded.
 _EXPORTS = {
     # model
     "SpecError": "model",
+    "DataError": "model",
     "StepError": "model",
     "SpecialBin": "model",
     "IntervalBin": "model",
@@ -72,7 +73,6 @@ _EXPORTS = {
     "score_metrics": "metrics",
     "compare_scores": "metrics",
     # data_io
-    "DataError": "data_io",
     "SyntheticConfig": "data_io",
     "ModelFile": "data_io",
     "load_sample": "data_io",

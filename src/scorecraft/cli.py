@@ -115,11 +115,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _check_outputs(*paths: Optional[str]) -> None:
     """Fail before any work on an output path a write could not replace.
 
@@ -176,9 +171,9 @@ def _compiled(args, spec, sample, design=None):
 
 
 def _cmd_compile(args) -> int:
-    from .model import parse_spec
+    from .model import parse_spec, read_text
 
-    spec = parse_spec(_read_text(args.spec))
+    spec = parse_spec(read_text(args.spec))
     sample = None
     if args.data:
         from .data_io import load_sample
@@ -201,10 +196,10 @@ def _cmd_fit(args) -> int:
     twin = args.report + ".csv" if args.report else None
     _check_outputs(args.out, args.report, twin)
     from .data_io import ModelFile, load_model, load_sample, save_model
-    from .model import build_design_matrix, parse_spec, score_vector
+    from .model import build_design_matrix, parse_spec, read_text, score_vector
     from .sqp import FitConfig, PenaltySpec, fit
 
-    spec_text = _read_text(args.spec)
+    spec_text = read_text(args.spec)
     spec = parse_spec(spec_text)
     sample = load_sample(args.data)
     design = build_design_matrix(spec, sample)
@@ -239,8 +234,8 @@ def _cmd_fit(args) -> int:
         from .report import write_report
 
         theta = score_vector(design, result.beta)
-        metrics = {args.name: score_metrics(theta, sample.y, sample.w)}
-        write_report(spec, [(args.name, result.beta)], metrics, args.report)
+        metrics = score_metrics(theta, sample.y, sample.w)
+        write_report(spec, args.name, result.beta, metrics, args.report)
         print(f"wrote report to {args.report} (csv twin {args.report}.csv)")
     return 0 if result.status == "converged" else 2
 
@@ -333,11 +328,11 @@ def _cmd_gen(args) -> int:
     import numpy as np
 
     from .data_io import SyntheticConfig, gen_synthetic
-    from .model import parse_spec
+    from .model import parse_spec, read_text
 
-    spec = parse_spec(_read_text(args.spec))
+    spec = parse_spec(read_text(args.spec))
     if args.probs:
-        raw = json.loads(_read_text(args.probs))
+        raw = json.loads(read_text(args.probs))
         good = {name: np.asarray(v["good"], dtype=float) for name, v in raw.items()}
         bad = {name: np.asarray(v["bad"], dtype=float) for name, v in raw.items()}
     else:

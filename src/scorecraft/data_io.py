@@ -40,20 +40,21 @@ from .model import (
     CategoryBin,
     Characteristic,
     Column,
+    DataError,
     NoInformationBin,
     Sample,
     ScorecardSpec,
     SpecError,
     SpecialBin,
-    _Index,
     bin_value,
+    number_text,
     parse_spec,
+    read_text,
 )
 from .qp import KktResiduals
 from .sqp import FitResult, IterationRecord, PenaltySpec
 
 __all__ = [
-    "DataError",
     "SyntheticConfig",
     "ModelFile",
     "load_sample",
@@ -67,10 +68,6 @@ __all__ = [
 
 MODEL_FORMAT = "scorecraft-model"
 MODEL_VERSION = 1
-
-
-class DataError(ValueError):
-    """Raised for malformed data files or synthetic configurations."""
 
 
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
@@ -616,6 +613,14 @@ def _byte_table(path: str, buf: bytearray, size: int):
     return char_names, columns, stop
 
 
+class _Index(dict):
+    """Maps each new key to the number of keys before it."""
+
+    def __missing__(self, key) -> int:
+        self[key] = i = len(self)
+        return i
+
+
 def _text_column(joined: Optional[mmap.mmap], group: np.ndarray, padded: bool,
                  empty: list[int]) -> Column:
     """A Column of the distinct cells `_joined` gave and each cell's group.
@@ -693,8 +698,7 @@ class SyntheticConfig:
 
     good_probs/bad_probs map characteristic name to a probability vector over
     that characteristic's attributes (spec order, including NoInformation);
-    each vector must sum to 1.  true_weights optionally carries a length-q
-    coefficient vector for oracle checks.
+    each vector must sum to 1.
     """
 
     seed: int
@@ -703,7 +707,6 @@ class SyntheticConfig:
     spec: ScorecardSpec
     good_probs: dict[str, np.ndarray] = field(default_factory=dict)
     bad_probs: dict[str, np.ndarray] = field(default_factory=dict)
-    true_weights: Optional[np.ndarray] = None
 
     def validate(self) -> "SyntheticConfig":
         if self.n_good < 1 or self.n_bad < 1:
@@ -723,10 +726,6 @@ class SyntheticConfig:
                     raise DataError(
                         f"{which}[{ch.name!r}] must sum to 1, got {float(p.sum()):.12g}"
                     )
-        if self.true_weights is not None:
-            tw = np.asarray(self.true_weights, dtype=float)
-            if tw.shape != (self.spec.q,):
-                raise DataError(f"true_weights must have length {self.spec.q}")
         return self
 
 
@@ -774,25 +773,16 @@ def representatives(ch: Characteristic) -> dict[int, object]:
     return found
 
 
-def _format_cell(raw: object) -> str:
-    if raw is None:
-        return ""
-    if isinstance(raw, str):
-        return raw
-    value = float(raw)
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
 def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
     """Draw a synthetic sample; optionally write it as a data CSV.
 
     Attribute draws use inverse-CDF lookups on Philox-generated uniforms, so
     a given seed yields the same sample, and the same file bytes, on every
     platform.  Rows are all Goods first, then all Bads, unit weights.  Each
-    attribute is drawn as its `representatives` value; one with none and a
-    positive probability raises DataError.
+    attribute is drawn as the text of its `representatives` value (a
+    number's `number_text`, None for a missing cell), so the sample holds
+    the cells its file does; one with none and a positive probability
+    raises DataError.
     """
     cfg.validate()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -813,19 +803,21 @@ def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
             cum = np.cumsum(np.asarray(cls_probs[ch.name], dtype=float))
             cum[-1] = 1.0
             draws.append(np.searchsorted(cum, rng.random(rows), side="right"))
-        values = [reps.get(k) for k in range(len(ch.attributes))]
-        records[ch.name] = Column(values, np.concatenate(draws).astype(np.int32))
+        texts = [
+            raw if raw is None or isinstance(raw, str) else number_text(raw)
+            for raw in map(reps.get, range(len(ch.attributes)))
+        ]
+        records[ch.name] = Column(texts, np.concatenate(draws).astype(np.int32))
     sample = Sample(y=y, w=w, records=records).validate()
 
     if path is not None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        names = [ch.name for ch in cfg.spec.characteristics]
-        cells = []
-        for nm in names:
-            texts = [_format_cell(v) for v in records[nm].values]
-            cells.append(list(map(texts.__getitem__, records[nm].inverse.tolist())))
-        writer.writerow(["y", "w"] + names)
+        cells = [
+            np.array([v or "" for v in col.values], dtype=object)[col.inverse]
+            for col in records.values()
+        ]
+        writer.writerow(["y", "w", *records])
         writer.writerows(zip([str(int(v)) for v in y], repeat("1"), *cells))
         atomic_write_text(path, buffer.getvalue())
     return sample
@@ -846,12 +838,12 @@ class ModelFile:
     kkt: KktResiduals
     residuals: ConstraintResiduals
     minus_ll: float
-    spec_text: Optional[str] = None
+    spec_text: str
     note: str = ""
 
     @classmethod
     def from_fit(
-        cls, result: FitResult, pen: PenaltySpec, spec_text: Optional[str] = None
+        cls, result: FitResult, pen: PenaltySpec, spec_text: str
     ) -> "ModelFile":
         return cls(
             beta=np.asarray(result.beta, dtype=float),
@@ -866,8 +858,6 @@ class ModelFile:
         )
 
     def spec(self) -> ScorecardSpec:
-        if self.spec_text is None:
-            raise DataError("model file carries no spec text")
         return parse_spec(self.spec_text)
 
 
@@ -885,11 +875,7 @@ def save_model(path: str, model: ModelFile) -> None:
         "trajectory": [asdict(rec) for rec in model.trajectory],
         "kkt": asdict(model.kkt),
         "residuals": asdict(model.residuals),
-        "spec_sha256": (
-            hashlib.sha256(model.spec_text.encode("utf-8")).hexdigest()
-            if model.spec_text is not None
-            else None
-        ),
+        "spec_sha256": hashlib.sha256(model.spec_text.encode("utf-8")).hexdigest(),
         "spec_text": model.spec_text,
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
@@ -917,13 +903,8 @@ def _read_json(path: str) -> dict:
         def __missing__(self, key):
             raise DataError(f"{path}: missing key {key!r}")
 
-        def read(self, key: str, convert, optional: bool = False):
-            """convert(self[key]); a value it rejects raises DataError naming the key.
-
-            An optional key that is absent or null reads as None.
-            """
-            if optional and self.get(key) is None:
-                return None
+        def read(self, key: str, convert):
+            """convert(self[key]); a value it rejects raises DataError naming the key."""
             try:
                 return convert(self[key])
             except DataError:
@@ -933,11 +914,10 @@ def _read_json(path: str) -> dict:
                     f"{path}: key {key!r} has a value of the wrong type or shape"
                 ) from None
 
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle, object_hook=Fields)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        payload = json.loads(read_text(path), object_hook=Fields)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
@@ -952,12 +932,9 @@ def load_model(path: str) -> ModelFile:
     beta = read("beta", _floats)
     if beta.shape != (read("q", int),):
         raise DataError(f"{path}: beta length disagrees with q")
-    spec_text = read("spec_text", _text, optional=True)
-    stored_hash = payload.get("spec_sha256")
-    if spec_text is not None and stored_hash is not None:
-        actual = hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
-        if actual != stored_hash:
-            raise DataError(f"{path}: spec text does not match its stored hash")
+    spec_text = read("spec_text", _text)
+    if hashlib.sha256(spec_text.encode("utf-8")).hexdigest() != read("spec_sha256", _text):
+        raise DataError(f"{path}: spec text does not match its stored hash")
     return ModelFile(
         beta=beta,
         lam=read("lam", float),
@@ -979,12 +956,11 @@ def load_model(path: str) -> ModelFile:
 
 def load_score_csv(path: str) -> np.ndarray:
     """Read a one-column score file with header `score`."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            rows = [row for row in reader if row]
-        except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path)))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or [c.strip() for c in rows[0]] != ["score"]:
         raise DataError(f"{path}: expected a single `score` column")
     values = np.zeros(len(rows) - 1)

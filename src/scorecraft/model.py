@@ -4,8 +4,9 @@ A scorecard partitions each predictor (characteristic) into bins (attributes)
 and assigns one additive weight per attribute.  This module parses the spec
 file format, bins raw values, and builds design matrices with an intercept
 column.  A sample stores each characteristic column once per distinct raw
-value, as a `Column` of values and an integer inverse, so binning works on
-the distinct values and gathers their codes through the inverse.  A design
+value, as a `Column` of stripped texts (None for a missing cell, as a data
+file holds them) and an integer inverse, so binning works on the distinct
+texts and gathers their codes through the inverse.  A design
 stores one integer column code per characteristic and row, not the 0/1
 indicator matrix; scores, X'r and X' diag(c) X are computed from the codes
 with numpy alone, and the dense indicator matrix is only built when
@@ -24,12 +25,13 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "SpecError",
+    "DataError",
     "StepError",
     "SpecialBin",
     "IntervalBin",
@@ -60,6 +62,10 @@ SPEC_HEADER = ("char", "att", "label", "kind", "lo", "hi", "categories", "constr
 
 class SpecError(ValueError):
     """Raised for malformed or inconsistent scorecard specifications."""
+
+
+class DataError(ValueError):
+    """Raised for malformed data files or synthetic configurations."""
 
 
 class StepError(RuntimeError):
@@ -294,44 +300,20 @@ def _validate_bin(ch: Characteristic, att: Attribute) -> None:
 # Sample and design matrix
 
 
-class _Index(dict):
-    """Maps each new key to the number of keys before it."""
-
-    def __missing__(self, key) -> int:
-        self[key] = i = len(self)
-        return i
-
-
 @dataclass(frozen=True, eq=False)
 class Column:
     """A characteristic column stored once per distinct raw value.
 
-    Cell i holds values[inverse[i]]; inverse is an int32 array.
-    `load_sample` gives stripped texts, None for an empty cell; a column
-    built from other raw values keeps them as given, for `bin_value` reads
-    any raw value.
+    Cell i holds values[inverse[i]]; inverse is an int32 array.  Each value
+    is a cell's text as `load_sample` reads it, stripped, or None for an
+    empty cell.
     """
 
-    values: list
+    values: list[Optional[str]]
     inverse: np.ndarray
 
     def __len__(self) -> int:
         return int(self.inverse.shape[0])
-
-    @classmethod
-    def of(cls, cells: Iterable[object]) -> "Column":
-        """Cells factorized by equality, values in order of first occurrence.
-
-        Equal values bin alike.  Cells that cannot be hashed are kept one
-        value per cell.
-        """
-        cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
-        index = _Index()
-        try:
-            inverse = np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
-        except TypeError:
-            return cls(cells, np.arange(len(cells), dtype=np.int32))
-        return cls(list(index), inverse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,20 +321,12 @@ class Sample:
     """Weighted binary-outcome observations with raw characteristic values.
 
     y is 0/1 with 1 = Good; w is nonnegative with positive total; records maps
-    characteristic name to its `Column`.  Any other sequence of n raw values
-    (None for missing) given as a record is factorized into a `Column`.
+    characteristic name to its `Column` of texts.
     """
 
     y: np.ndarray
     w: np.ndarray
     records: dict[str, Column]
-
-    def __post_init__(self) -> None:
-        records = {
-            name: col if isinstance(col, Column) else Column.of(col)
-            for name, col in self.records.items()
-        }
-        object.__setattr__(self, "records", records)
 
     @property
     def n(self) -> int:
@@ -383,7 +357,8 @@ class DesignMatrix:
     characteristics: column 0 is the intercept's code 0, and column c + 1
     holds the design column (the attribute index) that row i bins to in
     characteristic c.  `blocks` maps each characteristic (name, start,
-    stop) to its column range; the ranges follow one another from column 1.
+    stop) to its column range; the ranges follow one another from column 1
+    up to q, where the last one stops.
 
     `scores`, `rmatvec_runs` and `gram` are the operations a fit needs.
     They work on `runs`, which join consecutive characteristics into one
@@ -392,7 +367,6 @@ class DesignMatrix:
     the dense n x q float view, built on first read and then kept.
     """
 
-    column_labels: tuple[str, ...]
     codes: np.ndarray
     blocks: tuple[tuple[str, int, int], ...]
 
@@ -402,7 +376,7 @@ class DesignMatrix:
 
     @property
     def q(self) -> int:
-        return len(self.column_labels)
+        return self.blocks[-1][2]
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -521,29 +495,10 @@ class DesignMatrix:
 # Binning
 
 
-def _coerce_raw(raw: object) -> tuple[bool, Optional[float], str]:
-    """Normalize a raw record value to (missing, numeric form, text form)."""
-    if raw is None:
-        return True, None, ""
-    if isinstance(raw, str):
-        text = raw.strip()
-        if not text:
-            return True, None, ""
-        try:
-            return False, float(text), text
-        except ValueError:
-            return False, None, text
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        return False, None, str(raw)
-    if math.isnan(value):
-        return True, None, ""
-    return False, value, _canonical_number(value)
-
-
-def _canonical_number(value: float) -> str:
-    if math.isfinite(value) and value == int(value):
+def number_text(value: float) -> str:
+    """A number's text: if integral and below 1e15 in magnitude, with no fraction; else its repr."""
+    value = float(value)
+    if abs(value) < 1e15 and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -551,25 +506,36 @@ def _canonical_number(value: float) -> str:
 def bin_value(ch: Characteristic, raw: object) -> int:
     """Map a raw value to the characteristic's matching attribute index.
 
-    Matching is total: Special rules are tried first (exact numeric match),
-    then Category membership on the value's string form, then Intervals with
-    lo <= v < hi, in declared order within each kind.  Missing values (None,
-    NaN, empty string) and anything unmatched fall through to the
+    A raw value is read as the text a data file holds for it: a number as
+    its `number_text` (NaN as missing), a text stripped, any other object
+    as its str.  Matching is total: Special rules are tried first (exact
+    numeric match), then Category membership on the text, then Intervals
+    with lo <= v < hi, in declared order within each kind.  Missing values
+    (None, NaN, empty text) and anything unmatched fall through to the
     NoInformation attribute.
     """
-    missing, numeric, text = _coerce_raw(raw)
-    if not missing:
-        if numeric is not None:
-            for att in ch.attributes:
-                if isinstance(att.bin, SpecialBin) and numeric == att.bin.value:
-                    return att.att_index
+    if raw is not None and not isinstance(raw, str):
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raw = str(raw)
+        else:
+            raw = None if math.isnan(value) else number_text(value)
+    text = (raw or "").strip()
+    if text:
+        try:
+            numeric = float(text)
+        except ValueError:
+            numeric = math.nan  # matches no special and no interval
+        for att in ch.attributes:
+            if isinstance(att.bin, SpecialBin) and numeric == att.bin.value:
+                return att.att_index
         for att in ch.attributes:
             if isinstance(att.bin, CategoryBin) and text in att.bin.labels:
                 return att.att_index
-        if numeric is not None:
-            for att in ch.attributes:
-                if isinstance(att.bin, IntervalBin) and att.bin.lo <= numeric < att.bin.hi:
-                    return att.att_index
+        for att in ch.attributes:
+            if isinstance(att.bin, IntervalBin) and att.bin.lo <= numeric < att.bin.hi:
+                return att.att_index
     return ch.noinfo.att_index
 
 
@@ -583,22 +549,18 @@ def _number(text: str) -> float:
         return math.nan
 
 
-def _bin_values(ch: Characteristic, values: list) -> np.ndarray:
-    """bin_value of each raw value.
+def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
+    """bin_value of each text or None, by array operations.
 
-    Texts and None, as `load_sample` gives them, are binned by array
-    operations: numbers are parsed by `float` in C (NaN for the empty text
-    and for a category label that is no number; NaN matches no special and
-    no interval, as no number does); only a column with some other text
-    that is no number is parsed by a Python call per value.  Intervals
-    match by one searchsorted over the elementary intervals; then category
-    and special matches, exact lookups, overwrite them in the reverse of
-    the order `bin_value` tries them; missing values go to NoInformation.
-    Other raw values are binned by `bin_value` one by one.
+    Numbers are parsed by `float` in C (NaN for the empty text and for a
+    category label that is no number; NaN matches no special and no
+    interval, as no number does); only a column with some other text that
+    is no number is parsed by a Python call per value.  Intervals match by
+    one searchsorted over the elementary intervals; then category and
+    special matches, exact lookups, overwrite them in the reverse of the
+    order `bin_value` tries them; missing values go to NoInformation.
     """
     m = len(values)
-    if not set(map(type, values)) <= {str, type(None)}:
-        return np.fromiter((bin_value(ch, v) for v in values), np.intp, m)
     texts = list(map(str.strip, map(_EMPTY_IF_NONE.get, values, values)))
     labels: dict[str, int] = {}
     for att in ch.attributes:
@@ -652,15 +614,13 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
         column = sample.records[ch.name]
         codes[:, c] = _bin_values(ch, column.values)[column.inverse]
 
-    labels = ["intercept"]
     blocks = []
     start = 1
     for ch in spec.characteristics:
-        labels.extend(f"{ch.name}:{att.label}" for att in ch.attributes)
         stop = start + len(ch.attributes)
         blocks.append((ch.name, start, stop))
         start = stop
-    return DesignMatrix(column_labels=tuple(labels), codes=codes, blocks=tuple(blocks))
+    return DesignMatrix(codes=codes, blocks=tuple(blocks))
 
 
 def score_vector(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
@@ -678,6 +638,17 @@ def score_vector(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Spec file format
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 file's text as text-mode `open` reads it; DataError names a non-UTF-8 byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_tag(text: str, where: str) -> ConstraintTag:
@@ -805,18 +776,12 @@ def parse_spec(text: str) -> ScorecardSpec:
     return spec.validate()
 
 
-def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
 def format_tag(tag: ConstraintTag) -> str:
     """Render a constraint tag in the spec file grammar (empty for no terms)."""
     parts = []
     for term in tag.terms:
         if isinstance(term, FixedTo):
-            parts.append(f"= {_format_number(term.value)}")
+            parts.append(f"= {number_text(term.value)}")
         elif isinstance(term, GreaterThan):
             parts.append(f"> {term.att}")
         elif isinstance(term, LessThan):

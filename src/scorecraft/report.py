@@ -1,17 +1,15 @@
 """Scorecard reports: the per-attribute weight table with a metrics footer.
 
 The text report lists every attribute row (characteristic, attribute number,
-label, constraint tag) with one weight column per model at 4 decimal places,
-followed by per-model intercept lines and, when metrics are supplied, a
-comparison footer.  A machine-readable CSV twin is written alongside at
-<path>.csv, with the intercept as its att-0 row.
+label, constraint tag) with the model's weight at 4 decimal places, followed
+by its intercept line and a footer of its metrics.  A machine-readable CSV
+twin is written alongside at <path>.csv, with the intercept as its att-0 row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,30 +28,23 @@ def _fmt4(value: float) -> str:
 
 def write_report(
     spec: ScorecardSpec,
-    models: Sequence[tuple[str, np.ndarray]],
-    metrics: Optional[dict[str, ScoreMetrics]],
+    name: str,
+    beta: np.ndarray,
+    metrics: ScoreMetrics,
     path: str,
 ) -> None:
     """Write the attribute/weight table to path and its CSV twin to path.csv.
 
-    models is an ordered list of (name, beta) with each beta of length q;
-    column order follows the list.  metrics maps model name to its measures
-    and may be None or partial.
+    beta is the model's coefficients, of length q; name heads its weight
+    column, and metrics are its measures.
     """
     q = spec.q
-    names = []
-    betas = []
-    for name, beta in models:
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (q,):
-            raise SpecError(
-                f"model {name!r} has {beta.shape[0] if beta.ndim == 1 else '?'} "
-                f"coefficients, spec needs {q}"
-            )
-        names.append(str(name))
-        betas.append(beta)
-    if len(set(names)) != len(names):
-        raise SpecError("model names must be unique")
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (q,):
+        raise SpecError(
+            f"model {name!r} has {beta.shape[0] if beta.ndim == 1 else '?'} "
+            f"coefficients, spec needs {q}"
+        )
 
     rows = []
     for ch, att in spec.iter_attributes():
@@ -63,7 +54,7 @@ def write_report(
                 str(att.att_index),
                 att.label,
                 format_tag(att.tag),
-                [_fmt4(beta[att.att_index]) for beta in betas],
+                _fmt4(beta[att.att_index]),
             )
         )
 
@@ -71,51 +62,38 @@ def write_report(
     att_w = max(len("att"), len(str(q - 1)))
     label_w = max([len("label")] + [len(r[2]) for r in rows])
     tag_w = max([len("constraint")] + [len(r[3]) for r in rows])
-    col_w = [max(len(name), 9) for name in names]
+    col_w = max(len(name), 9)
 
     lines = []
     header = (
         f"{'char':<{char_w}}  {'att':>{att_w}}  {'label':<{label_w}}  "
-        f"{'constraint':<{tag_w}}"
+        f"{'constraint':<{tag_w}}  {name:>{col_w}}"
     )
-    for name, width in zip(names, col_w):
-        header += f"  {name:>{width}}"
     lines.append(header)
     lines.append("-" * len(header))
-    for char_name, att_no, label, tag, weights in rows:
+    for char_name, att_no, label, tag, weight in rows:
         line = (
             f"{char_name:<{char_w}}  {att_no:>{att_w}}  {label:<{label_w}}  "
-            f"{tag:<{tag_w}}"
+            f"{tag:<{tag_w}}  {weight:>{col_w}}"
         )
-        for text, width in zip(weights, col_w):
-            line += f"  {text:>{width}}"
         lines.append(line)
 
     lines.append("")
     lines.append("intercept:")
-    for name, beta in zip(names, betas):
-        lines.append(f"  {name}: {_fmt4(beta[0])}")
-    if metrics:
-        lines.append("")
-        lines.append("metrics:")
-        for name in names:
-            m = metrics.get(name)
-            if m is None:
-                continue
-            lines.append(
-                f"  {name}: divergence {_fmt4(m.divergence)}  "
-                f"minus_ll {_fmt4(m.minus_ll)}  ks {_fmt4(m.ks)}  "
-                f"roc_area {_fmt4(m.roc_area)}"
-            )
+    lines.append(f"  {name}: {_fmt4(beta[0])}")
+    lines.append("")
+    lines.append("metrics:")
+    lines.append(
+        f"  {name}: divergence {_fmt4(metrics.divergence)}  "
+        f"minus_ll {_fmt4(metrics.minus_ll)}  ks {_fmt4(metrics.ks)}  "
+        f"roc_area {_fmt4(metrics.roc_area)}"
+    )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["char", "att", "label", "constraint"] + names)
-    writer.writerow(
-        ["(intercept)", "0", "", ""] + [_fmt4(beta[0]) for beta in betas]
-    )
-    for char_name, att_no, label, tag, weights in rows:
-        writer.writerow([char_name, att_no, label, tag] + weights)
+    writer.writerow(["char", "att", "label", "constraint", name])
+    writer.writerow(["(intercept)", "0", "", "", _fmt4(beta[0])])
+    writer.writerows(rows)
     atomic_write_text(path + ".csv", buffer.getvalue())
 

@@ -363,7 +363,7 @@ def _merged(
     # read whole code columns.
     kept = np.empty((first.size, codes.shape[1]), dtype=codes.dtype, order="F")
     np.take(codes, first, axis=0, out=kept)
-    merged = DesignMatrix(design.column_labels, kept, design.blocks)
+    merged = DesignMatrix(kept, design.blocks)
     weights = np.bincount(np.searchsorted(first, first_of), weights=w, minlength=first.size)
     return merged, y[first], weights
 

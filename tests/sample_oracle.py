@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from scorecraft.data_io import DataError
-from scorecraft.model import Sample, SpecError
+from scorecraft.model import Column, Sample, SpecError
 
 
 def cells(column):
@@ -46,7 +46,10 @@ def load_sample_rows(path):
     n = len(rows) - 1
     y = np.zeros(n)
     w = np.zeros(n)
-    records = {name: np.empty(n, dtype=object) for name in char_names}
+    # Each column's distinct cells in order of first occurrence, and each
+    # row's place among them.
+    values = {name: {} for name in char_names}
+    inverse = {name: np.empty(n, dtype=np.int32) for name in char_names}
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataError(
@@ -75,10 +78,11 @@ def load_sample_rows(path):
         y[i - 1] = y_val
         w[i - 1] = w_val
         for j, name in enumerate(char_names):
-            cell = row[2 + j].strip()
-            records[name][i - 1] = cell if cell else None
+            cell = row[2 + j].strip() or None
+            inverse[name][i - 1] = values[name].setdefault(cell, len(values[name]))
     if unread:
         raise DataError(unread)
+    records = {name: Column(list(values[name]), inverse[name]) for name in char_names}
     sample = Sample(y=y, w=w, records=records)
     try:
         return sample.validate()

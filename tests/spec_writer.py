@@ -14,13 +14,8 @@ from scorecraft.model import (
     IntervalBin,
     SpecialBin,
     format_tag,
+    number_text,
 )
-
-
-def _number(value):
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
 
 
 def write_spec(spec):
@@ -33,13 +28,13 @@ def write_spec(spec):
         rule = att.bin
         if isinstance(rule, SpecialBin):
             kind = "special"
-            lo = _number(rule.value)
+            lo = number_text(rule.value)
         elif isinstance(rule, IntervalBin):
             kind = "interval"
             if math.isfinite(rule.lo):
-                lo = _number(rule.lo)
+                lo = number_text(rule.lo)
             if math.isfinite(rule.hi):
-                hi = _number(rule.hi)
+                hi = number_text(rule.hi)
         elif isinstance(rule, CategoryBin):
             kind = "category"
             cats = "|".join(sorted(rule.labels))

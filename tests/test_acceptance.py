@@ -35,6 +35,7 @@ from scorecraft.model import (
     SpecialBin,
     TiedTo,
     build_design_matrix,
+    number_text,
     score_vector,
 )
 from scorecraft.sqp import (
@@ -48,6 +49,7 @@ from scorecraft.sqp import (
 from conftest import null_space
 from dense_design import DenseDesign
 from ircls_oracle import ircls_step
+from text_columns import text_column
 from true_beta import implied_true_beta
 
 
@@ -543,24 +545,22 @@ def test_penalty_ladder_shrinks_weights(acceptance, small_spec):
 
 
 def representative_sample(spec, rng, n):
-    """Raw values that hit every attribute, with outcomes from random weights."""
+    """Cells that hit every attribute, with outcomes from random weights."""
     records = {}
     for ch in spec.characteristics:
         reps = []
         for att in ch.attributes:
             rule = att.bin
             if isinstance(rule, SpecialBin):
-                reps.append(rule.value)
+                reps.append(number_text(rule.value))
             elif isinstance(rule, IntervalBin):
                 lo = rule.lo if math.isfinite(rule.lo) else rule.hi - 10.0
-                reps.append(lo)
+                reps.append(number_text(lo))
             elif isinstance(rule, NoInformationBin):
                 reps.append(None)
             else:
                 reps.append(sorted(rule.labels)[0])
-        column = np.empty(n, dtype=object)
-        column[:] = [reps[k] for k in rng.integers(0, len(reps), size=n)]
-        records[ch.name] = column
+        records[ch.name] = text_column([reps[k] for k in rng.integers(0, len(reps), size=n)])
     sample = Sample(y=np.zeros(n), w=rng.uniform(0.5, 2.0, n), records=records)
     x = build_design_matrix(spec, sample).x
     theta = x @ rng.normal(0.0, 0.5, spec.q)

@@ -19,6 +19,8 @@ from scorecraft.model import (
     parse_spec,
 )
 
+from text_columns import text_column
+
 HEADER = "char,att,label,kind,lo,hi,categories,constraint\n"
 
 
@@ -99,8 +101,8 @@ def test_centering_policy_from_sample(small_spec):
         y=np.array([1, 0, 1]),
         w=np.array([2.0, 1.0, 0.5]),
         records={
-            "age": np.array([25.0, 55.0, 25.0]),
-            "fuel": np.array(["Gas", "Other", "Nope"], dtype=object),
+            "age": text_column(["25", "55", "25"]),
+            "fuel": text_column(["Gas", "Other", "Nope"]),
         },
     ).validate()
     design = build_design_matrix(small_spec, sample)

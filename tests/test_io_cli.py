@@ -12,7 +12,7 @@ import pytest
 
 import scorecraft
 from scorecraft import data_io
-from scorecraft.cli import main
+from scorecraft.cli import _default_probs, main
 from scorecraft.constraints import compile_constraints
 from scorecraft.data_io import (
     DataError,
@@ -534,10 +534,6 @@ def test_synthetic_config_validation(small_spec):
     unnorm = dict(good, age=np.array([0.5, 0.1, 0.1, 0.1, 0.1]))
     with pytest.raises(DataError, match="must sum to 1"):
         SyntheticConfig(1, 5, 5, small_spec, unnorm, bad).validate()
-    with pytest.raises(DataError, match="true_weights"):
-        SyntheticConfig(
-            1, 5, 5, small_spec, good, bad, true_weights=np.zeros(3)
-        ).validate()
 
 
 def test_gen_synthetic_deterministic(tmp_path, small_spec):
@@ -576,6 +572,29 @@ def test_gen_synthetic_round_trips_and_bins(tmp_path, small_spec):
     dm_mem = build_design_matrix(small_spec, generated)
     dm_file = build_design_matrix(small_spec, loaded)
     assert np.array_equal(dm_mem.x, dm_file.x)
+
+
+@pytest.mark.parametrize("which", ["small", "bundled"])
+def test_gen_synthetic_holds_the_cells_its_file_holds(tmp_path, small_spec, fixture_spec, which):
+    # The in-memory sample is the file as load_sample reads it: the same
+    # y and w, and the same text (None where empty) in every cell.
+    if which == "small":
+        spec, (good, bad) = small_spec, probs_for_small_spec()
+    else:
+        spec, (good, bad) = fixture_spec, _default_probs(fixture_spec)
+    cfg = SyntheticConfig(
+        seed=13, n_good=700, n_bad=300, spec=spec, good_probs=good, bad_probs=bad
+    )
+    path = tmp_path / "sample.csv"
+    generated = gen_synthetic(cfg, str(path))
+    loaded = load_sample(str(path))
+    assert generated.y.tobytes() == loaded.y.tobytes()
+    assert generated.w.tobytes() == loaded.w.tobytes()
+    names = [ch.name for ch in spec.characteristics]
+    assert list(generated.records) == list(loaded.records) == names
+    for name, column in generated.records.items():
+        assert all(v is None or isinstance(v, str) for v in column.values), name
+        assert cells(column) == cells(loaded.records[name]), name
 
 
 def test_gen_synthetic_frequencies_track_probabilities(small_spec):
@@ -735,14 +754,16 @@ def test_model_file_corruption_checks(tmp_path, small_spec, small_spec_text):
         load_model(str(path))
 
 
-def test_model_without_spec_text(tmp_path, small_spec):
+def test_model_without_spec_text(tmp_path, small_spec, small_spec_text):
+    # A model file must carry its spec: a null spec_text fails at load.
     result, pen, _, _ = fitted_model(small_spec, tmp_path)
-    model = ModelFile.from_fit(result, pen, spec_text=None)
     path = tmp_path / "bare.json"
-    save_model(str(path), model)
-    loaded = load_model(str(path))
-    with pytest.raises(DataError, match="no spec text"):
-        loaded.spec()
+    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    payload = json.loads(path.read_text())
+    payload["spec_text"] = None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"^{path}: key 'spec_text' has a value of the wrong type"):
+        load_model(str(path))
 
 
 def test_score_csv_round_trip(tmp_path):
@@ -768,59 +789,47 @@ def test_score_csv_round_trip(tmp_path):
 def test_write_report_text_and_csv_twin(tmp_path, small_spec):
     rng = np.random.default_rng(41)
     q = small_spec.q
-    beta_a = rng.standard_normal(q)
-    beta_b = rng.standard_normal(q)
+    beta = rng.standard_normal(q)
     y = np.array([1.0, 0.0, 1.0, 0.0])
     score = np.array([2.0, 1.0, 3.0, 0.0])
-    metrics = {"alpha": score_metrics(score, y), "beta": score_metrics(-score, y)}
+    metrics = score_metrics(score, y)
     path = tmp_path / "report.txt"
-    write_report(
-        small_spec, [("alpha", beta_a), ("beta", beta_b)], metrics, str(path)
-    )
+    name = "alpha_model_long"
+    write_report(small_spec, name, beta, metrics, str(path))
 
     text = path.read_text()
     lines = text.splitlines()
-    assert lines[0].split() == ["char", "att", "label", "constraint", "alpha", "beta"]
+    assert lines[0].split() == ["char", "att", "label", "constraint", name]
     assert set(lines[1]) == {"-"}
+    # The weight column is as wide as the model's name, so every row lines up.
+    assert {len(line) for line in lines[: q + 1]} == {len(lines[0])}
     assert "intercept:" in text
-    assert f"alpha: {beta_a[0]:.4f}".replace("-0.0000", "0.0000") in text
-    assert "metrics:" in text
-    assert "divergence" in text
+    assert f"{name}: {beta[0]:.4f}".replace("-0.0000", "0.0000") in text
+    assert lines[-2:] == [
+        "metrics:",
+        f"  {name}: divergence {metrics.divergence:.4f}  minus_ll {metrics.minus_ll:.4f}  "
+        f"ks {metrics.ks:.4f}  roc_area {metrics.roc_area:.4f}",
+    ]
     # Every attribute appears with its tag.
     assert "age" in text and "Gas or Diesel" in text and "> 3" in text
 
     # The CSV twin has the intercept as its att-0 row, then one row per
-    # attribute in index order, with each model's weights at 4 dp.
+    # attribute in index order, with the model's weights at 4 dp.
     with open(str(path) + ".csv", newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == ["char", "att", "label", "constraint", "alpha", "beta"]
+    assert rows[0] == ["char", "att", "label", "constraint", name]
     assert [int(row[1]) for row in rows[1:]] == list(range(q))
-    for k, beta in enumerate((beta_a, beta_b)):
-        column = np.array([float(row[4 + k]) for row in rows[1:]])
-        assert np.abs(column - beta).max() <= 5e-5  # printed at 4 dp
-
-
-def test_write_report_without_metrics(tmp_path, small_spec):
-    path = tmp_path / "report.txt"
-    write_report(small_spec, [("only", np.zeros(small_spec.q))], None, str(path))
-    text = path.read_text()
-    assert "metrics:" not in text
-    assert "intercept:" in text
+    column = np.array([float(row[4]) for row in rows[1:]])
+    assert np.abs(column - beta).max() <= 5e-5  # printed at 4 dp
 
 
 def test_write_report_validation(tmp_path, small_spec):
     path = str(tmp_path / "report.txt")
     from scorecraft.model import SpecError
 
+    metrics = score_metrics(np.array([2.0, 1.0, 3.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0]))
     with pytest.raises(SpecError, match="coefficients"):
-        write_report(small_spec, [("bad", np.zeros(3))], None, path)
-    with pytest.raises(SpecError, match="unique"):
-        write_report(
-            small_spec,
-            [("dup", np.zeros(small_spec.q)), ("dup", np.zeros(small_spec.q))],
-            None,
-            path,
-        )
+        write_report(small_spec, "bad", np.zeros(3), metrics, path)
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +909,26 @@ def test_cli_end_to_end(tmp_path, small_spec, small_spec_text, capsys):
     out = capsys.readouterr().out
     assert "best divergence:" in out
     assert "fitted" in out and "saved" in out
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_cli_reads_a_spec_as_text_mode_reads_it(tmp_path, small_spec_text, capsys, newline):
+    # \r\n and a lone \r are read as \n, so the model embeds the same spec
+    # text whatever line breaks its file has.
+    spec_path = tmp_path / "spec.csv"
+    spec_path.write_bytes(small_spec_text.replace("\n", newline).encode())
+    data_path = tmp_path / "train.csv"
+    model_path = tmp_path / "model.json"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data_path),
+        "--seed", "7", "--n-good", "50", "--n-bad", "50", "--probs", str(write_probs(tmp_path)),
+    ]) == 0
+    assert main([
+        "fit", "--spec", str(spec_path), "--data", str(data_path),
+        "--lambda", "0.5", "--out", str(model_path),
+    ]) == 0
+    assert json.loads(model_path.read_text())["spec_text"] == small_spec_text
+    capsys.readouterr()
 
 
 def test_cli_eval_dump_cdfs(tmp_path, small_spec, small_spec_text, capsys):
@@ -1160,6 +1189,32 @@ def test_cli_names_a_data_file_that_is_not_utf8(tmp_path, capsys, monkeypatch, p
     )
 
 
+@pytest.mark.parametrize(
+    "flag", ["compile --spec", "compare --score", "eval --model", "gen --probs"]
+)
+def test_cli_names_a_text_file_that_is_not_utf8(tmp_path, small_spec_text, capsys, flag):
+    # A spec, score or model file is read as strictly as a data file.
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(DATA_TEXT)
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    bad = tmp_path / "bad.txt"
+    text = "é\n".encode() + b"caf\xff\n"
+    bad.write_bytes(text)
+    argv = {
+        "compile --spec": ["compile", "--spec", str(bad)],
+        "compare --score": ["compare", "--data", str(data_path), "--score", f"s={bad}"],
+        "eval --model": ["eval", "--model", str(bad), "--data", str(data_path)],
+        "gen --probs": [
+            "gen", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv"),
+            "--n-good", "5", "--n-bad", "5", "--probs", str(bad),
+        ],
+    }[flag]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"scorecraft {argv[0]}: error: {bad}: not UTF-8 text at byte {text.index(0xFF)}\n"
+    )
+
+
 def test_cli_compare_length_mismatch(tmp_path, small_spec_text, capsys):
     spec_path = write_small_spec(tmp_path, small_spec_text)
     data_path = tmp_path / "data.csv"
@@ -1201,8 +1256,11 @@ def test_cli_eval_model_without_kkt(tmp_path, small_spec_text, capsys):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("kkt", []), ("trajectory", [1]), ("beta", {"a": 1}), ("lam", "x"), ("spec_text", 5)],
-    ids=["kkt", "trajectory", "beta", "lam", "spec_text"],
+    [
+        ("kkt", []), ("trajectory", [1]), ("beta", {"a": 1}), ("lam", "x"), ("spec_text", 5),
+        ("spec_sha256", None),
+    ],
+    ids=["kkt", "trajectory", "beta", "lam", "spec_text", "spec_sha256"],
 )
 def test_cli_rejects_a_key_of_the_wrong_type(
     tmp_path, small_spec, small_spec_text, capsys, key, value

@@ -27,11 +27,13 @@ from scorecraft.model import (
     bin_value,
     build_design_matrix,
     format_tag,
+    number_text,
     parse_spec,
     score_vector,
 )
 
 from spec_writer import write_spec
+from text_columns import text_column
 
 SPEC_TEXT = """\
 char,att,label,kind,lo,hi,categories,constraint
@@ -182,8 +184,8 @@ def test_build_design_matrix_indicators():
         y=np.array([1, 0, 1, 0]),
         w=np.ones(4),
         records={
-            "age": np.array([25.0, -9999999.0, 55.0, np.nan]),
-            "fuel": np.array(["Diesel", "Other", "Unknown", "Gas"], dtype=object),
+            "age": text_column(["25", "-9999999", "55", None]),
+            "fuel": text_column(["Diesel", "Other", "Unknown", "Gas"]),
         },
     ).validate()
     dm = build_design_matrix(spec, sample)
@@ -198,13 +200,11 @@ def test_build_design_matrix_indicators():
     for i, j in enumerate([6, 7, 8, 6]):
         expect[i, j] = 1.0
     assert np.array_equal(dm.x, expect)
-    assert dm.column_labels[0] == "intercept"
-    assert dm.column_labels[6] == "fuel:Gas or Diesel"
     assert dm.blocks == (("age", 1, 6), ("fuel", 6, 9))
 
 
-# A spec whose category labels look like numbers, and raw cells of every
-# kind a library-built Sample may hold.
+# A spec whose category labels look like numbers, and cells of every kind
+# a data file may hold.
 PER_CELL_SPEC_TEXT = (
     "char,att,label,kind,lo,hi,categories,constraint\n"
     "x,1,missing,special,-9999999,,,\n"
@@ -216,11 +216,9 @@ PER_CELL_SPEC_TEXT = (
     "z,7,NO INFORMATION,noinfo,,,,\n"
 )
 PER_CELL_CELLS = [
-    None, "", " 12 ", "12", 12, 12.0, "12.0", "007", 7, "7", " 7 ",
-    float("nan"), float("nan"), float("nan"), np.float64("nan"),
-    np.float64("nan"), np.nan, "nan", True, False, 1, 0, -0.0, np.int64(12),
-    "-9999999", -9999999.0, -9999999, " -9999999 ", 99.5, 100, 1e9, -5.0,
-    np.float64(-1e300), "junk",
+    None, "", " 12 ", "12", "12.0", "007", "7", " 7 ", "7.0", "nan", " NaN ",
+    "1", "0", "-0.0", "-9999999", "-9999999.0", " -9999999 ", "99.5", "100",
+    "1e9", "1000000000", "-5.0", "-1e+300", "junk",
 ]
 
 
@@ -229,14 +227,13 @@ def test_design_codes_equal_per_cell_binning():
     x, z = spec.characteristics
     cells = PER_CELL_CELLS
     rng = np.random.default_rng(20240819)
-    column = np.empty(3 * len(cells), dtype=object)
-    column[:] = [cells[k] for k in rng.permutation(np.arange(3 * len(cells)) % len(cells))]
-    # An unhashable cell sends its column to the per-cell path.
-    other = np.empty(column.shape[0], dtype=object)
-    other[:] = [[-1.0] if i % 5 == 0 else float(i - 50) for i in range(column.shape[0])]
-    w = rng.uniform(0.1, 3.0, column.shape[0])
+    column = [cells[k] for k in rng.permutation(np.arange(3 * len(cells)) % len(cells))]
+    other = [None if i % 5 == 0 else repr(float(i - 50)) for i in range(len(column))]
+    w = rng.uniform(0.1, 3.0, len(column))
     sample = Sample(
-        y=np.ones(column.shape[0]), w=w, records={"x": column, "z": other}
+        y=np.ones(len(column)),
+        w=w,
+        records={"x": text_column(column), "z": text_column(other)},
     ).validate()
     dm = build_design_matrix(spec, sample)
     assert dm.codes[:, 1].tolist() == [bin_value(x, v) for v in column]
@@ -255,12 +252,12 @@ def test_design_codes_equal_per_cell_binning():
 def test_build_design_matrix_checks_record_columns():
     spec = small_spec()
     base = {
-        "age": np.array([25.0]),
-        "fuel": np.array(["Gas"], dtype=object),
+        "age": text_column(["25"]),
+        "fuel": text_column(["Gas"]),
     }
     y, w = np.array([1]), np.ones(1)
     with pytest.raises(SpecError, match="unknown"):
-        build_design_matrix(spec, Sample(y, w, dict(base, pay=np.array([1.0]))))
+        build_design_matrix(spec, Sample(y, w, dict(base, pay=text_column(["1"]))))
     with pytest.raises(SpecError, match="lacks"):
         build_design_matrix(spec, Sample(y, w, {"age": base["age"]}))
 
@@ -274,7 +271,7 @@ def test_sample_validate_rejects():
     with pytest.raises(SpecError, match="positive"):
         Sample(y, np.zeros(2), {}).validate()
     with pytest.raises(SpecError, match="wrong length"):
-        Sample(y, w, {"age": np.array([1.0])}).validate()
+        Sample(y, w, {"age": text_column(["1"])}).validate()
 
 
 def test_score_vector():
@@ -283,8 +280,8 @@ def test_score_vector():
         y=np.array([1, 0, 1]),
         w=np.ones(3),
         records={
-            "age": np.array([25.0, None, -9999999.0], dtype=object),
-            "fuel": np.array(["Gas", "Other", None], dtype=object),
+            "age": text_column(["25", None, "-9999999"]),
+            "fuel": text_column(["Gas", "Other", None]),
         },
     ).validate()
     dm = build_design_matrix(spec, sample)
@@ -305,7 +302,7 @@ def coded_design(widths, n, rng, order):
         columns.append(rng.integers(start, start + width, n))
         start += width
     codes = np.array(np.stack(columns, axis=1), order=order)
-    return DesignMatrix(tuple(map(str, range(start))), codes, tuple(blocks))
+    return DesignMatrix(codes, tuple(blocks))
 
 
 def relative_gap(a, b):
@@ -375,13 +372,71 @@ def test_bin_value_total_on_random_specs(random_spec_factory):
                 assert lo <= idx <= hi
 
 
-def edge_cells(spec):
-    """Raw cells at and beside every edge and label of a spec, of every kind.
+def raw_text(raw):
+    """The cell a data file holds for a raw value: the one rule's text of a number."""
+    return raw if raw is None or isinstance(raw, str) else number_text(raw)
 
-    Each finite interval edge and special value comes as a float, one ulp
-    either side, and their texts plain and padded; then infinities, NaN,
+
+def test_bin_value_of_a_number_bins_its_text(random_spec_factory):
+    # bin_value reads a number as the text a data file holds for it, so it
+    # agrees with the array binner on that text for every raw value.
+    rng = np.random.default_rng(20261019)
+    for _ in range(25):
+        spec = random_spec_factory(rng)
+        # Specials and interval edges: random specs hold no category.
+        edges = [e for _, att in spec.iter_attributes() for e in vars(att.bin).values()]
+        for ch in spec.characteristics:
+            integral = [float(e) for e in edges if math.isfinite(e)]
+            integral += [float(v) for v in rng.integers(-60, 60, 8)]
+            integral += [float(rng.integers(-10**14, 10**14)), 1e15 - 1, -(1e15 - 1)]
+            large = [1e15, -1e15, 1e16, 2.0**60, float(rng.integers(10**15, 10**17)), 1e300]
+            fractional = list(rng.normal(0.0, 40.0, 8)) + [0.5, -1e-300]
+            ints = [int(v) for v in rng.integers(-60, 60, 4)] + [10**15 - 1, 10**15, 10**20]
+            special = [math.nan, math.inf, -math.inf, None]
+            # A category attribute whose labels are texts of some of these.
+            numbers = integral + large + fractional + ints
+            picked = rng.choice(len(numbers), 6, replace=False)
+            labels = {number_text(numbers[k]) for k in picked}
+            labels |= {"1000000000000000.0", "1e+16", "12", "Gas"}
+            extended = Characteristic(
+                ch.name,
+                ch.attributes
+                + (Attribute(spec.q, "labelled", CategoryBin(frozenset(labels))),),
+            )
+            padded = [f"  {label} " for label in sorted(labels)]
+            raws = numbers + special + padded
+            raws = [raws[k] for k in rng.permutation(len(raws))]
+            texts = [raw_text(raw) for raw in raws]
+            binned = model._bin_values(extended, texts).tolist()
+            assert binned == [bin_value(extended, raw) for raw in raws], ch.name
+
+
+def test_bin_value_matches_a_large_integral_number_by_its_written_text():
+    # From 1e15 up an integral number is written as its repr, as a data
+    # file holds it, and a category label of that text matches it ahead of
+    # the interval that holds it.
+    ch = inline_char(
+        "x,1,big,category,,,1000000000000000.0|1e+16,\n"
+        "x,2,0-High,interval,0,,,\n"
+        "x,3,NO INFORMATION,noinfo,,,,\n"
+    )
+    assert [number_text(v) for v in (1e15 - 1, 1e15, 1e16)] == [
+        "999999999999999", "1000000000000000.0", "1e+16"
+    ]
+    for raw in (1e15, 10**15, 1e16, 10**16, "1e+16"):
+        assert bin_value(ch, raw) == 1, raw
+    texts = ["1000000000000000.0", "1e+16", "1000000000000000", "10000000000000000"]
+    assert model._bin_values(ch, texts).tolist() == [1, 1, 2, 2]
+    assert bin_value(ch, 1e15 - 1) == bin_value(ch, 1e17) == 2
+
+
+def edge_cells(spec):
+    """Cells at and beside every edge and label of a spec, of every kind.
+
+    Each finite interval edge and special value comes as the text of the
+    float, of one ulp either side, plain and padded; then infinities, NaN,
     signed zeros, exponent forms, each category label plain and padded,
-    non-numeric text, missing cells, and non-string numbers.
+    non-numeric text, and missing cells.
     """
     numbers = [0.0, -0.0, 1e3, math.inf, -math.inf, math.nan]
     labels = []
@@ -399,16 +454,14 @@ def edge_cells(spec):
     texts = [repr(v) for v in numbers] + [f" {v!r}  " for v in numbers]
     texts += ["-0", "+0", "1e3", "1E3", "1000", "+inf", "-Infinity", "nan", " NaN "]
     texts += labels + [f"  {label} " for label in labels] + ["junk", "", "   ", "12abc"]
-    others = numbers + [int(v) for v in numbers if math.isfinite(v) and v == int(v)]
-    others += [np.float64(v) for v in numbers] + [True, False, np.int64(12), None]
-    return texts + [None], texts + others
+    return texts + [None]
 
 
 def assert_codes_equal_per_value(spec, column):
     sample = Sample(
         y=np.ones(len(column)),
         w=np.ones(len(column)),
-        records={ch.name: column for ch in spec.characteristics},
+        records={ch.name: text_column(column) for ch in spec.characteristics},
     ).validate()
     design = build_design_matrix(spec, sample)
     for c, ch in enumerate(spec.characteristics, start=1):
@@ -428,13 +481,9 @@ def test_vectorized_binning_equals_bin_value(fixture_spec, random_spec_factory, 
     specs = [fixture_spec, parse_spec(PER_CELL_SPEC_TEXT), ScorecardSpec((blank,)).validate()]
     specs += [random_spec_factory(rng) for _ in range(10)]
     for spec in specs:
-        texts, mixed = edge_cells(spec)
-        # Texts and None only, as load_sample gives them, take the path that
-        # parses in C; any other raw value takes the one-by-one path.
-        assert_codes_equal_per_value(spec, texts)
-        assert_codes_equal_per_value(spec, mixed + PER_CELL_CELLS)
+        assert_codes_equal_per_value(spec, edge_cells(spec) + PER_CELL_CELLS)
     # The same texts through a data file, padded cells and all.
-    texts, _ = edge_cells(fixture_spec)
+    texts = edge_cells(fixture_spec)
     names = [ch.name for ch in fixture_spec.characteristics]
     path = tmp_path / "edges.csv"
     with open(path, "w", newline="") as handle:

@@ -21,6 +21,7 @@ from scorecraft.sqp import (
 
 from dense_design import DenseDesign
 from ircls_oracle import ircls_step
+from text_columns import text_column
 
 
 def cs_of(q, aeq=None, beq=None, a=None, b=None):
@@ -361,12 +362,13 @@ def test_fit_validates_shapes():
 def test_fit_on_design_matrix_with_compiled_constraints(small_spec):
     rng = np.random.default_rng(16)
     n = 400
-    ages = rng.choice([-9999999.0, 20.0, 40.0, 60.0, np.nan], size=n)
-    fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n).astype(object)
+    ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
+    fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
     y = (rng.random(n) < 0.6).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
-    sample = Sample(y=y, w=np.ones(n), records={"age": ages, "fuel": fuels}).validate()
+    records = {"age": text_column(ages), "fuel": text_column(fuels)}
+    sample = Sample(y=y, w=np.ones(n), records=records).validate()
     dm = build_design_matrix(small_spec, sample)
     cs = compile_constraints(small_spec)
     result = fit(dm, y, sample.w, PenaltySpec(lam=0.5), cs)
@@ -422,23 +424,24 @@ def merged_by_hand(design, y, w):
         groups.setdefault(key, []).append(i)
     first = [rows[0] for rows in groups.values()]
     weights = np.array([w[rows].sum() for rows in groups.values()])
-    merged = DesignMatrix(design.column_labels, design.codes[first], design.blocks)
+    merged = DesignMatrix(design.codes[first], design.blocks)
     return merged, y[first], weights
 
 
 def test_fit_merges_repeated_rows(small_spec, monkeypatch):
     rng = np.random.default_rng(19)
     n = 600
-    ages = rng.choice([-9999999.0, 20.0, 40.0, 60.0, None], size=n)
+    ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
     fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
     y = (rng.random(n) < 0.6).astype(float)
     w = rng.choice([0.5, 1.0, 2.0], size=n)
-    sample = Sample(y=y, w=w, records={"age": ages, "fuel": fuels}).validate()
+    records = {"age": text_column(ages), "fuel": text_column(fuels)}
+    sample = Sample(y=y, w=w, records=records).validate()
     dm = build_design_matrix(small_spec, sample)
     merged = merged_by_hand(dm, y, w)
     assert merged[0].n < n / 10
     perm = rng.permutation(n)
-    permuted = (DesignMatrix(dm.column_labels, dm.codes[perm], dm.blocks), y[perm], w[perm])
+    permuted = (DesignMatrix(dm.codes[perm], dm.blocks), y[perm], w[perm])
     cs = compile_constraints(small_spec)
     for lam in (0.0, 0.5):
         fits = [fit(*case, PenaltySpec(lam=lam), cs) for case in ((dm, y, w), merged, permuted)]
@@ -465,7 +468,7 @@ def test_fit_merges_repeated_rows(small_spec, monkeypatch):
     # Rows whose hashes collide are never merged: with every multiplier 1,
     # codes (2, 7) and (3, 6) hash alike, and the design is kept as given.
     monkeypatch.setattr(sqp, "_multipliers", lambda count: np.ones(count, dtype=np.int64))
-    colliding = DesignMatrix(dm.column_labels, np.array([[0, 2, 7], [0, 3, 6]] * 3), dm.blocks)
+    colliding = DesignMatrix(np.array([[0, 2, 7], [0, 3, 6]] * 3), dm.blocks)
     seen.clear()
     y6 = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
     fit(colliding, y6, np.ones(6), PenaltySpec(lam=0.5), ConstraintSet.empty(9))
@@ -490,11 +493,12 @@ def test_merged_codes_are_column_major(small_spec, monkeypatch):
     # no fitted number.
     rng = np.random.default_rng(23)
     n = 600
-    ages = rng.choice([-9999999.0, 20.0, 40.0, 60.0, None], size=n)
+    ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
     fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
     y = (rng.random(n) < 0.6).astype(float)
     w = rng.choice([0.5, 1.0, 2.0], size=n)
-    sample = Sample(y=y, w=w, records={"age": ages, "fuel": fuels}).validate()
+    records = {"age": text_column(ages), "fuel": text_column(fuels)}
+    sample = Sample(y=y, w=w, records=records).validate()
     dm = build_design_matrix(small_spec, sample)
     assert dm.codes.flags.f_contiguous
     merged = sqp._merged(dm, y, w)
@@ -509,7 +513,7 @@ def test_merged_codes_are_column_major(small_spec, monkeypatch):
     def row_major(*args):
         design, my, mw = merge(*args)
         codes = np.ascontiguousarray(design.codes)
-        return DesignMatrix(design.column_labels, codes, design.blocks), my, mw
+        return DesignMatrix(codes, design.blocks), my, mw
 
     monkeypatch.setattr(sqp, "_merged", row_major)
     got = fit(dm, y, w, PenaltySpec(lam=0.5), cs)
@@ -522,11 +526,12 @@ def test_merged_skips_the_argsort_without_repeated_rows(small_spec, monkeypatch)
     # design of distinct (codes, y) rows never pays for the stable argsort.
     rng = np.random.default_rng(29)
     n = 600
-    ages = rng.choice([-9999999.0, 20.0, 40.0, 60.0, None], size=n)
+    ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
     fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
     y = (rng.random(n) < 0.6).astype(float)
     w = rng.choice([0.5, 1.0, 2.0], size=n)
-    sample = Sample(y=y, w=w, records={"age": ages, "fuel": fuels}).validate()
+    records = {"age": text_column(ages), "fuel": text_column(fuels)}
+    sample = Sample(y=y, w=w, records=records).validate()
     dm = build_design_matrix(small_spec, sample)
     argsort = np.argsort
     stable = []
