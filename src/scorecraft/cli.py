@@ -323,20 +323,36 @@ def _default_probs(spec):
     return good, dict(good)
 
 
-def _cmd_gen(args) -> int:
-    _check_outputs(args.out)
+def _read_probs(path: str) -> tuple[dict, dict]:
+    """The good and the bad probabilities a `--probs` JSON file gives each name.
+
+    The file maps each name to {"good": [numbers], "bad": [numbers]}; a
+    ValueError names the file, and the key where one is faulty.
+    """
     import numpy as np
 
+    from .model import read_text
+
+    raw = json.loads(read_text(path))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected an object that maps names to probabilities")
+    probs = ({}, {})
+    for name, entry in raw.items():
+        lists = [entry.get(kind) for kind in ("good", "bad")] if isinstance(entry, dict) else [None]
+        if not all(isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in lists):
+            raise ValueError(f'{path}: key {name!r}: expected {{"good": [numbers], "bad": [numbers]}}')
+        for side, values in zip(probs, lists):
+            side[name] = np.asarray(values, dtype=float)
+    return probs
+
+
+def _cmd_gen(args) -> int:
+    _check_outputs(args.out)
     from .data_io import SyntheticConfig, gen_synthetic
     from .model import parse_spec, read_text
 
     spec = parse_spec(read_text(args.spec))
-    if args.probs:
-        raw = json.loads(read_text(args.probs))
-        good = {name: np.asarray(v["good"], dtype=float) for name, v in raw.items()}
-        bad = {name: np.asarray(v["bad"], dtype=float) for name, v in raw.items()}
-    else:
-        good, bad = _default_probs(spec)
+    good, bad = _read_probs(args.probs) if args.probs else _default_probs(spec)
     cfg = SyntheticConfig(
         seed=args.seed,
         n_good=args.n_good,

@@ -4,9 +4,11 @@ The data CSV has header y,w,<characteristic names...>; empty cells are
 missing values, y is 0/1 with 1 = Good, and w is a required nonnegative
 weight.  `load_sample` reads it as the csv module would, each column as
 its distinct stripped cells and an integer inverse (a `Column`), with no
-Python object per cell.  Fitted models persist as versioned JSON with the
-spec text embedded so evaluation can rebuild the design matrix.  All
-writes go through a temporary file and an atomic rename.
+Python object per cell: one pass groups each chunk of rows while its
+cells' offsets are at hand, and the chunks' groups merge once per column.
+Fitted models persist as versioned JSON with the spec text embedded so
+evaluation can rebuild the design matrix.  All writes go through a
+temporary file and an atomic rename.
 
 Synthetic samples draw each characteristic's attribute from class
 conditional multinomials using the counter-based Philox generator, so one
@@ -46,6 +48,7 @@ from .model import (
     ScorecardSpec,
     SpecError,
     SpecialBin,
+    _key_groups,
     bin_value,
     number_text,
     parse_spec,
@@ -171,14 +174,14 @@ def _is_comment(row: list[str]) -> bool:
     return row[0].lstrip().startswith("#")
 
 
-# Every cell gets a 64-bit key while its row block is in cache.  A cell
+# Every cell gets a 64-bit key while its chunk of rows is grouped.  A cell
 # under 8 bytes is keyed exactly: its bytes as a little-endian word, with
 # its length in the top byte.  A longer cell's key is a hash with the top
 # bit set: its length times the first constant plus the second times the
 # sum of its first 8 bytes, 3 times its last 8 bytes and, over 16 bytes,
 # 2k + 5 times its word k (see `_long_words`), all modulo 2**64.  Keys only
-# group cells: a second pass over the row blocks compares each long cell with
-# its group's first, so a collision costs an exact regrouping, never a wrong
+# group cells: each long cell is compared with its group's first
+# (`_cell_groups`), so a collision costs an exact regrouping, never a wrong
 # value.
 _WORD = 8
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(_WORD)] + [2**64 - 1], dtype=np.uint64)
@@ -186,13 +189,14 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(_WORD)] + [2**64 - 1], dtype=
 _LENGTHS = np.array([k << 8 * (_WORD - 1) for k in range(_WORD)] + [0], dtype=np.uint64)
 _LONG = np.uint64(1 << 63)
 _KEY_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
-# Multiplier of the slot table that finds each key among a column's distinct keys.
-_SLOT_MIX = np.uint64(0x9E3779B97F4A7C15)
 # Whether a byte may begin or end whitespace that str.strip removes: ASCII
 # whitespace, or any byte of a multibyte UTF-8 character.
 _SPACE = np.array([chr(c).isspace() or c >= 128 for c in range(256)])
-# Data rows whose cells are found and keyed in one go.
+# Data rows whose commas are found in one go.
 _BYTE_BLOCK_ROWS = 1 << 12
+# Data rows whose cells are keyed and grouped in one go, column by column;
+# the offsets of their cells are held meanwhile.
+_CHUNK_ROWS = 1 << 14
 # Words of long cells read in one go, at most (a block spans one word at least).
 _BLOCK_WORDS = 1 << 20
 # Distinct cells' bytes are gathered in pieces of about this many.
@@ -207,21 +211,18 @@ _CELL_COMMA = "\udcff"
 _CHECK_BYTES = 1 << 20
 
 
-def _first_rows(group: np.ndarray, groups: int) -> np.ndarray:
-    """The first row of each group; a reversed scatter, so no stable sort."""
-    first = np.empty(groups, dtype=np.intp)
-    first[group[::-1]] = np.arange(len(group) - 1, -1, -1)
-    return first
+def _cell_starts(u8: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 out: np.ndarray) -> Optional[tuple[int, int]]:
+    """Where the cells of the rows whose lines start and end there start.
 
-
-def _cell_blocks(u8: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int):
-    """The cells of the rows whose lines start and end there, block by block.
-
-    Yields (r0, at, left, ragged): at[j, i] is where cell j of row r0 + i
-    starts, and left[j, i] its length.  At a row with another field count
-    than width the block ends before it and is the last; ragged is then
-    that row's index and field count, and None before.
+    The commas are found block by block of rows.  out[j, i] becomes where
+    cell j of row i starts, for each of the width = len(out) - 1 cells,
+    and out[width, i] the line's end + 1, where a next cell would start; so
+    cell j is out[j + 1, i] - out[j, i] - 1 bytes long.  Reading stops
+    before a row with another field count than width; returns that row's
+    index and field count, or None.
     """
+    width = len(out) - 1
     for r0 in range(0, len(starts), _BYTE_BLOCK_ROWS):
         begin, end = starts[r0 : r0 + _BYTE_BLOCK_ROWS], ends[r0 : r0 + _BYTE_BLOCK_ROWS]
         commas = np.flatnonzero(u8[begin[0] : end[-1]] == ord(",")) + begin[0]
@@ -233,8 +234,7 @@ def _cell_blocks(u8: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: in
             b = int(wrong[0])
             ragged = (r0 + b, int(fields[b]))
             begin, end, comma0 = begin[:b], end[:b], comma0[:b]
-        # at[width] is each line's end + 1, where a next cell would start.
-        at = np.empty((width + 1, len(begin)), dtype=np.intp)
+        at = out[:, r0 : r0 + len(begin)]
         at[0] = begin
         if len(commas) == len(begin) * (width - 1):
             # No comma falls outside the rows: row i has commas i(width - 1) on.
@@ -243,12 +243,9 @@ def _cell_blocks(u8: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: in
             at[1:width] = commas[comma0 + np.arange(width - 1)[:, None]]
         at[1:width] += 1
         at[width] = end + 1
-        del commas, comma0
-        left = np.diff(at, axis=0)
-        left -= 1
-        yield r0, at[:width], left, ragged
         if ragged:
-            return
+            return ragged
+    return None
 
 
 def _long_words(words: np.ndarray, at: np.ndarray, left: np.ndarray):
@@ -277,157 +274,96 @@ def _long_words(words: np.ndarray, at: np.ndarray, left: np.ndarray):
 
 
 def _cell_keys(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """The keys of the cells at `at` with `left` bytes, in at's shape."""
+    """The keys of the cells at `at` with `left` bytes."""
     size = np.minimum(left, _WORD)
     key = words[at]
     key &= _MASKS[size]
     key |= _LENGTHS[size]
     long = np.flatnonzero(left >= _WORD)
     if long.size:
-        at, left = at.ravel()[long], left.ravel()[long]
+        at, left = at[long], left[long]
         hashed = words[at + left - _WORD]
         hashed *= 3
-        hashed += key.ravel()[long]  # so far a long cell's key is its first word
+        hashed += key[long]  # so far a long cell's key is its first word
         more = np.flatnonzero(left > 2 * _WORD)
         for rows, k, block in _long_words(words, at[more], left[more]):
             mix = 2 * np.arange(k, k + len(block), dtype=np.uint64) + 5
             hashed[more[rows]] += (block * mix[:, None]).sum(axis=0)
         hashed *= _KEY_MIX[1]
         hashed += left.astype(np.uint64) * _KEY_MIX[0]
-        key.ravel()[long] = hashed | _LONG
+        key[long] = hashed | _LONG
     return key
 
 
-def _find(distinct: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """The index of each key in the sorted, distinct keys that hold them all.
-
-    The distinct keys go into a slot table of 8 to 16 slots per key, or 2
-    to 4 per cell where there are more keys than a quarter of the cells, by
-    multiplicative hashing: most cells find their key in one gather, and a
-    cell whose slot holds another key takes a binary search.
-    """
-    bits = min(8 * len(distinct), 2 * len(key)).bit_length()
-    shift = np.uint64(64 - bits)
-    slot = distinct * _SLOT_MIX
-    slot >>= shift
-    table = np.zeros(1 << bits, dtype=np.intp)
-    table[slot.view(np.intp)] = np.arange(len(distinct))
-    slot = key * _SLOT_MIX
-    slot >>= shift
-    found = table[slot.view(np.intp)]
-    miss = np.flatnonzero(distinct[found] != key)
-    found[miss] = np.searchsorted(distinct, key[miss])
-    return found
-
-
-def _key_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells grouped by key: each cell's group, and whether it is its group's first.
-
-    Groups are numbered 0, 1, ... in order of first occurrence, as int32.
-    The distinct keys come from a sort, and `_find` gives each cell its
-    key's place among them.
-    """
-    ordered = np.sort(key)
-    new = np.ones(len(key), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    distinct = ordered[new]
-    del ordered, new
-    if len(distinct) == len(key):
-        # Every cell has a key of its own: each is its own group.
-        return np.arange(len(key), dtype=np.int32), np.ones(len(key), dtype=bool)
-    group = _find(distinct, key)
-    is_first = np.zeros(len(key), dtype=bool)
-    is_first[_first_rows(group, len(distinct))] = True
-    first = np.flatnonzero(is_first)
-    rank = np.empty(len(distinct), dtype=np.int32)
-    rank[group[first]] = np.arange(len(first), dtype=np.int32)
-    return rank[group], is_first
-
-
-def _exact_groups(key: np.ndarray, words: np.ndarray, rows: np.ndarray,
-                  at: np.ndarray, left: np.ndarray) -> np.ndarray:
+def _exact_groups(key: np.ndarray, words: np.ndarray, at: np.ndarray,
+                  left: np.ndarray) -> np.ndarray:
     """Keys equal exactly where the cells are: the long cells' hashes replaced.
 
-    The long cells are at rows, at `at`, with `left` bytes.  They are
-    grouped by length, then the groups are split block by block of
-    `_long_words`.  Cells of one group have one length, so a block splits
-    only the groups it reaches.
+    The cells are at `at`, with `left` bytes.  The long ones are grouped by
+    length, then the groups are split block by block of `_long_words`.
+    Cells of one group have one length, so a block splits only the groups
+    it reaches.
     """
-    ids = left.astype(np.intp)
-    for sub, _, block in _long_words(words, at, left):
+    long = np.flatnonzero(left >= _WORD)
+    ids = left[long].astype(np.intp)
+    for sub, _, block in _long_words(words, at[long], left[long]):
         pairs = np.column_stack((ids[sub], block.T.view(np.intp)))
         split = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(-1)
         ids[sub] = split + int(ids.max()) + 1
     exact = key.copy()
-    exact[rows] = ids.astype(np.uint64) | _LONG
+    exact[long] = ids.astype(np.uint64) | _LONG
     return exact
 
 
-def _first_cells(u8: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                 groups: list, is_first: np.ndarray) -> tuple[list, np.ndarray]:
-    """Each group's first cell, and which columns' keys join unequal long cells.
+def _same_cells(words: np.ndarray, mine: np.ndarray, theirs: np.ndarray,
+                size: np.ndarray) -> bool:
+    """Whether each cell at mine equals the cell at theirs; both have size bytes, 8 or more.
 
-    A second pass over the row blocks: for each column, it notes where each
-    group's first cell is and its length, and compares each other long cell
-    with its group's first while its block is in cache.  groups[j] are
-    column j's groups, and is_first[j] marks the first cell of each.
+    The first and last 8 bytes are compared, then the words of cells over
+    16 bytes block by block of `_long_words`.
     """
-    width = len(groups)
-    base = np.cumsum([0, *map(np.count_nonzero, is_first)])
-    cell_at = np.empty(base[-1], dtype=np.intp)
-    cell_left = np.empty(base[-1], dtype=np.int32)
-    found = base[:-1].tolist()
-    unequal = np.zeros(width, dtype=bool)
-    for r0, at, left, _ in _cell_blocks(u8, starts, ends, width):
-        rows = at.shape[1]
-        firsts = is_first[:, r0 : r0 + rows]
-        for j in range(width):
-            new = np.flatnonzero(firsts[j])
-            if new.size:
-                a, b = found[j], found[j] + new.size
-                cell_at[a:b] = at[j][new]
-                cell_left[a:b] = left[j][new]
-                found[j] = b
-        # The other long cells, of columns not yet found unequal.
-        long = np.flatnonzero((left >= _WORD) & ~firsts & ~unequal[:, None])
-        column, row = np.divmod(long, rows)
-        row += r0
-        head = np.empty_like(long)
-        bounds = np.searchsorted(column, np.arange(width + 1)).tolist()
-        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            head[a:b] = groups[j][row[a:b]]
-        head += base[column]
-        size = left.ravel()[long]
-        same = cell_left[head] == size
-        unequal[column[~same]] = True
-        mine, theirs, size = at.ravel()[long[same]], cell_at[head[same]], size[same]
-        column = column[same]
-        # The first and last 8 bytes, then the words of cells over 16 bytes.
-        same = words[mine] == words[theirs]
-        same &= words[mine + size - _WORD] == words[theirs + size - _WORD]
-        more = np.flatnonzero(same & (size > 2 * _WORD))
-        size = size[more]
-        for (sub, _, block), (_, _, other) in zip(
+    if not ((words[mine] == words[theirs]).all()
+            and (words[mine + size - _WORD] == words[theirs + size - _WORD]).all()):
+        return False
+    more = np.flatnonzero(size > 2 * _WORD)
+    size = size[more]
+    return all(
+        (block == other).all()
+        for (_, _, block), (_, _, other) in zip(
             _long_words(words, mine[more], size), _long_words(words, theirs[more], size)
-        ):
-            same[more[sub]] &= (block == other).all(axis=0)
-        unequal[column[~same]] = True
-    cells = [(cell_at[a:b], cell_left[a:b]) for a, b in zip(base, base[1:])]
-    return cells, unequal
+        )
+    )
 
 
-def _regrouped(u8: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-               width: int, j: int) -> tuple[np.ndarray, tuple]:
-    """Column j grouped exactly, and its groups' first cells' offsets and lengths."""
-    at = np.empty(len(starts), dtype=np.intp)
-    left = np.empty(len(starts), dtype=np.intp)
-    for r0, block_at, block_left, _ in _cell_blocks(u8, starts, ends, width):
-        at[r0 : r0 + block_at.shape[1]] = block_at[j]
-        left[r0 : r0 + block_at.shape[1]] = block_left[j]
-    long = np.flatnonzero(left >= _WORD)
-    exact = _exact_groups(_cell_keys(words, at, left), words, long, at[long], left[long])
-    group, is_first = _key_groups(exact)
-    return group, (at[is_first], left[is_first])
+def _cell_groups(words: np.ndarray, key: np.ndarray, at: np.ndarray,
+                 left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells with keys key, at `at` with `left` bytes, grouped exactly.
+
+    Returns each cell's group, numbered in order of first occurrence, and
+    the index of each group's first cell.  The cells are grouped by key,
+    and each long cell that is not its group's first is compared with that
+    first cell; where one differs, the long cells' keys are made exact
+    (`_exact_groups`) and the cells grouped again.
+    """
+    group, is_first = _key_groups(key)
+    long = np.flatnonzero((left >= _WORD) & ~is_first)
+    head = np.flatnonzero(is_first)[group[long]]
+    if not (np.array_equal(left[head], left[long])
+            and _same_cells(words, at[long], at[head], left[long])):
+        group, is_first = _key_groups(_exact_groups(key, words, at, left))
+    return group, np.flatnonzero(is_first)
+
+
+def _mapped(shape, kind) -> np.ndarray:
+    """An array of this shape and kind, not yet written, in an anonymous memory map.
+
+    Only the pages written are resident, and they return to the system as
+    soon as the array is freed; heap blocks would stay resident under what
+    comes after.
+    """
+    count = int(np.prod(shape))
+    size = count * np.dtype(kind).itemsize
+    return np.frombuffer(mmap.mmap(-1, size or 1), dtype=kind, count=count).reshape(shape)
 
 
 def _joined(u8: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Optional[mmap.mmap]:
@@ -511,11 +447,13 @@ def _byte_table(path: str, buf: bytearray, size: int):
     Reads a file from its bytes, giving what the csv module gives: numpy
     finds the line ends and the commas, and a line is read in Python only
     where a quote (`_read_records`), the comment rule or the field size
-    limit needs it.  Every cell is keyed while its row block is in cache,
-    each column is grouped by its keys, and one more pass over the blocks
-    finds each group's first cell and checks the long cells.  Each column
-    comes as the arguments of `_text_column`, which hold no reference to
-    buf.
+    limit needs it.  The rows are read once, chunk by chunk of
+    `_CHUNK_ROWS`: each column of a chunk is keyed and grouped exactly while
+    its cells' offsets are held (`_cell_groups`), and the first cell of
+    each group is kept.  Then each column's kept cells are grouped the same
+    way, once, and each cell's group is its chunk group's group, so groups
+    stand in order of first occurrence.  Each column comes as the arguments
+    of `_text_column`, which hold no reference to buf.
     """
     if not buf.isascii():
         # Each piece is decoded but for a character it cuts, which starts the next.
@@ -580,36 +518,42 @@ def _byte_table(path: str, buf: bytearray, size: int):
     stop = f"{path}: row {len(rows) + 1}: {message}" if over < len(starts) else None
     starts, ends = starts[rows], ends[rows]
     del lines, rows
-    # Each column's keys live in an anonymous memory map, which returns to
-    # the system as soon as the column is grouped; heap blocks would stay
-    # resident under what comes after.
-    keys = [
-        np.frombuffer(mmap.mmap(-1, _WORD * len(starts) or 1), dtype=np.uint64, count=len(starts))
-        for _ in range(width)
-    ]
-    for r0, at, left, ragged in _cell_blocks(u8, starts, ends, width):
-        key = _cell_keys(words, at, left)
-        for j in range(width):
-            keys[j][r0 : r0 + key.shape[1]] = key[j]
+    n = len(starts)
+    # Where the cells of one chunk start, and the first cell (key, offset,
+    # length) of each chunk group, column by column.
+    at = _mapped((width + 1, min(n, _CHUNK_ROWS)), np.intp)
+    firsts = [[_mapped(n, kind) for kind in (np.uint64, np.intp, np.int32)] for _ in range(width)]
+    held = [0] * width
+    # Each cell's group in its chunk, counted on from the chunks before.
+    inverse = [np.empty(n, dtype=np.int32) for _ in range(width)]
+    for c0 in range(0, n, _CHUNK_ROWS):
+        ragged = _cell_starts(u8, starts[c0 : c0 + _CHUNK_ROWS], ends[c0 : c0 + _CHUNK_ROWS], at)
+        m = ragged[0] if ragged else min(n - c0, _CHUNK_ROWS)
+        for j, column in enumerate(firsts):
+            left = at[j + 1, :m] - at[j, :m] - 1
+            cells = _cell_keys(words, at[j, :m], left), at[j, :m], left
+            group, first = _cell_groups(words, *cells)
+            np.add(group, held[j], out=inverse[j][c0 : c0 + m])
+            for out, part in zip(column, cells):
+                out[held[j] : held[j] + len(first)] = part[first]
+            held[j] += len(first)
         if ragged:
-            stop = f"{path}: row {ragged[0] + 1} has {ragged[1]} fields, expected {width}"
-            starts, ends = starts[: ragged[0]], ends[: ragged[0]]
-    groups = []
-    is_first = np.empty((width, len(starts)), dtype=bool)
-    for j in range(width):
-        group, is_first[j] = _key_groups(keys[j][: len(starts)])
-        keys[j] = None
-        groups.append(group)
-    cells, unequal = _first_cells(u8, words, starts, ends, groups, is_first)
-    del is_first
-    for j in np.flatnonzero(unequal).tolist():
-        # Some key joins long cells that differ.
-        groups[j], cells[j] = _regrouped(u8, words, starts, ends, width, j)
+            n = c0 + ragged[0]
+            stop = f"{path}: row {n + 1} has {ragged[1]} fields, expected {width}"
+            break
+    del at
+    # The chunks' first cells are grouped once more; each cell's group is
+    # its chunk group's group.
     columns = []
-    for group, (at, lengths) in zip(groups, cells):
+    for j, count in enumerate(held):
+        key, at, lengths = (part[:count] for part in firsts[j])
+        firsts[j] = None
+        group, first = _cell_groups(words, key, at, lengths)
+        at, lengths = at[first], lengths[first]
         padded = (_SPACE[u8[at]] | _SPACE[u8[at + lengths - 1]])[lengths > 0].any()
         empty = np.flatnonzero(lengths == 0).tolist()
-        columns.append((_joined(u8, at, lengths), group, padded, empty))
+        columns.append((_joined(u8, at, lengths), group[inverse[j][:n]], padded, empty))
+        inverse[j] = None
     return char_names, columns, stop
 
 
@@ -653,10 +597,10 @@ def load_sample(path: str) -> Sample:
     once, as bytes.  numpy splits it into lines where the csv module does,
     a line that holds a `"` starts a record that the csv module reads and
     `_read_records` writes back unquoted in place, and numpy finds the
-    commas, keys each cell by its bytes block by block of rows and groups
-    each column by its keys (`_byte_table`).  Each column comes as a
-    `Column` of distinct stripped cells and an inverse; y and w are parsed
-    once per distinct cell.
+    commas, keys each cell by its bytes and groups each column by its keys,
+    chunk by chunk of rows, then merges the chunks' groups once per column
+    (`_byte_table`).  Each column comes as a `Column` of distinct stripped
+    cells and an inverse; y and w are parsed once per distinct cell.
 
     A faulty file reports its first faulty row; within a row a field over
     the csv module's size limit (or another fault the csv module finds)

@@ -491,6 +491,60 @@ class DesignMatrix:
         return out
 
 
+# Grouping by 64-bit keys, of the loader's cells and of the fit's rows.
+# Multiplier of the slot table that finds each key among the distinct keys.
+_SLOT_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _find(distinct: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The index of each key in the sorted, distinct keys that hold them all.
+
+    The distinct keys go into a slot table of 8 to 16 slots per key, or 2
+    to 4 per item where there are more keys than a quarter of the items, by
+    multiplicative hashing: most items find their key in one gather, and an
+    item whose slot holds another key takes a binary search.
+    """
+    bits = min(8 * len(distinct), 2 * len(key)).bit_length()
+    shift = np.uint64(64 - bits)
+    slot = distinct * _SLOT_MIX
+    slot >>= shift
+    table = np.zeros(1 << bits, dtype=np.intp)
+    table[slot.view(np.intp)] = np.arange(len(distinct))
+    slot = key * _SLOT_MIX
+    slot >>= shift
+    found = table[slot.view(np.intp)]
+    miss = np.flatnonzero(distinct[found] != key)
+    found[miss] = np.searchsorted(distinct, key[miss])
+    return found
+
+
+def _key_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Items grouped by their uint64 keys: each item's group, and whether it is its group's first.
+
+    Groups are numbered 0, 1, ... in order of first occurrence, as int32.
+    The distinct keys come from a sort, and `_find` gives each item its
+    key's place among them.
+    """
+    ordered = np.sort(key)
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered, new
+    if len(distinct) == len(key):
+        # Every item has a key of its own: each is its own group.
+        return np.arange(len(key), dtype=np.int32), np.ones(len(key), dtype=bool)
+    group = _find(distinct, key)
+    # Each group's first item: a reversed scatter, so no stable sort.
+    first = np.empty(len(distinct), dtype=np.intp)
+    first[group[::-1]] = np.arange(len(key) - 1, -1, -1)
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[first] = True
+    first = np.flatnonzero(is_first)
+    rank = np.empty(len(distinct), dtype=np.int32)
+    rank[group[first]] = np.arange(len(first), dtype=np.int32)
+    return rank[group], is_first
+
+
 # ---------------------------------------------------------------------------
 # Binning
 

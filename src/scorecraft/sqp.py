@@ -40,7 +40,7 @@ from .constraints import (
     ConstraintSet,
     constraint_residuals,
 )
-from .model import DesignMatrix, SpecError, StepError
+from .model import DesignMatrix, SpecError, StepError, _key_groups
 from .qp import KktResiduals, QpProblem, QpSolution, kkt_residuals, solve_qp
 
 __all__ = [
@@ -328,44 +328,35 @@ def _merged(
 
     Each group stands where its first row stood.  Likelihood, gradient and
     Hessian are sums over rows, linear in w, so the merged sample has the
-    same ones.  Rows are grouped by a linear hash of their codes and y with
-    pseudorandom multipliers, and each group is checked against its first
-    row; a design with no repeated row, no codes, or a hash collision comes
-    back as given.
+    same ones.  Rows are grouped (`_key_groups`, in order of first
+    occurrence) by a linear hash of their codes and y with pseudorandom
+    multipliers, and each group is checked against its first row; a design
+    with no repeated row, no codes, or a hash collision comes back as given.
     """
     codes = getattr(design, "codes", None)
     if codes is None:
         return design, y, w
-    n = design.n
     mix = _multipliers(codes.shape[1])
     # Integer products wrap around; column 0 is the intercept's code 0.
     key = y.view(np.int64) * mix[0]
     for c in range(1, codes.shape[1]):
         key += codes[:, c] * mix[c]
-    # A plain sort shows whether any two keys are equal, several times
-    # faster than the stable argsort that grouping needs.
-    ordered = np.sort(key)
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    if starts.all():
+    group, is_first = _key_groups(key.view(np.uint64))
+    first = np.flatnonzero(is_first)
+    if first.size == design.n:
         return design, y, w
-    order = np.argsort(key, kind="stable")
-    # The first row of each row's group; the stable sort puts it first.
-    first_of = np.empty(n, dtype=np.intp)
-    first_of[order] = order[starts][np.cumsum(starts) - 1]
+    first_of = first[group]
     same = y[first_of] == y
     for c in range(1, codes.shape[1]):
         same &= codes[first_of, c] == codes[:, c]
     if not same.all():
         return design, y, w
-    first = np.flatnonzero(first_of == np.arange(n))
     # The merged codes are column-major like the design's: runs and rmatvec
     # read whole code columns.
     kept = np.empty((first.size, codes.shape[1]), dtype=codes.dtype, order="F")
     np.take(codes, first, axis=0, out=kept)
     merged = DesignMatrix(kept, design.blocks)
-    weights = np.bincount(np.searchsorted(first, first_of), weights=w, minlength=first.size)
-    return merged, y[first], weights
+    return merged, y[first], np.bincount(group, weights=w, minlength=first.size)
 
 
 def fit(

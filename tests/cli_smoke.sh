@@ -21,17 +21,21 @@ scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/m
 cat "$out/refused.txt"
 test "$code" -eq 1
 if grep -q '^iter' "$out/refused.txt"; then exit 1; fi
-scorecraft eval --model "$out/model.json" --data "$out/train.csv" > "$out/eval.txt"
-cat "$out/eval.txt"
-# The same file with every cell quoted, which the csv module reads
-# record by record, evaluates to the same lines.
-python - "$out/train.csv" "$out/quoted.csv" <<'PY'
+# A file and its twin with every cell quoted, which the csv module reads
+# record by record, evaluate to the same lines: the training file, and an
+# 80k-row file that the loader reads in several chunks and then merges.
+scorecraft gen --spec "$spec" --out "$out/large.csv" --seed 2 --n-good 60000 --n-bad 20000
+for data in train large; do
+    scorecraft eval --model "$out/model.json" --data "$out/$data.csv" > "$out/eval-$data.txt"
+    cat "$out/eval-$data.txt"
+    python - "$out/$data.csv" "$out/$data-quoted.csv" <<'PY'
 import csv, sys
 with open(sys.argv[1], newline="") as src, open(sys.argv[2], "w", newline="") as dst:
     csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
 PY
-scorecraft eval --model "$out/model.json" --data "$out/quoted.csv" > "$out/eval-quoted.txt"
-diff "$out/eval.txt" "$out/eval-quoted.txt"
+    scorecraft eval --model "$out/model.json" --data "$out/$data-quoted.csv" > "$out/eval-$data-quoted.txt"
+    diff "$out/eval-$data.txt" "$out/eval-$data-quoted.txt"
+done
 scorecraft eval --model "$out/centered.json" --data "$out/train.csv" --dump-cdfs "$out/cdfs.csv"
 # The dump holds one line per data row plus its header, and each
 # field is the shortest round-trip repr of its value.

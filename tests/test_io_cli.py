@@ -286,38 +286,39 @@ def assert_matches_oracle(path):
     return expected
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        pytest.param(b"y,w,a\r\n1,1,5\r\n0,1, 6\r\n", id="crlf"),
-        pytest.param(b"y,w,a\n1,1,5\n0,1,6", id="no-final-newline"),
-        pytest.param(b"y,w,a,b\n1,1,5,x\r\n0,1,6,", id="empty-cell-at-eof"),
-        pytest.param(b"# note,1,2\ny,w,a\n1,1,5\n", id="comment-before-header"),
-        pytest.param(b"y,w,a\n\t# note\n1,1,5\n\x1c# note,1\n0,1,6\n", id="indented-comment"),
-        pytest.param(b"y,w,a\n1,1,#5\n0,1, #\n 1,1,5\n", id="hash-not-first-field"),
-        pytest.param(b"\n\ny,w,a\n\n1,1,5\n\r\n0,1,6\n\n", id="blank-lines"),
-        pytest.param(b" y , w ,a\n1,1,5\n0,1, 5\n1,1,5 \n0,1,\t5\x0b\n", id="padded-cells-merge"),
-        pytest.param(
-            b"y,w,a,b\n1,1,  ,x\n0,1,,x\n1,1,\t,x\n0,1,\x1f,x\n", id="whitespace-only-cells"
-        ),
-        pytest.param(b"y,w,a\n1,1,5\x00\n0,1,5\n1,1,\x00\n0,1,\x005\n", id="nul-in-cell"),
-        pytest.param(b"y,w,a\n1,1,5\n   \n", id="whitespace-only-line"),
-        pytest.param(b"", id="empty-file"),
-        pytest.param(b"# a\n\n# b,c\n", id="comment-only"),
-        pytest.param(b"y,w,a\n", id="header-only"),
-        pytest.param(b"y,w,a", id="header-only-no-newline"),
-        pytest.param(b"y,w,a\n1,1," + b"x" * LIMIT + b"\n", id="field-at-limit"),
-        # The limit counts characters, not bytes.
-        pytest.param(b"y,w,a\n1,1," + "é".encode() * LIMIT + b"\n", id="utf8-field-at-limit"),
-        pytest.param(
-            "y,w,a\n1,1,é\n0,1,café\n1,1,\u3000café\n0,1,ééééé\n1,1,éééé \n".encode(),
-            id="utf8-cells",
-        ),
-        pytest.param(
-            "y,w,a\n\u3000# note,1\n1,1,5\n\u00a0 #\n0,1,6\n".encode(), id="unicode-indented-comment"
-        ),
-    ],
-)
+# Files at the edges of the format, which the csv module reads one way.
+EDGE_CASES = [
+    pytest.param(b"y,w,a\r\n1,1,5\r\n0,1, 6\r\n", id="crlf"),
+    pytest.param(b"y,w,a\n1,1,5\n0,1,6", id="no-final-newline"),
+    pytest.param(b"y,w,a,b\n1,1,5,x\r\n0,1,6,", id="empty-cell-at-eof"),
+    pytest.param(b"# note,1,2\ny,w,a\n1,1,5\n", id="comment-before-header"),
+    pytest.param(b"y,w,a\n\t# note\n1,1,5\n\x1c# note,1\n0,1,6\n", id="indented-comment"),
+    pytest.param(b"y,w,a\n1,1,#5\n0,1, #\n 1,1,5\n", id="hash-not-first-field"),
+    pytest.param(b"\n\ny,w,a\n\n1,1,5\n\r\n0,1,6\n\n", id="blank-lines"),
+    pytest.param(b" y , w ,a\n1,1,5\n0,1, 5\n1,1,5 \n0,1,\t5\x0b\n", id="padded-cells-merge"),
+    pytest.param(
+        b"y,w,a,b\n1,1,  ,x\n0,1,,x\n1,1,\t,x\n0,1,\x1f,x\n", id="whitespace-only-cells"
+    ),
+    pytest.param(b"y,w,a\n1,1,5\x00\n0,1,5\n1,1,\x00\n0,1,\x005\n", id="nul-in-cell"),
+    pytest.param(b"y,w,a\n1,1,5\n   \n", id="whitespace-only-line"),
+    pytest.param(b"", id="empty-file"),
+    pytest.param(b"# a\n\n# b,c\n", id="comment-only"),
+    pytest.param(b"y,w,a\n", id="header-only"),
+    pytest.param(b"y,w,a", id="header-only-no-newline"),
+    pytest.param(b"y,w,a\n1,1," + b"x" * LIMIT + b"\n", id="field-at-limit"),
+    # The limit counts characters, not bytes.
+    pytest.param(b"y,w,a\n1,1," + "é".encode() * LIMIT + b"\n", id="utf8-field-at-limit"),
+    pytest.param(
+        "y,w,a\n1,1,é\n0,1,café\n1,1,\u3000café\n0,1,ééééé\n1,1,éééé \n".encode(),
+        id="utf8-cells",
+    ),
+    pytest.param(
+        "y,w,a\n\u3000# note,1\n1,1,5\n\u00a0 #\n0,1,6\n".encode(), id="unicode-indented-comment"
+    ),
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
 def test_load_sample_byte_route_edge_cases(tmp_path, text):
     # Before Python 3.11 the csv module rejects a line that holds a NUL.
     path = tmp_path / "data.csv"
@@ -367,10 +368,9 @@ def test_load_sample_byte_route_keys_cells_either_side_of_8_bytes(tmp_path, monk
         assert len(set(cells(expected.records[name]))) == len(variants)
 
 
-def test_load_sample_byte_route_groups_a_text_across_row_blocks(tmp_path):
-    # Keys are made block by block; one text, short or long, in every block
-    # and in cells of other texts between, is one value in first-occurrence
-    # order.
+def assert_groups_a_text_across_row_blocks(tmp_path):
+    """One text, short or long, in every row block and chunk, and in cells
+    of other texts between, is one value in first-occurrence order."""
     n = 2 * data_io._BYTE_BLOCK_ROWS + 5
     rows = ["y,w,short,long,mixed"]
     for i in range(n):
@@ -387,7 +387,13 @@ def test_load_sample_byte_route_groups_a_text_across_row_blocks(tmp_path):
     assert len(expected.records["mixed"].values) == 3 + len(range(0, n, 1000))
 
 
-def test_load_sample_byte_route_regroups_exactly_when_keys_collide(tmp_path, monkeypatch):
+def test_load_sample_byte_route_groups_a_text_across_row_blocks(tmp_path):
+    # Commas are found block by block, and cells grouped chunk by chunk.
+    assert_groups_a_text_across_row_blocks(tmp_path)
+
+
+def assert_regroups_exactly_when_keys_collide(tmp_path, monkeypatch):
+    """With the hash zeroed, long cells that differ are told apart exactly."""
     # Cells that differ only in trailing NULs have equal words and differ in
     # length alone; the csv module reads NUL as text from Python 3.11.
     nul = b"\0" if sys.version_info >= (3, 11) else b""
@@ -424,6 +430,10 @@ def test_load_sample_byte_route_regroups_exactly_when_keys_collide(tmp_path, mon
     for name, column in expected.records.items():
         assert sample.records[name].values == column.values
         assert sample.records[name].inverse.tolist() == column.inverse.tolist()
+
+
+def test_load_sample_byte_route_regroups_exactly_when_keys_collide(tmp_path, monkeypatch):
+    assert_regroups_exactly_when_keys_collide(tmp_path, monkeypatch)
 
 
 def quoted_break_across_blocks(block_rows):
@@ -501,6 +511,92 @@ def test_load_sample_matches_oracle_on_noisy_texts(tmp_path, monkeypatch, block_
     finally:
         csv.field_size_limit(old)
     assert outcomes == {str, Sample}  # both loads and faults were compared
+
+
+# Chunks of one row, where each group is made when the chunks merge, and
+# of three rows; with row blocks of two, a chunk holds less than a block,
+# or a block and part of another.
+CHUNK_ROWS = pytest.mark.parametrize("chunk_rows", [1, 3], ids=["chunks-of-1", "chunks-of-3"])
+
+
+@CHUNK_ROWS
+def test_load_sample_in_small_chunks_matches_the_oracle(tmp_path, monkeypatch, chunk_rows):
+    # The oracle, edge-case, quoted-record and noisy files.
+    monkeypatch.setattr(data_io, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(data_io, "_BYTE_BLOCK_ROWS", 2)
+    texts = [MESSY_TEXT, PLAIN_TEXT, "y,w,age,fuel,note\n"]
+    texts += [text(2) if callable(text) else text for text in QUOTED_CASES.values()]
+    rng = np.random.default_rng(20261020)
+    texts += [noisy_text(rng) for _ in range(50)]
+    path = tmp_path / "data.csv"
+    for text in [text.encode("utf-8") for text in texts] + [case.values[0] for case in EDGE_CASES]:
+        path.write_bytes(text)
+        assert_matches_oracle(path)
+
+
+@CHUNK_ROWS
+def test_load_sample_in_small_chunks_groups_a_text_across_row_blocks(
+    tmp_path, monkeypatch, chunk_rows
+):
+    monkeypatch.setattr(data_io, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(data_io, "_BYTE_BLOCK_ROWS", 4)
+    assert_groups_a_text_across_row_blocks(tmp_path)
+
+
+@CHUNK_ROWS
+def test_load_sample_in_small_chunks_regroups_exactly_when_keys_collide(
+    tmp_path, monkeypatch, chunk_rows
+):
+    monkeypatch.setattr(data_io, "_CHUNK_ROWS", chunk_rows)
+    assert_regroups_exactly_when_keys_collide(tmp_path, monkeypatch)
+
+
+def test_load_sample_regroups_keys_that_collide_across_chunks(tmp_path, monkeypatch):
+    # With the hash zeroed every long cell has one key.  Each chunk of two
+    # rows holds one text per column, so only the merge of the chunks'
+    # first cells finds the texts that differ: of one length in a, of two
+    # in b.
+    monkeypatch.setattr(data_io, "_CHUNK_ROWS", 2)
+    a, b = ["aaaaaaaaaa", "aaaaaaaaab"], ["bbbbbbbbbb", "bbbbbbbbbbbb"]
+    rows = ["y,w,a,b"] + [f"{i % 2},1,{a[i // 2 % 2]},{b[i // 2 % 2]}" for i in range(5)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    regroups = []
+    exact_groups = data_io._exact_groups
+    monkeypatch.setattr(
+        data_io, "_exact_groups", lambda key, *a: regroups.append(len(key)) or exact_groups(key, *a)
+    )
+    monkeypatch.setattr(data_io, "_KEY_MIX", (np.uint64(0), np.uint64(0)))
+    sample = load_sample(str(path))
+    # One regrouping in each of a and b, of the first cells of its 3 chunks.
+    assert regroups == [3, 3]
+    assert_same_sample(sample, load_sample_rows(str(path)))
+    for name, texts in (("a", a), ("b", b)):
+        assert sample.records[name].values == texts
+        assert sample.records[name].inverse.tolist() == [0, 0, 1, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,1,5", "row 8 has 3 fields, expected 4"),
+        ("1,1,5," + "x" * (LIMIT + 1), f"row 8: field larger than field limit ({LIMIT})"),
+    ],
+    ids=["ragged", "field-over-limit"],
+)
+def test_load_sample_reports_a_fault_in_a_later_chunk(tmp_path, monkeypatch, row, message):
+    # Row 8 is in the third chunk of three rows: the message and the row it
+    # names are the ones a read in one chunk gives.
+    monkeypatch.setattr(data_io, "_CHUNK_ROWS", 3)
+    rows = [f"{i % 2},1,{i % 4},x{i}" for i in range(10)]
+    rows[7] = row
+    path = tmp_path / "data.csv"
+    path.write_text("y,w,a,b\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError) as expected:
+        load_sample_rows(str(path))
+    with pytest.raises(DataError) as raised:
+        load_sample(str(path))
+    assert str(raised.value) == str(expected.value) == f"{path}: {message}"
 
 
 def test_atomic_write_text(tmp_path):
@@ -850,6 +946,34 @@ def write_probs(tmp_path):
     path = tmp_path / "probs.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ([1, 2], None),
+        ({"age": [1]}, "age"),
+        ({"age": {"good": [0.5, "x"], "bad": [1]}}, "age"),
+        ({"age": {"good": [1], "bad": [True]}}, "age"),
+    ],
+    ids=["list", "name-to-list", "text-entry", "bool-entry"],
+)
+def test_cli_gen_rejects_probs_of_the_wrong_shape(
+    tmp_path, small_spec_text, capsys, payload, key
+):
+    # One line naming the file, and the key where one is faulty; no data written.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    probs_path = tmp_path / "probs.json"
+    probs_path.write_text(json.dumps(payload))
+    out = tmp_path / "train.csv"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(out), "--probs", str(probs_path),
+        "--n-good", "5", "--n-bad", "5",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"scorecraft gen: error: {probs_path}: ")
+    assert (f"key {key!r}" in err) == (key is not None)
+    assert not out.exists()
 
 
 def test_cli_end_to_end(tmp_path, small_spec, small_spec_text, capsys):

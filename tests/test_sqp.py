@@ -521,29 +521,29 @@ def test_merged_codes_are_column_major(small_spec, monkeypatch):
     assert got.beta.tobytes() == expected.beta.tobytes()
 
 
-def test_merged_skips_the_argsort_without_repeated_rows(small_spec, monkeypatch):
-    # One plain sort of the row keys shows that no two rows are equal, so a
-    # design of distinct (codes, y) rows never pays for the stable argsort.
+def test_merged_keeps_a_design_without_repeated_rows(small_spec, monkeypatch):
+    # Rows are grouped by one plain sort of their keys, with no argsort.
+    # Groups stand in order of first rows, each weight summed in row order;
+    # a design of distinct (codes, y) rows comes back as given.
     rng = np.random.default_rng(29)
     n = 600
     ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
     fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
     y = (rng.random(n) < 0.6).astype(float)
-    w = rng.choice([0.5, 1.0, 2.0], size=n)
+    w = rng.uniform(0.1, 2.0, size=n)
     records = {"age": text_column(ages), "fuel": text_column(fuels)}
     sample = Sample(y=y, w=w, records=records).validate()
     dm = build_design_matrix(small_spec, sample)
     argsort = np.argsort
-    stable = []
-
-    def counting(*args, **kwargs):
-        stable.append(kwargs.get("kind") == "stable")
-        return argsort(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counting)
+    calls = []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
     distinct = sqp._merged(dm, y, w)
-    assert distinct[0].n < n and stable == [True]
-    stable.clear()
+    sums = {}
+    for key, weight in zip(zip(map(tuple, dm.codes.tolist()), y.tolist()), w.tolist()):
+        sums[key] = sums.get(key, 0.0) + weight
+    assert distinct[0].n == len(sums) < n
+    assert list(zip(map(tuple, distinct[0].codes.tolist()), distinct[1].tolist())) == list(sums)
+    assert distinct[2].tolist() == list(sums.values())
     again = sqp._merged(*distinct)
     assert all(got is given for got, given in zip(again, distinct))
-    assert stable == []
+    assert calls == []
