@@ -36,7 +36,6 @@ _EXPORTS = {
     "parse_spec": "model",
     "bin_value": "model",
     "build_design_matrix": "model",
-    "score_vector": "model",
     # constraints
     "ConstraintCompileError": "constraints",
     "ConstraintRow": "constraints",

@@ -196,7 +196,7 @@ def _cmd_fit(args) -> int:
     twin = args.report + ".csv" if args.report else None
     _check_outputs(args.out, args.report, twin)
     from .data_io import ModelFile, load_model, load_sample, save_model
-    from .model import build_design_matrix, parse_spec, read_text, score_vector
+    from .model import build_design_matrix, parse_spec, read_text
     from .sqp import FitConfig, PenaltySpec, fit
 
     spec_text = read_text(args.spec)
@@ -233,7 +233,7 @@ def _cmd_fit(args) -> int:
         from .metrics import score_metrics
         from .report import write_report
 
-        theta = score_vector(design, result.beta)
+        theta = design.scores(result.beta)
         metrics = score_metrics(theta, sample.y, sample.w)
         write_report(spec, args.name, result.beta, metrics, args.report)
         print(f"wrote report to {args.report} (csv twin {args.report}.csv)")
@@ -244,12 +244,11 @@ def _cmd_eval(args) -> int:
     _check_outputs(args.dump_cdfs)
     from .data_io import atomic_write_text, load_model, load_sample
     from .metrics import score_cdfs, score_metrics
-    from .model import build_design_matrix, score_vector
+    from .model import build_design_matrix
 
     model = load_model(args.model)
     sample = load_sample(args.data)
-    design = build_design_matrix(model.spec(), sample)
-    theta = score_vector(design, model.beta)
+    theta = build_design_matrix(model.spec, sample).scores(model.beta)
     cdfs = score_cdfs(theta, sample.y, sample.w) if args.dump_cdfs else None
     m = score_metrics(theta, sample.y, sample.w, _cdfs=cdfs)
     print(f"divergence {m.divergence:.4f}")
@@ -284,14 +283,14 @@ def _cdf_table(cdfs):
 def _cmd_compare(args) -> int:
     from .data_io import load_model, load_sample, load_score_csv
     from .metrics import compare_scores
-    from .model import build_design_matrix, score_vector
+    from .model import build_design_matrix
 
+    models = [(name, load_model(path)) for name, path in _parse_pairs(args.model, "--model")]
     sample = load_sample(args.data)
-    scores = []
-    for name, path in _parse_pairs(args.model, "--model"):
-        model = load_model(path)
-        design = build_design_matrix(model.spec(), sample)
-        scores.append((name, score_vector(design, model.beta)))
+    scores = [
+        (name, build_design_matrix(model.spec, sample).scores(model.beta))
+        for name, model in models
+    ]
     for name, path in _parse_pairs(args.score, "--score"):
         column = load_score_csv(path)
         if column.shape[0] != sample.n:
@@ -333,7 +332,10 @@ def _read_probs(path: str) -> tuple[dict, dict]:
 
     from .model import read_text
 
-    raw = json.loads(read_text(path))
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected an object that maps names to probabilities")
     probs = ({}, {})

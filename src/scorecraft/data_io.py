@@ -31,7 +31,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Iterable, Optional, Union, get_type_hints
 
@@ -693,7 +693,7 @@ def representatives(ch: Characteristic) -> dict[int, object]:
     are tried.  An attribute none of these reach (an interval that earlier
     rows cover, say) is left out.
     """
-    edges, owner = ch.elementary_intervals()
+    edges, owner = ch.elementary_intervals
     pieces = list(zip(owner, [-math.inf, *edges], [*edges, math.inf]))
     found: dict[int, object] = {}
     for k, att in enumerate(ch.attributes):
@@ -801,7 +801,9 @@ class ModelFile:
             note=result.note,
         )
 
+    @cached_property
     def spec(self) -> ScorecardSpec:
+        """The embedded spec, parsed on first read and then kept."""
         return parse_spec(self.spec_text)
 
 
@@ -870,7 +872,7 @@ def _read_json(path: str) -> dict:
 
 
 def load_model(path: str) -> ModelFile:
-    """Read a model JSON, checking format, version, key types and spec hash."""
+    """Read a model JSON, checking format, version, key types, spec hash and beta's length."""
     payload = _read_json(path)
     read = payload.read
     beta = read("beta", _floats)
@@ -879,7 +881,7 @@ def load_model(path: str) -> ModelFile:
     spec_text = read("spec_text", _text)
     if hashlib.sha256(spec_text.encode("utf-8")).hexdigest() != read("spec_sha256", _text):
         raise DataError(f"{path}: spec text does not match its stored hash")
-    return ModelFile(
+    model = ModelFile(
         beta=beta,
         lam=read("lam", float),
         status=str(payload["status"]),
@@ -892,6 +894,11 @@ def load_model(path: str) -> ModelFile:
         spec_text=spec_text,
         note=str(payload.get("note", "")),
     )
+    if beta.shape[0] != model.spec.q:
+        raise DataError(
+            f"{path}: beta has {beta.shape[0]} coefficients, its spec needs {model.spec.q}"
+        )
+    return model
 
 
 # ---------------------------------------------------------------------------

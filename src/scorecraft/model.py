@@ -2,15 +2,17 @@
 
 A scorecard partitions each predictor (characteristic) into bins (attributes)
 and assigns one additive weight per attribute.  This module parses the spec
-file format, bins raw values, and builds design matrices with an intercept
-column.  A sample stores each characteristic column once per distinct raw
-value, as a `Column` of stripped texts (None for a missing cell, as a data
-file holds them) and an integer inverse, so binning works on the distinct
-texts and gathers their codes through the inverse.  A design
-stores one integer column code per characteristic and row, not the 0/1
-indicator matrix; scores, X'r and X' diag(c) X are computed from the codes
-with numpy alone, and the dense indicator matrix is only built when
-`DesignMatrix.x` is read.
+file format, bins texts into attributes (`_bin_values` holds the one
+matching rule; `bin_value` reads one raw value through it), and builds
+design matrices with an intercept column.  A sample stores each
+characteristic column once per distinct raw value, as a `Column` of
+stripped texts (None for a missing cell, as a data file holds them) and an
+integer inverse, so binning works on the distinct texts and gathers their
+codes through the inverse.  A design stores one integer column code per
+characteristic and row, not the 0/1 indicator matrix; scores, X'r and
+X' diag(c) X are computed from the codes with numpy alone, one definition
+each, and the dense indicator matrix is only built when `DesignMatrix.x`
+is read.
 
 Outcome convention: y = 1 means Good throughout the package.
 """
@@ -54,7 +56,6 @@ __all__ = [
     "format_tag",
     "bin_value",
     "build_design_matrix",
-    "score_vector",
 ]
 
 SPEC_HEADER = ("char", "att", "label", "kind", "lo", "hi", "categories", "constraint")
@@ -186,6 +187,7 @@ class Characteristic:
                 return att
         raise SpecError(f"characteristic {self.name!r} has no NoInformation attribute")
 
+    @cached_property
     def elementary_intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """The real line cut at every finite interval edge: (edges, owner).
 
@@ -193,7 +195,7 @@ class Characteristic:
         edges[len(edges)] as +inf.  No edge lies inside a piece, so every
         number in it matches the same interval rules; owner[k] is the first
         declared interval attribute holding the piece, or the NoInformation
-        attribute where none does.
+        attribute where none does.  Computed on first read and then kept.
         """
         rules = [att for att in self.attributes if isinstance(att.bin, IntervalBin)]
         edges = np.array(
@@ -360,11 +362,11 @@ class DesignMatrix:
     stop) to its column range; the ranges follow one another from column 1
     up to q, where the last one stops.
 
-    `scores`, `rmatvec_runs` and `gram` are the operations a fit needs.
-    They work on `runs`, which join consecutive characteristics into one
-    code per row.  `rmatvec` computes X' r as row-order sums per code
-    column, for results that must not depend on how the runs fall.  `x` is
-    the dense n x q float view, built on first read and then kept.
+    `scores` (X beta), `rmatvec` (X' r) and `gram` (X' diag(c) X) are the
+    operations the fit, the centering counts and the metrics need, one
+    definition each.  They work on `runs`, which join consecutive
+    characteristics into one code per row.  `x` is the dense n x q float
+    view, built on first read and then kept.
     """
 
     codes: np.ndarray
@@ -438,22 +440,13 @@ class DesignMatrix:
         return theta
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """X' r: r summed per design column by one bincount per code column.
+        """X' r: r.sum() for the intercept, and per run table' h for the
+        histogram h = bincount(joint, r) of its joint codes.
 
-        Each column's sums run over the rows in row order; code columns
-        own disjoint design columns, so adding their bincounts is exact.
-        """
-        out = np.zeros(self.q)
-        for column in self.codes.T:
-            out += np.bincount(column, weights=r, minlength=self.q)
-        return out
-
-    def rmatvec_runs(self, r: np.ndarray) -> np.ndarray:
-        """X' r through the runs: r.sum() for the intercept, and per run
-        table' h for the histogram h = bincount(joint, r) of its joint codes.
-
-        One pass over the rows per run instead of per code column; equal to
-        `rmatvec` up to rounding.
+        One pass over the rows per run.  Each histogram bin sums its rows in
+        row order, and each design column sums the bins that hold it, so
+        sums of integral weights (the centering counts of unit weights) are
+        exact.
         """
         out = np.empty(self.q)
         out[0] = r.sum()
@@ -561,12 +554,8 @@ def bin_value(ch: Characteristic, raw: object) -> int:
     """Map a raw value to the characteristic's matching attribute index.
 
     A raw value is read as the text a data file holds for it: a number as
-    its `number_text` (NaN as missing), a text stripped, any other object
-    as its str.  Matching is total: Special rules are tried first (exact
-    numeric match), then Category membership on the text, then Intervals
-    with lo <= v < hi, in declared order within each kind.  Missing values
-    (None, NaN, empty text) and anything unmatched fall through to the
-    NoInformation attribute.
+    its `number_text` (NaN as missing), a text as itself, any other object
+    as its str.  That text is binned by `_bin_values`.
     """
     if raw is not None and not isinstance(raw, str):
         try:
@@ -575,22 +564,7 @@ def bin_value(ch: Characteristic, raw: object) -> int:
             raw = str(raw)
         else:
             raw = None if math.isnan(value) else number_text(value)
-    text = (raw or "").strip()
-    if text:
-        try:
-            numeric = float(text)
-        except ValueError:
-            numeric = math.nan  # matches no special and no interval
-        for att in ch.attributes:
-            if isinstance(att.bin, SpecialBin) and numeric == att.bin.value:
-                return att.att_index
-        for att in ch.attributes:
-            if isinstance(att.bin, CategoryBin) and text in att.bin.labels:
-                return att.att_index
-        for att in ch.attributes:
-            if isinstance(att.bin, IntervalBin) and att.bin.lo <= numeric < att.bin.hi:
-                return att.att_index
-    return ch.noinfo.att_index
+    return int(_bin_values(ch, [raw])[0])
 
 
 _EMPTY_IF_NONE = {None: ""}
@@ -604,7 +578,13 @@ def _number(text: str) -> float:
 
 
 def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
-    """bin_value of each text or None, by array operations.
+    """The attribute index each text or None bins to: the one binning rule.
+
+    Texts are stripped.  Matching is total: Special rules are tried first
+    (exact numeric match), then Category membership on the text, then
+    Intervals with lo <= v < hi, in declared order within each kind.
+    Missing values (None, empty text) and anything unmatched fall through
+    to the NoInformation attribute.
 
     Numbers are parsed by `float` in C (NaN for the empty text and for a
     category label that is no number; NaN matches no special and no
@@ -612,7 +592,7 @@ def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
     is no number is parsed by a Python call per value.  Intervals match by
     one searchsorted over the elementary intervals; then category and
     special matches, exact lookups, overwrite them in the reverse of the
-    order `bin_value` tries them; missing values go to NoInformation.
+    order the rule tries them; missing values go to NoInformation.
     """
     m = len(values)
     texts = list(map(str.strip, map(_EMPTY_IF_NONE.get, values, values)))
@@ -631,7 +611,7 @@ def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
         numbers = np.fromiter(map(float, map(nan_texts.get, texts, texts)), float, m)
     except ValueError:
         numbers = np.fromiter(map(_number, texts), float, m)
-    edges, owner = ch.elementary_intervals()
+    edges, owner = ch.elementary_intervals
     codes = np.full(m, ch.noinfo.att_index, dtype=np.intp)
     # NaN and +inf match no interval: lo <= v < hi fails for both.
     ranged = numbers < math.inf
@@ -675,19 +655,6 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
         blocks.append((ch.name, start, stop))
         start = stop
     return DesignMatrix(codes=codes, blocks=tuple(blocks))
-
-
-def score_vector(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
-    """Scores theta = X beta for a design matrix and coefficient vector."""
-    if not isinstance(design, DesignMatrix):
-        raise SpecError("design must be a DesignMatrix")
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or design.q != beta.shape[0]:
-        raise SpecError(
-            f"dimension mismatch: design is {(design.n, design.q)}, "
-            f"beta has length {beta.shape}"
-        )
-    return design.scores(beta)
 
 
 # ---------------------------------------------------------------------------

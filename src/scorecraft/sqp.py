@@ -64,7 +64,7 @@ class FitWarning(UserWarning):
 
 
 def _check_sample(design: DesignMatrix, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if not all(hasattr(design, op) for op in ("n", "q", "scores", "rmatvec_runs", "gram")):
+    if not all(hasattr(design, op) for op in ("n", "q", "scores", "rmatvec", "gram")):
         raise SpecError("design must be a DesignMatrix")
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -231,7 +231,7 @@ def logistic_terms(
     # e^-|theta| never overflows: prob = 1/(1+e) for theta >= 0, else e/(1+e).
     e = np.exp(-np.abs(theta))
     prob = np.where(theta >= 0, 1.0, e) / (1.0 + e)
-    grad = design.rmatvec_runs(w * (prob - y))
+    grad = design.rmatvec(w * (prob - y))
     hess = design.gram(w * prob * (1.0 - prob)) if hessian else None
     minus_ll = _minus_ll(theta, e, y, w)
     return LogisticTerms(theta=theta, prob=prob, grad=grad, hess=hess, minus_ll=minus_ll)
@@ -351,8 +351,8 @@ def _merged(
         same &= codes[first_of, c] == codes[:, c]
     if not same.all():
         return design, y, w
-    # The merged codes are column-major like the design's: runs and rmatvec
-    # read whole code columns.
+    # The merged codes are column-major like the design's: the runs read
+    # whole code columns.
     kept = np.empty((first.size, codes.shape[1]), dtype=codes.dtype, order="F")
     np.take(codes, first, axis=0, out=kept)
     merged = DesignMatrix(kept, design.blocks)

@@ -21,6 +21,31 @@ scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/m
 cat "$out/refused.txt"
 test "$code" -eq 1
 if grep -q '^iter' "$out/refused.txt"; then exit 1; fi
+# A model whose beta and q were cut together, its spec hash kept, is
+# refused at load with one line naming it, and nothing is scored.
+python - "$out/model.json" "$out/cut.json" <<'PY'
+import json, sys
+with open(sys.argv[1], encoding="utf-8") as src:
+    payload = json.load(src)
+payload["beta"], payload["q"] = payload["beta"][:5], 5
+with open(sys.argv[2], "w", encoding="utf-8") as dst:
+    json.dump(payload, dst)
+PY
+code=0
+scorecraft eval --model "$out/cut.json" --data "$out/train.csv" > "$out/cut.txt" 2> "$out/cut.err" || code=$?
+cat "$out/cut.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/cut.err")" -eq 1
+grep -qF "$out/cut.json" "$out/cut.err"
+if grep -q '^divergence' "$out/cut.txt"; then exit 1; fi
+# A --probs file that is not JSON is refused with one line naming it.
+printf '{"char170": ' > "$out/cut-probs.json"
+code=0
+scorecraft gen --spec "$spec" --out "$out/refused.csv" --probs "$out/cut-probs.json" --n-good 5 --n-bad 5 2> "$out/probs.err" || code=$?
+cat "$out/probs.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/probs.err")" -eq 1
+grep -qF "$out/cut-probs.json" "$out/probs.err"
 # A file and its twin with every cell quoted, which the csv module reads
 # record by record, evaluate to the same lines: the training file, and an
 # 80k-row file that the loader reads in several chunks and then merges.

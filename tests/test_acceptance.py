@@ -36,7 +36,6 @@ from scorecraft.model import (
     TiedTo,
     build_design_matrix,
     number_text,
-    score_vector,
 )
 from scorecraft.sqp import (
     FitConfig,
@@ -474,7 +473,7 @@ def test_fit_objective_beats_feasible_alternatives(acceptance, small_spec):
         t = min(float(t_max), 1.0) * float(rng.uniform(0.2, 1.0))
         candidate = beta + t * d
         mll = score_minus_log_likelihood(
-            score_vector(design, candidate), sample.y, sample.w
+            design.scores(candidate), sample.y, sample.w
         )
         margins.append(mll - fit_mll)
     min_margin = min(margins)
@@ -489,7 +488,7 @@ def test_fit_objective_beats_feasible_alternatives(acceptance, small_spec):
     for name, other in comparators.items():
         res = constraint_residuals(cs, other)
         assert res.eq_residual <= 1e-12 and res.ineq_violation <= 1e-12
-        theta = score_vector(design, other)
+        theta = design.scores(other)
         comparator_margins[name] = (
             score_minus_log_likelihood(theta, sample.y, sample.w) - fit_mll
         )
@@ -616,7 +615,7 @@ def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_
             if lam > 0 or cs is pinned:
                 beta_gap = max(beta_gap, float(np.abs(a.beta - b.beta).max()))
             else:
-                gap = np.abs(score_vector(design, a.beta) - dense.scores(b.beta)).max()
+                gap = np.abs(design.scores(a.beta) - dense.scores(b.beta)).max()
                 theta_gap = max(theta_gap, float(gap))
     acceptance(
         "design-parity",

@@ -33,11 +33,11 @@ from scorecraft.model import (
     Sample,
     bin_value,
     build_design_matrix,
-    score_vector,
 )
 from scorecraft.report import write_report
 from scorecraft.sqp import PenaltySpec, fit
 
+from bin_oracle import bin_one
 from sample_oracle import cells, load_sample_rows
 from true_beta import implied_true_beta
 
@@ -202,7 +202,7 @@ def test_load_sample_matches_per_cell_oracle(
     del sample.records["note"]
     design = build_design_matrix(small_spec, sample)
     for c, ch in enumerate(small_spec.characteristics, start=1):
-        per_cell = [bin_value(ch, v) for v in cells(sample.records[ch.name])]
+        per_cell = [bin_one(ch, v) for v in cells(sample.records[ch.name])]
         assert design.codes[:, c].tolist() == per_cell
 
 
@@ -231,7 +231,7 @@ def test_load_sample_high_cardinality_matches_oracle(tmp_path, fixture_spec):
         got, column = sample.records[ch.name], cells(expected.records[ch.name])
         assert len(set(column)) == n
         assert got.values == column and (got.inverse == np.arange(n)).all()
-        assert design.codes[:, c].tolist() == [bin_value(ch, v) for v in column]
+        assert design.codes[:, c].tolist() == [bin_one(ch, v) for v in column]
 
 
 def test_load_sample_parses_y_and_w_without_a_call_per_value(tmp_path, monkeypatch):
@@ -820,7 +820,7 @@ def test_model_save_load_round_trip(tmp_path, small_spec, small_spec_text):
     assert loaded.kkt == model.kkt
     assert loaded.residuals == model.residuals
     assert loaded.minus_ll == model.minus_ll
-    assert loaded.spec() == small_spec
+    assert loaded.spec == small_spec
 
 
 def test_model_file_corruption_checks(tmp_path, small_spec, small_spec_text):
@@ -949,22 +949,23 @@ def write_probs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "payload, key",
+    "text, key",
     [
-        ([1, 2], None),
-        ({"age": [1]}, "age"),
-        ({"age": {"good": [0.5, "x"], "bad": [1]}}, "age"),
-        ({"age": {"good": [1], "bad": [True]}}, "age"),
+        (json.dumps([1, 2]), None),
+        (json.dumps({"age": [1]}), "age"),
+        (json.dumps({"age": {"good": [0.5, "x"], "bad": [1]}}), "age"),
+        (json.dumps({"age": {"good": [1], "bad": [True]}}), "age"),
+        ('{"age": ', None),
     ],
-    ids=["list", "name-to-list", "text-entry", "bool-entry"],
+    ids=["list", "name-to-list", "text-entry", "bool-entry", "not-json"],
 )
 def test_cli_gen_rejects_probs_of_the_wrong_shape(
-    tmp_path, small_spec_text, capsys, payload, key
+    tmp_path, small_spec_text, capsys, text, key
 ):
     # One line naming the file, and the key where one is faulty; no data written.
     spec_path = write_small_spec(tmp_path, small_spec_text)
     probs_path = tmp_path / "probs.json"
-    probs_path.write_text(json.dumps(payload))
+    probs_path.write_text(text)
     out = tmp_path / "train.csv"
     assert main([
         "gen", "--spec", str(spec_path), "--out", str(out), "--probs", str(probs_path),
@@ -1022,7 +1023,7 @@ def test_cli_end_to_end(tmp_path, small_spec, small_spec_text, capsys):
     # Compare the model against a saved score column of itself.
     model = load_model(str(model_path))
     sample = load_sample(str(data_path))
-    theta = score_vector(build_design_matrix(small_spec, sample), model.beta)
+    theta = build_design_matrix(small_spec, sample).scores(model.beta)
     score_path = tmp_path / "score.csv"
     score_path.write_text("score\n" + "".join(f"{v!r}\n" for v in theta.tolist()))
     code = main([
@@ -1078,7 +1079,7 @@ def test_cli_eval_dump_cdfs(tmp_path, small_spec, small_spec_text, capsys):
     capsys.readouterr()
     model = load_model(str(model_path))
     sample = load_sample(str(data_path))
-    theta = score_vector(build_design_matrix(model.spec(), sample), model.beta)
+    theta = build_design_matrix(model.spec, sample).scores(model.beta)
     text = dump_path.read_text()
     assert text == per_row_cdf_dump(score_cdfs(theta, sample.y, sample.w))
     lines = text.splitlines()
@@ -1306,7 +1307,7 @@ def test_cli_names_a_data_file_that_is_not_utf8(tmp_path, capsys, monkeypatch, p
     data_path = tmp_path / "data.csv"
     text = "y,w,a\n".encode() + "1,1,é\n".encode() * 5 + b"1,1,caf\xff\n"
     data_path.write_bytes(text)
-    code = main(["compare", "--data", str(data_path), "--model", "m=nope.json"])
+    code = main(["compare", "--data", str(data_path), "--score", "s=nope.csv"])
     assert code == 1
     assert capsys.readouterr().err == (
         f"scorecraft compare: error: {data_path}: not UTF-8 text at byte {text.index(0xFF)}\n"
@@ -1401,6 +1402,35 @@ def test_cli_rejects_a_key_of_the_wrong_type(
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{path}: key {key!r} has a value of the wrong type" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("q", [5, 12], ids=["short", "long"])
+def test_cli_checks_beta_against_the_model_spec_before_reading_data(
+    tmp_path, small_spec, small_spec_text, capsys, monkeypatch, command, q
+):
+    # A beta cut or padded with its q, the spec hash intact, fails at load
+    # with one line naming the model file, before the data file is read.
+    result, pen, _, data_path = fitted_model(small_spec, tmp_path)
+    path = tmp_path / "model.json"
+    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    payload = json.loads(path.read_text())
+    payload["beta"] = (payload["beta"] + [0.5] * q)[:q]
+    payload["q"] = q
+    path.write_text(json.dumps(payload))
+    monkeypatch.setattr(data_io, "load_sample", lambda path: pytest.fail("read the data"))
+    argv = {
+        "eval": ["eval", "--model", str(path), "--data", str(data_path)],
+        "compare": ["compare", "--data", str(data_path), "--model", f"m={path}"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"scorecraft {command}: error: {path}: beta has {q} coefficients, "
+        f"its spec needs {small_spec.q}\n"
+    )
+    assert captured.out == ""
 
 
 def test_every_export_resolves():

@@ -488,7 +488,7 @@ def test_merge_multipliers_are_the_splitmix64_sequence():
 
 
 def test_merged_codes_are_column_major(small_spec, monkeypatch):
-    # Runs and rmatvec read whole code columns, so the merged design keeps
+    # The runs read whole code columns, so the merged design keeps
     # the column-major codes build_design_matrix gives; the layout changes
     # no fitted number.
     rng = np.random.default_rng(23)
