@@ -204,6 +204,8 @@ def _cmd_fit(args) -> int:
     sample = load_sample(args.data)
     design = build_design_matrix(spec, sample)
     cs = _compiled(args, spec, sample, design)
+    y, w = sample.y, sample.w
+    del sample  # the design holds the binned columns; keep only y and w
     beta0 = None
     if args.init_model:
         init = load_model(args.init_model)
@@ -211,7 +213,7 @@ def _cmd_fit(args) -> int:
     config = FitConfig(tol=args.tol, max_outer_iters=args.max_iters, beta0=beta0)
     pen = PenaltySpec(lam=args.lam)
 
-    result = fit(design, sample.y, sample.w, pen, cs, config)
+    result = fit(design, y, w, pen, cs, config)
 
     for rec in result.trajectory:
         print(
@@ -233,8 +235,7 @@ def _cmd_fit(args) -> int:
         from .metrics import score_metrics
         from .report import write_report
 
-        theta = design.scores(result.beta)
-        metrics = score_metrics(theta, sample.y, sample.w)
+        metrics = score_metrics(design.scores(result.beta), y, w)
         write_report(spec, args.name, result.beta, metrics, args.report)
         print(f"wrote report to {args.report} (csv twin {args.report}.csv)")
     return 0 if result.status == "converged" else 2
@@ -248,9 +249,13 @@ def _cmd_eval(args) -> int:
 
     model = load_model(args.model)
     sample = load_sample(args.data)
-    theta = build_design_matrix(model.spec, sample).scores(model.beta)
-    cdfs = score_cdfs(theta, sample.y, sample.w) if args.dump_cdfs else None
-    m = score_metrics(theta, sample.y, sample.w, _cdfs=cdfs)
+    design = build_design_matrix(model.spec, sample)
+    y, w = sample.y, sample.w
+    del sample  # the design holds the binned columns; keep only y and w
+    theta = design.scores(model.beta)
+    del design
+    cdfs = score_cdfs(theta, y, w) if args.dump_cdfs else None
+    m = score_metrics(theta, y, w, _cdfs=cdfs)
     print(f"divergence {m.divergence:.4f}")
     print(f"minus_ll {m.minus_ll:.4f}")
     print(f"ks {m.ks:.4f}")

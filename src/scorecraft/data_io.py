@@ -894,10 +894,12 @@ def load_model(path: str) -> ModelFile:
         spec_text=spec_text,
         note=str(payload.get("note", "")),
     )
-    if beta.shape[0] != model.spec.q:
-        raise DataError(
-            f"{path}: beta has {beta.shape[0]} coefficients, its spec needs {model.spec.q}"
-        )
+    try:
+        q = model.spec.q
+    except SpecError as exc:
+        raise DataError(f"{path}: embedded spec: {exc}") from None
+    if beta.shape[0] != q:
+        raise DataError(f"{path}: beta has {beta.shape[0]} coefficients, its spec needs {q}")
     return model
 
 

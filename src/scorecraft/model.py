@@ -8,11 +8,11 @@ design matrices with an intercept column.  A sample stores each
 characteristic column once per distinct raw value, as a `Column` of
 stripped texts (None for a missing cell, as a data file holds them) and an
 integer inverse, so binning works on the distinct texts and gathers their
-codes through the inverse.  A design stores one integer column code per
-characteristic and row, not the 0/1 indicator matrix; scores, X'r and
-X' diag(c) X are computed from the codes with numpy alone, one definition
-each, and the dense indicator matrix is only built when `DesignMatrix.x`
-is read.
+attributes through the inverse.  A design stores, per run of consecutive
+characteristics, one int32 joint code per row, not the 0/1 indicator
+matrix; scores, X'r and X' diag(c) X are computed from the joint codes with
+numpy alone, one definition each, and the dense indicator matrix is only
+built when `DesignMatrix.x` is read.
 
 Outcome convention: y = 1 means Good throughout the package.
 """
@@ -26,8 +26,8 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Iterator, Optional, Union
+from itertools import accumulate, repeat
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -353,28 +353,63 @@ class Sample:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """n x q design matrix of attribute indicators whose first column is 1.
+    """n x q design matrix of attribute indicators whose first column is 1, held as its runs.
 
-    It is stored as `codes`, an n x (1 + C) integer matrix over its C
-    characteristics: column 0 is the intercept's code 0, and column c + 1
-    holds the design column (the attribute index) that row i bins to in
-    characteristic c.  `blocks` maps each characteristic (name, start,
-    stop) to its column range; the ranges follow one another from column 1
-    up to q, where the last one stops.
+    `blocks` maps each characteristic (name, start, stop) to its column
+    range; the ranges follow one another from column 1 up to q.  A run
+    (lo, hi, joint, table) joins the characteristics whose columns lie in
+    lo..hi-1.  joint (int32) is each row's joint code, its attributes there
+    as the digits of a mixed-radix number (the first characteristic's digit
+    most significant); row k of the K x (hi - lo) 0/1 table marks the
+    attributes joint code k holds, so X[:, lo:hi] equals table[joint].  The
+    joint codes are the only per-row data a design holds.
+
+    A run grows while the product of its attribute counts stays within
+    sqrt(n); a characteristic with more attributes is a run by itself.  So
+    a run's histogram has at most sqrt(n) bins and a pair of runs' at most
+    n, or no more than the q x q result where a run is one such wide
+    characteristic.
 
     `scores` (X beta), `rmatvec` (X' r) and `gram` (X' diag(c) X) are the
     operations the fit, the centering counts and the metrics need, one
-    definition each.  They work on `runs`, which join consecutive
-    characteristics into one code per row.  `x` is the dense n x q float
-    view, built on first read and then kept.
+    definition each.  `take` gives the design of some of its rows, and `x`
+    is the dense n x q float view, built on first read and then kept.
     """
 
-    codes: np.ndarray
+    n: int
     blocks: tuple[tuple[str, int, int], ...]
+    runs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
 
-    @property
-    def n(self) -> int:
-        return int(self.codes.shape[0])
+    @classmethod
+    def build(cls, n: int, blocks: tuple, columns: Iterable[np.ndarray]) -> "DesignMatrix":
+        """The design whose characteristic c has attribute columns[c][i] on row i.
+
+        columns yields one integer array of n attribute indices per block,
+        in block order; each is folded into its run's joint codes as it comes.
+        """
+        limit = math.isqrt(n)
+        groups: list[list[tuple[int, int]]] = []  # (start, stop) per run
+        size = 0
+        for _, start, stop in blocks:
+            if groups and size * (stop - start) <= limit:
+                groups[-1].append((start, stop))
+                size *= stop - start
+            else:
+                groups.append([(start, stop)])
+                size = stop - start
+        columns = iter(columns)
+        runs = []
+        for group in groups:
+            lo, hi = group[0][0], group[-1][1]
+            joint = np.zeros(n, dtype=np.int32)
+            for start, stop in group:
+                joint *= stop - start
+                joint += next(columns) - start
+            widths = [stop - start for start, stop in group]
+            digits = np.indices(widths).reshape(len(group), -1)
+            table = np.hstack([np.eye(width)[digit] for width, digit in zip(widths, digits)])
+            runs.append((lo, hi, joint, table))
+        return cls(n, tuple(blocks), tuple(runs))
 
     @property
     def q(self) -> int:
@@ -383,54 +418,20 @@ class DesignMatrix:
     @cached_property
     def x(self) -> np.ndarray:
         """The dense n x q float matrix."""
-        dense = np.zeros((self.n, self.q))
-        dense[np.arange(self.n)[:, None], self.codes] = 1.0
-        return dense
+        return np.hstack([np.ones((self.n, 1)), *(table[joint] for _, _, joint, table in self.runs)])
 
-    @cached_property
-    def runs(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
-        """Runs of consecutive characteristics, as (lo, hi, joint, table).
+    def take(self, rows: np.ndarray) -> "DesignMatrix":
+        """The design of the given rows (integer indices, in their order), its runs chosen again.
 
-        A run grows while its joint code space, the product of its
-        characteristics' attribute counts, stays within sqrt(n) codes; a
-        characteristic with more attributes than that is a run by itself.
-        So a run's histogram has at most sqrt(n) bins and a pair of runs'
-        at most n, unless a run is one characteristic with more attributes;
-        then a pair's histogram is no larger than the q x q result.
-
-        A run covers design columns lo..hi-1.  joint (int32) is each row's
-        joint code: its attributes in the run's characteristics as the
-        digits of a mixed-radix number, the first characteristic's digit
-        most significant.  table is the K x (hi - lo) 0/1 matrix whose row
-        k marks the attributes that joint code k holds, so that X[:, lo:hi]
-        equals table[joint].
+        Each characteristic's attribute is read back from its run's table.
         """
-        limit = math.isqrt(self.n)
-        groups: list[list[tuple[int, int, int]]] = []  # (code column, start, stop)
-        size = 0
-        for col, (_, start, stop) in enumerate(self.blocks, start=1):
-            if groups and size * (stop - start) <= limit:
-                groups[-1].append((col, start, stop))
-                size *= stop - start
-            else:
-                groups.append([(col, start, stop)])
-                size = stop - start
-        runs = []
-        for group in groups:
-            lo, hi = group[0][1], group[-1][2]
-            joint = np.zeros(self.n, dtype=np.int32)
-            offset = 0
-            for col, start, stop in group:
-                joint *= stop - start
-                joint += self.codes[:, col]
-                offset = offset * (stop - start) + start
-            joint -= offset
-            digits = np.indices([stop - start for _, start, stop in group]).reshape(len(group), -1)
-            table = np.zeros((digits.shape[1], hi - lo))
-            for (_, start, _), digit in zip(group, digits):
-                table[np.arange(digits.shape[1]), start - lo + digit] = 1.0
-            runs.append((lo, hi, joint, table))
-        return tuple(runs)
+        columns = (
+            (start + table[:, start - lo : stop - lo].argmax(axis=1)).astype(np.int32)[joint[rows]]
+            for lo, hi, joint, table in self.runs
+            for _, start, stop in self.blocks
+            if lo <= start < hi
+        )
+        return DesignMatrix.build(len(rows), self.blocks, columns)
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
         """theta = X beta: the intercept plus one looked-up weight sum per run."""
@@ -578,7 +579,7 @@ def _number(text: str) -> float:
 
 
 def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
-    """The attribute index each text or None bins to: the one binning rule.
+    """The attribute index (int32) each text or None bins to: the one binning rule.
 
     Texts are stripped.  Matching is total: Special rules are tried first
     (exact numeric match), then Category membership on the text, then
@@ -612,27 +613,27 @@ def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
     except ValueError:
         numbers = np.fromiter(map(_number, texts), float, m)
     edges, owner = ch.elementary_intervals
-    codes = np.full(m, ch.noinfo.att_index, dtype=np.intp)
+    atts = np.full(m, ch.noinfo.att_index, dtype=np.int32)
     # NaN and +inf match no interval: lo <= v < hi fails for both.
     ranged = numbers < math.inf
-    codes[ranged] = owner[np.searchsorted(edges, numbers[ranged], side="right")]
+    atts[ranged] = owner[np.searchsorted(edges, numbers[ranged], side="right")]
     if labels:
-        hits = np.fromiter(map(labels.get, texts, repeat(0)), np.intp, m)
-        codes = np.where(hits > 0, hits, codes)
+        hits = np.fromiter(map(labels.get, texts, repeat(0)), np.int32, m)
+        atts = np.where(hits > 0, hits, atts)
     for att in reversed(ch.attributes):
         if isinstance(att.bin, SpecialBin):
-            codes[numbers == att.bin.value] = att.att_index
-    codes[np.fromiter(map(operator.not_, texts), bool, m)] = ch.noinfo.att_index
-    return codes
+            atts[numbers == att.bin.value] = att.att_index
+    atts[np.fromiter(map(operator.not_, texts), bool, m)] = ch.noinfo.att_index
+    return atts
 
 
 def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
-    """Bin a sample under a spec into a coded design matrix.
+    """Bin a sample under a spec into a design matrix.
 
-    Row i has code 0 (the intercept) and, per characteristic, the column of
-    the attribute its value bins to; sample records must provide every
-    characteristic in the spec and no others.  Each column's distinct
-    values are binned once and their codes gathered through its inverse.
+    Sample records must provide every characteristic in the spec and no
+    others.  Each column's distinct values are binned once and gathered
+    through its inverse into an int32 column of attributes, which
+    `DesignMatrix.build` folds into its run before the next one is made.
     """
     known = {ch.name for ch in spec.characteristics}
     unknown = set(sample.records) - known
@@ -642,19 +643,12 @@ def build_design_matrix(spec: ScorecardSpec, sample: Sample) -> DesignMatrix:
     if missing:
         raise SpecError(f"sample lacks characteristic(s): {sorted(missing)}")
 
-    # Column-major: the design's operations read the codes column by column.
-    codes = np.zeros((sample.n, 1 + len(spec.characteristics)), dtype=np.intp, order="F")
-    for c, ch in enumerate(spec.characteristics, start=1):
-        column = sample.records[ch.name]
-        codes[:, c] = _bin_values(ch, column.values)[column.inverse]
-
-    blocks = []
-    start = 1
-    for ch in spec.characteristics:
-        stop = start + len(ch.attributes)
-        blocks.append((ch.name, start, stop))
-        start = stop
-    return DesignMatrix(codes=codes, blocks=tuple(blocks))
+    chars = spec.characteristics
+    stops = list(accumulate((len(ch.attributes) for ch in chars), initial=1))
+    blocks = tuple((ch.name, start, stop) for ch, start, stop in zip(chars, stops, stops[1:]))
+    records = [sample.records[ch.name] for ch in chars]
+    columns = (_bin_values(ch, col.values)[col.inverse] for ch, col in zip(chars, records))
+    return DesignMatrix.build(sample.n, blocks, columns)
 
 
 # ---------------------------------------------------------------------------

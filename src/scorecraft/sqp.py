@@ -10,21 +10,22 @@ three of its operations: scores X beta, the gradient X' r, and the Gram
 matrix X' diag(c) X.  Probabilities come from a logistic evaluated through
 e^-|theta|, so no score overflows.
 
-Before the loop, rows with equal codes and y are merged into one row that
-carries their summed weight, so a sample drawn from few profiles costs as
-many rows as it has distinct ones; every term is a weighted sum over rows,
-so only rounding changes.  Every iterate is evaluated once: one gather of
-its scores gives minus log likelihood and gradient, and the Gram matrix is
-built only where another QP follows.  Each QP after the first is warm
-started from the inequality rows the step before left active (those with
-positive multipliers); the constraints do not change between steps, so the
-active set rarely does, and `solve_qp` falls back to its cold path
-wherever that start does not certify.  A warm solve's `iterations` counts
-only the polish rounds that changed the active set.  Convergence is
-measured by max|delta beta| between iterations, with no step damping: full
-QP steps, an iteration cap, and a recorded trajectory.  The final beta is
-certified by the KKT residuals of its penalized gradient with the last
-step's multipliers.
+Before the loop, rows with equal attributes and y (equal joint codes in
+every run of the design) are merged into one row that carries their summed
+weight, and the merged rows form a design of their own (`DesignMatrix.take`),
+so a sample drawn from few profiles costs as many rows as it has distinct
+ones; every term is a weighted sum over rows, so only rounding changes.
+Every iterate is evaluated once: one gather of its scores gives minus log
+likelihood and gradient, and the Gram matrix is built only where another QP
+follows.  Each QP after the first is warm started from the inequality rows
+the step before left active (those with positive multipliers); the
+constraints do not change between steps, so the active set rarely does,
+and `solve_qp` falls back to its cold path wherever that start does not
+certify.  A warm solve's `iterations` counts only the polish rounds that
+changed the active set.  Convergence is measured by max|delta beta| between
+iterations, with no step damping: full QP steps, an iteration cap, and a
+recorded trajectory.  The final beta is certified by the KKT residuals of
+its penalized gradient with the last step's multipliers.
 """
 
 from __future__ import annotations
@@ -324,39 +325,36 @@ def _multipliers(count: int) -> np.ndarray:
 def _merged(
     design: DesignMatrix, y: np.ndarray, w: np.ndarray
 ) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
-    """The sample with rows of equal codes and y merged by summing w.
+    """The sample with rows of equal attributes and y merged by summing w.
 
     Each group stands where its first row stood.  Likelihood, gradient and
     Hessian are sums over rows, linear in w, so the merged sample has the
     same ones.  Rows are grouped (`_key_groups`, in order of first
-    occurrence) by a linear hash of their codes and y with pseudorandom
-    multipliers, and each group is checked against its first row; a design
-    with no repeated row, no codes, or a hash collision comes back as given.
+    occurrence) by a linear hash of their runs' joint codes and y with
+    pseudorandom multipliers, and each group is checked against its first
+    row; a design with no repeated row, no runs, or a hash collision comes
+    back as given.  The merged design is `design.take` of the first rows,
+    so its runs are chosen for its own row count.
     """
-    codes = getattr(design, "codes", None)
-    if codes is None:
+    runs = getattr(design, "runs", None)
+    if runs is None:
         return design, y, w
-    mix = _multipliers(codes.shape[1])
-    # Integer products wrap around; column 0 is the intercept's code 0.
+    mix = _multipliers(1 + len(runs))
+    # Integer products wrap around.
     key = y.view(np.int64) * mix[0]
-    for c in range(1, codes.shape[1]):
-        key += codes[:, c] * mix[c]
+    for (_, _, joint, _), m in zip(runs, mix[1:]):
+        key += joint * m
     group, is_first = _key_groups(key.view(np.uint64))
     first = np.flatnonzero(is_first)
     if first.size == design.n:
         return design, y, w
     first_of = first[group]
     same = y[first_of] == y
-    for c in range(1, codes.shape[1]):
-        same &= codes[first_of, c] == codes[:, c]
+    for _, _, joint, _ in runs:
+        same &= joint[first_of] == joint
     if not same.all():
         return design, y, w
-    # The merged codes are column-major like the design's: the runs read
-    # whole code columns.
-    kept = np.empty((first.size, codes.shape[1]), dtype=codes.dtype, order="F")
-    np.take(codes, first, axis=0, out=kept)
-    merged = DesignMatrix(kept, design.blocks)
-    return merged, y[first], np.bincount(group, weights=w, minlength=first.size)
+    return design.take(first), y[first], np.bincount(group, weights=w, minlength=first.size)
 
 
 def fit(
@@ -369,7 +367,7 @@ def fit(
 ) -> FitResult:
     """Run the sequential QP loop until max|delta beta| <= tol.
 
-    Rows with equal codes and y are merged by summing w first.  Each
+    Rows with equal attributes and y are merged by summing w first.  Each
     iteration takes a full constrained Newton step from the current beta;
     the trajectory records the step size and minus log likelihood per
     iteration.  Each iterate is evaluated once, with its Hessian only where

@@ -15,6 +15,26 @@ scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/m
 scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --centering weighted --out "$out/centered.json" > "$out/centered.txt"
 cat "$out/centered.txt"
 grep -qx 'status: converged' "$out/centered.txt"
+# Every row written twice, or once with weight 2, is the same sample: both
+# merge to the same rows and weights, and a merged design chooses its runs
+# for its own row count, so the two centered models are the same bytes.
+python - "$out/train.csv" "$out/twice.csv" "$out/heavy.csv" <<'PY'
+import csv, sys
+with open(sys.argv[1], newline="") as src:
+    header, *rows = csv.reader(src)
+w = header.index("w")
+with open(sys.argv[2], "w", newline="") as twice, open(sys.argv[3], "w", newline="") as heavy:
+    twice, heavy = csv.writer(twice), csv.writer(heavy)
+    twice.writerow(header)
+    heavy.writerow(header)
+    for row in rows:
+        twice.writerows([row, row])
+        heavy.writerow(row[:w] + ["2"] + row[w + 1 :])
+PY
+for data in twice heavy; do
+    scorecraft fit --spec "$spec" --data "$out/$data.csv" --lambda 0.5 --centering weighted --out "$out/$data.json" > "$out/$data.txt"
+done
+cmp "$out/twice.json" "$out/heavy.json"
 # An output into a missing directory fails before any fitting.
 code=0
 scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/missing/model.json" > "$out/refused.txt" 2>&1 || code=$?

@@ -3,7 +3,8 @@
 `DenseDesign(x)` offers the operations the package reads from a design
 (n, q, scores, rmatvec and gram) as textbook matrix products
 over an n x q float matrix.  It shares no code with `scorecraft.model.DesignMatrix`, so a
-parity check against it compares two independent routes.
+parity check against it compares two independent routes.  `attribute_columns`
+reads each characteristic's attributes back from a design's dense view.
 """
 
 import numpy as np
@@ -31,3 +32,8 @@ class DenseDesign:
 
     def gram(self, c):
         return self.x.T @ (self.x * c[:, None])
+
+
+def attribute_columns(design):
+    """Per characteristic, the attribute each row holds: the block argmax of design.x."""
+    return [start + design.x[:, start:stop].argmax(axis=1) for _, start, stop in design.blocks]

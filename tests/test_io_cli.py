@@ -38,6 +38,7 @@ from scorecraft.report import write_report
 from scorecraft.sqp import PenaltySpec, fit
 
 from bin_oracle import bin_one
+from dense_design import attribute_columns
 from sample_oracle import cells, load_sample_rows
 from true_beta import implied_true_beta
 
@@ -201,9 +202,9 @@ def test_load_sample_matches_per_cell_oracle(
     assert_same_sample(sample, expected)
     del sample.records["note"]
     design = build_design_matrix(small_spec, sample)
-    for c, ch in enumerate(small_spec.characteristics, start=1):
+    for ch, got in zip(small_spec.characteristics, attribute_columns(design)):
         per_cell = [bin_one(ch, v) for v in cells(sample.records[ch.name])]
-        assert design.codes[:, c].tolist() == per_cell
+        assert got.tolist() == per_cell
 
 
 def test_load_sample_high_cardinality_matches_oracle(tmp_path, fixture_spec):
@@ -227,11 +228,11 @@ def test_load_sample_high_cardinality_matches_oracle(tmp_path, fixture_spec):
     assert sample.y.tobytes() == expected.y.tobytes()
     assert sample.w.tobytes() == expected.w.tobytes()
     design = build_design_matrix(fixture_spec, sample)
-    for c, ch in enumerate(fixture_spec.characteristics, start=1):
+    for ch, atts in zip(fixture_spec.characteristics, attribute_columns(design)):
         got, column = sample.records[ch.name], cells(expected.records[ch.name])
         assert len(set(column)) == n
         assert got.values == column and (got.inverse == np.arange(n)).all()
-        assert design.codes[:, c].tolist() == [bin_one(ch, v) for v in column]
+        assert atts.tolist() == [bin_one(ch, v) for v in column]
 
 
 def test_load_sample_parses_y_and_w_without_a_call_per_value(tmp_path, monkeypatch):
@@ -740,7 +741,7 @@ def test_gen_on_the_bundled_spec_round_trips(tmp_path, fixture_spec, fixture_spe
         if not isinstance((att := ch.attributes[k]).bin, NoInformationBin)
     }
     assert len(wanted) == fixture_spec.q - 1 - 25 - 10
-    assert wanted <= set(np.unique(design.codes).tolist())
+    assert wanted <= set(np.unique(attribute_columns(design)).tolist())
     for ch in fixture_spec.characteristics:
         for k, raw in representatives(ch).items():
             assert bin_value(ch, raw) == ch.attributes[k].att_index
@@ -1429,6 +1430,35 @@ def test_cli_checks_beta_against_the_model_spec_before_reading_data(
     assert captured.err == (
         f"scorecraft {command}: error: {path}: beta has {q} coefficients, "
         f"its spec needs {small_spec.q}\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_cli_names_a_model_whose_embedded_spec_does_not_parse(
+    tmp_path, small_spec, small_spec_text, capsys, monkeypatch, command
+):
+    # A spec text that does not parse, its hash recomputed, fails at load
+    # with one line naming the model file, and no data is read or scored.
+    result, pen, _, data_path = fitted_model(small_spec, tmp_path)
+    path = tmp_path / "model.json"
+    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    payload = json.loads(path.read_text())
+    text = payload["spec_text"].replace("char,att,label", "chr,att,label", 1)
+    payload["spec_text"] = text
+    payload["spec_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(payload))
+    monkeypatch.setattr(data_io, "load_sample", lambda path: pytest.fail("read the data"))
+    argv = {
+        "eval": ["eval", "--model", str(path), "--data", str(data_path)],
+        "compare": ["compare", "--data", str(data_path), "--model", f"m={path}"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"scorecraft {command}: error: {path}: embedded spec: line 1: expected header "
+        "char,att,label,kind,lo,hi,categories,constraint\n"
     )
     assert captured.out == ""
 

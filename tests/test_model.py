@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from scorecraft import model
 from scorecraft.constraints import CenteringPolicy
 from scorecraft.data_io import load_sample
-from dense_design import DenseDesign
+from dense_design import DenseDesign, attribute_columns
 from scorecraft.model import (
     Attribute,
     CategoryBin,
     Characteristic,
+    Column,
     ConstraintTag,
     DesignMatrix,
     FixedTo,
@@ -236,10 +238,12 @@ def test_design_codes_equal_per_cell_binning():
         records={"x": text_column(column), "z": text_column(other)},
     ).validate()
     dm = build_design_matrix(spec, sample)
-    assert dm.codes[:, 1].tolist() == [bin_one(x, v) for v in column]
-    assert dm.codes[:, 2].tolist() == [bin_one(z, v) for v in other]
-    assert (dm.codes[:, 0] == 0).all()
-    assert set(dm.codes[:, 1]) == {1, 2, 3, 4, 5}
+    x_atts, z_atts = attribute_columns(dm)
+    assert x_atts.tolist() == [bin_one(x, v) for v in column]
+    assert z_atts.tolist() == [bin_one(z, v) for v in other]
+    # The intercept and one attribute per characteristic on every row.
+    assert (dm.x[:, 0] == 1).all() and (dm.x.sum(axis=1) == 3).all()
+    assert set(x_atts) == {1, 2, 3, 4, 5}
 
     # Centering counts: exact for integral weights, within rounding of the
     # row-order sums for others.
@@ -296,19 +300,42 @@ def test_design_scores():
     assert np.array_equal(dm.scores(beta), [0 + 2 + 6, 0 + 5 + 7, 0 + 1 + 8])
 
 
-def coded_design(widths, n, rng, order):
-    """A DesignMatrix over characteristics of the given attribute counts, random codes."""
-    blocks, columns, start = [], [np.zeros(n, dtype=np.intp)], 1
+def coded_design(widths, n, rng):
+    """A design over characteristics of the given attribute counts, random attributes.
+
+    Returns the design built from the attribute columns and the dense n x q
+    matrix those columns set, made without the design.
+    """
+    blocks, columns, start = [], [], 1
     for c, width in enumerate(widths):
         blocks.append((f"c{c}", start, start + width))
         columns.append(rng.integers(start, start + width, n))
         start += width
-    codes = np.array(np.stack(columns, axis=1), order=order)
-    return DesignMatrix(codes, tuple(blocks))
+    dense = np.zeros((n, start))
+    dense[:, 0] = 1.0
+    for column in columns:
+        dense[np.arange(n), column] = 1.0
+    return DesignMatrix.build(n, tuple(blocks), iter(columns)), columns, dense
 
 
 def relative_gap(a, b):
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def assert_runs_fit_the_row_count(design, widths):
+    # Runs cover the characteristics in order, each as long as sqrt(n)
+    # allows, and X[:, lo:hi] is table[joint].
+    n = design.n
+    held = []
+    for lo, hi, joint, table in design.runs:
+        held.append([stop - start for _, start, stop in design.blocks if lo <= start < hi])
+        assert table.shape[0] == math.prod(held[-1])
+        assert len(held[-1]) == 1 or table.shape[0] <= math.sqrt(n)
+        assert joint.dtype == np.int32 and joint.shape == (n,)
+        assert np.array_equal(table[joint], design.x[:, lo:hi])
+    assert sum(held, []) == widths and design.runs[-1][1] == design.q
+    for run, after in zip(held, held[1:]):
+        assert math.prod(run) * after[0] > math.sqrt(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4097, 20000])
@@ -316,45 +343,66 @@ def test_design_operations_equal_the_dense_products(fixture_spec, n):
     rng = np.random.default_rng(n)
     bundled = [len(ch.attributes) for ch in fixture_spec.characteristics]
     # 200 and 300 attributes are more than sqrt(n) codes for every n here.
-    for widths, order in [
-        (bundled, "F"), (bundled, "C"), ([3, 200, 4, 2, 6], "F"),
-        ([5], "F"), ([300], "C"), ([2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2], "F"),
-    ]:
-        design = coded_design(widths, n, rng, order)
-        dense = DenseDesign(design.x)
-        # Runs cover the characteristics in order, each as long as sqrt(n)
-        # allows, and X[:, lo:hi] is table[joint].
-        held = []
-        for lo, hi, joint, table in design.runs:
-            held.append([stop - start for _, start, stop in design.blocks if lo <= start < hi])
-            assert table.shape[0] == math.prod(held[-1])
-            assert len(held[-1]) == 1 or table.shape[0] <= math.sqrt(n)
-            assert joint.dtype == np.int32
-            assert np.array_equal(table[joint], design.x[:, lo:hi])
-        assert sum(held, []) == widths and design.runs[-1][1] == design.q
-        for run, after in zip(held, held[1:]):
-            assert math.prod(run) * after[0] > math.sqrt(n)
-        c = rng.uniform(0.0, 0.25, n) * (rng.random(n) < 0.9)
-        beta = rng.normal(0.0, 1.0, design.q)
-        r = rng.normal(0.0, 1.0, n)
-        assert relative_gap(design.scores(beta), dense.scores(beta)) <= 1e-12
-        assert relative_gap(design.rmatvec(r), dense.rmatvec(r)) <= 1e-12
-        gram = design.gram(c)
-        assert relative_gap(gram, dense.gram(c)) <= 1e-12
-        assert np.array_equal(gram, gram.T)
+    for widths in [bundled, [3, 200, 4, 2, 6], [5], [300], [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]]:
+        design, columns, x = coded_design(widths, n, rng)
+        assert np.array_equal(design.x, x)
+        # The rows of a permutation and of a subset, their runs chosen again
+        # for their own row count (the subset's sqrt is about 0.7 the full one).
+        perm = rng.permutation(n)
+        subset = rng.choice(n, size=(n + 1) // 2, replace=False)
+        for taken, rows in ((design, None), (design.take(perm), perm), (design.take(subset), subset)):
+            dense_x = x if rows is None else x[rows]
+            assert taken.n == dense_x.shape[0] and taken.blocks == design.blocks
+            assert np.array_equal(taken.x, dense_x)
+            assert_runs_fit_the_row_count(taken, widths)
+            dense = DenseDesign(dense_x)
+            m = taken.n
+            c = rng.uniform(0.0, 0.25, m) * (rng.random(m) < 0.9)
+            beta = rng.normal(0.0, 1.0, design.q)
+            r = rng.normal(0.0, 1.0, m)
+            assert relative_gap(taken.scores(beta), dense.scores(beta)) <= 1e-12
+            assert relative_gap(taken.rmatvec(r), dense.rmatvec(r)) <= 1e-12
+            gram = taken.gram(c)
+            assert relative_gap(gram, dense.gram(c)) <= 1e-12
+            assert np.array_equal(gram, gram.T)
         if n == 20000:
             # Centering counts are X' w: exact for integral weights, and
-            # within rounding of the row-order sums per code column for others.
+            # within rounding of the row-order sums per column for others.
             w = rng.uniform(0.5, 2.0, n)
             for weights in (np.floor(3 * w), w):
                 per_column = sum(
-                    np.bincount(design.codes[:, k], weights=weights, minlength=design.q)
-                    for k in range(design.codes.shape[1])
+                    np.bincount(k, weights=weights, minlength=design.q)
+                    for k in [np.zeros(n, dtype=np.intp), *columns]
                 )
                 if weights is w:
                     assert relative_gap(design.rmatvec(w), per_column) <= 1e-12
                 else:
                     assert design.rmatvec(weights).tobytes() == per_column.tobytes()
+
+
+def test_design_holds_only_its_runs(fixture_spec):
+    # A built design holds one int32 joint code per row and run, and the
+    # runs' tables; no n x (1 + C) array is made on the way, so the traced
+    # peak of the build stays below half of such an intp array.
+    n, width = 200_000, 1 + len(fixture_spec.characteristics)
+    rng = np.random.default_rng(200)
+    records = {}
+    for ch in fixture_spec.characteristics:
+        values = [None, "junk", *map(str, range(-10, 1000, 37))]
+        records[ch.name] = Column(values, rng.integers(0, len(values), n, dtype=np.int32))
+    sample = Sample(np.ones(n), np.ones(n), records).validate()
+    tracemalloc.start()
+    try:
+        design = build_design_matrix(fixture_spec, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * width / 2, peak
+    assert set(vars(design)) == {"n", "blocks", "runs"}
+    assert len(design.runs) < width - 1
+    for lo, hi, joint, table in design.runs:
+        assert joint.dtype == np.int32 and joint.shape == (n,)
+        assert table.shape[1] == hi - lo and table.shape[0] <= max(math.isqrt(n), hi - lo)
 
 
 def test_write_parse_round_trip_random_specs(random_spec_factory):
@@ -472,8 +520,8 @@ def assert_codes_equal_per_value(spec, column):
         records={ch.name: text_column(column) for ch in spec.characteristics},
     ).validate()
     design = build_design_matrix(spec, sample)
-    for c, ch in enumerate(spec.characteristics, start=1):
-        assert design.codes[:, c].tolist() == [bin_one(ch, v) for v in column], ch.name
+    for ch, atts in zip(spec.characteristics, attribute_columns(design)):
+        assert atts.tolist() == [bin_one(ch, v) for v in column], ch.name
 
 
 def test_vectorized_binning_equals_bin_value(fixture_spec, random_spec_factory, tmp_path):
@@ -500,13 +548,14 @@ def test_vectorized_binning_equals_bin_value(fixture_spec, random_spec_factory, 
         writer.writerows([1, 1, *[t or ""] * len(names)] for t in texts)
     sample = load_sample(str(path))
     design = build_design_matrix(fixture_spec, sample)
-    for c, ch in enumerate(fixture_spec.characteristics, start=1):
+    atts = attribute_columns(design)
+    for ch, got in zip(fixture_spec.characteristics, atts):
         expected = [bin_one(ch, t) for t in texts]
-        assert design.codes[:, c].tolist() == expected, ch.name
+        assert got.tolist() == expected, ch.name
     # char950's overlapping rows: first declared wins, so 126 and 130-134,
     # 136-139 are never reached, while values >= 7011 reach 128.
     char950 = characteristic(fixture_spec, "char950")
-    assert set(design.codes[:, names.index("char950") + 1]) >= {125, 127, 128, 129, 135, 140}
+    assert set(atts[names.index("char950")]) >= {125, 127, 128, 129, 135, 140}
     assert bin_value(char950, 7011) == 128 and bin_value(char950, 7010.5) == 125
 
 

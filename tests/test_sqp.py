@@ -19,7 +19,7 @@ from scorecraft.sqp import (
     score_minus_log_likelihood,
 )
 
-from dense_design import DenseDesign
+from dense_design import DenseDesign, attribute_columns
 from ircls_oracle import ircls_step
 from text_columns import text_column
 
@@ -417,14 +417,23 @@ def test_logistic_terms_reject_bad_shapes():
         logistic_terms(np.ones((5, 2)), np.ones(5), np.ones(5), np.zeros(2))
 
 
+def attribute_rows(design):
+    """Each row's attributes, one per characteristic, as a tuple."""
+    return list(zip(*(column.tolist() for column in attribute_columns(design))))
+
+
 def merged_by_hand(design, y, w):
-    """Rows of equal codes and y summed into one, in order of first rows."""
+    """Rows of equal attributes and y summed into one, in order of first rows.
+
+    Each weight is summed in row order.
+    """
     groups = {}
-    for i, key in enumerate(zip(map(tuple, design.codes.tolist()), y.tolist())):
+    for i, key in enumerate(zip(attribute_rows(design), y.tolist())):
         groups.setdefault(key, []).append(i)
     first = [rows[0] for rows in groups.values()]
-    weights = np.array([w[rows].sum() for rows in groups.values()])
-    merged = DesignMatrix(design.codes[first], design.blocks)
+    weights = np.array([sum(w[rows].tolist()) for rows in groups.values()])
+    columns = [column[first] for column in attribute_columns(design)]
+    merged = DesignMatrix.build(len(first), design.blocks, columns)
     return merged, y[first], weights
 
 
@@ -441,7 +450,8 @@ def test_fit_merges_repeated_rows(small_spec, monkeypatch):
     merged = merged_by_hand(dm, y, w)
     assert merged[0].n < n / 10
     perm = rng.permutation(n)
-    permuted = (DesignMatrix(dm.codes[perm], dm.blocks), y[perm], w[perm])
+    columns = [column[perm] for column in attribute_columns(dm)]
+    permuted = (DesignMatrix.build(n, dm.blocks, columns), y[perm], w[perm])
     cs = compile_constraints(small_spec)
     for lam in (0.0, 0.5):
         fits = [fit(*case, PenaltySpec(lam=lam), cs) for case in ((dm, y, w), merged, permuted)]
@@ -466,9 +476,12 @@ def test_fit_merges_repeated_rows(small_spec, monkeypatch):
     assert seen and all(d is distinct for d in seen)
 
     # Rows whose hashes collide are never merged: with every multiplier 1,
-    # codes (2, 7) and (3, 6) hash alike, and the design is kept as given.
+    # attributes (2, 7) and (3, 6), in runs of one characteristic each at
+    # six rows, have joint codes (1, 1) and (2, 0), which hash alike; the
+    # design is kept as given.
     monkeypatch.setattr(sqp, "_multipliers", lambda count: np.ones(count, dtype=np.int64))
-    colliding = DesignMatrix(np.array([[0, 2, 7], [0, 3, 6]] * 3), dm.blocks)
+    colliding = DesignMatrix.build(6, dm.blocks, [np.array([2, 3] * 3), np.array([7, 6] * 3)])
+    assert [joint.tolist() for _, _, joint, _ in colliding.runs] == [[1, 2] * 3, [1, 0] * 3]
     seen.clear()
     y6 = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
     fit(colliding, y6, np.ones(6), PenaltySpec(lam=0.5), ConstraintSet.empty(9))
@@ -487,10 +500,10 @@ def test_merge_multipliers_are_the_splitmix64_sequence():
     assert np.array_equal(sqp._multipliers(3), mix[:3])
 
 
-def test_merged_codes_are_column_major(small_spec, monkeypatch):
-    # The runs read whole code columns, so the merged design keeps
-    # the column-major codes build_design_matrix gives; the layout changes
-    # no fitted number.
+def test_merged_is_the_take_of_first_rows(small_spec, fixture_spec):
+    # The merged design is the design's take of each group's first row, its
+    # runs chosen for its own row count, with the group's weights summed:
+    # equal bit for bit, runs and all.
     rng = np.random.default_rng(23)
     n = 600
     ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
@@ -498,33 +511,39 @@ def test_merged_codes_are_column_major(small_spec, monkeypatch):
     y = (rng.random(n) < 0.6).astype(float)
     w = rng.choice([0.5, 1.0, 2.0], size=n)
     records = {"age": text_column(ages), "fuel": text_column(fuels)}
-    sample = Sample(y=y, w=w, records=records).validate()
-    dm = build_design_matrix(small_spec, sample)
-    assert dm.codes.flags.f_contiguous
-    merged = sqp._merged(dm, y, w)
-    assert merged[0].n < n / 10 and merged[0].codes.flags.f_contiguous
-    for got, expected in zip(merged, merged_by_hand(dm, y, w)):
-        assert np.array_equal(getattr(got, "codes", got), getattr(expected, "codes", expected))
-
-    cs = compile_constraints(small_spec)
-    expected = fit(dm, y, w, PenaltySpec(lam=0.5), cs)
-    merge = sqp._merged
-
-    def row_major(*args):
-        design, my, mw = merge(*args)
-        codes = np.ascontiguousarray(design.codes)
-        return DesignMatrix(codes, design.blocks), my, mw
-
-    monkeypatch.setattr(sqp, "_merged", row_major)
-    got = fit(dm, y, w, PenaltySpec(lam=0.5), cs)
-    assert got.iterations == expected.iterations
-    assert got.beta.tobytes() == expected.beta.tobytes()
+    cases = [(build_design_matrix(small_spec, Sample(y=y, w=w, records=records)), y, w)]
+    # The bundled spec on rows drawn from 40 profiles: 15 runs at 4000
+    # rows, one per characteristic (25) at the merged 40.
+    profiles = rng.integers(0, 40, 4000)
+    records = {}
+    for ch in fixture_spec.characteristics:
+        texts = [str(v) for v in rng.integers(-10, 1000, 40)]
+        records[ch.name] = text_column([texts[k] for k in profiles])
+    big_y = (profiles % 3 == 0).astype(float)
+    big_w = rng.uniform(0.5, 2.0, 4000)
+    cases.append((build_design_matrix(fixture_spec, Sample(big_y, big_w, records)), big_y, big_w))
+    for dm, y, w in cases:
+        merged, my, mw = sqp._merged(dm, y, w)
+        expected, ey, ew = merged_by_hand(dm, y, w)
+        assert merged.n == expected.n < dm.n / 10
+        rows = list(zip(attribute_rows(dm), y.tolist()))
+        first = [rows.index(row) for row in zip(attribute_rows(merged), my.tolist())]
+        taken = dm.take(np.array(first))
+        assert merged.blocks == taken.blocks == dm.blocks
+        assert len(merged.runs) == len(taken.runs) == len(expected.runs)
+        for got, want, built in zip(merged.runs, taken.runs, expected.runs):
+            assert got[:2] == want[:2] == built[:2]
+            assert got[2].tobytes() == want[2].tobytes() == built[2].tobytes()
+            assert got[3].tobytes() == want[3].tobytes() == built[3].tobytes()
+        assert my.tobytes() == ey.tobytes() == y[first].tobytes()
+        assert mw.tobytes() == ew.tobytes()
+    assert (len(cases[1][0].runs), merged.n, len(merged.runs)) == (15, 40, 25)
 
 
 def test_merged_keeps_a_design_without_repeated_rows(small_spec, monkeypatch):
     # Rows are grouped by one plain sort of their keys, with no argsort.
     # Groups stand in order of first rows, each weight summed in row order;
-    # a design of distinct (codes, y) rows comes back as given.
+    # a design of distinct (attributes, y) rows comes back as given.
     rng = np.random.default_rng(29)
     n = 600
     ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
@@ -539,10 +558,10 @@ def test_merged_keeps_a_design_without_repeated_rows(small_spec, monkeypatch):
     monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
     distinct = sqp._merged(dm, y, w)
     sums = {}
-    for key, weight in zip(zip(map(tuple, dm.codes.tolist()), y.tolist()), w.tolist()):
+    for key, weight in zip(zip(attribute_rows(dm), y.tolist()), w.tolist()):
         sums[key] = sums.get(key, 0.0) + weight
     assert distinct[0].n == len(sums) < n
-    assert list(zip(map(tuple, distinct[0].codes.tolist()), distinct[1].tolist())) == list(sums)
+    assert list(zip(attribute_rows(distinct[0]), distinct[1].tolist())) == list(sums)
     assert distinct[2].tolist() == list(sums.values())
     again = sqp._merged(*distinct)
     assert all(got is given for got, given in zip(again, distinct))
