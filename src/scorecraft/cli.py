@@ -145,12 +145,20 @@ def _parse_pairs(pairs: list[str], what: str) -> list[tuple[str, str]]:
 
 
 def _parse_inweights(pairs: list[str]) -> list[tuple[int, float]]:
+    import math
+
     out = []
     for pair in pairs:
-        coef, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"--inweight must look like COEF=VALUE, got {pair!r}")
-        out.append((int(coef), float(value)))
+        coef, _, value = pair.partition("=")
+        try:
+            coef, value = int(coef), float(value)
+            if not math.isfinite(value):
+                raise ValueError(value)
+        except ValueError:
+            raise ValueError(
+                f"--inweight needs COEF=VALUE, an integer and a finite number, got {pair!r}"
+            ) from None
+        out.append((coef, value))
     return out
 
 
@@ -159,14 +167,13 @@ def _compiled(args, spec, sample, design=None):
     from .constraints import CenteringPolicy, compile_constraints
     from .model import build_design_matrix
 
+    policy = None
     if args.centering == "weighted":
         if sample is None:
             raise ValueError("--centering weighted needs --data")
         if design is None:
             design = build_design_matrix(spec, sample)
         policy = CenteringPolicy.weighted_from_sample(design, sample.w)
-    else:
-        policy = CenteringPolicy.none()
     return compile_constraints(spec, policy, _parse_inweights(args.inweight))
 
 
@@ -185,10 +192,9 @@ def _cmd_compile(args) -> int:
     print(f"inequality rows: {cs.m_i}")
     if cs.eq_rows or cs.ineq_rows:
         print("rows:")
-        for i, row in enumerate(cs.eq_rows):
-            print(f"  eq   {i:>4}  {row.kind:<9} {row.note}")
-        for i, row in enumerate(cs.ineq_rows):
-            print(f"  ineq {i:>4}  {row.kind:<9} {row.note}")
+        for side, rows in (("eq", cs.eq_rows), ("ineq", cs.ineq_rows)):
+            for i, row in enumerate(rows):
+                print(f"  {side:<4} {i:>4}  {row.kind:<9} {row.note}")
     return 0
 
 
@@ -355,7 +361,7 @@ def _read_probs(path: str) -> tuple[dict, dict]:
 
 def _cmd_gen(args) -> int:
     _check_outputs(args.out)
-    from .data_io import SyntheticConfig, gen_synthetic
+    from .data_io import DataError, SyntheticConfig, gen_synthetic
     from .model import parse_spec, read_text
 
     spec = parse_spec(read_text(args.spec))
@@ -368,6 +374,11 @@ def _cmd_gen(args) -> int:
         good_probs=good,
         bad_probs=bad,
     )
+    if args.probs:
+        try:
+            cfg.check_probs()
+        except DataError as exc:
+            raise DataError(f"{args.probs}: {exc}") from None
     sample = gen_synthetic(cfg, args.out)
     print(f"wrote {sample.n} rows to {args.out} (seed {args.seed})")
     return 0

@@ -7,7 +7,8 @@ centering, in-weighting (equalities Aeq beta = beq) and ordering patterns
 intercept column is zero in every row except explicit intercept in-weights.
 
 Column convention: 0-based column 0 is the intercept, attribute a (1-based)
-occupies 0-based column a.
+occupies 0-based column a.  Each row is a ({column: coefficient}, rhs,
+ConstraintRow) record until one builder stacks them.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .model import (
+    _TERM_TEXT,
     DesignMatrix,
     FixedTo,
     GreaterThan,
-    LessThan,
     ScorecardSpec,
     SpecError,
     TiedTo,
@@ -46,7 +47,7 @@ class ConstraintCompileError(SpecError):
 class ConstraintRow:
     """Provenance for one compiled row.
 
-    kind is one of fixed, centering, cross, group, inweight, pattern; atts
+    kind is one of fixed, cross, centering, inweight, pattern; atts
     holds the source attribute indices (for inweight rows, the 1-based
     coefficient index, where 1 is the intercept).
     """
@@ -92,12 +93,7 @@ class ConstraintSet:
 
     @classmethod
     def empty(cls, q: int) -> "ConstraintSet":
-        return cls(
-            aeq=np.zeros((0, q)),
-            beq=np.zeros(0),
-            a=np.zeros((0, q)),
-            b=np.zeros(0),
-        )
+        return cls(np.zeros((0, q)), np.zeros(0), np.zeros((0, q)), np.zeros(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,146 +145,87 @@ def compile_constraints(
     rows (equalities) and one pattern row per ordering term (inequalities).
     A tag "> k" on attribute a means S_a > S_k and compiles to the non-strict
     row S_k - S_a <= 0; "< k" compiles to S_a - S_k <= 0.  Ties are feasible.
+    A "= v" tag and an in-weight both pin a coefficient, and one table of
+    pins refuses a coefficient pinned to two values.
 
     Parameters
     ----------
-    spec : validated ScorecardSpec.
+    spec : ScorecardSpec; validated here.
     policy : centering policy, default none.
     inweights : optional (coefficient index, target) pairs with 1-based
         coefficient indices; index 1 pins the intercept.
     """
+    spec.validate()
     policy = policy or CenteringPolicy.none()
     q = spec.q
-    eq_data: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    eq_rows: list[ConstraintRow] = []
-    ineq_data: list[np.ndarray] = []
-    ineq_rhs: list[float] = []
-    ineq_rows: list[ConstraintRow] = []
+    # Rows by kind: the equality kinds in their order in Aeq, then pattern.
+    kinds = ("fixed", "cross", "centering", "inweight", "pattern")
+    rows: dict[str, list] = {kind: [] for kind in kinds}
+    pins: dict[int, tuple[float, str]] = {}  # column -> (value, source)
 
-    def att_column(att_index: int) -> int:
-        if not 1 <= att_index <= q - 1:
+    def add(kind: str, atts: tuple[int, ...], note: str, coefficients: dict, rhs=0.0) -> None:
+        rows[kind].append((coefficients, rhs, ConstraintRow(kind, atts, note)))
+
+    def pin(column: int, value: float, source: str) -> None:
+        if column not in pins:
+            pins[column] = (value, source)
+        elif pins[column][0] != value:
+            prior, prior_source = pins[column]
             raise ConstraintCompileError(
-                f"constraint references out-of-range attribute {att_index}"
+                f"coefficient {column + 1} fixed to both {prior} ({prior_source}) "
+                f"and {value} ({source})"
             )
-        return att_index
 
-    # Fixed-value rows; contradictory values on one attribute are an error.
-    fixed_values: dict[int, float] = {}
     for ch, att in spec.iter_attributes():
+        a = att.att_index
+        where = f"{ch.name}:{att.label}"
         for term in att.tag.terms:
             if isinstance(term, FixedTo):
-                prior = fixed_values.get(att.att_index)
-                if prior is not None:
-                    if prior != term.value:
-                        raise ConstraintCompileError(
-                            f"attribute {att.att_index} ({ch.name!r}) fixed to both "
-                            f"{prior} and {term.value}"
-                        )
-                    continue
-                fixed_values[att.att_index] = term.value
-                row = np.zeros(q)
-                row[att_column(att.att_index)] = 1.0
-                eq_data.append(row)
-                eq_rhs.append(term.value)
-                eq_rows.append(
-                    ConstraintRow(
-                        kind="fixed",
-                        atts=(att.att_index,),
-                        note=f"{ch.name}:{att.label} = {term.value:g}",
-                    )
-                )
-
-    # Cross ties: S_a - S_k = 0.
-    for ch, att in spec.iter_attributes():
-        for term in att.tag.terms:
-            if isinstance(term, TiedTo):
-                row = np.zeros(q)
-                row[att_column(att.att_index)] = 1.0
-                row[att_column(term.att)] -= 1.0
-                eq_data.append(row)
-                eq_rhs.append(0.0)
-                eq_rows.append(
-                    ConstraintRow(
-                        kind="cross",
-                        atts=(att.att_index, term.att),
-                        note=f"{ch.name}:{att.label} ~ att {term.att}",
-                    )
-                )
+                if a not in pins:
+                    add("fixed", (a,), f"{where} = {term.value:g}", {a: 1.0}, term.value)
+                pin(a, term.value, f"tag on {where}")
+                continue
+            k = term.att
+            kind = "cross" if isinstance(term, TiedTo) else "pattern"
+            sign = -1.0 if isinstance(term, GreaterThan) else 1.0
+            add(kind, (a, k), f"{where} {_TERM_TEXT[type(term)]} att {k}", {a: sign, k: -sign})
 
     # Centering rows: per characteristic, sum of weighted counts times weights.
     if policy.mode == "weighted_sum_zero":
-        counts = policy.attribute_counts
-        if counts is None:
-            raise ConstraintCompileError(
-                "weighted_sum_zero centering needs attribute_counts"
-            )
-        counts = np.asarray(counts, dtype=float)
+        counts = np.asarray(policy.attribute_counts, dtype=float)
         if counts.shape != (q - 1,):
             raise ConstraintCompileError(
-                f"attribute_counts must have length {q - 1}, got {counts.shape}"
+                f"weighted_sum_zero centering needs attribute_counts of length {q - 1}, "
+                f"got shape {counts.shape}"
             )
         for ch in spec.characteristics:
-            row = np.zeros(q)
             atts = tuple(att.att_index for att in ch.attributes)
-            for a in atts:
-                row[a] = counts[a - 1]
-            eq_data.append(row)
-            eq_rhs.append(0.0)
-            eq_rows.append(
-                ConstraintRow(kind="centering", atts=atts, note=f"{ch.name} centered")
-            )
+            add("centering", atts, f"{ch.name} centered", {a: counts[a - 1] for a in atts})
     elif policy.mode != "none":
         raise ConstraintCompileError(f"unknown centering mode {policy.mode!r}")
 
     # In-weight rows: pin a coefficient (1-based; 1 = intercept) to a target.
-    for coef_index, target in inweights or ():
-        if not 1 <= coef_index <= q:
-            raise ConstraintCompileError(
-                f"in-weight coefficient index {coef_index} outside 1..{q}"
-            )
-        row = np.zeros(q)
-        row[coef_index - 1] = 1.0
-        eq_data.append(row)
-        eq_rhs.append(float(target))
-        name = "intercept" if coef_index == 1 else f"att {coef_index - 1}"
-        eq_rows.append(
-            ConstraintRow(
-                kind="inweight",
-                atts=(coef_index,),
-                note=f"{name} in-weighted to {target:g}",
-            )
-        )
+    for coef, target in inweights or ():
+        if not 1 <= coef <= q:
+            raise ConstraintCompileError(f"in-weight coefficient index {coef} outside 1..{q}")
+        pin(coef - 1, target, "in-weight")
+        name = "intercept" if coef == 1 else f"att {coef - 1}"
+        add("inweight", (coef,), f"{name} in-weighted to {target:g}", {coef - 1: 1.0}, target)
 
-    # Pattern rows, one per ordering term, in spec order.
-    for ch, att in spec.iter_attributes():
-        for term in att.tag.terms:
-            if isinstance(term, GreaterThan):
-                row = np.zeros(q)
-                row[att_column(term.att)] = 1.0
-                row[att_column(att.att_index)] = -1.0
-                note = f"{ch.name}:{att.label} > att {term.att}"
-            elif isinstance(term, LessThan):
-                row = np.zeros(q)
-                row[att_column(att.att_index)] = 1.0
-                row[att_column(term.att)] = -1.0
-                note = f"{ch.name}:{att.label} < att {term.att}"
-            else:
-                continue
-            ineq_data.append(row)
-            ineq_rhs.append(0.0)
-            ineq_rows.append(
-                ConstraintRow(kind="pattern", atts=(att.att_index, term.att), note=note)
-            )
+    aeq, beq, eq_rows = _stack([row for kind in kinds[:-1] for row in rows[kind]], q)
+    a, b, ineq_rows = _stack(rows["pattern"], q)
+    return ConstraintSet(aeq, beq, a, b, eq_rows, ineq_rows)
 
-    return ConstraintSet(
-        aeq=np.array(eq_data).reshape(len(eq_data), q),
-        beq=np.array(eq_rhs, dtype=float),
-        a=np.array(ineq_data).reshape(len(ineq_data), q),
-        b=np.array(ineq_rhs, dtype=float),
-        eq_rows=tuple(eq_rows),
-        ineq_rows=tuple(ineq_rows),
-    )
+
+def _stack(rows: list, q: int):
+    """Records ({column: coefficient}, rhs, ConstraintRow) as (matrix, rhs, provenance)."""
+    matrix = np.zeros((len(rows), q))
+    entries = [(i, *item) for i, (coefs, _, _) in enumerate(rows) for item in coefs.items()]
+    if entries:
+        at_row, at_column, values = zip(*entries)
+        matrix[at_row, at_column] = values
+    rhs = np.array([value for _, value, _ in rows], dtype=float)
+    return matrix, rhs, tuple(row for _, _, row in rows)
 
 
 def constraint_residuals(cs: ConstraintSet, beta: np.ndarray) -> ConstraintResiduals:

@@ -655,7 +655,15 @@ class SyntheticConfig:
     def validate(self) -> "SyntheticConfig":
         if self.n_good < 1 or self.n_bad < 1:
             raise DataError("n_good and n_bad must be at least 1")
+        return self.check_probs()
+
+    def check_probs(self) -> "SyntheticConfig":
+        """Check the probabilities against the spec, returning self; DataError otherwise."""
+        names = {ch.name for ch in self.spec.characteristics}
         for which, probs in (("good_probs", self.good_probs), ("bad_probs", self.bad_probs)):
+            for name in probs:
+                if name not in names:
+                    raise DataError(f"{which} has unknown characteristic {name!r}")
             for ch in self.spec.characteristics:
                 if ch.name not in probs:
                     raise DataError(f"{which} lacks characteristic {ch.name!r}")
@@ -669,6 +677,15 @@ class SyntheticConfig:
                 if abs(float(p.sum()) - 1.0) > 1e-9:
                     raise DataError(
                         f"{which}[{ch.name!r}] must sum to 1, got {float(p.sum()):.12g}"
+                    )
+        for ch in self.spec.characteristics:
+            reps = representatives(ch)
+            positive = np.add(self.good_probs[ch.name], self.bad_probs[ch.name]) > 0
+            for k, att in enumerate(ch.attributes):
+                if positive[k] and k not in reps:
+                    raise DataError(
+                        f"{ch.name!r} attribute {att.att_index} ({att.label!r}) has a positive "
+                        "probability, but no value found bins to it"
                     )
         return self
 
@@ -736,12 +753,6 @@ def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
     records: dict[str, Column] = {}
     for ch in cfg.spec.characteristics:
         reps = representatives(ch)
-        for k, att in enumerate(ch.attributes):
-            if k not in reps and (cfg.good_probs[ch.name][k] > 0 or cfg.bad_probs[ch.name][k] > 0):
-                raise DataError(
-                    f"{ch.name!r} attribute {att.att_index} ({att.label!r}) has a positive "
-                    "probability, but no value found bins to it"
-                )
         draws = []
         for cls_probs, rows in ((cfg.good_probs, cfg.n_good), (cfg.bad_probs, cfg.n_bad)):
             cum = np.cumsum(np.asarray(cls_probs[ch.name], dtype=float))

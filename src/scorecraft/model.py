@@ -24,7 +24,7 @@ import io
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Optional, Union
@@ -143,6 +143,7 @@ TagTerm = Union[FixedTo, GreaterThan, LessThan, TiedTo]
 
 _TERM_RE = re.compile(r"^([=<>~])\s*(\S+)$")
 _TERM_OPS = {"=": FixedTo, ">": GreaterThan, "<": LessThan, "~": TiedTo}
+_TERM_TEXT = {kind: op for op, kind in _TERM_OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -262,19 +263,14 @@ class ScorecardSpec:
             for term in att.tag.terms:
                 if isinstance(term, FixedTo):
                     if not math.isfinite(term.value):
-                        raise SpecError(
-                            f"attribute {att.att_index} fixed to non-finite value"
-                        )
-                else:
-                    if not 1 <= term.att <= q - 1:
-                        raise SpecError(
-                            f"attribute {att.att_index} ({ch.name!r}) references "
-                            f"missing attribute {term.att}"
-                        )
-                    if term.att == att.att_index:
-                        raise SpecError(
-                            f"attribute {att.att_index} ({ch.name!r}) references itself"
-                        )
+                        raise SpecError(f"attribute {att.att_index} fixed to non-finite value")
+                elif not 1 <= term.att <= q - 1:
+                    raise SpecError(
+                        f"attribute {att.att_index} ({ch.name!r}) references "
+                        f"missing attribute {term.att}"
+                    )
+                elif term.att == att.att_index:
+                    raise SpecError(f"attribute {att.att_index} ({ch.name!r}) references itself")
         return self
 
 
@@ -677,17 +673,11 @@ def _parse_tag(text: str, where: str) -> ConstraintTag:
         if match is None:
             raise SpecError(f"{where}: malformed constraint term {part!r}")
         op, arg = match.groups()
-        if op == "=":
-            try:
-                terms.append(FixedTo(float(arg)))
-            except ValueError:
-                raise SpecError(f"{where}: bad fixed value {arg!r}") from None
-        else:
-            try:
-                target = int(arg)
-            except ValueError:
-                raise SpecError(f"{where}: bad attribute reference {arg!r}") from None
-            terms.append(_TERM_OPS[op](target))
+        try:
+            terms.append(_TERM_OPS[op](float(arg) if op == "=" else int(arg)))
+        except ValueError:
+            what = "fixed value" if op == "=" else "attribute reference"
+            raise SpecError(f"{where}: bad {what} {arg!r}") from None
     return ConstraintTag(tuple(terms))
 
 
@@ -792,16 +782,8 @@ def parse_spec(text: str) -> ScorecardSpec:
 
 
 def format_tag(tag: ConstraintTag) -> str:
-    """Render a constraint tag in the spec file grammar (empty for no terms)."""
-    parts = []
-    for term in tag.terms:
-        if isinstance(term, FixedTo):
-            parts.append(f"= {number_text(term.value)}")
-        elif isinstance(term, GreaterThan):
-            parts.append(f"> {term.att}")
-        elif isinstance(term, LessThan):
-            parts.append(f"< {term.att}")
-        else:
-            parts.append(f"~ {term.att}")
-    return " & ".join(parts)
-
+    """Render a constraint tag in the spec file grammar (empty for no terms):
+    each term is its parser operator and its one field's number_text."""
+    return " & ".join(
+        f"{_TERM_TEXT[type(term)]} {number_text(astuple(term)[0])}" for term in tag.terms
+    )

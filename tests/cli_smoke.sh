@@ -9,7 +9,18 @@ spec=src/scorecraft/fixtures/scorecard_spec.csv
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 scorecraft gen --spec "$spec" --out "$out/train.csv" --seed 1 --n-good 3000 --n-bad 1000
-scorecraft compile --spec "$spec"
+scorecraft compile --spec "$spec" > "$out/compile.txt"
+cat "$out/compile.txt"
+grep -qx 'equality rows: 29' "$out/compile.txt"
+grep -qx 'inequality rows: 106' "$out/compile.txt"
+# Attribute 1 carries "= 0"; pinning its coefficient to 1 as well is
+# refused when the constraints are compiled, with one line and no rows.
+code=0
+scorecraft compile --spec "$spec" --inweight 2=1 > "$out/pinned.txt" 2> "$out/pinned.err" || code=$?
+cat "$out/pinned.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/pinned.err")" -eq 1
+if grep -q 'rows:' "$out/pinned.txt"; then exit 1; fi
 scorecraft compile --spec "$spec" --data "$out/train.csv" --centering weighted
 scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/model.json" --report "$out/report.txt"
 scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --centering weighted --out "$out/centered.json" > "$out/centered.txt"

@@ -19,6 +19,7 @@ from scorecraft.model import (
     parse_spec,
 )
 
+from constraints_oracle import compile_constraints as compile_oracle
 from text_columns import text_column
 
 HEADER = "char,att,label,kind,lo,hi,categories,constraint\n"
@@ -259,3 +260,78 @@ def test_compiled_structure_on_random_specs(random_spec_factory):
             assert row[0] == 0.0
             assert cs.b[i] == 0.0
         assert not cs.aeq[:, 0].any()
+
+
+def assert_same_set(cs, expected):
+    for name in ("aeq", "beq", "a", "b"):
+        got, want = getattr(cs, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert cs.eq_rows == expected.eq_rows
+    assert cs.ineq_rows == expected.ineq_rows
+
+
+def random_inweights(rng, spec):
+    """Up to four in-weights that agree with the tag pins and with each other."""
+    pins = {
+        att.att_index + 1: term.value
+        for _, att in spec.iter_attributes()
+        for term in att.tag.terms
+        if isinstance(term, FixedTo)
+    }
+    out = []
+    for _ in range(int(rng.integers(0, 5))):
+        coef = int(rng.integers(1, spec.q + 1))
+        value = pins.setdefault(coef, round(rng.normal(), 3))
+        out.append((coef, value))
+    return out
+
+
+def test_one_pass_compiler_matches_the_oracle(random_spec_factory, fixture_spec):
+    # The arrays are bitwise the oracle's, signed zeros of the counts included.
+    rng = np.random.default_rng(20261019)
+    cases = [(fixture_spec, None, None)]
+    counts = rng.normal(size=fixture_spec.q - 1)
+    counts[::7] = -0.0
+    policy = CenteringPolicy(mode="weighted_sum_zero", attribute_counts=counts)
+    cases.append((fixture_spec, policy, [(1, 0.5), (3, -2.0), (1, 0.5)]))
+    for _ in range(60):
+        spec = random_spec_factory(rng)
+        policy = None
+        if rng.random() < 0.5:
+            counts = rng.integers(-2, 3, spec.q - 1) * rng.choice([-1.0, 1.0], spec.q - 1)
+            policy = CenteringPolicy(mode="weighted_sum_zero", attribute_counts=counts)
+        cases.append((spec, policy, random_inweights(rng, spec)))
+    for spec, policy, inweights in cases:
+        assert_same_set(
+            compile_constraints(spec, policy, inweights), compile_oracle(spec, policy, inweights)
+        )
+
+
+PINNED_ROWS = (
+    "x,1,a,interval,0,1,,= 0\n"
+    "x,2,b,interval,1,2,,\n"
+    "x,3,NO INFORMATION,noinfo,,,,\n"
+)
+
+
+@pytest.mark.parametrize(
+    "inweights,message",
+    [
+        ([(2, 1.0)], r"coefficient 2 fixed to both 0\.0 \(tag on x:a\) and 1\.0 \(in-weight\)"),
+        ([(3, 1.0), (3, 2.0)], r"coefficient 3 fixed to both 1\.0 \(in-weight\) and 2\.0 \(in-weight\)"),
+        ([(1, 0.5), (2, 0.0), (1, -0.5)], r"coefficient 1 fixed to both 0\.5 .* and -0\.5"),
+    ],
+    ids=["tag-and-inweight", "two-inweights", "intercept"],
+)
+def test_a_coefficient_pinned_to_two_values_is_refused(inweights, message):
+    with pytest.raises(ConstraintCompileError, match=message):
+        compile_constraints(spec_of(PINNED_ROWS), inweights=inweights)
+
+
+def test_an_inweight_equal_to_a_pin_adds_its_row():
+    cs = compile_constraints(spec_of(PINNED_ROWS), inweights=[(2, 0.0), (3, 1.5), (3, 1.5)])
+    assert [(r.kind, r.atts) for r in cs.eq_rows] == [
+        ("fixed", (1,)), ("inweight", (2,)), ("inweight", (3,)), ("inweight", (3,))
+    ]
+    assert cs.beq.tolist() == [0.0, 0.0, 1.5, 1.5]

@@ -625,6 +625,9 @@ def test_synthetic_config_validation(small_spec):
     missing = {"age": good["age"]}
     with pytest.raises(DataError, match="lacks characteristic"):
         SyntheticConfig(1, 5, 5, small_spec, missing, bad).validate()
+    unknown = dict(bad, typo=np.ones(1))
+    with pytest.raises(DataError, match="bad_probs has unknown characteristic 'typo'"):
+        SyntheticConfig(1, 5, 5, small_spec, good, unknown).validate()
     wrong = dict(good, age=np.array([1.0]))
     with pytest.raises(DataError, match="must have 5 entries"):
         SyntheticConfig(1, 5, 5, small_spec, wrong, bad).validate()
@@ -763,6 +766,7 @@ def test_gen_on_the_bundled_spec_round_trips(tmp_path, fixture_spec, fixture_spe
     ]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
+    assert err.startswith(f"scorecraft gen: error: {probs_path}: ")
     assert "'char950' attribute 126 ('3300-<4901') has a positive probability" in err
 
 
@@ -975,6 +979,42 @@ def test_cli_gen_rejects_probs_of_the_wrong_shape(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"scorecraft gen: error: {probs_path}: ")
     assert (f"key {key!r}" in err) == (key is not None)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, fault",
+    [
+        ({"age": [0.5, 0.5]}, "good_probs['age'] must have 5 entries"),
+        ({"fuel": None}, "good_probs lacks characteristic 'fuel'"),
+        ({"typo_char": [1.0]}, "good_probs has unknown characteristic 'typo_char'"),
+        ({"fuel": [0.5, 0.4, 0.2]}, "good_probs['fuel'] must sum to 1"),
+    ],
+    ids=["wrong-length", "missing-name", "unknown-name", "not-summing-to-1"],
+)
+def test_cli_gen_names_the_probs_file_in_content_errors(
+    tmp_path, small_spec_text, capsys, payload, fault
+):
+    # A file of the right shape whose probabilities the spec refuses: one
+    # line naming the file and the fault; no data written.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    good, _ = probs_for_small_spec()
+    probs = {name: list(values) for name, values in good.items()}
+    for name, values in payload.items():
+        if values is None:
+            del probs[name]
+        else:
+            probs[name] = values
+    probs_path = tmp_path / "probs.json"
+    probs_path.write_text(json.dumps({name: {"good": v, "bad": v} for name, v in probs.items()}))
+    out = tmp_path / "train.csv"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(out), "--probs", str(probs_path),
+        "--n-good", "5", "--n-bad", "5",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"scorecraft gen: error: {probs_path}: {fault}")
     assert not out.exists()
 
 
@@ -1248,8 +1288,8 @@ def test_cli_compile_inweight_and_centering(tmp_path, small_spec_text, capsys):
 @pytest.mark.parametrize(
     "flags,message",
     [
-        (["--inweight", "1=inf"], "beq has an entry that is not finite"),
-        (["--inweight", "1=nan"], "beq has an entry that is not finite"),
+        (["--inweight", "1=inf"], "--inweight needs COEF=VALUE, an integer and a finite number"),
+        (["--inweight", "1=nan"], "--inweight needs COEF=VALUE, an integer and a finite number"),
         (["--lambda", "inf"], "penalty weight must be finite"),
         (["--lambda", "nan"], "penalty weight must be finite"),
         (["--tol", "inf"], "tol must be finite"),
@@ -1266,6 +1306,47 @@ def test_cli_fit_rejects_non_finite_numbers(tmp_path, small_spec_text, capsys, f
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("pair", ["abc=1", "3=x", "3", "=1", "1.5=2", "1=inf", "1=-inf", "1=nan"])
+def test_cli_rejects_a_malformed_inweight(tmp_path, small_spec_text, capsys, pair):
+    # One line naming the flag and the pair; nothing compiled.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    assert main(["compile", "--spec", str(spec_path), "--inweight", pair]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "scorecraft compile: error: --inweight needs COEF=VALUE, an integer and a finite "
+        f"number, got {pair!r}\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["compile", "fit"])
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        (["2=1"], "coefficient 2 fixed to both 0.0 (tag on age:missing) and 1.0 (in-weight)"),
+        (["3=1", "3=2"], "coefficient 3 fixed to both 1.0 (in-weight) and 2.0 (in-weight)"),
+    ],
+    ids=["tag-and-inweight", "two-inweights"],
+)
+def test_cli_refuses_contradictory_pins(tmp_path, small_spec_text, capsys, command, pairs, message):
+    # Refused when the constraints are compiled: one line, and no rows
+    # printed or model fitted.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(DATA_TEXT)
+    model_path = tmp_path / "model.json"
+    argv = [command, "--spec", str(spec_path), "--data", str(data_path)]
+    if command == "fit":
+        argv += ["--out", str(model_path)]
+    for pair in pairs:
+        argv += ["--inweight", pair]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"scorecraft {command}: error: {message}\n"
+    assert "rows:" not in captured.out and "iter" not in captured.out
+    assert not model_path.exists()
 
 
 # numpy finds a field over the limit in a plain line, the csv module in a

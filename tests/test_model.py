@@ -92,6 +92,22 @@ def test_format_tag_grammar():
     assert format_tag(ConstraintTag()) == ""
 
 
+def test_format_tag_round_trips_through_the_parser():
+    rng = np.random.default_rng(7)
+    values = [0.0, -0.0, 2.0, -3.0, 0.1, -2.5, 1e-300, -1.7976931348623157e308, 1e15, 123456789.125]
+    for _ in range(300):
+        terms = []
+        for _ in range(int(rng.integers(0, 5))):
+            kind = int(rng.integers(4))
+            if kind == 0:
+                value = values[int(rng.integers(len(values)))] if rng.random() < 0.5 else rng.normal() * 10
+                terms.append(FixedTo(float(value)))
+            else:
+                terms.append((GreaterThan, LessThan, TiedTo)[kind - 1](int(rng.integers(1, 10**6))))
+        tag = ConstraintTag(tuple(terms))
+        assert model._parse_tag(format_tag(tag), "") == tag
+
+
 @pytest.mark.parametrize(
     "mangle,message",
     [
