@@ -115,21 +115,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_outputs(*paths: Optional[str]) -> None:
-    """Fail before any work on an output path a write could not replace.
+def _same_file(a: str, b: str) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False  # one of them does not exist
 
-    The path's directory must exist and the path must not be a directory;
-    the error reads as the write's own would.
+
+def _check_outputs(outputs: list[tuple[str, Optional[str]]],
+                   others: list[tuple[str, Optional[str]]]) -> None:
+    """Fail before any work on an output path a write could not, or must not, replace.
+
+    outputs and others are (what, path) pairs; a None path is left out.
+    The path's directory must exist and the path must not be a directory
+    (the error reads as the write's own would), and it must name no
+    output before it and none of others: the files the command reads, or
+    outputs checked apart.
     """
-    for path in paths:
-        if path is None:
-            continue
+    outputs = [(what, path) for what, path in outputs if path is not None]
+    others = [(what, path) for what, path in others if path is not None]
+    for i, (what, path) in enumerate(outputs):
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
         elif os.path.isdir(path):
             code = errno.EISDIR
         else:
+            for other, named in outputs[:i] + others:
+                if _same_file(path, named):
+                    raise ValueError(f"{path}: {what} names the same file as {other}")
             continue
         raise OSError(f"{path}: {os.strerror(code)}")
 
@@ -200,7 +216,13 @@ def _cmd_compile(args) -> int:
 
 def _cmd_fit(args) -> int:
     twin = args.report + ".csv" if args.report else None
-    _check_outputs(args.out, args.report, twin)
+    reads = [("--spec", args.spec), ("--data", args.data)]
+    # --out may name --init-model, which is read before the fit; the report may not.
+    _check_outputs([("--out", args.out)], reads)
+    _check_outputs(
+        [("--report", args.report), ("the --report CSV twin", twin)],
+        [("--out", args.out), ("--init-model", args.init_model), *reads],
+    )
     from .data_io import ModelFile, load_model, load_sample, save_model
     from .model import build_design_matrix, parse_spec, read_text
     from .sqp import FitConfig, PenaltySpec, fit
@@ -248,7 +270,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_outputs(args.dump_cdfs)
+    _check_outputs(
+        [("--dump-cdfs", args.dump_cdfs)], [("--model", args.model), ("--data", args.data)]
+    )
     from .data_io import atomic_write_text, load_model, load_sample
     from .metrics import score_cdfs, score_metrics
     from .model import build_design_matrix
@@ -360,7 +384,7 @@ def _read_probs(path: str) -> tuple[dict, dict]:
 
 
 def _cmd_gen(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs([("--out", args.out)], [("--spec", args.spec), ("--probs", args.probs)])
     from .data_io import DataError, SyntheticConfig, gen_synthetic
     from .model import parse_spec, read_text
 

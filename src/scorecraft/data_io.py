@@ -6,9 +6,10 @@ weight.  `load_sample` reads it as the csv module would, each column as
 its distinct stripped cells and an integer inverse (a `Column`), with no
 Python object per cell: one pass groups each chunk of rows while its
 cells' offsets are at hand, and the chunks' groups merge once per column.
-Fitted models persist as versioned JSON with the spec text embedded so
-evaluation can rebuild the design matrix.  All writes go through a
-temporary file and an atomic rename.
+Score CSVs are read by the same reader.  Fitted models persist as
+versioned JSON with the spec text embedded so evaluation can rebuild the
+design matrix.  All writes go through a temporary file and an atomic
+rename.
 
 Synthetic samples draw each characteristic's attribute from class
 conditional multinomials using the counter-based Philox generator, so one
@@ -28,8 +29,8 @@ import json
 import math
 import mmap
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
@@ -49,6 +50,7 @@ from .model import (
     SpecError,
     SpecialBin,
     _key_groups,
+    _numbers,
     bin_value,
     number_text,
     parse_spec,
@@ -76,14 +78,21 @@ MODEL_VERSION = 1
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write text, or its pieces in turn, via a same-directory temp file and atomic rename.
 
-    An OSError names `path`, not the temp file, and the temp file is removed.
+    The file gets the mode a plain `open` would give it: an existing file
+    keeps its mode, and a new one gets 0o666 less the umask.  An OSError
+    names `path`, not the temp file, and the temp file is removed.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass  # a new file keeps the mode os.open gave it
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -100,19 +109,18 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
 # Sample CSV
 
 
-def _y_value(path: str, row: int, cell: str) -> float:
-    """The outcome in a stripped y cell; DataError names the row otherwise."""
+def _y_value(path: str, row: int, cell: str) -> None:
+    """DataError naming the row unless a stripped y cell holds an outcome, 0 or 1."""
     try:
         value = float(cell)
     except ValueError:
         raise DataError(f"{path}: row {row}, column y: bad value {cell!r}") from None
     if value not in (0.0, 1.0):
         raise DataError(f"{path}: row {row}, column y: value {cell!r} is not 0 or 1")
-    return value
 
 
-def _w_value(path: str, row: int, cell: str) -> float:
-    """The weight in a stripped w cell; DataError names the row otherwise."""
+def _w_value(path: str, row: int, cell: str) -> None:
+    """DataError naming the row unless a stripped w cell holds a weight."""
     if not cell:
         raise DataError(f"{path}: row {row}, column w: weight is required")
     try:
@@ -123,42 +131,12 @@ def _w_value(path: str, row: int, cell: str) -> float:
         raise DataError(
             f"{path}: row {row}, column w: weight must be finite and nonnegative"
         )
-    return value
 
 
-def _y_valid(values: np.ndarray) -> np.ndarray:
-    """Where parsed y values are ones `_y_value` accepts."""
-    return (values == 0.0) | (values == 1.0)
-
-
-def _w_valid(values: np.ndarray) -> np.ndarray:
-    """Where parsed w values are ones `_w_value` accepts."""
-    return np.isfinite(values) & (values >= 0.0)
-
-
-def _parsed(path: str, values: list, value, valid) -> np.ndarray:
-    """value() of each stripped cell value; NaN where it raises.
-
-    One `float` map in C parses every cell, and `valid`, the array form of
-    value's checks, marks the rest NaN.  value is called per cell only
-    when some cell is empty or no number, and such a file is rejected.
-    """
-    try:
-        out = np.fromiter(map(float, values), float, len(values))
-    except (TypeError, ValueError):
-        out = np.empty(len(values))
-        for i, cell in enumerate(values):
-            try:
-                out[i] = value(path, 0, cell or "")
-            except DataError:
-                out[i] = math.nan
-        return out
-    out[~valid(out)] = math.nan
-    return out
-
-
-def _char_names(path: str, header: list[str]) -> list[str]:
-    """The characteristic names of a header row; DataError if it is faulty."""
+def _data_header(path: str, header: list[str]) -> list[str]:
+    """The column names of a data file's header row; DataError if it is faulty."""
+    if not header:
+        raise DataError(f"{path}: empty data file")
     header = [cell.strip() for cell in header]
     if len(header) < 2 or header[0] != "y" or header[1] != "w":
         raise DataError(f"{path}: header must start with y,w")
@@ -167,7 +145,7 @@ def _char_names(path: str, header: list[str]) -> list[str]:
         raise DataError(f"{path}: duplicate characteristic column")
     if any(not name for name in char_names):
         raise DataError(f"{path}: empty characteristic column name")
-    return char_names
+    return header
 
 
 def _is_comment(row: list[str]) -> bool:
@@ -441,8 +419,12 @@ def _read_records(buf: bytearray, size: int, starts: np.ndarray, ends: np.ndarra
     return records, fault
 
 
-def _byte_table(path: str, buf: bytearray, size: int):
-    """Characteristic names, the cells of y, w, ... and the fault that ended reading.
+def _byte_table(path: str, buf: bytearray, size: int, header):
+    """The column names, each column's cells and the fault that ended reading.
+
+    header(cells) gives the names of the columns that the header row's
+    cells declare (no cells: the file has no row), or raises DataError; it
+    runs before any row is read.
 
     Reads a file from its bytes, giving what the csv module gives: numpy
     finds the line ends and the commas, and a line is read in Python only
@@ -509,10 +491,8 @@ def _byte_table(path: str, buf: bytearray, size: int):
         over, message = fault
     if over < len(starts) and (not lines.size or over <= lines[0]):
         raise DataError(f"{path}: header: {message}")
-    if not lines.size:
-        raise DataError(f"{path}: empty data file")
-    char_names = _char_names(path, line_cells(lines[0]))
-    width = len(char_names) + 2
+    names = header(line_cells(lines[0]) if lines.size else [])
+    width = len(names)
     rows = lines[1:]
     rows = rows[rows < over]
     stop = f"{path}: row {len(rows) + 1}: {message}" if over < len(starts) else None
@@ -554,7 +534,7 @@ def _byte_table(path: str, buf: bytearray, size: int):
         empty = np.flatnonzero(lengths == 0).tolist()
         columns.append((_joined(u8, at, lengths), group[inverse[j][:n]], padded, empty))
         inverse[j] = None
-    return char_names, columns, stop
+    return names, columns, stop
 
 
 class _Index(dict):
@@ -590,6 +570,22 @@ def _text_column(joined: Optional[mmap.mmap], group: np.ndarray, padded: bool,
     return Column(list(index), code[group])
 
 
+def _read_table(path: str, header) -> tuple[list[str], list[Column], Optional[str]]:
+    """The column names, the columns and the fault that ended reading of a UTF-8 table file.
+
+    The file is read once, as bytes, as the csv module reads it
+    (`_byte_table`, which calls header); each column comes as a `Column` of
+    distinct stripped cells and an inverse.
+    """
+    with open(path, "rb") as handle:
+        # A file that grows while it is read is read as it was when opened.
+        buf = bytearray(os.fstat(handle.fileno()).st_size + _WORD)
+        size = handle.readinto(memoryview(buf)[:-_WORD])
+    names, cells, stop = _byte_table(path, buf, size, header)
+    del buf  # decode the distinct cells once the file is gone
+    return names, [_text_column(*cell) for cell in cells], stop
+
+
 def load_sample(path: str) -> Sample:
     """Read a data CSV into a Sample; empty characteristic cells are missing.
 
@@ -600,23 +596,17 @@ def load_sample(path: str) -> Sample:
     commas, keys each cell by its bytes and groups each column by its keys,
     chunk by chunk of rows, then merges the chunks' groups once per column
     (`_byte_table`).  Each column comes as a `Column` of distinct stripped
-    cells and an inverse; y and w are parsed once per distinct cell.
+    cells and an inverse; y and w are parsed once per distinct cell
+    (`_numbers`).
 
     A faulty file reports its first faulty row; within a row a field over
     the csv module's size limit (or another fault the csv module finds)
     comes first, then the field count, then y, then w.
     """
-    with open(path, "rb") as handle:
-        # A file that grows while it is read is read as it was when opened.
-        buf = bytearray(os.fstat(handle.fileno()).st_size + _WORD)
-        size = handle.readinto(memoryview(buf)[:-_WORD])
-    char_names, cells, stop = _byte_table(path, buf, size)
-    del buf  # decode the distinct cells once the file is gone
-    cells = [_text_column(*cell) for cell in cells]
-    y_cells, w_cells, *columns = cells
-    y = _parsed(path, y_cells.values, _y_value, _y_valid)[y_cells.inverse]
-    w = _parsed(path, w_cells.values, _w_value, _w_valid)[w_cells.inverse]
-    bad = np.flatnonzero(np.isnan(y) | np.isnan(w))
+    names, (y_cells, w_cells, *columns), stop = _read_table(path, partial(_data_header, path))
+    y = _numbers(y_cells.values)[y_cells.inverse]
+    w = _numbers(w_cells.values)[w_cells.inverse]
+    bad = np.flatnonzero(~(((y == 0.0) | (y == 1.0)) & (w >= 0.0) & (w < math.inf)))
     if bad.size:
         i = int(bad[0])
         # One of these raises: the row has a y or a w that does not parse.
@@ -625,7 +615,7 @@ def load_sample(path: str) -> Sample:
     if stop:
         raise DataError(stop)
 
-    sample = Sample(y=y, w=w, records=dict(zip(char_names, columns)))
+    sample = Sample(y=y, w=w, records=dict(zip(names[2:], columns)))
     try:
         return sample.validate()
     except SpecError as exc:
@@ -918,22 +908,27 @@ def load_model(path: str) -> ModelFile:
 # Score CSVs
 
 
-def load_score_csv(path: str) -> np.ndarray:
-    """Read a one-column score file with header `score`."""
-    reader = csv.reader(io.StringIO(read_text(path)))
-    try:
-        rows = [row for row in reader if row]
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows or [c.strip() for c in rows[0]] != ["score"]:
+def _score_header(path: str, header: list[str]) -> list[str]:
+    if [cell.strip() for cell in header] != ["score"]:
         raise DataError(f"{path}: expected a single `score` column")
-    values = np.zeros(len(rows) - 1)
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != 1:
-            raise DataError(f"{path}: row {i} has {len(row)} fields, expected 1")
-        try:
-            values[i - 1] = float(row[0])
-        except ValueError:
-            raise DataError(f"{path}: row {i}: bad score {row[0]!r}") from None
-    return values
+    return ["score"]
+
+
+def load_score_csv(path: str) -> np.ndarray:
+    """Read a one-column score file with header `score`, as data files are read.
+
+    The file follows a data file's rules (`_read_table`): UTF-8 text, blank
+    and `#` lines skipped, quoting, stripped cells and the field size limit.
+    Each distinct cell is parsed once (`_numbers`); a cell that is no finite
+    number raises DataError naming its row, as does a first faulty row.
+    """
+    _, (cells,), stop = _read_table(path, partial(_score_header, path))
+    scores = _numbers(cells.values)[cells.inverse]
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        cell = cells.values[cells.inverse[bad[0]]] or ""
+        raise DataError(f"{path}: row {bad[0] + 1}: bad score {cell!r}")
+    if stop:
+        raise DataError(stop)
+    return scores
 

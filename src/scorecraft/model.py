@@ -567,11 +567,23 @@ def bin_value(ch: Characteristic, raw: object) -> int:
 _EMPTY_IF_NONE = {None: ""}
 
 
-def _number(text: str) -> float:
+def _number(text: Optional[str]) -> float:
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         return math.nan
+
+
+def _numbers(texts: list[Optional[str]]) -> np.ndarray:
+    """The number in each text, NaN for None and for a text that is no number.
+
+    One `float` map in C parses every text; only if some text is None or
+    no number is each one parsed by a Python call (`_number`).
+    """
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except (TypeError, ValueError):
+        return np.fromiter(map(_number, texts), float, len(texts))
 
 
 def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
@@ -583,10 +595,10 @@ def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
     Missing values (None, empty text) and anything unmatched fall through
     to the NoInformation attribute.
 
-    Numbers are parsed by `float` in C (NaN for the empty text and for a
-    category label that is no number; NaN matches no special and no
-    interval, as no number does); only a column with some other text that
-    is no number is parsed by a Python call per value.  Intervals match by
+    Numbers are parsed by `_numbers`, the empty text and a category label
+    that is no number as "nan" (NaN matches no special and no interval, as
+    no number does), so only a column with some other text that is no
+    number is parsed by a Python call per value.  Intervals match by
     one searchsorted over the elementary intervals; then category and
     special matches, exact lookups, overwrite them in the reverse of the
     order the rule tries them; missing values go to NoInformation.
@@ -604,10 +616,7 @@ def _bin_values(ch: Characteristic, values: list[Optional[str]]) -> np.ndarray:
             float(label)
         except ValueError:
             nan_texts[label] = "nan"
-    try:
-        numbers = np.fromiter(map(float, map(nan_texts.get, texts, texts)), float, m)
-    except ValueError:
-        numbers = np.fromiter(map(_number, texts), float, m)
+    numbers = _numbers(list(map(nan_texts.get, texts, texts)))
     edges, owner = ch.elementary_intervals
     atts = np.full(m, ch.noinfo.att_index, dtype=np.int32)
     # NaN and +inf match no interval: lo <= v < hi fails for both.

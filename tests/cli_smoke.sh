@@ -4,6 +4,8 @@
 #
 #     PYTHONWARNINGS=error::RuntimeWarning bash tests/cli_smoke.sh
 set -eo pipefail
+# Every output gets the mode a plain write would give it under this umask.
+umask 022
 
 spec=src/scorecraft/fixtures/scorecard_spec.csv
 out=$(mktemp -d)
@@ -52,6 +54,14 @@ scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/m
 cat "$out/refused.txt"
 test "$code" -eq 1
 if grep -q '^iter' "$out/refused.txt"; then exit 1; fi
+# An output that names another output, here the report's CSV twin, is
+# refused with one line before any work, and neither file is written.
+code=0
+scorecraft fit --spec "$spec" --data "$out/train.csv" --report "$out/r.txt" --out "$out/r.txt.csv" > "$out/clash.txt" 2> "$out/clash.err" || code=$?
+cat "$out/clash.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/clash.err")" -eq 1
+test ! -e "$out/r.txt" && test ! -e "$out/r.txt.csv"
 # A model whose beta and q were cut together, its spec hash kept, is
 # refused at load with one line naming it, and nothing is scored.
 python - "$out/model.json" "$out/cut.json" <<'PY'
@@ -105,4 +115,22 @@ assert all(len(f) == 3 for f in fields), "a line without three fields"
 wrong = [v for f in fields for v in f if repr(float(v)) != v]
 assert not wrong, wrong[:5]
 PY
-scorecraft compare --data "$out/train.csv" --model fitted="$out/model.json"
+for file in model.json report.txt report.txt.csv cdfs.csv train.csv; do
+    test "$(stat -c %a "$out/$file")" = 644
+done
+# A score file is read as a data file is: its twin with a comment line and
+# a quoted cell compares the same.
+python - "$out/train.csv" "$out/score.csv" "$out/score-twin.csv" <<'PY'
+import sys
+rows = sum(1 for _ in open(sys.argv[1], encoding="utf-8")) - 1
+scores = [repr(i * 7919 % 997 / 8) for i in range(rows)]
+with open(sys.argv[2], "w") as plain, open(sys.argv[3], "w") as twin:
+    plain.write("score\n" + "".join(s + "\n" for s in scores))
+    twin.write("score\n# one number per data row\n" + f'"{scores[0]}"\n')
+    twin.write("".join(s + "\n" for s in scores[1:]))
+PY
+for score in score score-twin; do
+    scorecraft compare --data "$out/train.csv" --model fitted="$out/model.json" --score mod="$out/$score.csv" > "$out/compare-$score.txt"
+done
+cat "$out/compare-score.txt"
+diff "$out/compare-score.txt" "$out/compare-score-twin.txt"

@@ -256,8 +256,8 @@ def test_load_sample_parses_y_and_w_without_a_call_per_value(tmp_path, monkeypat
     assert sample.y.tobytes() == expected.y.tobytes()
     assert sample.w.tobytes() == expected.w.tobytes()
     assert calls == []
-    # An empty weight sends its column through a call per value; the
-    # message is the oracle's.
+    # An empty weight is worded by the message functions for its row alone;
+    # the message is the oracle's.
     path.write_text("\n".join(lines[:-1] + ["1,,3"]) + "\n")
     with pytest.raises(DataError) as expected_fault:
         load_sample_rows(str(path))
@@ -265,7 +265,7 @@ def test_load_sample_parses_y_and_w_without_a_call_per_value(tmp_path, monkeypat
         load_sample(str(path))
     assert str(raised.value) == str(expected_fault.value)
     assert str(raised.value).endswith(f"row {n}, column w: weight is required")
-    assert len(calls) >= n
+    assert len(calls) <= 2
 
 
 def load_or_fault(load, path):
@@ -610,6 +610,22 @@ def test_atomic_write_text(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_atomic_write_text_gives_the_mode_open_would(tmp_path, umask):
+    # A new file gets 0o666 less the umask; a replaced file keeps its mode.
+    old = os.umask(umask)
+    try:
+        path = tmp_path / "new.txt"
+        atomic_write_text(str(path), "first")
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+        os.chmod(path, 0o640)
+        atomic_write_text(str(path), "second")
+        assert os.stat(path).st_mode & 0o777 == 0o640
+        assert path.read_text() == "second"
+    finally:
+        os.umask(old)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
@@ -879,7 +895,21 @@ def test_score_csv_round_trip(tmp_path):
     with pytest.raises(DataError, match="bad score"):
         load_score_csv(str(path))
     path.write_text("score\n1\n" + "1" * (LIMIT + 1) + "\n")
-    with pytest.raises(DataError, match=f"line 3: field larger than field limit \\({LIMIT}\\)"):
+    with pytest.raises(DataError, match=f"row 2: field larger than field limit \\({LIMIT}\\)"):
+        load_score_csv(str(path))
+    # Score files are read as data files are: comment and blank lines are
+    # skipped, cells unquoted and stripped, and each row is one finite number.
+    path.write_text(' score \n# a comment\n"1.5"\n\n -2.25 ,\n')
+    with pytest.raises(DataError, match="row 2 has 2 fields, expected 1"):
+        load_score_csv(str(path))
+    path.write_text(' score \n# a comment\n"1.5"\n\n -2.25 \n1e-17\n3\n')
+    assert np.array_equal(load_score_csv(str(path)), score)
+    for cell, text in (("inf", "inf"), ("-nan", "-nan"), ('""', "")):
+        path.write_text(f"score\n1\n{cell}\n2\n")
+        with pytest.raises(DataError, match=f"^{path}: row 2: bad score '{text}'$"):
+            load_score_csv(str(path))
+    path.write_text("")
+    with pytest.raises(DataError, match="single `score` column"):
         load_score_csv(str(path))
 
 
@@ -1188,6 +1218,58 @@ def test_cli_checks_outputs_before_reading_inputs(tmp_path, capsys, command, opt
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args, path, what, other",
+    [
+        ("fit --report r.txt --out r.txt.csv", "r.txt.csv", "the --report CSV twin", "--out"),
+        ("fit --out r.txt --report r.txt", "r.txt", "--report", "--out"),
+        ("fit --init-model model.json --report model.json", "model.json", "--report",
+         "--init-model"),
+        ("fit --out train.csv", "train.csv", "--out", "--data"),
+        ("fit --report train", "train.csv", "the --report CSV twin", "--data"),
+        ("fit --out spec.csv", "spec.csv", "--out", "--spec"),
+        ("fit --out sub/../train.csv", "sub/../train.csv", "--out", "--data"),
+        ("fit --out link.csv", "link.csv", "--out", "--data"),
+        ("fit --out hard.csv", "hard.csv", "--out", "--data"),
+        ("eval --dump-cdfs train.csv", "train.csv", "--dump-cdfs", "--data"),
+        ("eval --dump-cdfs model.json", "model.json", "--dump-cdfs", "--model"),
+        ("gen --out spec.csv", "spec.csv", "--out", "--spec"),
+        ("gen --out probs.json --probs probs.json", "probs.json", "--out", "--probs"),
+    ],
+)
+def test_cli_refuses_an_output_that_names_another_file(
+    tmp_path, small_spec_text, capsys, monkeypatch, args, path, what, other
+):
+    # An output may not replace another output of the command or a file it
+    # reads, under any spelling: one line naming the path, nothing written.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    probs_path = write_probs(tmp_path)
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(tmp_path / "train.csv"),
+        "--seed", "9", "--n-good", "60", "--n-bad", "60", "--probs", str(probs_path),
+    ]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "--spec", "spec.csv", "--data", "train.csv", "--out", "model.json"]) == 0
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to("train.csv")
+    os.link("train.csv", "hard.csv")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    command, *rest = args.split()
+    inputs = {
+        "fit": ["--spec", "spec.csv", "--data", "train.csv"],
+        "eval": ["--model", "model.json", "--data", "train.csv"],
+        "gen": ["--spec", "spec.csv", "--n-good", "5", "--n-bad", "5"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *inputs, *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"scorecraft {command}: error: {path}: {what} names the same file as {other}\n"
+    )
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def per_row_cdf_dump(cdfs):
     """The --dump-cdfs text as one f-string per record."""
     lines = ["# score goods_cdf bads_cdf"]
@@ -1252,13 +1334,15 @@ def test_cli_fit_init_model_warm_start(tmp_path, small_spec_text, capsys):
     capsys.readouterr()
     code = main([
         "fit", "--spec", str(spec_path), "--data", str(data_path),
-        "--init-model", str(model_path),
+        "--init-model", str(model_path), "--out", str(model_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "status: converged" in out
     # Warm started at the optimum: one verification step suffices.
     assert out.count("iter ") <= 2
+    # --out may replace its own --init-model, read before the fit.
+    assert f"wrote model to {model_path}" in out
 
 
 def test_cli_compile_inweight_and_centering(tmp_path, small_spec_text, capsys):
@@ -1545,13 +1629,56 @@ def test_cli_names_a_model_whose_embedded_spec_does_not_parse(
 
 
 def test_every_export_resolves():
-    # The lazy exports name only what their modules export.
+    # The package exports exactly what its modules' __all__ lists declare.
     import importlib
+    import warnings
 
-    for name in scorecraft.__all__:
-        module = importlib.import_module(f"scorecraft.{scorecraft._EXPORTS[name]}")
-        assert name in module.__all__, name
-        assert getattr(scorecraft, name) is getattr(module, name)
+    modules = [
+        importlib.import_module(f"scorecraft.{name}")
+        for name in ("model", "constraints", "qp", "sqp", "metrics", "data_io", "report")
+    ]
+    declared = {name for module in modules for name in module.__all__}
+    assert scorecraft.__all__ == sorted(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(scorecraft, name) is getattr(module, name), name
+    assert set(dir(scorecraft)) >= declared
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scorecraft.FitWarning)
+        warnings.simplefilter("error", scorecraft.QpWarning)
+        with pytest.raises(scorecraft.FitWarning):
+            warnings.warn("fit", scorecraft.FitWarning)
+
+
+def test_package_import_loads_no_module(tmp_path):
+    # Neither the package nor the CLI module loads numpy or another
+    # submodule on import; a private or submodule name is not looked up.
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith(('scorecraft', 'numpy'))}\n"
+        "import scorecraft\n"
+        "assert loaded() == {'scorecraft'}, loaded()\n"
+        "from scorecraft import cli\n"
+        "assert loaded() == {'scorecraft', 'scorecraft.cli'}, loaded()\n"
+        "for name in ('_private', '__wrapped__', 'floatrepr', 'model', 'report'):\n"
+        "    assert not hasattr(scorecraft, name), name\n"
+        "assert loaded() == {'scorecraft', 'scorecraft.cli'}, loaded()\n"
+        "try:\n"
+        "    scorecraft.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no_such_name resolved')\n"
+        "from scorecraft import *\n"
+        "assert FitWarning is sys.modules['scorecraft.sqp'].FitWarning\n"
+    )
+    src = os.path.dirname(os.path.dirname(scorecraft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_definition_is_named_elsewhere_in_the_package():
