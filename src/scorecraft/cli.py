@@ -129,15 +129,15 @@ def _check_outputs(outputs: list[tuple[str, Optional[str]]],
     """Fail before any work on an output path a write could not, or must not, replace.
 
     outputs and others are (what, path) pairs; a None path is left out.
-    The path's directory must exist and the path must not be a directory
-    (the error reads as the write's own would), and it must name no
-    output before it and none of others: the files the command reads, or
-    outputs checked apart.
+    The directory of the file the path names (a symbolic link resolved)
+    must exist and the path must not be a directory (the error reads as
+    the write's own would), and it must name no output before it and none
+    of others: the files the command reads, or outputs checked apart.
     """
     outputs = [(what, path) for what, path in outputs if path is not None]
     others = [(what, path) for what, path in others if path is not None]
     for i, (what, path) in enumerate(outputs):
-        directory = os.path.dirname(os.path.abspath(path))
+        directory = os.path.dirname(os.path.realpath(path))
         if not os.path.isdir(directory):
             code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
         elif os.path.isdir(path):

@@ -32,9 +32,10 @@ import os
 import stat
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import repeat
-from typing import Iterable, Optional, Union, get_type_hints
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -78,11 +79,13 @@ MODEL_VERSION = 1
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write text, or its pieces in turn, via a same-directory temp file and atomic rename.
 
-    The file gets the mode a plain `open` would give it: an existing file
-    keeps its mode, and a new one gets 0o666 less the umask.  An OSError
+    The file is the one a plain `open` would write, a symbolic link's
+    target (the link stays), with the mode `open` would give it: an existing
+    file keeps its mode, a new one gets 0o666 less the umask.  An OSError
     names `path`, not the temp file, and the temp file is removed.
     """
-    name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    target = os.path.realpath(path)
+    name = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(8).hex()}~")
     tmp = None
     try:
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -90,10 +93,10 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
         try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         except FileNotFoundError:
             pass  # a new file keeps the mode os.open gave it
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
             try:
@@ -643,6 +646,8 @@ class SyntheticConfig:
     bad_probs: dict[str, np.ndarray] = field(default_factory=dict)
 
     def validate(self) -> "SyntheticConfig":
+        if self.seed < 0:
+            raise DataError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.n_good < 1 or self.n_bad < 1:
             raise DataError("n_good and n_bad must be at least 1")
         return self.check_probs()
@@ -691,14 +696,15 @@ def _midpoint(lo: float, hi: float) -> float:
     return 0.0
 
 
-def representatives(ch: Characteristic) -> dict[int, object]:
+@cache
+def representatives(ch: Characteristic) -> Mapping[int, object]:
     """A raw value that bins to each attribute, keyed by its position in ch.
 
     The first pick is a special's value, a category's first label, or the
     middle of an interval; where that bins elsewhere, the other labels, or
     the middle and left end of each elementary interval the attribute owns,
     are tried.  An attribute none of these reach (an interval that earlier
-    rows cover, say) is left out.
+    rows cover, say) is left out.  Each is found once and kept, read-only, for the process.
     """
     edges, owner = ch.elementary_intervals
     pieces = list(zip(owner, [-math.inf, *edges], [*edges, math.inf]))
@@ -721,7 +727,7 @@ def representatives(ch: Characteristic) -> dict[int, object]:
             if bin_value(ch, raw) == att.att_index:
                 found[k] = raw
                 break
-    return found
+    return MappingProxyType(found)
 
 
 def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
@@ -873,12 +879,14 @@ def _read_json(path: str) -> dict:
 
 
 def load_model(path: str) -> ModelFile:
-    """Read a model JSON, checking format, version, key types, spec hash and beta's length."""
+    """Read a model JSON; check format, version, key types, spec hash and beta (finite, q long)."""
     payload = _read_json(path)
     read = payload.read
     beta = read("beta", _floats)
     if beta.shape != (read("q", int),):
         raise DataError(f"{path}: beta length disagrees with q")
+    if not np.isfinite(beta).all():
+        raise DataError(f"{path}: beta holds a non-finite coefficient")
     spec_text = read("spec_text", _text)
     if hashlib.sha256(spec_text.encode("utf-8")).hexdigest() != read("spec_sha256", _text):
         raise DataError(f"{path}: spec text does not match its stored hash")

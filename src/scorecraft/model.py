@@ -11,8 +11,9 @@ integer inverse, so binning works on the distinct texts and gathers their
 attributes through the inverse.  A design stores, per run of consecutive
 characteristics, one int32 joint code per row, not the 0/1 indicator
 matrix; scores, X'r and X' diag(c) X are computed from the joint codes with
-numpy alone, one definition each, and the dense indicator matrix is only
-built when `DesignMatrix.x` is read.
+numpy alone, one definition each, repeated rows are merged by exact keys of
+y and the joint codes, and the dense indicator matrix is only built when
+`DesignMatrix.x` is read.
 
 Outcome convention: y = 1 means Good throughout the package.
 """
@@ -368,8 +369,8 @@ class DesignMatrix:
 
     `scores` (X beta), `rmatvec` (X' r) and `gram` (X' diag(c) X) are the
     operations the fit, the centering counts and the metrics need, one
-    definition each.  `take` gives the design of some of its rows, and `x`
-    is the dense n x q float view, built on first read and then kept.
+    definition each.  `merged` merges its repeated rows for the fit, and
+    `x` is the dense n x q float view, built on first read and then kept.
     """
 
     n: int
@@ -416,18 +417,40 @@ class DesignMatrix:
         """The dense n x q float matrix."""
         return np.hstack([np.ones((self.n, 1)), *(table[joint] for _, _, joint, table in self.runs)])
 
-    def take(self, rows: np.ndarray) -> "DesignMatrix":
-        """The design of the given rows (integer indices, in their order), its runs chosen again.
+    def merged(self, y: np.ndarray, w: np.ndarray) -> tuple["DesignMatrix", np.ndarray, np.ndarray]:
+        """The rows of equal y and attributes merged into their first, their weights summed.
 
-        Each characteristic's attribute is read back from its run's table.
+        A row's key is its y's group among the bits of y, with each run's
+        joint code appended as a mixed-radix digit (key * K + joint); where
+        a digit could take the keys past 2^63 they are renumbered first, so
+        none wraps.  Groups are numbered in order of first rows and summed
+        in row order (`_key_groups`); with no repeated row the design comes
+        back as given, else the merged design's runs fit its own row count.
         """
+        key, first = _key_groups(y.view(np.uint64))
+        bound = int(np.count_nonzero(first))  # every key is below it
+        for _, _, joint, table in self.runs:
+            k = table.shape[0]
+            if bound * k > 1 << 63:
+                key, first = _key_groups(key.view(np.uint64))
+                bound = int(np.count_nonzero(first))
+                if bound == self.n:
+                    return self, y, w
+            key = np.multiply(key, k, dtype=np.int64)
+            key += joint
+            bound *= k
+        group, first = _key_groups(key.view(np.uint64))
+        rows = np.flatnonzero(first)
+        if rows.size == self.n:
+            return self, y, w
         columns = (
             (start + table[:, start - lo : stop - lo].argmax(axis=1)).astype(np.int32)[joint[rows]]
             for lo, hi, joint, table in self.runs
             for _, start, stop in self.blocks
             if lo <= start < hi
         )
-        return DesignMatrix.build(len(rows), self.blocks, columns)
+        design = DesignMatrix.build(rows.size, self.blocks, columns)
+        return design, y[rows], np.bincount(group, weights=w, minlength=rows.size)
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
         """theta = X beta: the intercept plus one looked-up weight sum per run."""
@@ -481,7 +504,7 @@ class DesignMatrix:
         return out
 
 
-# Grouping by 64-bit keys, of the loader's cells and of the fit's rows.
+# Grouping by 64-bit keys, of the loader's cells and of a design's rows.
 # Multiplier of the slot table that finds each key among the distinct keys.
 _SLOT_MIX = np.uint64(0x9E3779B97F4A7C15)
 

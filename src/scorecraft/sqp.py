@@ -6,15 +6,15 @@ weighted sample, beta' = [S0 S'] holds the intercept and the scorecard
 weights, and the intercept is never penalized.  Each outer iteration solves
 the exact Newton quadratic model of M under the original constraints with
 `qp.solve_qp`.  The design is a `DesignMatrix` and enters only through
-three of its operations: scores X beta, the gradient X' r, and the Gram
-matrix X' diag(c) X.  Probabilities come from a logistic evaluated through
-e^-|theta|, so no score overflows.
+four of its operations: its merged rows, scores X beta, the gradient X' r,
+and the Gram matrix X' diag(c) X.  Probabilities come from a logistic
+evaluated through e^-|theta|, so no score overflows.
 
-Before the loop, rows with equal attributes and y (equal joint codes in
-every run of the design) are merged into one row that carries their summed
-weight, and the merged rows form a design of their own (`DesignMatrix.take`),
-so a sample drawn from few profiles costs as many rows as it has distinct
-ones; every term is a weighted sum over rows, so only rounding changes.
+Before the loop, rows with equal attributes and y are merged into one row
+that carries their summed weight (`DesignMatrix.merged`, exact keys of y
+and the joint codes), so a sample drawn from few profiles costs as many
+rows as it has distinct ones; every term is a weighted sum over rows, so
+only rounding changes.
 Every iterate is evaluated once: one gather of its scores gives minus log
 likelihood and gradient, and the Gram matrix is built only where another QP
 follows.  Each QP after the first is warm started from the inequality rows
@@ -41,7 +41,7 @@ from .constraints import (
     ConstraintSet,
     constraint_residuals,
 )
-from .model import DesignMatrix, SpecError, StepError, _key_groups
+from .model import DesignMatrix, SpecError, StepError
 from .qp import KktResiduals, QpProblem, QpSolution, kkt_residuals, solve_qp
 
 __all__ = [
@@ -65,7 +65,7 @@ class FitWarning(UserWarning):
 
 
 def _check_sample(design: DesignMatrix, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if not all(hasattr(design, op) for op in ("n", "q", "scores", "rmatvec", "gram")):
+    if not all(hasattr(design, op) for op in ("n", "q", "scores", "rmatvec", "gram", "merged")):
         raise SpecError("design must be a DesignMatrix")
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -282,12 +282,14 @@ def initial_beta(
 
     The default policy sets beta[0] = log(sum w y / sum w (1-y)) and every
     scorecard weight to 0; a supplied warm start is returned verbatim after
-    a dimension check.
+    a check of its length and that it is finite.
     """
     if warm_start is not None:
         warm = np.asarray(warm_start, dtype=float)
         if warm.shape != (q,):
             raise SpecError(f"warm start must have length {q}, got {warm.shape}")
+        if not np.isfinite(warm).all():
+            raise SpecError("warm start must be finite")
         return warm.copy()
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -302,61 +304,6 @@ def initial_beta(
     return beta
 
 
-# splitmix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
-# generators", OOPSLA 2014): its increment and its two mixing multipliers.
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
-
-
-def _multipliers(count: int) -> np.ndarray:
-    """`count` odd hash multipliers below 2^62, the splitmix64 sequence from
-    seed 0 with its top two bits dropped, computed in Python ints."""
-    out = []
-    state = 0
-    for _ in range(count):
-        state = (state + _GOLDEN) & _MASK64
-        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        out.append(((z ^ (z >> 31)) >> 2) | 1)
-    return np.array(out, dtype=np.int64)
-
-
-def _merged(
-    design: DesignMatrix, y: np.ndarray, w: np.ndarray
-) -> tuple[DesignMatrix, np.ndarray, np.ndarray]:
-    """The sample with rows of equal attributes and y merged by summing w.
-
-    Each group stands where its first row stood.  Likelihood, gradient and
-    Hessian are sums over rows, linear in w, so the merged sample has the
-    same ones.  Rows are grouped (`_key_groups`, in order of first
-    occurrence) by a linear hash of their runs' joint codes and y with
-    pseudorandom multipliers, and each group is checked against its first
-    row; a design with no repeated row, no runs, or a hash collision comes
-    back as given.  The merged design is `design.take` of the first rows,
-    so its runs are chosen for its own row count.
-    """
-    runs = getattr(design, "runs", None)
-    if runs is None:
-        return design, y, w
-    mix = _multipliers(1 + len(runs))
-    # Integer products wrap around.
-    key = y.view(np.int64) * mix[0]
-    for (_, _, joint, _), m in zip(runs, mix[1:]):
-        key += joint * m
-    group, is_first = _key_groups(key.view(np.uint64))
-    first = np.flatnonzero(is_first)
-    if first.size == design.n:
-        return design, y, w
-    first_of = first[group]
-    same = y[first_of] == y
-    for _, _, joint, _ in runs:
-        same &= joint[first_of] == joint
-    if not same.all():
-        return design, y, w
-    return design.take(first), y[first], np.bincount(group, weights=w, minlength=first.size)
-
-
 def fit(
     design: DesignMatrix,
     y: np.ndarray,
@@ -367,7 +314,8 @@ def fit(
 ) -> FitResult:
     """Run the sequential QP loop until max|delta beta| <= tol.
 
-    Rows with equal attributes and y are merged by summing w first.  Each
+    Rows with equal attributes and y are merged by summing w first
+    (`design.merged`).  Each
     iteration takes a full constrained Newton step from the current beta;
     the trajectory records the step size and minus log likelihood per
     iteration.  Each iterate is evaluated once, with its Hessian only where
@@ -380,7 +328,7 @@ def fit(
     q = design.q
     if cs.q != q:
         raise SpecError(f"constraint set is over {cs.q} coefficients, design over {q}")
-    design, y, w = _merged(design, y, w)
+    design, y, w = design.merged(y, w)
 
     beta = initial_beta(q, y, w, config.beta0)
     terms = logistic_terms(design, y, w, beta)

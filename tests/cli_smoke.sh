@@ -54,6 +54,22 @@ scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/m
 cat "$out/refused.txt"
 test "$code" -eq 1
 if grep -q '^iter' "$out/refused.txt"; then exit 1; fi
+# An output through a symbolic link writes the link's target and keeps
+# the link, as a plain write would.
+mkdir "$out/models"
+ln -s models/v3.json "$out/cur.json"
+scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/cur.json" > /dev/null
+test -L "$out/cur.json"
+cmp "$out/models/v3.json" "$out/model.json"
+# A link into a missing directory is refused with one line before any fitting.
+ln -s nowhere/m.json "$out/dangling.json"
+code=0
+scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/dangling.json" > "$out/dangling.txt" 2> "$out/dangling.err" || code=$?
+cat "$out/dangling.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/dangling.err")" -eq 1
+if grep -q '^iter' "$out/dangling.txt"; then exit 1; fi
+test -L "$out/dangling.json" && test ! -e "$out/nowhere"
 # An output that names another output, here the report's CSV twin, is
 # refused with one line before any work, and neither file is written.
 code=0
@@ -79,6 +95,23 @@ test "$code" -eq 1
 test "$(wc -l < "$out/cut.err")" -eq 1
 grep -qF "$out/cut.json" "$out/cut.err"
 if grep -q '^divergence' "$out/cut.txt"; then exit 1; fi
+# A model with a NaN coefficient (which `json` reads) is refused at load
+# with one line naming it.
+python - "$out/model.json" "$out/nan.json" <<'PY'
+import json, sys
+with open(sys.argv[1], encoding="utf-8") as src:
+    payload = json.load(src)
+payload["beta"][3] = float("nan")
+with open(sys.argv[2], "w", encoding="utf-8") as dst:
+    json.dump(payload, dst)
+PY
+code=0
+scorecraft eval --model "$out/nan.json" --data "$out/train.csv" > "$out/nan.txt" 2> "$out/nan.err" || code=$?
+cat "$out/nan.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/nan.err")" -eq 1
+grep -qF "$out/nan.json" "$out/nan.err"
+if grep -q '^divergence' "$out/nan.txt"; then exit 1; fi
 # A --probs file that is not JSON is refused with one line naming it.
 printf '{"char170": ' > "$out/cut-probs.json"
 code=0

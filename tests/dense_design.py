@@ -2,7 +2,7 @@
 
 `DenseDesign(x)` offers the operations the package reads from a design
 (n, q, scores, rmatvec and gram) as textbook matrix products
-over an n x q float matrix.  It shares no code with `scorecraft.model.DesignMatrix`, so a
+over an n x q float matrix; its `merged` merges no row and returns its inputs.  It shares no code with `scorecraft.model.DesignMatrix`, so a
 parity check against it compares two independent routes.  `attribute_columns`
 reads each characteristic's attributes back from a design's dense view.
 """
@@ -32,6 +32,9 @@ class DenseDesign:
 
     def gram(self, c):
         return self.x.T @ (self.x * c[:, None])
+
+    def merged(self, y, w):
+        return self, y, w
 
 
 def attribute_columns(design):

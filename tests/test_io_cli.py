@@ -626,6 +626,30 @@ def test_atomic_write_text_gives_the_mode_open_would(tmp_path, umask):
         os.umask(old)
 
 
+def test_atomic_write_text_writes_through_a_symbolic_link(tmp_path):
+    # As a plain write would: the link stays and its target gets the text,
+    # keeping its mode; a dangling link's target is created.
+    (tmp_path / "models").mkdir()
+    target = tmp_path / "models" / "v3.txt"
+    target.write_text("old")
+    os.chmod(target, 0o640)
+    link = tmp_path / "cur.txt"
+    link.symlink_to("models/v3.txt")
+    atomic_write_text(str(link), "new")
+    assert link.is_symlink() and os.readlink(link) == "models/v3.txt"
+    assert target.read_text() == "new" and os.stat(target).st_mode & 0o777 == 0o640
+    dangling = tmp_path / "dangling.txt"
+    dangling.symlink_to("models/v4.txt")
+    atomic_write_text(str(dangling), "fresh")
+    assert dangling.is_symlink() and (tmp_path / "models" / "v4.txt").read_text() == "fresh"
+    assert sorted(os.listdir(tmp_path / "models")) == ["v3.txt", "v4.txt"]
+    # A link into a missing directory fails as a plain write would, naming the link.
+    (tmp_path / "nowhere.txt").symlink_to("nowhere/m.txt")
+    with pytest.raises(FileNotFoundError, match=f"^{tmp_path / 'nowhere.txt'}: "):
+        atomic_write_text(str(tmp_path / "nowhere.txt"), "lost")
+    assert not (tmp_path / "nowhere").exists()
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
@@ -650,6 +674,41 @@ def test_synthetic_config_validation(small_spec):
     unnorm = dict(good, age=np.array([0.5, 0.1, 0.1, 0.1, 0.1]))
     with pytest.raises(DataError, match="must sum to 1"):
         SyntheticConfig(1, 5, 5, small_spec, unnorm, bad).validate()
+
+
+def test_synthetic_config_refuses_a_negative_seed(tmp_path, small_spec_text, capsys):
+    # A negative seed is refused by name, not by the generator's own error.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    out = tmp_path / "x.csv"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(out), "--seed", "-1",
+        "--n-good", "5", "--n-bad", "5",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "scorecraft gen: error: seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_gen_finds_each_representative_once(tmp_path, small_spec, small_spec_text, monkeypatch):
+    # The default probabilities, the config's check and the draw all read
+    # each characteristic's representatives; they are found once.
+    calls = []
+    binned = data_io.bin_value
+    monkeypatch.setattr(data_io, "bin_value", lambda ch, raw: calls.append(ch.name) or binned(ch, raw))
+    representatives.cache_clear()
+    for ch in small_spec.characteristics:
+        representatives(ch)
+    once = sorted(calls)
+    representatives.cache_clear()
+    calls.clear()
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(tmp_path / "x.csv"),
+        "--n-good", "5", "--n-bad", "5",
+    ]) == 0
+    assert sorted(calls) == once and set(once) == {"age", "fuel"}
+    with pytest.raises(TypeError):
+        representatives(small_spec.characteristics[0])[0] = "changed"
 
 
 def test_gen_synthetic_deterministic(tmp_path, small_spec):
@@ -1268,6 +1327,71 @@ def test_cli_refuses_an_output_that_names_another_file(
     )
     assert captured.out == ""
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("target", ["models/v3.json", "models/new.json", "nowhere/m.json"])
+def test_cli_writes_an_output_through_a_symbolic_link(
+    tmp_path, small_spec_text, capsys, monkeypatch, target
+):
+    # `fit --out cur.json`, cur.json a link, writes the link's target and
+    # keeps the link; a link into a missing directory is refused with one
+    # line before any input is read.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "train.csv"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data_path),
+        "--seed", "9", "--n-good", "60", "--n-bad", "60",
+        "--probs", str(write_probs(tmp_path)),
+    ]) == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "v3.json").write_text("old")
+    (tmp_path / "cur.json").symlink_to(target)
+    capsys.readouterr()
+    if target.startswith("nowhere"):
+        monkeypatch.setattr(data_io, "load_sample", lambda path: pytest.fail("read the data"))
+    code = main(["fit", "--spec", "spec.csv", "--data", "train.csv", "--out", "cur.json"])
+    captured = capsys.readouterr()
+    assert (tmp_path / "cur.json").is_symlink() and os.readlink("cur.json") == target
+    if target.startswith("nowhere"):
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"scorecraft fit: error: cur.json: {os.strerror(errno.ENOENT)}\n"
+        assert not (tmp_path / "nowhere").exists()
+    else:
+        assert code == 0
+        assert load_model(target).beta.shape == (9,)
+        assert sorted(os.listdir("models")) == sorted({"v3.json", os.path.basename(target)})
+
+
+@pytest.mark.parametrize("command", ["eval", "compare", "fit --init-model"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+def test_cli_refuses_a_model_with_a_non_finite_beta(
+    tmp_path, small_spec, small_spec_text, capsys, command, value
+):
+    # `json` reads NaN and Infinity; a beta holding one fails at load with
+    # one line naming the model file.
+    result, pen, _, data_path = fitted_model(small_spec, tmp_path)
+    path = tmp_path / "model.json"
+    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    payload = json.loads(path.read_text())
+    payload["beta"][3] = value
+    path.write_text(json.dumps(payload))
+    assert ("NaN" if math.isnan(value) else "Infinity") in path.read_text()
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    argv = {
+        "eval": ["eval", "--model", str(path), "--data", str(data_path)],
+        "compare": ["compare", "--data", str(data_path), "--model", f"m={path}"],
+        "fit --init-model": [
+            "fit", "--spec", str(spec_path), "--data", str(data_path), "--init-model", str(path),
+        ],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"scorecraft {argv[0]}: error: {path}: beta holds a non-finite coefficient\n"
+    )
+    assert captured.out == ""
 
 
 def per_row_cdf_dump(cdfs):

@@ -366,7 +366,11 @@ def test_design_operations_equal_the_dense_products(fixture_spec, n):
         # for their own row count (the subset's sqrt is about 0.7 the full one).
         perm = rng.permutation(n)
         subset = rng.choice(n, size=(n + 1) // 2, replace=False)
-        for taken, rows in ((design, None), (design.take(perm), perm), (design.take(subset), subset)):
+        cases = [(design, None)] + [
+            (DesignMatrix.build(len(rows), design.blocks, [c[rows] for c in columns]), rows)
+            for rows in (perm, subset)
+        ]
+        for taken, rows in cases:
             dense_x = x if rows is None else x[rows]
             assert taken.n == dense_x.shape[0] and taken.blocks == design.blocks
             assert np.array_equal(taken.x, dense_x)

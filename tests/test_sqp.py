@@ -219,6 +219,13 @@ def test_ircls_rejects_degenerate_probabilities():
         ircls_step(x, y, w, PenaltySpec(), ConstraintSet.empty(1), np.array([800.0]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_initial_beta_refuses_a_non_finite_warm_start(value):
+    warm = np.array([0.5, value, 0.0])
+    with pytest.raises(SpecError, match="warm start must be finite"):
+        initial_beta(3, np.array([1.0, 0.0]), np.ones(2), warm_start=warm)
+
+
 def test_initial_beta_policies():
     y = np.array([1.0, 1.0, 1.0, 0.0])
     w = np.ones(4)
@@ -475,34 +482,58 @@ def test_fit_merges_repeated_rows(small_spec, monkeypatch):
     fit(distinct, merged[1], merged[2], PenaltySpec(lam=0.5), cs)
     assert seen and all(d is distinct for d in seen)
 
-    # Rows whose hashes collide are never merged: with every multiplier 1,
-    # attributes (2, 7) and (3, 6), in runs of one characteristic each at
-    # six rows, have joint codes (1, 1) and (2, 0), which hash alike; the
-    # design is kept as given.
-    monkeypatch.setattr(sqp, "_multipliers", lambda count: np.ones(count, dtype=np.int64))
-    colliding = DesignMatrix.build(6, dm.blocks, [np.array([2, 3] * 3), np.array([7, 6] * 3)])
-    assert [joint.tolist() for _, _, joint, _ in colliding.runs] == [[1, 2] * 3, [1, 0] * 3]
-    seen.clear()
-    y6 = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-    fit(colliding, y6, np.ones(6), PenaltySpec(lam=0.5), ConstraintSet.empty(9))
-    assert seen and all(d is colliding for d in seen)
+
+def test_merged_keys_rows_exactly():
+    # Rows merge when y and every attribute are equal, and only then.
+    blocks = (("age", 1, 6), ("fuel", 6, 9))
+    # Attributes (2, 7) and (3, 6), in runs of one characteristic each at
+    # six rows, have joint codes (1, 1) and (2, 0): a linear hash with
+    # equal multipliers sums them alike, the exact key does not.
+    design = DesignMatrix.build(6, blocks, [np.array([2, 3] * 3), np.array([7, 6] * 3)])
+    assert [joint.tolist() for _, _, joint, _ in design.runs] == [[1, 2] * 3, [1, 0] * 3]
+    y = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    w = np.arange(1.0, 7.0)
+    merged, my, mw = design.merged(y, w)
+    assert attribute_rows(merged) == [(2, 7), (3, 6)] * 2
+    assert my.tolist() == [1.0, 1.0, 0.0, 0.0] and mw.tolist() == [6.0, 8.0, 3.0, 4.0]
+    # Rows that differ only in a fractional y (0.1 + 0.2 is not 0.3) stay apart.
+    design = DesignMatrix.build(4, blocks, [np.full(4, 2), np.full(4, 7)])
+    y = np.array([0.3, 0.1 + 0.2, 0.3, 0.3])
+    merged, my, mw = design.merged(y, np.ones(4))
+    assert merged.n == 2 and my.tobytes() == y[:2].tobytes() and mw.tolist() == [3.0, 1.0]
 
 
-def test_merge_multipliers_are_the_splitmix64_sequence():
-    # The first outputs of splitmix64 from seed 0, with the top two bits
-    # dropped so that products of codes stay clear of the sign bit.
-    first = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    mix = sqp._multipliers(40)
-    assert mix.dtype == np.int64
-    assert [int(m) for m in mix[:3]] == [(v >> 2) | 1 for v in first]
-    assert (mix % 2 == 1).all() and (mix > 0).all() and (mix < 2**62).all()
-    assert len(set(mix.tolist())) == 40
-    assert np.array_equal(sqp._multipliers(3), mix[:3])
+def test_merged_keys_pass_2_to_the_63():
+    # 14 characteristics of 40 attributes: at 3000 rows each is its own run,
+    # and y with the 14 joint codes spans 2 * 40^14 keys, past 2^63, so the
+    # keys are renumbered on the way; the rows, drawn from 300 profiles,
+    # merge to exactly those profiles.
+    rng = np.random.default_rng(31)
+    profiles = rng.integers(0, 40, (300, 14))
+    assert len({tuple(p) for p in profiles.tolist()}) == 300
+    rows = rng.permutation(np.concatenate([np.arange(300), rng.integers(0, 300, 2700)]))
+    blocks = tuple((f"c{c}", 1 + 40 * c, 41 + 40 * c) for c in range(14))
+    columns = [1 + 40 * c + profiles[rows, c] for c in range(14)]
+    design = DesignMatrix.build(3000, blocks, columns)
+    assert len(design.runs) == 14
+    y = (profiles[rows, 0] % 2).astype(float)
+    assert 2 * math.prod(table.shape[0] for _, _, _, table in design.runs) > 2**63
+    w = rng.uniform(0.5, 2.0, 3000)
+    merged, my, mw = design.merged(y, w)
+    expected, ey, ew = merged_by_hand(design, y, w)
+    assert merged.n == expected.n == 300
+    for got, want in zip(merged.runs, expected.runs, strict=True):
+        assert got[:2] == want[:2]
+        assert got[2].tobytes() == want[2].tobytes() and got[3].tobytes() == want[3].tobytes()
+    assert my.tobytes() == ey.tobytes() and mw.tobytes() == ew.tobytes()
+    # The 300 distinct rows are told apart as soon as the keys are renumbered.
+    again = merged.merged(my, mw)
+    assert all(got is given for got, given in zip(again, (merged, my, mw)))
 
 
-def test_merged_is_the_take_of_first_rows(small_spec, fixture_spec):
-    # The merged design is the design's take of each group's first row, its
-    # runs chosen for its own row count, with the group's weights summed:
+def test_merged_is_the_design_of_first_rows(small_spec, fixture_spec):
+    # The merged design is built from each group's first row, its runs
+    # chosen for its own row count, with the group's weights summed:
     # equal bit for bit, runs and all.
     rng = np.random.default_rng(23)
     n = 600
@@ -523,18 +554,18 @@ def test_merged_is_the_take_of_first_rows(small_spec, fixture_spec):
     big_w = rng.uniform(0.5, 2.0, 4000)
     cases.append((build_design_matrix(fixture_spec, Sample(big_y, big_w, records)), big_y, big_w))
     for dm, y, w in cases:
-        merged, my, mw = sqp._merged(dm, y, w)
+        merged, my, mw = dm.merged(y, w)
         expected, ey, ew = merged_by_hand(dm, y, w)
         assert merged.n == expected.n < dm.n / 10
         rows = list(zip(attribute_rows(dm), y.tolist()))
         first = [rows.index(row) for row in zip(attribute_rows(merged), my.tolist())]
-        taken = dm.take(np.array(first))
-        assert merged.blocks == taken.blocks == dm.blocks
-        assert len(merged.runs) == len(taken.runs) == len(expected.runs)
-        for got, want, built in zip(merged.runs, taken.runs, expected.runs):
-            assert got[:2] == want[:2] == built[:2]
-            assert got[2].tobytes() == want[2].tobytes() == built[2].tobytes()
-            assert got[3].tobytes() == want[3].tobytes() == built[3].tobytes()
+        assert first == sorted(first)
+        assert merged.blocks == expected.blocks == dm.blocks
+        assert len(merged.runs) == len(expected.runs)
+        for got, built in zip(merged.runs, expected.runs):
+            assert got[:2] == built[:2]
+            assert got[2].tobytes() == built[2].tobytes()
+            assert got[3].tobytes() == built[3].tobytes()
         assert my.tobytes() == ey.tobytes() == y[first].tobytes()
         assert mw.tobytes() == ew.tobytes()
     assert (len(cases[1][0].runs), merged.n, len(merged.runs)) == (15, 40, 25)
@@ -556,13 +587,13 @@ def test_merged_keeps_a_design_without_repeated_rows(small_spec, monkeypatch):
     argsort = np.argsort
     calls = []
     monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
-    distinct = sqp._merged(dm, y, w)
+    distinct = dm.merged(y, w)
     sums = {}
     for key, weight in zip(zip(attribute_rows(dm), y.tolist()), w.tolist()):
         sums[key] = sums.get(key, 0.0) + weight
     assert distinct[0].n == len(sums) < n
     assert list(zip(attribute_rows(distinct[0]), distinct[1].tolist())) == list(sums)
     assert distinct[2].tolist() == list(sums.values())
-    again = sqp._merged(*distinct)
+    again = distinct[0].merged(*distinct[1:])
     assert all(got is given for got, given in zip(again, distinct))
     assert calls == []
