@@ -198,7 +198,7 @@ def _cmd_compile(args) -> int:
 
     spec = parse_spec(read_text(args.spec))
     sample = None
-    if args.data:
+    if args.data is not None:
         from .data_io import load_sample
 
         sample = load_sample(args.data)
@@ -215,7 +215,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    twin = args.report + ".csv" if args.report else None
+    twin = args.report + ".csv" if args.report is not None else None
     reads = [("--spec", args.spec), ("--data", args.data)]
     # --out may name --init-model, which is read before the fit; the report may not.
     _check_outputs([("--out", args.out)], reads)
@@ -235,7 +235,7 @@ def _cmd_fit(args) -> int:
     y, w = sample.y, sample.w
     del sample  # the design holds the binned columns; keep only y and w
     beta0 = None
-    if args.init_model:
+    if args.init_model is not None:
         init = load_model(args.init_model)
         beta0 = init.beta
     config = FitConfig(tol=args.tol, max_outer_iters=args.max_iters, beta0=beta0)
@@ -256,10 +256,10 @@ def _cmd_fit(args) -> int:
         f"ineq {result.residuals.ineq_violation:.3e}"
     )
 
-    if args.out:
+    if args.out is not None:
         save_model(args.out, ModelFile.from_fit(result, pen, spec_text))
         print(f"wrote model to {args.out}")
-    if args.report:
+    if args.report is not None:
         from .metrics import score_metrics
         from .report import write_report
 
@@ -284,13 +284,13 @@ def _cmd_eval(args) -> int:
     del sample  # the design holds the binned columns; keep only y and w
     theta = design.scores(model.beta)
     del design
-    cdfs = score_cdfs(theta, y, w) if args.dump_cdfs else None
+    cdfs = score_cdfs(theta, y, w) if args.dump_cdfs is not None else None
     m = score_metrics(theta, y, w, _cdfs=cdfs)
     print(f"divergence {m.divergence:.4f}")
     print(f"minus_ll {m.minus_ll:.4f}")
     print(f"ks {m.ks:.4f}")
     print(f"roc_area {m.roc_area:.4f}")
-    if args.dump_cdfs:
+    if args.dump_cdfs is not None:
         atomic_write_text(args.dump_cdfs, _cdf_table(cdfs))
         print(f"wrote cdf dump to {args.dump_cdfs}")
     return 0
@@ -389,7 +389,7 @@ def _cmd_gen(args) -> int:
     from .model import parse_spec, read_text
 
     spec = parse_spec(read_text(args.spec))
-    good, bad = _read_probs(args.probs) if args.probs else _default_probs(spec)
+    good, bad = _read_probs(args.probs) if args.probs is not None else _default_probs(spec)
     cfg = SyntheticConfig(
         seed=args.seed,
         n_good=args.n_good,
@@ -398,7 +398,7 @@ def _cmd_gen(args) -> int:
         good_probs=good,
         bad_probs=bad,
     )
-    if args.probs:
+    if args.probs is not None:
         try:
             cfg.check_probs()
         except DataError as exc:
@@ -407,6 +407,9 @@ def _cmd_gen(args) -> int:
     print(f"wrote {sample.n} rows to {args.out} (seed {args.seed})")
     return 0
 
+
+# The options that name a file: an empty one is refused, not taken as not given.
+_PATHS = ("spec", "data", "model", "out", "report", "init_model", "dump_cdfs", "probs")
 
 _HANDLERS = {
     "compile": _cmd_compile,
@@ -431,6 +434,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     from .model import StepError
 
     try:
+        for name in _PATHS:
+            if getattr(args, name, None) == "":
+                raise ValueError(f"--{name.replace('_', '-')}: empty path")
         return _HANDLERS[args.command](args)
     except StepError as exc:
         print(f"scorecraft {args.command}: numerical failure: {exc}", file=sys.stderr)

@@ -18,15 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import (
-    _TERM_TEXT,
-    DesignMatrix,
-    FixedTo,
-    GreaterThan,
-    ScorecardSpec,
-    SpecError,
-    TiedTo,
-)
+from .model import DesignMatrix, ScorecardSpec, SpecError
 
 __all__ = [
     "ConstraintCompileError",
@@ -150,12 +142,11 @@ def compile_constraints(
 
     Parameters
     ----------
-    spec : ScorecardSpec; validated here.
+    spec : ScorecardSpec, which checked itself when made.
     policy : centering policy, default none.
     inweights : optional (coefficient index, target) pairs with 1-based
         coefficient indices; index 1 pins the intercept.
     """
-    spec.validate()
     policy = policy or CenteringPolicy.none()
     q = spec.q
     # Rows by kind: the equality kinds in their order in Aeq, then pattern.
@@ -179,16 +170,16 @@ def compile_constraints(
     for ch, att in spec.iter_attributes():
         a = att.att_index
         where = f"{ch.name}:{att.label}"
-        for term in att.tag.terms:
-            if isinstance(term, FixedTo):
+        for term in att.tag:
+            if term.op == "=":
                 if a not in pins:
-                    add("fixed", (a,), f"{where} = {term.value:g}", {a: 1.0}, term.value)
-                pin(a, term.value, f"tag on {where}")
+                    add("fixed", (a,), f"{where} = {term.operand:g}", {a: 1.0}, term.operand)
+                pin(a, term.operand, f"tag on {where}")
                 continue
-            k = term.att
-            kind = "cross" if isinstance(term, TiedTo) else "pattern"
-            sign = -1.0 if isinstance(term, GreaterThan) else 1.0
-            add(kind, (a, k), f"{where} {_TERM_TEXT[type(term)]} att {k}", {a: sign, k: -sign})
+            k = term.operand
+            kind = "cross" if term.op == "~" else "pattern"
+            sign = -1.0 if term.op == ">" else 1.0
+            add(kind, (a, k), f"{where} {term.op} att {k}", {a: sign, k: -sign})
 
     # Centering rows: per characteristic, sum of weighted counts times weights.
     if policy.mode == "weighted_sum_zero":

@@ -618,9 +618,8 @@ def load_sample(path: str) -> Sample:
     if stop:
         raise DataError(stop)
 
-    sample = Sample(y=y, w=w, records=dict(zip(names[2:], columns)))
     try:
-        return sample.validate()
+        return Sample(y=y, w=w, records=dict(zip(names[2:], columns)))
     except SpecError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -759,7 +758,7 @@ def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
             for raw in map(reps.get, range(len(ch.attributes)))
         ]
         records[ch.name] = Column(texts, np.concatenate(draws).astype(np.int32))
-    sample = Sample(y=y, w=w, records=records).validate()
+    sample = Sample(y=y, w=w, records=records)
 
     if path is not None:
         buffer = io.StringIO()

@@ -1,10 +1,12 @@
 """Scorecard domain model: characteristics, attributes, bin rules, constraint tags.
 
 A scorecard partitions each predictor (characteristic) into bins (attributes)
-and assigns one additive weight per attribute.  This module parses the spec
-file format, bins texts into attributes (`_bin_values` holds the one
-matching rule; `bin_value` reads one raw value through it), and builds
-design matrices with an intercept column.  A sample stores each
+and assigns one additive weight per attribute, under its constraint tag:
+a tuple of `TagTerm` records (`= v`, `> k`, `< k`, `~ k`).  A spec and a
+sample check themselves when made.  This module parses the spec file
+format, bins texts into attributes (`_bin_values` holds the one matching
+rule; `bin_value` reads one raw value through it), and builds design
+matrices with an intercept column.  A sample stores each
 characteristic column once per distinct raw value, as a `Column` of
 stripped texts (None for a missing cell, as a data file holds them) and an
 integer inverse, so binning works on the distinct texts and gathers their
@@ -25,7 +27,7 @@ import io
 import math
 import operator
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Optional, Union
@@ -41,12 +43,7 @@ __all__ = [
     "CategoryBin",
     "NoInformationBin",
     "BinRule",
-    "FixedTo",
-    "GreaterThan",
-    "LessThan",
-    "TiedTo",
     "TagTerm",
-    "ConstraintTag",
     "Attribute",
     "Characteristic",
     "ScorecardSpec",
@@ -113,51 +110,22 @@ BinRule = Union[SpecialBin, IntervalBin, CategoryBin, NoInformationBin]
 
 
 @dataclass(frozen=True)
-class FixedTo:
-    """Pin this attribute's weight to a value (equality row)."""
+class TagTerm:
+    """One term of an attribute's constraint tag: op "=" pins its weight to
+    operand (a float); ">", "<" and "~" ask it to be above, below or equal
+    to attribute operand's (an int).  Another op or operand raises SpecError."""
 
-    value: float
+    op: str
+    operand: Union[float, int]
 
+    def __post_init__(self) -> None:
+        if self.op not in ("=", "<", ">", "~"):
+            raise SpecError(f"unknown constraint operator {self.op!r}")
+        if self.op != "=" and not isinstance(self.operand, int):
+            raise SpecError(f"{self.op} needs an attribute index, got {self.operand!r}")
 
-@dataclass(frozen=True)
-class GreaterThan:
-    """This attribute's weight must exceed attribute `att`'s weight."""
-
-    att: int
-
-
-@dataclass(frozen=True)
-class LessThan:
-    """This attribute's weight must be below attribute `att`'s weight."""
-
-    att: int
-
-
-@dataclass(frozen=True)
-class TiedTo:
-    """This attribute's weight must equal attribute `att`'s weight."""
-
-    att: int
-
-
-TagTerm = Union[FixedTo, GreaterThan, LessThan, TiedTo]
 
 _TERM_RE = re.compile(r"^([=<>~])\s*(\S+)$")
-_TERM_OPS = {"=": FixedTo, ">": GreaterThan, "<": LessThan, "~": TiedTo}
-_TERM_TEXT = {kind: op for op, kind in _TERM_OPS.items()}
-
-
-@dataclass(frozen=True)
-class ConstraintTag:
-    """Conjunction of constraint terms attached to one attribute.
-
-    An empty term list means the attribute is unconstrained.
-    """
-
-    terms: tuple[TagTerm, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +134,12 @@ class ConstraintTag:
 
 @dataclass(frozen=True)
 class Attribute:
-    """One bin of a characteristic, carrying a 1-based global index."""
+    """One bin of a characteristic: a 1-based global index, and its tag's terms (() for none)."""
 
     att_index: int
     label: str
     bin: BinRule
-    tag: ConstraintTag = ConstraintTag()
+    tag: tuple[TagTerm, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -214,7 +182,9 @@ class Characteristic:
 
 @dataclass(frozen=True)
 class ScorecardSpec:
-    """Ordered characteristics; coefficient 1 is the intercept, 2..q the attributes."""
+    """Ordered characteristics; coefficient 1 is the intercept, 2..q the attributes.
+
+    Checked when made: SpecError names the first fault."""
 
     characteristics: tuple[Characteristic, ...]
 
@@ -228,8 +198,7 @@ class ScorecardSpec:
             for att in ch.attributes:
                 yield ch, att
 
-    def validate(self) -> "ScorecardSpec":
-        """Check structural invariants, returning self; raise SpecError otherwise."""
+    def __post_init__(self) -> None:
         if not self.characteristics:
             raise SpecError("spec has no characteristics")
         seen_names: set[str] = set()
@@ -261,18 +230,17 @@ class ScorecardSpec:
                 _validate_bin(ch, att)
         q = self.q
         for ch, att in self.iter_attributes():
-            for term in att.tag.terms:
-                if isinstance(term, FixedTo):
-                    if not math.isfinite(term.value):
+            for term in att.tag:
+                if term.op == "=":
+                    if not math.isfinite(term.operand):
                         raise SpecError(f"attribute {att.att_index} fixed to non-finite value")
-                elif not 1 <= term.att <= q - 1:
+                elif not 1 <= term.operand <= q - 1:
                     raise SpecError(
                         f"attribute {att.att_index} ({ch.name!r}) references "
-                        f"missing attribute {term.att}"
+                        f"missing attribute {term.operand}"
                     )
-                elif term.att == att.att_index:
+                elif term.operand == att.att_index:
                     raise SpecError(f"attribute {att.att_index} ({ch.name!r}) references itself")
-        return self
 
 
 def _validate_bin(ch: Characteristic, att: Attribute) -> None:
@@ -320,7 +288,8 @@ class Sample:
     """Weighted binary-outcome observations with raw characteristic values.
 
     y is 0/1 with 1 = Good; w is nonnegative with positive total; records maps
-    characteristic name to its `Column` of texts.
+    characteristic name to its `Column` of texts, one cell per row.  Checked
+    when made: SpecError names the first fault.
     """
 
     y: np.ndarray
@@ -331,7 +300,7 @@ class Sample:
     def n(self) -> int:
         return int(self.y.shape[0])
 
-    def validate(self) -> "Sample":
+    def __post_init__(self) -> None:
         y = np.asarray(self.y)
         w = np.asarray(self.w)
         if y.ndim != 1 or w.ndim != 1 or y.shape[0] != w.shape[0]:
@@ -345,7 +314,6 @@ class Sample:
         for name, col in self.records.items():
             if len(col) != y.shape[0]:
                 raise SpecError(f"record column {name!r} has wrong length")
-        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -694,10 +662,10 @@ def read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _parse_tag(text: str, where: str) -> ConstraintTag:
+def _parse_tag(text: str, where: str) -> tuple[TagTerm, ...]:
     text = text.strip()
     if not text:
-        return ConstraintTag()
+        return ()
     terms: list[TagTerm] = []
     for part in text.split("&"):
         part = part.strip()
@@ -706,11 +674,11 @@ def _parse_tag(text: str, where: str) -> ConstraintTag:
             raise SpecError(f"{where}: malformed constraint term {part!r}")
         op, arg = match.groups()
         try:
-            terms.append(_TERM_OPS[op](float(arg) if op == "=" else int(arg)))
+            terms.append(TagTerm(op, float(arg) if op == "=" else int(arg)))
         except ValueError:
             what = "fixed value" if op == "=" else "attribute reference"
             raise SpecError(f"{where}: bad {what} {arg!r}") from None
-    return ConstraintTag(tuple(terms))
+    return tuple(terms)
 
 
 def _parse_number(cell: str, where: str, default: Optional[float] = None) -> float:
@@ -726,7 +694,7 @@ def _parse_number(cell: str, where: str, default: Optional[float] = None) -> flo
 
 
 def parse_spec(text: str) -> ScorecardSpec:
-    """Parse the spec CSV format into a validated ScorecardSpec.
+    """Parse the spec CSV format into a ScorecardSpec, which checks itself when made.
 
     The format has header char,att,label,kind,lo,hi,categories,constraint with
     kind one of special, interval, category, noinfo; `#` lines are comments.
@@ -804,18 +772,15 @@ def parse_spec(text: str) -> ScorecardSpec:
 
     if not header_seen:
         raise SpecError("spec file has no header row")
-    spec = ScorecardSpec(
+    return ScorecardSpec(
         characteristics=tuple(
             Characteristic(name=name, attributes=tuple(grouped[name]))
             for name in order
         )
     )
-    return spec.validate()
 
 
-def format_tag(tag: ConstraintTag) -> str:
-    """Render a constraint tag in the spec file grammar (empty for no terms):
-    each term is its parser operator and its one field's number_text."""
-    return " & ".join(
-        f"{_TERM_TEXT[type(term)]} {number_text(astuple(term)[0])}" for term in tag.terms
-    )
+def format_tag(tag: tuple[TagTerm, ...]) -> str:
+    """Render an attribute's tag terms in the spec file grammar (empty for none):
+    each term is its op and its operand's number_text, joined by " & "."""
+    return " & ".join(f"{term.op} {number_text(term.operand)}" for term in tag)

@@ -27,7 +27,8 @@ by iterative refinement on a shifted inverse where it is singular.
 "infeasible" comes only with a Farkas vector and "unbounded" only with a
 descent ray, each checked on the problem data.  `iterations` counts NNLS
 iterations plus the polish rounds that changed the active set (so a warm
-solve counts only the latter, and may report 0), and MAX_ITERS caps it.
+solve counts only the latter, and may report 0); MAX_ITERS caps each NNLS
+solve and the polish.
 Identical inputs give bitwise identical outputs.  All linear algebra is
 numpy.linalg.
 """
@@ -233,6 +234,8 @@ def solve_qp(p: QpProblem, active: Optional[np.ndarray] = None) -> QpSolution:
     start from those rows and the equality rows instead; that result is
     returned only if it passes the same certification, else the cold path
     runs.  The mask is ignored when the problem has no inequality rows.
+    Where the model's least-distance problem finds no point or stops at
+    MAX_ITERS, "infeasible" is decided on the rows' own one.
     """
     q, h, f, m_e = p.q, p.h, p.f, p.cs.m_e
     # The rows s beta <= t of [Aeq; A]; the first m_e hold with equality, and
@@ -313,16 +316,19 @@ def solve_qp(p: QpProblem, active: Optional[np.ndarray] = None) -> QpSolution:
         beta = -np.linalg.solve(chol.T, w0 + lg @ v)
         candidates.insert(0, (beta, v))
 
+    if z is None or limited:
+        # Feasibility does not depend on H (whose model may be badly scaled),
+        # so it is decided on the rows: with no point in reach, S' u = 0 and
+        # t' u < 0 up to roundoff, and -u is a Farkas vector if that holds.
+        point, u, used, _ = _ldp(s, t, free, MAX_ITERS)
+        iterations += used
+        size = np.abs(u) @ (1.0 + np.abs(np.column_stack([s, t])).max(axis=1))
+        if point is None and _max_abs(s.T @ u) <= CERT_TOL * size and t @ u < -CERT_TOL * size:
+            note = "constraint system admits a Farkas certificate"
+            return finish(centre, no_mult, "infeasible", note, -u / _max_abs(u))
     limit_note = "iteration limit reached before the active set was certified"
     if limited:
         return finish(*candidates[0], "max_iterations", limit_note)
-    if z is None:
-        # Then v combines the rows to S' v = 0 and t' v < 0 up to roundoff:
-        # -v is a Farkas vector, if that holds on the data.
-        size = np.abs(v) @ (1.0 + np.abs(np.column_stack([s, t])).max(axis=1))
-        if _max_abs(s.T @ v) <= CERT_TOL * size and t @ v < -CERT_TOL * size:
-            note = "constraint system admits a Farkas certificate"
-            return finish(centre, no_mult, "infeasible", note, -v / _max_abs(v))
 
     polished = _polish(
         h, f, s, t, free, free | (v > 0), definite, tol_row, tol_grad, MAX_ITERS - iterations

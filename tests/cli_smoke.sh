@@ -120,6 +120,24 @@ cat "$out/probs.err"
 test "$code" -eq 1
 test "$(wc -l < "$out/probs.err")" -eq 1
 grep -qF "$out/cut-probs.json" "$out/probs.err"
+# An empty --probs path is refused by name with one line, and no file is
+# drawn from the default probabilities.
+code=0
+scorecraft gen --spec "$spec" --out "$out/empty-probs.csv" --probs "" --n-good 5 --n-bad 5 2> "$out/empty.err" || code=$?
+cat "$out/empty.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/empty.err")" -eq 1
+test ! -e "$out/empty-probs.csv"
+# Pinning attributes 2 and 3 (coefficients 3 and 4) to 0 and 1 breaks
+# attribute 2's "> 3": the fit ends infeasible, exit 2, with one line and
+# no model.
+code=0
+scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --inweight 3=0 --inweight 4=1 --out "$out/infeasible.json" > /dev/null 2> "$out/infeasible.err" || code=$?
+cat "$out/infeasible.err"
+test "$code" -eq 2
+test "$(wc -l < "$out/infeasible.err")" -eq 1
+grep -q infeasible "$out/infeasible.err"
+test ! -e "$out/infeasible.json"
 # A file and its twin with every cell quoted, which the csv module reads
 # record by record, evaluate to the same lines: the training file, and an
 # 80k-row file that the loader reads in several chunks and then merges.

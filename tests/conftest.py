@@ -7,15 +7,11 @@ import pytest
 from scorecraft.model import (
     Attribute,
     Characteristic,
-    ConstraintTag,
-    FixedTo,
-    GreaterThan,
     IntervalBin,
-    LessThan,
     NoInformationBin,
     ScorecardSpec,
     SpecialBin,
-    TiedTo,
+    TagTerm,
     parse_spec,
 )
 
@@ -57,17 +53,14 @@ def build_random_spec(rng):
         for att in ch.attributes:
             terms = []
             if rng.random() < 0.3:
-                terms.append(FixedTo(float(rng.integers(-3, 4))))
+                terms.append(TagTerm("=", float(rng.integers(-3, 4))))
             if rng.random() < 0.4:
                 other = int(rng.integers(1, q))
                 if other != att.att_index:
-                    kind = [GreaterThan, LessThan, TiedTo][int(rng.integers(3))]
-                    terms.append(kind(other))
-            atts.append(
-                Attribute(att.att_index, att.label, att.bin, ConstraintTag(tuple(terms)))
-            )
+                    terms.append(TagTerm("><~"[int(rng.integers(3))], other))
+            atts.append(Attribute(att.att_index, att.label, att.bin, tuple(terms)))
         rebuilt.append(Characteristic(ch.name, tuple(atts)))
-    return ScorecardSpec(tuple(rebuilt)).validate()
+    return ScorecardSpec(tuple(rebuilt))
 
 
 def null_space(a):

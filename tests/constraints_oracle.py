@@ -18,7 +18,7 @@ from scorecraft.constraints import (
     ConstraintRow,
     ConstraintSet,
 )
-from scorecraft.model import FixedTo, GreaterThan, LessThan, ScorecardSpec, TiedTo
+from scorecraft.model import ScorecardSpec
 
 
 def compile_constraints(
@@ -59,43 +59,43 @@ def compile_constraints(
     # Fixed-value rows; contradictory values on one attribute are an error.
     fixed_values: dict[int, float] = {}
     for ch, att in spec.iter_attributes():
-        for term in att.tag.terms:
-            if isinstance(term, FixedTo):
+        for term in att.tag:
+            if term.op == "=":
                 prior = fixed_values.get(att.att_index)
                 if prior is not None:
-                    if prior != term.value:
+                    if prior != term.operand:
                         raise ConstraintCompileError(
                             f"attribute {att.att_index} ({ch.name!r}) fixed to both "
-                            f"{prior} and {term.value}"
+                            f"{prior} and {term.operand}"
                         )
                     continue
-                fixed_values[att.att_index] = term.value
+                fixed_values[att.att_index] = term.operand
                 row = np.zeros(q)
                 row[att_column(att.att_index)] = 1.0
                 eq_data.append(row)
-                eq_rhs.append(term.value)
+                eq_rhs.append(term.operand)
                 eq_rows.append(
                     ConstraintRow(
                         kind="fixed",
                         atts=(att.att_index,),
-                        note=f"{ch.name}:{att.label} = {term.value:g}",
+                        note=f"{ch.name}:{att.label} = {term.operand:g}",
                     )
                 )
 
     # Cross ties: S_a - S_k = 0.
     for ch, att in spec.iter_attributes():
-        for term in att.tag.terms:
-            if isinstance(term, TiedTo):
+        for term in att.tag:
+            if term.op == "~":
                 row = np.zeros(q)
                 row[att_column(att.att_index)] = 1.0
-                row[att_column(term.att)] -= 1.0
+                row[att_column(term.operand)] -= 1.0
                 eq_data.append(row)
                 eq_rhs.append(0.0)
                 eq_rows.append(
                     ConstraintRow(
                         kind="cross",
-                        atts=(att.att_index, term.att),
-                        note=f"{ch.name}:{att.label} ~ att {term.att}",
+                        atts=(att.att_index, term.operand),
+                        note=f"{ch.name}:{att.label} ~ att {term.operand}",
                     )
                 )
 
@@ -145,23 +145,23 @@ def compile_constraints(
 
     # Pattern rows, one per ordering term, in spec order.
     for ch, att in spec.iter_attributes():
-        for term in att.tag.terms:
-            if isinstance(term, GreaterThan):
+        for term in att.tag:
+            if term.op == ">":
                 row = np.zeros(q)
-                row[att_column(term.att)] = 1.0
+                row[att_column(term.operand)] = 1.0
                 row[att_column(att.att_index)] = -1.0
-                note = f"{ch.name}:{att.label} > att {term.att}"
-            elif isinstance(term, LessThan):
+                note = f"{ch.name}:{att.label} > att {term.operand}"
+            elif term.op == "<":
                 row = np.zeros(q)
                 row[att_column(att.att_index)] = 1.0
-                row[att_column(term.att)] = -1.0
-                note = f"{ch.name}:{att.label} < att {term.att}"
+                row[att_column(term.operand)] = -1.0
+                note = f"{ch.name}:{att.label} < att {term.operand}"
             else:
                 continue
             ineq_data.append(row)
             ineq_rhs.append(0.0)
             ineq_rows.append(
-                ConstraintRow(kind="pattern", atts=(att.att_index, term.att), note=note)
+                ConstraintRow(kind="pattern", atts=(att.att_index, term.operand), note=note)
             )
 
     return ConstraintSet(

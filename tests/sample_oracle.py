@@ -83,8 +83,7 @@ def load_sample_rows(path):
     if unread:
         raise DataError(unread)
     records = {name: Column(list(values[name]), inverse[name]) for name in char_names}
-    sample = Sample(y=y, w=w, records=records)
     try:
-        return sample.validate()
+        return Sample(y=y, w=w, records=records)
     except SpecError as exc:
         raise DataError(f"{path}: {exc}") from None

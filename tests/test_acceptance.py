@@ -24,16 +24,12 @@ from scorecraft.metrics import roc
 from scorecraft.model import (
     Attribute,
     Characteristic,
-    ConstraintTag,
-    FixedTo,
-    GreaterThan,
     IntervalBin,
-    LessThan,
     NoInformationBin,
     Sample,
     ScorecardSpec,
     SpecialBin,
-    TiedTo,
+    TagTerm,
     build_design_matrix,
     number_text,
 )
@@ -101,24 +97,14 @@ def monotone_q30_spec():
     for c, m in enumerate(sizes):
         atts = []
         for k in range(m):
-            term = GreaterThan(att + 1) if k < m - 1 else FixedTo(0.0)
-            atts.append(
-                Attribute(
-                    att,
-                    f"{k}-<{k + 1}",
-                    IntervalBin(float(k), float(k + 1)),
-                    ConstraintTag((term,)),
-                )
-            )
+            term = TagTerm(">", att + 1) if k < m - 1 else TagTerm("=", 0.0)
+            bin_rule = IntervalBin(float(k), float(k + 1))
+            atts.append(Attribute(att, f"{k}-<{k + 1}", bin_rule, (term,)))
             att += 1
-        atts.append(
-            Attribute(
-                att, "NO INFORMATION", NoInformationBin(), ConstraintTag((FixedTo(0.0),))
-            )
-        )
+        atts.append(Attribute(att, "NO INFORMATION", NoInformationBin(), (TagTerm("=", 0.0),)))
         att += 1
         chars.append(Characteristic(f"char{c}", tuple(atts)))
-    return ScorecardSpec(tuple(chars)).validate()
+    return ScorecardSpec(tuple(chars))
 
 
 def monotone_q30_probs(spec):
@@ -150,14 +136,14 @@ def small_spec_probs():
 def tag_orderings_hold(spec, beta, tol=1e-8):
     for _, att in spec.iter_attributes():
         v = beta[att.att_index]
-        for term in att.tag.terms:
-            if isinstance(term, FixedTo) and abs(v - term.value) > tol:
+        for term in att.tag:
+            if term.op == "=" and abs(v - term.operand) > tol:
                 return False
-            if isinstance(term, GreaterThan) and v < beta[term.att] - tol:
+            if term.op == ">" and v < beta[term.operand] - tol:
                 return False
-            if isinstance(term, LessThan) and v > beta[term.att] + tol:
+            if term.op == "<" and v > beta[term.operand] + tol:
                 return False
-            if isinstance(term, TiedTo) and abs(v - beta[term.att]) > tol:
+            if term.op == "~" and abs(v - beta[term.operand]) > tol:
                 return False
     return True
 
@@ -350,8 +336,8 @@ def test_bundled_spec_compiles_to_expected_counts(acceptance, fixture_spec, maxd
     zero_pins = sum(
         1
         for _, att in fixture_spec.iter_attributes()
-        for term in att.tag.terms
-        if isinstance(term, FixedTo) and term.value == 0.0
+        for term in att.tag
+        if term == TagTerm("=", 0.0)
     )
     residuals = constraint_residuals(cs, maxdiv_beta)
     acceptance(
@@ -564,7 +550,7 @@ def representative_sample(spec, rng, n):
     x = build_design_matrix(spec, sample).x
     theta = x @ rng.normal(0.0, 0.5, spec.q)
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
-    return Sample(y=y, w=sample.w, records=records).validate()
+    return Sample(y=y, w=sample.w, records=records)
 
 
 def noinfo_pins(spec):

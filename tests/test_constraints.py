@@ -9,12 +9,8 @@ from scorecraft.constraints import (
     constraint_residuals,
 )
 from scorecraft.model import (
-    FixedTo,
-    GreaterThan,
-    LessThan,
     Sample,
     SpecError,
-    TiedTo,
     build_design_matrix,
     parse_spec,
 )
@@ -105,7 +101,7 @@ def test_centering_policy_from_sample(small_spec):
             "age": text_column(["25", "55", "25"]),
             "fuel": text_column(["Gas", "Other", "Nope"]),
         },
-    ).validate()
+    )
     design = build_design_matrix(small_spec, sample)
     policy = CenteringPolicy.weighted_from_sample(design, sample.w)
     counts = np.zeros(8)
@@ -242,13 +238,13 @@ def test_compiled_structure_on_random_specs(random_spec_factory):
         spec = random_spec_factory(rng)
         cs = compile_constraints(spec)
         q = spec.q
-        terms = [(a.att_index, t) for _, a in spec.iter_attributes() for t in a.tag.terms]
-        n_order = sum(isinstance(t, (GreaterThan, LessThan)) for _, t in terms)
+        terms = [(a.att_index, t) for _, a in spec.iter_attributes() for t in a.tag]
+        n_order = sum(t.op in "<>" for _, t in terms)
         fixed = {}
         for att, t in terms:
-            if isinstance(t, FixedTo):
-                fixed.setdefault(att, t.value)
-        n_ties = sum(isinstance(t, TiedTo) for _, t in terms)
+            if t.op == "=":
+                fixed.setdefault(att, t.operand)
+        n_ties = sum(t.op == "~" for _, t in terms)
         assert cs.m_i == n_order
         assert cs.m_e == len(fixed) + n_ties
         assert cs.aeq.shape == (cs.m_e, q)
@@ -274,10 +270,10 @@ def assert_same_set(cs, expected):
 def random_inweights(rng, spec):
     """Up to four in-weights that agree with the tag pins and with each other."""
     pins = {
-        att.att_index + 1: term.value
+        att.att_index + 1: term.operand
         for _, att in spec.iter_attributes()
-        for term in att.tag.terms
-        if isinstance(term, FixedTo)
+        for term in att.tag
+        if term.op == "="
     }
     out = []
     for _ in range(int(rng.integers(0, 5))):

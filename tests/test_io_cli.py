@@ -922,6 +922,14 @@ def test_model_file_corruption_checks(tmp_path, small_spec, small_spec_text):
     with pytest.raises(DataError, match="unsupported model version"):
         load_model(str(path))
 
+    # A clean copy whose q alone is edited.
+    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    payload = json.loads(path.read_text())
+    payload["q"] += 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"^{path}: beta length disagrees with q$"):
+        load_model(str(path))
+
     path.write_text('{"format": "something-else"}')
     with pytest.raises(DataError, match="not a scorecraft-model"):
         load_model(str(path))
@@ -1439,6 +1447,56 @@ def test_cli_fit_iteration_cap_exit_code(tmp_path, small_spec_text, capsys):
     ])
     assert code == 2
     assert "status: max_iterations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_cli_fit_reports_pins_that_break_an_ordering_as_infeasible(
+    tmp_path, small_spec_text, capsys, seed
+):
+    # Coefficients 3 and 4 are attributes 2 and 3; pinning them to 0 and 1
+    # breaks attribute 2's "> 3".  At lambda 0 H is singular, and the
+    # rows' own least-distance problem certifies what the model's may not.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    data_path = tmp_path / "train.csv"
+    model_path = tmp_path / "model.json"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data_path),
+        "--seed", str(seed), "--n-good", "200", "--n-bad", "100",
+    ]) == 0
+    capsys.readouterr()
+    code = main([
+        "fit", "--spec", str(spec_path), "--data", str(data_path), "--out", str(model_path),
+        "--inweight", "3=0", "--inweight", "4=1",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scorecraft fit: numerical failure: ") and err.count("\n") == 1
+    assert "QP status infeasible" in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, args",
+    [
+        ("gen", "--probs", ["--spec", "spec.csv", "--out", "data.csv", "--n-good", "5",
+                            "--n-bad", "5"]),
+        ("gen", "--out", ["--spec", "spec.csv", "--n-good", "5", "--n-bad", "5"]),
+        ("fit", "--init-model", ["--spec", "spec.csv", "--data", "data.csv"]),
+        ("fit", "--out", ["--spec", "spec.csv", "--data", "data.csv"]),
+        ("fit", "--report", ["--spec", "spec.csv", "--data", "data.csv"]),
+        ("eval", "--dump-cdfs", ["--model", "model.json", "--data", "data.csv"]),
+        ("compile", "--data", ["--spec", "spec.csv", "--centering", "weighted"]),
+    ],
+)
+def test_cli_refuses_an_empty_path(tmp_path, capsys, monkeypatch, command, option, args):
+    # An empty path is no absent option: it is refused by name before any
+    # input is read (none of the inputs exists), and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *args, option, ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"scorecraft {command}: error: {option}: empty path\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_fit_init_model_warm_start(tmp_path, small_spec_text, capsys):

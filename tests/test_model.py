@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,18 +15,14 @@ from scorecraft.model import (
     CategoryBin,
     Characteristic,
     Column,
-    ConstraintTag,
     DesignMatrix,
-    FixedTo,
-    GreaterThan,
     IntervalBin,
-    LessThan,
     NoInformationBin,
     Sample,
     ScorecardSpec,
     SpecError,
     SpecialBin,
-    TiedTo,
+    TagTerm,
     bin_value,
     build_design_matrix,
     format_tag,
@@ -70,10 +67,10 @@ def test_parse_spec_structure():
     assert age.noinfo.att_index == 5
     fuel = characteristic(spec, "fuel")
     assert fuel.attributes[0].bin == CategoryBin(frozenset({"Gas", "Diesel"}))
-    assert age.attributes[0].tag.terms == (FixedTo(0.0),)
-    assert age.attributes[1].tag.terms == (GreaterThan(3),)
-    assert fuel.attributes[1].tag.terms == (LessThan(6),)
-    assert not age.attributes[3].tag
+    assert age.attributes[0].tag == (TagTerm("=", 0.0),)
+    assert age.attributes[1].tag == (TagTerm(">", 3),)
+    assert fuel.attributes[1].tag == (TagTerm("<", 6),)
+    assert age.attributes[3].tag == ()
 
 
 def test_parse_spec_comments_and_blank_lines():
@@ -87,9 +84,20 @@ def test_round_trip_identity():
 
 
 def test_format_tag_grammar():
-    tag = ConstraintTag((FixedTo(0.0), LessThan(4), GreaterThan(2), TiedTo(7)))
+    tag = (TagTerm("=", 0.0), TagTerm("<", 4), TagTerm(">", 2), TagTerm("~", 7))
     assert format_tag(tag) == "= 0 & < 4 & > 2 & ~ 7"
-    assert format_tag(ConstraintTag()) == ""
+    assert format_tag(()) == ""
+
+
+def test_tag_term_refuses_an_unknown_operator_or_a_reference_that_is_no_int():
+    with pytest.raises(SpecError, match=re.escape("unknown constraint operator '>='")):
+        TagTerm(">=", 3)
+    # A float reference would pass the spec's range check and then fail as
+    # a column index when the constraints are compiled.
+    for op in "<>~":
+        with pytest.raises(SpecError, match=re.escape(f"{op} needs an attribute index, got 2.5")):
+            TagTerm(op, 2.5)
+    assert TagTerm("=", 2.5).operand == 2.5
 
 
 def test_format_tag_round_trips_through_the_parser():
@@ -101,10 +109,10 @@ def test_format_tag_round_trips_through_the_parser():
             kind = int(rng.integers(4))
             if kind == 0:
                 value = values[int(rng.integers(len(values)))] if rng.random() < 0.5 else rng.normal() * 10
-                terms.append(FixedTo(float(value)))
+                terms.append(TagTerm("=", float(value)))
             else:
-                terms.append((GreaterThan, LessThan, TiedTo)[kind - 1](int(rng.integers(1, 10**6))))
-        tag = ConstraintTag(tuple(terms))
+                terms.append(TagTerm("><~"[kind - 1], int(rng.integers(1, 10**6))))
+        tag = tuple(terms)
         assert model._parse_tag(format_tag(tag), "") == tag
 
 
@@ -123,11 +131,53 @@ def test_format_tag_round_trips_through_the_parser():
         (lambda t: t.replace("Gas|Diesel", ""), "at least one label"),
         (lambda t: t.replace("age,4", "pay,4"), "contiguous"),
         (lambda t: t + "pay,9,0-High,interval,0,,,\n", "at least two attributes"),
+        (lambda t: t.replace(",= 0\nage,2", ",= x\nage,2"), "line 2 (age): bad fixed value 'x'"),
+        (lambda t: t.replace("> 3", "> 2.5"), "line 3 (age): bad attribute reference '2.5'"),
+        (
+            lambda t: t.replace("special,-9999999,", "special,,"),
+            "line 2 (age): missing numeric value",
+        ),
+        (
+            lambda t: t.replace("interval,18,30", "interval,eighteen,30"),
+            "line 3 (age): bad numeric value 'eighteen'",
+        ),
+        (lambda t: t.replace("interval,50,,,", "interval,50,,"), "line 5: expected 8 fields"),
+        (lambda t: t.replace("age,4,", ",4,"), "line 5: empty characteristic name"),
+        (lambda t: t.replace("age,4,", "age,four,"), "line 5 (age): bad attribute index 'four'"),
+        (
+            lambda t: t.replace("interval,50,,,", "interval,50,,x,"),
+            "line 5 (age): interval rows must leave categories empty",
+        ),
+        (
+            lambda t: t.replace("category,,,Other", "category,1,,Other"),
+            "line 8 (fuel): category rows must leave lo/hi empty",
+        ),
+        (
+            lambda t: t.replace("noinfo,,,,= 0\nfuel", "noinfo,1,,,= 0\nfuel"),
+            "line 6 (age): noinfo rows must leave lo/hi/categories empty",
+        ),
+        (
+            lambda t: t.replace("special,-9999999,", "special,inf,"),
+            "special attribute 1 ('age') needs a finite value",
+        ),
+        (lambda t: t.splitlines(keepends=True)[0], "spec has no characteristics"),
     ],
 )
 def test_parse_spec_rejects(mangle, message):
-    with pytest.raises(SpecError, match=message):
+    with pytest.raises(SpecError, match=re.escape(message)):
         parse_spec(mangle(SPEC_TEXT))
+
+
+def test_spec_refuses_a_duplicate_name_and_a_category_without_labels():
+    # Rules that no spec file can break: parse_spec groups rows by name,
+    # and drops empty category labels before it checks for one.
+    age, fuel = small_spec().characteristics
+    with pytest.raises(SpecError, match=re.escape("duplicate characteristic name 'age'")):
+        ScorecardSpec((age, Characteristic("age", fuel.attributes)))
+    gas, *rest = fuel.attributes
+    bare = Attribute(gas.att_index, gas.label, CategoryBin(frozenset()), gas.tag)
+    with pytest.raises(SpecError, match=re.escape("category attribute 6 ('fuel') has no labels")):
+        ScorecardSpec((age, Characteristic("fuel", (bare, *rest))))
 
 
 def test_parse_spec_requires_noinfo_and_consecutive_indices():
@@ -205,7 +255,7 @@ def test_build_design_matrix_indicators():
             "age": text_column(["25", "-9999999", "55", None]),
             "fuel": text_column(["Diesel", "Other", "Unknown", "Gas"]),
         },
-    ).validate()
+    )
     dm = build_design_matrix(spec, sample)
     assert dm.n == 4 and dm.q == 9
     assert (dm.x[:, 0] == 1.0).all()
@@ -252,7 +302,7 @@ def test_design_codes_equal_per_cell_binning():
         y=np.ones(len(column)),
         w=w,
         records={"x": text_column(column), "z": text_column(other)},
-    ).validate()
+    )
     dm = build_design_matrix(spec, sample)
     x_atts, z_atts = attribute_columns(dm)
     assert x_atts.tolist() == [bin_one(x, v) for v in column]
@@ -291,13 +341,13 @@ def test_build_design_matrix_checks_record_columns():
 def test_sample_validate_rejects():
     y, w = np.array([1, 0]), np.ones(2)
     with pytest.raises(SpecError, match="only 0 and 1"):
-        Sample(np.array([1, 2]), w, {}).validate()
+        Sample(np.array([1, 2]), w, {})
     with pytest.raises(SpecError, match="nonnegative"):
-        Sample(y, np.array([1.0, -0.5]), {}).validate()
+        Sample(y, np.array([1.0, -0.5]), {})
     with pytest.raises(SpecError, match="positive"):
-        Sample(y, np.zeros(2), {}).validate()
+        Sample(y, np.zeros(2), {})
     with pytest.raises(SpecError, match="wrong length"):
-        Sample(y, w, {"age": text_column(["1"])}).validate()
+        Sample(y, w, {"age": text_column(["1"])})
 
 
 def test_design_scores():
@@ -309,7 +359,7 @@ def test_design_scores():
             "age": text_column(["25", None, "-9999999"]),
             "fuel": text_column(["Gas", "Other", None]),
         },
-    ).validate()
+    )
     dm = build_design_matrix(spec, sample)
     beta = np.arange(spec.q, dtype=float)
     assert np.array_equal(dm.scores(beta), dm.x @ beta)
@@ -410,7 +460,7 @@ def test_design_holds_only_its_runs(fixture_spec):
     for ch in fixture_spec.characteristics:
         values = [None, "junk", *map(str, range(-10, 1000, 37))]
         records[ch.name] = Column(values, rng.integers(0, len(values), n, dtype=np.int32))
-    sample = Sample(np.ones(n), np.ones(n), records).validate()
+    sample = Sample(np.ones(n), np.ones(n), records)
     tracemalloc.start()
     try:
         design = build_design_matrix(fixture_spec, sample)
@@ -538,7 +588,7 @@ def assert_codes_equal_per_value(spec, column):
         y=np.ones(len(column)),
         w=np.ones(len(column)),
         records={ch.name: text_column(column) for ch in spec.characteristics},
-    ).validate()
+    )
     design = build_design_matrix(spec, sample)
     for ch, atts in zip(spec.characteristics, attribute_columns(design)):
         assert atts.tolist() == [bin_one(ch, v) for v in column], ch.name
@@ -554,7 +604,7 @@ def test_vectorized_binning_equals_bin_value(fixture_spec, random_spec_factory, 
             Attribute(2, "NO INFORMATION", NoInformationBin()),
         ),
     )
-    specs = [fixture_spec, parse_spec(PER_CELL_SPEC_TEXT), ScorecardSpec((blank,)).validate()]
+    specs = [fixture_spec, parse_spec(PER_CELL_SPEC_TEXT), ScorecardSpec((blank,))]
     specs += [random_spec_factory(rng) for _ in range(10)]
     for spec in specs:
         assert_codes_equal_per_value(spec, edge_cells(spec) + PER_CELL_CELLS)

@@ -375,7 +375,7 @@ def test_fit_on_design_matrix_with_compiled_constraints(small_spec):
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
     records = {"age": text_column(ages), "fuel": text_column(fuels)}
-    sample = Sample(y=y, w=np.ones(n), records=records).validate()
+    sample = Sample(y=y, w=np.ones(n), records=records)
     dm = build_design_matrix(small_spec, sample)
     cs = compile_constraints(small_spec)
     result = fit(dm, y, sample.w, PenaltySpec(lam=0.5), cs)
@@ -452,7 +452,7 @@ def test_fit_merges_repeated_rows(small_spec, monkeypatch):
     y = (rng.random(n) < 0.6).astype(float)
     w = rng.choice([0.5, 1.0, 2.0], size=n)
     records = {"age": text_column(ages), "fuel": text_column(fuels)}
-    sample = Sample(y=y, w=w, records=records).validate()
+    sample = Sample(y=y, w=w, records=records)
     dm = build_design_matrix(small_spec, sample)
     merged = merged_by_hand(dm, y, w)
     assert merged[0].n < n / 10
@@ -582,7 +582,7 @@ def test_merged_keeps_a_design_without_repeated_rows(small_spec, monkeypatch):
     y = (rng.random(n) < 0.6).astype(float)
     w = rng.uniform(0.1, 2.0, size=n)
     records = {"age": text_column(ages), "fuel": text_column(fuels)}
-    sample = Sample(y=y, w=w, records=records).validate()
+    sample = Sample(y=y, w=w, records=records)
     dm = build_design_matrix(small_spec, sample)
     argsort = np.argsort
     calls = []
