@@ -227,6 +227,7 @@ def _cmd_fit(args) -> int:
     from .model import build_design_matrix, parse_spec, read_text
     from .sqp import FitConfig, PenaltySpec, fit
 
+    pen = PenaltySpec(lam=args.lam)
     spec_text = read_text(args.spec)
     spec = parse_spec(spec_text)
     sample = load_sample(args.data)
@@ -239,7 +240,6 @@ def _cmd_fit(args) -> int:
         init = load_model(args.init_model)
         beta0 = init.beta
     config = FitConfig(tol=args.tol, max_outer_iters=args.max_iters, beta0=beta0)
-    pen = PenaltySpec(lam=args.lam)
 
     result = fit(design, y, w, pen, cs, config)
 
@@ -260,10 +260,10 @@ def _cmd_fit(args) -> int:
         save_model(args.out, ModelFile.from_fit(result, pen, spec_text))
         print(f"wrote model to {args.out}")
     if args.report is not None:
-        from .metrics import score_metrics
+        from .metrics import score_cdfs, score_metrics
         from .report import write_report
 
-        metrics = score_metrics(design.scores(result.beta), y, w)
+        metrics = score_metrics(score_cdfs(design.scores(result.beta), y, w))
         write_report(spec, args.name, result.beta, metrics, args.report)
         print(f"wrote report to {args.report} (csv twin {args.report}.csv)")
     return 0 if result.status == "converged" else 2
@@ -284,8 +284,8 @@ def _cmd_eval(args) -> int:
     del sample  # the design holds the binned columns; keep only y and w
     theta = design.scores(model.beta)
     del design
-    cdfs = score_cdfs(theta, y, w) if args.dump_cdfs is not None else None
-    m = score_metrics(theta, y, w, _cdfs=cdfs)
+    cdfs = score_cdfs(theta, y, w)
+    m = score_metrics(cdfs)
     print(f"divergence {m.divergence:.4f}")
     print(f"minus_ll {m.minus_ll:.4f}")
     print(f"ks {m.ks:.4f}")

@@ -1,11 +1,13 @@
 """Score separation measures: class CDFs, KS, ROC area, divergence.
 
-All measures treat y = 1 as Good and y = 0 as Bad and accept observation
-weights; unit weights reproduce the classic unweighted record-by-record
-cumulative sums exactly.  KS is the largest vertical gap between the Bads
-and Goods empirical CDFs over the ascending-sorted scores, and the ROC area
-is the trapezoidal integral of the Bads CDF against the Goods CDF, which on
-tie-free data equals the Good/Bad pairwise concordance probability.
+`score_cdfs` checks and sorts a score column once, and `score_metrics` reads
+all four measures off its result.  y = 1 is Good and y = 0 is Bad, and
+weights are accepted; unit weights reproduce the classic unweighted
+record-by-record cumulative sums exactly.  KS is the largest vertical gap
+between the Bads and Goods empirical CDFs over the ascending-sorted scores,
+and the ROC area is the trapezoidal integral of the Bads CDF against the
+Goods CDF, which on tie-free data equals the Good/Bad pairwise concordance
+probability.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from .sqp import score_minus_log_likelihood
 __all__ = [
     "MetricsError",
     "ScoreCdfs",
-    "RocStats",
     "ScoreMetrics",
     "ComparisonTable",
     "score_cdfs",
-    "roc",
-    "divergence",
     "score_metrics",
     "compare_scores",
 ]
@@ -37,21 +36,29 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ScoreCdfs:
-    """Ascending-sorted scores with the per-record class CDFs.
-
-    goods_cdf[i] (bads_cdf[i]) is the fraction of total Good (Bad) weight at
-    or below sorted record i; both end at exactly 1.
+    """A checked score column in input order (w all ones where none was given),
+    its ascending-sorted scores, and the per-record class CDFs: goods_cdf[i]
+    (bads_cdf[i]) is the fraction of total Good (Bad) weight at or below
+    sorted record i; both end at exactly 1.
     """
 
+    score: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
     sorted_score: np.ndarray
     goods_cdf: np.ndarray
     bads_cdf: np.ndarray
 
+    @property
+    def ks(self) -> float:
+        """max(FB - FG) over records; never negative, as the last record has FB = FG = 1."""
+        return float(np.max(self.bads_cdf - self.goods_cdf))
 
-@dataclass(frozen=True)
-class RocStats:
-    ks: float
-    roc_area: float
+    @property
+    def roc_area(self) -> float:
+        """Trapezoid of FB against FG; like ks, unchanged by increasing score transforms."""
+        fg, fb = self.goods_cdf, self.bads_cdf
+        return float(0.5 * ((fg[1:] - fg[:-1]) * (fb[1:] + fb[:-1])).sum())
 
 
 @dataclass(frozen=True)
@@ -116,11 +123,12 @@ def _check_scores(
 def score_cdfs(
     score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None
 ) -> ScoreCdfs:
-    """Empirical Goods and Bads CDFs after a stable ascending sort.
+    """The checked column and its Goods and Bads CDFs after a stable ascending sort.
 
     Ties keep their input order (stable sort), so each record contributes its
     own CDF point; with unit weights this is the plain cumulative-count
-    construction.  Raises MetricsError when either class has no weight.
+    construction.  Raises MetricsError on a malformed column and when either
+    class has no weight.
     """
     score, y, w = _check_scores(score, y, w)
     order = np.argsort(score, kind="stable")
@@ -135,26 +143,13 @@ def score_cdfs(
     if not total_good > 0 or not total_bad > 0:
         raise MetricsError("both classes need positive weight for score CDFs")
     return ScoreCdfs(
+        score=score,
+        y=y,
+        w=w,
         sorted_score=score[order],
         goods_cdf=cum_good / total_good,
         bads_cdf=cum_bad / total_bad,
     )
-
-
-def roc(score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None) -> RocStats:
-    """KS = max(FB - FG) over records; ROC area = trapezoid of FB against FG.
-
-    Both are rank statistics, invariant under strictly increasing transforms
-    of the score.  The final record has FB = FG = 1, so ks is never negative.
-    """
-    return _roc_stats(score_cdfs(score, y, w))
-
-
-def _roc_stats(cdfs: ScoreCdfs) -> RocStats:
-    fg, fb = cdfs.goods_cdf, cdfs.bads_cdf
-    ks = float(np.max(fb - fg))
-    area = float(0.5 * ((fg[1:] - fg[:-1]) * (fb[1:] + fb[:-1])).sum())
-    return RocStats(ks=ks, roc_area=area)
 
 
 def _class_moments(score: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
@@ -168,23 +163,10 @@ def _class_moments(score: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
     return mean, float((mass * (centered * centered)).sum() / total)
 
 
-def divergence(
-    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None
-) -> float:
-    """Separation measure (muG - muB)^2 / ((sigmaG^2 + sigmaB^2) / 2).
-
-    Means and variances are weighted per class, and the variances are
-    population (weight-normalized) ones.  One zero class variance is fine;
-    both zero is an error.  The measure is invariant under affine score
-    transforms with nonzero slope.
-    """
-    score, y, w = _check_scores(score, y, w)
-    good_mass = w * y
-    bad_mass = w * (1.0 - y)
-    if not good_mass.sum() > 0 or not bad_mass.sum() > 0:
-        raise MetricsError("both classes need positive weight for divergence")
-    mu_g, var_g = _class_moments(score, good_mass)
-    mu_b, var_b = _class_moments(score, bad_mass)
+def _divergence(score: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """(muG - muB)^2 / ((sigmaG^2 + sigmaB^2) / 2) of a column that score_cdfs checked."""
+    mu_g, var_g = _class_moments(score, w * y)
+    mu_b, var_b = _class_moments(score, w * (1.0 - y))
     pooled = 0.5 * (var_g + var_b)
     if pooled == 0.0:
         raise MetricsError("both class variances are zero; divergence undefined")
@@ -192,20 +174,18 @@ def divergence(
     return float(gap * gap / pooled)
 
 
-def score_metrics(
-    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None, *, _cdfs=None
-) -> ScoreMetrics:
-    """All four comparison measures for one score column.
+def score_metrics(cdfs: ScoreCdfs) -> ScoreMetrics:
+    """All four comparison measures of a column, read off its score_cdfs.
 
-    `_cdfs` is score_cdfs(score, y, w) if the caller has it, so it is not made twice.
+    Divergence uses weighted class means and population variances and is
+    invariant under affine score transforms; one zero class variance is
+    fine, both zero raise MetricsError.
     """
-    score, y, w = _check_scores(score, y, w)
-    stats = roc(score, y, w) if _cdfs is None else _roc_stats(_cdfs)
     return ScoreMetrics(
-        ks=stats.ks,
-        roc_area=stats.roc_area,
-        divergence=divergence(score, y, w),
-        minus_ll=score_minus_log_likelihood(score, y, w),
+        ks=cdfs.ks,
+        roc_area=cdfs.roc_area,
+        divergence=_divergence(cdfs.score, cdfs.y, cdfs.w),
+        minus_ll=score_minus_log_likelihood(cdfs.score, cdfs.y, cdfs.w),
     )
 
 
@@ -221,9 +201,7 @@ def compare_scores(
     """
     if not scores:
         raise MetricsError("compare_scores needs at least one score")
-    rows = []
-    for name, score in scores:
-        rows.append((str(name), score_metrics(score, y, w)))
+    rows = [(str(name), score_metrics(score_cdfs(score, y, w))) for name, score in scores]
     winners = {
         "divergence": max(rows, key=lambda r: r[1].divergence)[0],
         "minus_ll": min(rows, key=lambda r: r[1].minus_ll)[0],

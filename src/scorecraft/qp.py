@@ -585,15 +585,14 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 
 
 def _is_definite(h: np.ndarray) -> bool:
-    """Whether H passes the Cholesky pivot test: every squared pivot above
-    RANK_TOL times its largest diagonal entry."""
+    """Whether H passes the Cholesky pivot test: every squared pivot (the part of
+    its diagonal entry that the earlier columns leave) above RANK_TOL times that
+    entry, so a ridge on the other coefficients does not make the intercept's look zero."""
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
-    return float(np.diag(chol).min(initial=np.inf)) ** 2 > RANK_TOL * float(
-        np.diag(h).max(initial=0.0)
-    )
+    return bool((np.diag(chol) ** 2 > RANK_TOL * np.diag(h)).all())
 
 
 def _warn_if_not_unique(h: np.ndarray, s_act: np.ndarray, definite: bool) -> None:

@@ -59,6 +59,8 @@ __all__ = [
     "fit",
 ]
 
+MAX_LAM = float(np.finfo(float).max) / 2
+
 
 class FitWarning(UserWarning):
     """Non-fatal fitting conditions, e.g. apparent class separation."""
@@ -107,13 +109,17 @@ class PenaltySpec:
 
     The intercept coefficient is exempt: the penalty's Hessian contribution
     is (2 lam/(q-1)) on the diagonal for every coefficient but the first.
+    lam is at most MAX_LAM, the largest value whose double is finite.
     """
 
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.lam < np.inf:
-            raise SpecError(f"penalty weight must be finite and nonnegative, got {self.lam}")
+        if not 0 <= self.lam <= MAX_LAM:
+            raise SpecError(
+                "penalty weight must be finite, nonnegative and at most "
+                f"{MAX_LAM!r}, got {self.lam}"
+            )
 
     def hessian_diag(self, q: int) -> np.ndarray:
         """Diagonal of the penalty's Hessian contribution to the QP."""

@@ -25,6 +25,20 @@ test "$(wc -l < "$out/pinned.err")" -eq 1
 if grep -q 'rows:' "$out/pinned.txt"; then exit 1; fi
 scorecraft compile --spec "$spec" --data "$out/train.csv" --centering weighted
 scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --out "$out/model.json" --report "$out/report.txt"
+# The ridge makes H definite at any lambda: a large one converges with
+# nothing on stderr.
+scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 1e16 --out "$out/stiff.json" > /dev/null 2> "$out/stiff.err"
+cat "$out/stiff.err"
+test ! -s "$out/stiff.err"
+# A lambda whose double overflows is refused with one line before any input
+# is read: no LAPACK message on stdout, and no model.
+code=0
+scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 1e308 --out "$out/huge.json" > "$out/huge.txt" 2> "$out/huge.err" || code=$?
+cat "$out/huge.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/huge.err")" -eq 1
+if grep -q DLASCL "$out/huge.txt"; then exit 1; fi
+test ! -e "$out/huge.json"
 scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --centering weighted --out "$out/centered.json" > "$out/centered.txt"
 cat "$out/centered.txt"
 grep -qx 'status: converged' "$out/centered.txt"

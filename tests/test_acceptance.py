@@ -20,7 +20,7 @@ from scorecraft.constraints import (
     constraint_residuals,
 )
 from scorecraft.data_io import SyntheticConfig, gen_synthetic
-from scorecraft.metrics import roc
+from scorecraft.metrics import score_cdfs
 from scorecraft.model import (
     Attribute,
     Characteristic,
@@ -389,7 +389,7 @@ def test_metrics_match_brute_force_oracles(acceptance):
         for mask in range(1, 2**n - 1):
             y = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
             w = np.ones(n)
-            m = roc(score, y, w)
+            m = score_cdfs(score, y, w)
             worst = max(worst, abs(m.ks - brute_ks(score, y, w)))
             worst = max(worst, abs(m.roc_area - brute_area(score, y, w)))
             checked += 1
@@ -403,14 +403,14 @@ def test_metrics_match_brute_force_oracles(acceptance):
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
         w = rng.uniform(0.1, 4.0, size=n)
-        m = roc(score, y, w)
+        m = score_cdfs(score, y, w)
         worst = max(worst, abs(m.ks - brute_ks(score, y, w)))
         worst = max(worst, abs(m.roc_area - brute_area(score, y, w)))
         checked += 1
     # Full separation pins both measures at 1.
     sep_score = np.arange(10.0)
     sep_y = np.array([0.0] * 5 + [1.0] * 5)
-    sep = roc(sep_score, sep_y, np.ones(10))
+    sep = score_cdfs(sep_score, sep_y, np.ones(10))
     sep_exact = sep.ks == 1.0 and abs(sep.roc_area - 1.0) <= 1e-12
     acceptance(
         "metrics-brute-force",

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -650,6 +651,32 @@ def test_atomic_write_text_writes_through_a_symbolic_link(tmp_path):
     assert not (tmp_path / "nowhere").exists()
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [ValueError("a bad piece"), OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))],
+    ids=["ValueError", "OSError"],
+)
+def test_atomic_write_text_keeps_the_old_file_when_a_piece_fails(tmp_path, fault):
+    # A fault partway through the pieces reaches the caller, leaves the old
+    # file byte-unchanged, creates no new one and removes the temp file; an
+    # OSError names the path written, not the temp file.
+    def pieces():
+        yield "new text\n"
+        raise fault
+
+    old = tmp_path / "old.txt"
+    old.write_bytes(b"old text\n")
+    for path in (old, tmp_path / "new.txt"):
+        with pytest.raises(type(fault)) as raised:
+            atomic_write_text(str(path), pieces())
+        if isinstance(fault, OSError):
+            assert str(raised.value) == f"{path}: {os.strerror(errno.ENOSPC)}"
+        else:
+            assert raised.value is fault
+    assert old.read_bytes() == b"old text\n"
+    assert os.listdir(tmp_path) == ["old.txt"]
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
@@ -990,7 +1017,7 @@ def test_write_report_text_and_csv_twin(tmp_path, small_spec):
     beta = rng.standard_normal(q)
     y = np.array([1.0, 0.0, 1.0, 0.0])
     score = np.array([2.0, 1.0, 3.0, 0.0])
-    metrics = score_metrics(score, y)
+    metrics = score_metrics(score_cdfs(score, y))
     path = tmp_path / "report.txt"
     name = "alpha_model_long"
     write_report(small_spec, name, beta, metrics, str(path))
@@ -1025,7 +1052,9 @@ def test_write_report_validation(tmp_path, small_spec):
     path = str(tmp_path / "report.txt")
     from scorecraft.model import SpecError
 
-    metrics = score_metrics(np.array([2.0, 1.0, 3.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0]))
+    metrics = score_metrics(
+        score_cdfs(np.array([2.0, 1.0, 3.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0]))
+    )
     with pytest.raises(SpecError, match="coefficients"):
         write_report(small_spec, "bad", np.zeros(3), metrics, path)
 
@@ -1574,6 +1603,42 @@ def test_cli_fit_rejects_non_finite_numbers(tmp_path, small_spec_text, capsys, f
     assert message in err
 
 
+@pytest.mark.parametrize("data", ["data.csv", "missing.csv"])
+def test_cli_fit_refuses_a_lambda_whose_double_overflows(tmp_path, small_spec_text, capfd, data):
+    # The penalty's Hessian holds 2 lambda / (q - 1): a lambda whose double is
+    # not finite is refused with one line before any input is read, where it
+    # ended in LAPACK messages on stdout and an SVD failure.
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    (tmp_path / "data.csv").write_text(DATA_TEXT)
+    model = tmp_path / "model.json"
+    argv = ["fit", "--spec", str(spec_path), "--data", str(tmp_path / data), "--out", str(model)]
+    assert main(argv + ["--lambda", "1e308"]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == (
+        "scorecraft fit: error: penalty weight must be finite, nonnegative and at most "
+        "8.988465674311579e+307, got 1e+308\n"
+    )
+    assert "DLASCL" not in captured.out
+    assert not model.exists()
+
+
+def test_cli_fit_at_a_large_lambda_does_not_warn(tmp_path, fixture_spec_text, capsys):
+    # The ridge makes H definite at any lambda > 0: the pivot test compares
+    # each squared Cholesky pivot with its own diagonal entry, so the
+    # unpenalized intercept's pivot is not called zero next to the ridge's.
+    spec_path, data = tmp_path / "spec.csv", tmp_path / "train.csv"
+    spec_path.write_text(fixture_spec_text)
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data),
+        "--seed", "1", "--n-good", "3000", "--n-bad", "1000",
+    ]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", "--spec", str(spec_path), "--data", str(data), "--lambda", "1e16"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("pair", ["abc=1", "3=x", "3", "=1", "1.5=2", "1=inf", "1=-inf", "1=nan"])
 def test_cli_rejects_a_malformed_inweight(tmp_path, small_spec_text, capsys, pair):
     # One line naming the flag and the pair; nothing compiled.
@@ -1702,6 +1767,17 @@ def test_cli_compare_length_mismatch(tmp_path, small_spec_text, capsys):
     code = main(["compare", "--data", str(data_path)])
     assert code == 1
     assert "at least one" in capsys.readouterr().err
+
+
+def test_cli_compare_refuses_a_pair_without_a_path(tmp_path, capsys):
+    # Refused with one line before any input is read: the data file need not exist.
+    code = main(["compare", "--data", str(tmp_path / "missing.csv"), "--model", "nameonly"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "scorecraft compare: error: --model must look like NAME=PATH, got 'nameonly'\n"
+    )
+    assert captured.out == ""
 
 
 def test_cli_eval_model_without_kkt(tmp_path, small_spec_text, capsys):

@@ -4,12 +4,15 @@ import pytest
 from scorecraft.metrics import (
     MetricsError,
     compare_scores,
-    divergence,
-    roc,
     score_cdfs,
     score_metrics,
 )
 from scorecraft.sqp import score_minus_log_likelihood
+
+
+def divergence(score, y, w=None):
+    """The divergence score_metrics reads off the column's score_cdfs."""
+    return score_metrics(score_cdfs(score, y, w)).divergence
 
 
 def test_score_cdfs_hand_case():
@@ -24,7 +27,7 @@ def test_score_cdfs_hand_case():
 def test_roc_hand_case():
     score = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    stats = roc(score, y)
+    stats = score_cdfs(score, y)
     assert stats.ks == pytest.approx(0.5)
     # Concordance by hand: good/bad pairs (2,1) (2,3) (4,1) (4,3) -> 3 of 4.
     assert stats.roc_area == pytest.approx(0.75)
@@ -32,7 +35,7 @@ def test_roc_hand_case():
 
 def test_roc_weighted_hand_case():
     # One good above one bad, arbitrary weights: perfect separation.
-    stats = roc(np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+    stats = score_cdfs(np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([2.0, 3.0]))
     assert stats.ks == pytest.approx(1.0)
     assert stats.roc_area == pytest.approx(1.0)
 
@@ -40,11 +43,11 @@ def test_roc_weighted_hand_case():
 def test_separation_extremes():
     score = np.array([1.0, 2.0, 3.0, 4.0])
     up = np.array([0.0, 0.0, 1.0, 1.0])
-    stats = roc(score, up)
+    stats = score_cdfs(score, up)
     assert stats.ks == pytest.approx(1.0)
     assert stats.roc_area == pytest.approx(1.0)
     # Goods below bads: the one-sided KS gap never goes negative.
-    stats = roc(score, 1.0 - up)
+    stats = score_cdfs(score, 1.0 - up)
     assert stats.ks == 0.0
     assert stats.roc_area == pytest.approx(0.0)
 
@@ -63,7 +66,7 @@ def test_cdfs_end_at_one_and_ks_nonnegative():
         assert cdfs.bads_cdf[-1] == 1.0
         assert (np.diff(cdfs.goods_cdf) >= 0).all()
         assert (np.diff(cdfs.bads_cdf) >= 0).all()
-        assert roc(score, y, w).ks >= 0.0
+        assert cdfs.ks >= 0.0
 
 
 def brute_ks(score, y, w):
@@ -98,7 +101,7 @@ def test_roc_matches_brute_force_on_tie_free_data():
             y[0] = 1.0 - y[0]
         score = rng.permutation(np.arange(n, dtype=float))  # distinct scores
         w = rng.uniform(0.5, 3.0, size=n)
-        stats = roc(score, y, w)
+        stats = score_cdfs(score, y, w)
         assert stats.ks == pytest.approx(brute_ks(score, y, w), abs=1e-12)
         assert stats.roc_area == pytest.approx(brute_area(score, y, w), abs=1e-12)
 
@@ -109,9 +112,9 @@ def test_roc_invariant_under_monotone_transforms():
     y = rng.integers(0, 2, size=30).astype(float)
     y[0], y[1] = 0.0, 1.0
     w = rng.uniform(0.5, 2.0, size=30)
-    base = roc(score, y, w)
+    base = score_cdfs(score, y, w)
     for transformed in (2.0 * score + 3.0, np.exp(score), score**3):
-        stats = roc(transformed, y, w)
+        stats = score_cdfs(transformed, y, w)
         assert stats.ks == base.ks
         assert stats.roc_area == base.roc_area
 
@@ -126,8 +129,8 @@ def test_roc_negation_duality():
             y[0] = 1.0 - y[0]
         score = rng.permutation(np.arange(n, dtype=float))
         w = rng.uniform(0.5, 2.0, size=n)
-        assert roc(-score, y, w).roc_area == pytest.approx(
-            1.0 - roc(score, y, w).roc_area, abs=1e-12
+        assert score_cdfs(-score, y, w).roc_area == pytest.approx(
+            1.0 - score_cdfs(score, y, w).roc_area, abs=1e-12
         )
 
 
@@ -171,8 +174,8 @@ def test_divergence_weighted_matches_replication():
     rep_score = np.array([1.0, 1.0, 4.0, 2.0, 2.0, 2.0, 5.0])
     rep_y = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     assert divergence(score, y, w) == pytest.approx(divergence(rep_score, rep_y))
-    assert roc(score, y, w).roc_area == pytest.approx(roc(rep_score, rep_y).roc_area)
-    assert roc(score, y, w).ks == pytest.approx(roc(rep_score, rep_y).ks)
+    assert score_cdfs(score, y, w).roc_area == pytest.approx(score_cdfs(rep_score, rep_y).roc_area)
+    assert score_cdfs(score, y, w).ks == pytest.approx(score_cdfs(rep_score, rep_y).ks)
 
 
 def test_metric_input_validation():
@@ -181,13 +184,15 @@ def test_metric_input_validation():
         score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(MetricsError, match="equal-length"):
         score_cdfs(np.array([1.0, 2.0, 3.0]), y)
+    with pytest.raises(MetricsError, match="w must match the score length"):
+        score_cdfs(np.array([1.0, 2.0]), y, np.ones(3))
     with pytest.raises(MetricsError, match="finite"):
         score_cdfs(np.array([1.0, np.inf]), y)
     with pytest.raises(MetricsError, match="nonnegative"):
         score_cdfs(np.array([1.0, 2.0]), y, np.array([1.0, -1.0]))
     for bad in (np.inf, np.nan):
         with pytest.raises(MetricsError, match="finite and nonnegative"):
-            score_metrics([0, 1, 2, 3], [0, 1, 0, 1], w=[bad, 1, 1, 1])
+            score_metrics(score_cdfs([0, 1, 2, 3], [0, 1, 0, 1], w=[bad, 1, 1, 1]))
     with pytest.raises(MetricsError, match="both classes"):
         score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(MetricsError, match="both classes"):
@@ -200,11 +205,13 @@ def test_score_metrics_shares_likelihood_definition():
     y = rng.integers(0, 2, size=25).astype(float)
     y[0], y[1] = 0.0, 1.0
     w = rng.uniform(0.5, 2.0, size=25)
-    m = score_metrics(score, y, w)
+    cdfs = score_cdfs(score, y, w)
+    m = score_metrics(cdfs)
     assert m.minus_ll == score_minus_log_likelihood(score, y, w)
-    assert m.ks == roc(score, y, w).ks
-    assert m.roc_area == roc(score, y, w).roc_area
-    assert m.divergence == divergence(score, y, w)
+    assert m.ks == cdfs.ks
+    assert m.roc_area == cdfs.roc_area
+    # The measures read the column as it was given: in input order, uncopied.
+    assert cdfs.score is score and cdfs.y is y and cdfs.w is w
 
 
 def test_elementwise_sums_keep_the_metrics_of_blas_dots():
@@ -224,7 +231,7 @@ def test_elementwise_sums_keep_the_metrics_of_blas_dots():
     (mu_g, var_g), (mu_b, var_b) = moments(w * y), moments(w * (1.0 - y))
     dot_divergence = (mu_g - mu_b) ** 2 / (0.5 * (var_g + var_b))
     dot_minus_ll = w @ (np.logaddexp(0.0, score) - y * score)
-    m = score_metrics(score, y, w)
+    m = score_metrics(score_cdfs(score, y, w))
     assert abs(m.divergence - dot_divergence) <= 1e-12 * dot_divergence
     assert abs(m.minus_ll - dot_minus_ll) <= 1e-12 * dot_minus_ll
 

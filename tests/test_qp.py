@@ -646,6 +646,13 @@ def test_warm_hint_must_cover_the_inequality_rows():
         solve_qp(p, active=np.ones(p.cs.m_i + 1, dtype=bool))
 
 
+def test_pivot_test_compares_each_pivot_with_its_own_diagonal_entry():
+    # A ridge on every coefficient but the intercept makes H definite at any
+    # lambda; the intercept's pivot is small only next to the ridge's.
+    assert qp._is_definite(np.diag([800.0, 1.2e14]))
+    assert not qp._is_definite(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
 def test_singular_h_never_takes_the_direct_kkt_solve(tmp_path, fixture_spec_text, monkeypatch):
     # lam = 0 and no pins leave H singular: each characteristic's columns sum
     # to the intercept's.  An LU solve of such a KKT system passes its

@@ -163,6 +163,11 @@ def test_penalty_spec():
     for lam in (-1.0, np.inf, np.nan):
         with pytest.raises(SpecError, match="nonnegative"):
             PenaltySpec(lam=lam)
+    # The largest lambda whose double, in the Hessian, is finite.
+    top = np.finfo(float).max / 2
+    assert PenaltySpec(lam=top).hessian_diag(2)[1] == np.finfo(float).max
+    with pytest.raises(SpecError, match=r"at most 8\.988465674311579e\+307, got 1e\+308$"):
+        PenaltySpec(lam=1e308)
     with pytest.raises(SpecError, match="q >= 2"):
         PenaltySpec(lam=1.0).hessian_diag(1)
 
