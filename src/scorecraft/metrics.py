@@ -115,6 +115,9 @@ def _check_scores(
             raise MetricsError("w must match the score length")
         if not np.isfinite(w).all() or (w < 0).any():
             raise MetricsError("weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(w.sum()):
+                raise MetricsError("total weight must be finite")
     if not np.isfinite(score).all():
         raise MetricsError("scores must be finite")
     return score, y, w

@@ -309,7 +309,11 @@ class Sample:
             raise SpecError("y must contain only 0 and 1")
         if not np.isfinite(w).all() or (w < 0).any():
             raise SpecError("weights must be finite and nonnegative")
-        if y.shape[0] > 0 and not w.sum() > 0:
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            raise SpecError("total weight must be finite")
+        if y.shape[0] > 0 and not total > 0:
             raise SpecError("total weight must be positive")
         for name, col in self.records.items():
             if len(col) != y.shape[0]:

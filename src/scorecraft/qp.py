@@ -24,8 +24,8 @@ passes the certification a cold solve applies, else the cold solve runs.
 The polish solves each KKT system by one LU solve where H is definite, and
 by iterative refinement on a shifted inverse where it is singular.
 
-"infeasible" comes only with a Farkas vector and "unbounded" only with a
-descent ray, each checked on the problem data.  `iterations` counts NNLS
+"infeasible" comes only with a Farkas vector checked on the problem data;
+a polish that does not settle ends "max_iterations".  `iterations` counts NNLS
 iterations plus the polish rounds that changed the active set (so a warm
 solve counts only the latter, and may report 0); MAX_ITERS caps each NNLS
 solve and the polish.
@@ -64,11 +64,11 @@ DELTA = 1e-10
 # polish uses the same tolerances for violated rows and wrong-sign multipliers.
 KKT_TOL = 1e-9
 ROUNDOFF = 1e-14
-# Eigenvalues and Cholesky pivots of H below RANK_TOL relative count as zero.
+# Squared Cholesky pivots of H below RANK_TOL times their own entry count as zero.
 RANK_TOL = 1e-10
 # A least-distance point needs ||r||^2 = 1 / (1 + ||z||^2) above RQ_MIN and
-# must keep its rows to CERT_TOL relative; Farkas vectors and rays are held
-# to CERT_TOL relative as well.
+# must keep its rows to CERT_TOL relative; Farkas vectors are held to
+# CERT_TOL relative as well.
 RQ_MIN = 1e-14
 CERT_TOL = 1e-9
 # Passive NNLS sets are solved by the normal equations while their Cholesky
@@ -154,9 +154,9 @@ class QpSolution:
     status "optimal" means the KKT residuals passed the tolerance.
     "infeasible" carries a Farkas vector y over the stacked rows C = [Aeq; A]:
     C' y = 0, while y' z > 0 for every z with z = beq on the equality rows
-    and z <= b on the inequality rows.  "unbounded" carries a descent ray d:
-    H d = 0, f' d < 0, and d keeps every constraint.  "max_iterations"
-    returns the best point found with its honest residuals.
+    and z <= b on the inequality rows; it is the only status with a
+    certificate.  "max_iterations" returns the best point found with its
+    honest residuals, also where the polish did not settle.
     """
 
     beta: np.ndarray
@@ -326,9 +326,9 @@ def solve_qp(p: QpProblem, active: Optional[np.ndarray] = None) -> QpSolution:
         if point is None and _max_abs(s.T @ u) <= CERT_TOL * size and t @ u < -CERT_TOL * size:
             note = "constraint system admits a Farkas certificate"
             return finish(centre, no_mult, "infeasible", note, -u / _max_abs(u))
-    limit_note = "iteration limit reached before the active set was certified"
     if limited:
-        return finish(*candidates[0], "max_iterations", limit_note)
+        note = "iteration limit reached before the active set was certified"
+        return finish(*candidates[0], "max_iterations", note)
 
     polished = _polish(
         h, f, s, t, free, free | (v > 0), definite, tol_row, tol_grad, MAX_ITERS - iterations
@@ -341,17 +341,7 @@ def solve_qp(p: QpProblem, active: Optional[np.ndarray] = None) -> QpSolution:
     beta, v = candidates[int(np.argmin(errors))]
     if min(errors) <= 1.0:
         return finish(beta, v, "optimal")
-
-    # A descent ray means "unbounded" only where a feasible point is known.
-    note = "the active-set polish did not settle"
-    if z is not None:
-        ray, used, limited = _descent_ray(p, s, free, MAX_ITERS - iterations)
-        iterations += used
-        if ray is not None:
-            note = "objective admits an unbounded descent ray"
-            return finish(beta, v, "unbounded", note, ray)
-        note = limit_note if limited else note
-    return finish(beta, v, "max_iterations", note)
+    return finish(beta, v, "max_iterations", "the active-set polish did not settle")
 
 
 def _nnls(
@@ -450,35 +440,6 @@ def _ldp(
         if _max_pos(excess) <= CERT_TOL * (_max_abs(h) + _max_abs(g) * _max_abs(z)):
             return z, -gamma * u / r[-1], iterations, limited
     return None, u, iterations, limited
-
-
-def _descent_ray(
-    p: QpProblem, s: np.ndarray, free: np.ndarray, budget: int
-) -> tuple[Optional[np.ndarray], int, bool]:
-    """A checked ray d with H d = 0, f' d < 0 that keeps every constraint.
-
-    The least-distance problem over the recession cone, with f' d <= -1
-    added, has a point exactly when such a ray exists.
-    """
-    vals, vecs = np.linalg.eigh(p.h)
-    basis = vecs[:, vals > RANK_TOL * vals.max(initial=0.0)].T
-    g = np.vstack([basis, s, p.f[None, :]])
-    h = np.concatenate([np.zeros(basis.shape[0] + s.shape[0]), [-1.0]])
-    cone_free = np.concatenate([np.ones(basis.shape[0], bool), free, [False]])
-    d, _, used, limited = _ldp(g, h, cone_free, budget)
-    if d is None:
-        return None, used, limited
-    d = d / _max_abs(d)
-    tol_s = CERT_TOL * (1.0 + _max_abs(s))
-    slope = s @ d
-    if (
-        _max_abs(p.h @ d) <= CERT_TOL * float(np.abs(p.h).sum(axis=1).max())
-        and p.f @ d < -CERT_TOL * (1.0 + _max_abs(p.f))
-        and _max_abs(slope[free]) <= tol_s
-        and _max_pos(slope[~free]) <= tol_s
-    ):
-        return d, used, False
-    return None, used, False
 
 
 def _polish(

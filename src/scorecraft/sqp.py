@@ -76,6 +76,9 @@ def _check_sample(design: DesignMatrix, y: np.ndarray, w: np.ndarray) -> tuple[n
         raise SpecError(f"y and w must have length {n}")
     if not np.isfinite(w).all() or (w < 0).any():
         raise SpecError("weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(w.sum()):
+            raise SpecError("total weight must be finite")
     return y, w
 
 

@@ -39,6 +39,30 @@ test "$code" -eq 1
 test "$(wc -l < "$out/huge.err")" -eq 1
 if grep -q DLASCL "$out/huge.txt"; then exit 1; fi
 test ! -e "$out/huge.json"
+# Weights that are each finite but whose total overflows are refused by fit
+# and eval with one line: no LAPACK message and no nan measure on stdout, and
+# no model.
+python - "$out/train.csv" "$out/overflow.csv" <<'PY'
+import csv, sys
+with open(sys.argv[1], newline="") as src:
+    header, *rows = csv.reader(src)
+w = header.index("w")
+with open(sys.argv[2], "w", newline="") as dst:
+    csv.writer(dst).writerows([header] + [row[:w] + ["1e308"] + row[w + 1 :] for row in rows])
+PY
+for cmd in fit eval; do
+    case $cmd in
+        fit) args=(--spec "$spec" --lambda 0.5 --out "$out/overflow.json") ;;
+        eval) args=(--model "$out/model.json") ;;
+    esac
+    code=0
+    scorecraft "$cmd" --data "$out/overflow.csv" "${args[@]}" > "$out/overflow-$cmd.txt" 2> "$out/overflow-$cmd.err" || code=$?
+    cat "$out/overflow-$cmd.err"
+    test "$code" -eq 1
+    test "$(wc -l < "$out/overflow-$cmd.err")" -eq 1
+    if grep -q -e DLASCL -e nan "$out/overflow-$cmd.txt"; then exit 1; fi
+done
+test ! -e "$out/overflow.json"
 scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --centering weighted --out "$out/centered.json" > "$out/centered.txt"
 cat "$out/centered.txt"
 grep -qx 'status: converged' "$out/centered.txt"

@@ -1115,8 +1115,9 @@ def test_cli_gen_rejects_probs_of_the_wrong_shape(
         ({"fuel": None}, "good_probs lacks characteristic 'fuel'"),
         ({"typo_char": [1.0]}, "good_probs has unknown characteristic 'typo_char'"),
         ({"fuel": [0.5, 0.4, 0.2]}, "good_probs['fuel'] must sum to 1"),
+        ({"fuel": [-0.5, 1.0, 0.5]}, "good_probs['fuel'] has invalid probabilities"),
     ],
-    ids=["wrong-length", "missing-name", "unknown-name", "not-summing-to-1"],
+    ids=["wrong-length", "missing-name", "unknown-name", "not-summing-to-1", "negative"],
 )
 def test_cli_gen_names_the_probs_file_in_content_errors(
     tmp_path, small_spec_text, capsys, payload, fault
@@ -1639,6 +1640,36 @@ def test_cli_fit_at_a_large_lambda_does_not_warn(tmp_path, fixture_spec_text, ca
     assert capsys.readouterr().err == ""
 
 
+def test_cli_refuses_weights_whose_total_overflows(tmp_path, fixture_spec_text, capfd):
+    # Every weight is 1e308: each is finite, their total is not.  fit and
+    # eval refuse the file with one line naming it, where fit ended in LAPACK
+    # messages on stdout and eval printed nan measures.
+    spec_path, data, huge = tmp_path / "spec.csv", tmp_path / "train.csv", tmp_path / "huge.csv"
+    spec_path.write_text(fixture_spec_text)
+    model, refused = tmp_path / "model.json", tmp_path / "refused.json"
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data),
+        "--seed", "1", "--n-good", "3000", "--n-bad", "1000",
+    ]) == 0
+    assert main([
+        "fit", "--spec", str(spec_path), "--data", str(data), "--lambda", "0.5", "--out", str(model),
+    ]) == 0
+    with open(data, newline="") as src, open(huge, "w", newline="") as dst:
+        header, *rows = csv.reader(src)
+        col = header.index("w")
+        csv.writer(dst).writerows([header] + [r[:col] + ["1e308"] + r[col + 1 :] for r in rows])
+    capfd.readouterr()
+    for command, argv in [
+        ("fit", ["--spec", str(spec_path), "--lambda", "0.5", "--out", str(refused)]),
+        ("eval", ["--model", str(model)]),
+    ]:
+        assert main([command, "--data", str(huge)] + argv) == 1
+        captured = capfd.readouterr()
+        assert captured.err == f"scorecraft {command}: error: {huge}: total weight must be finite\n"
+        assert captured.out == ""
+    assert not refused.exists()
+
+
 @pytest.mark.parametrize("pair", ["abc=1", "3=x", "3", "=1", "1.5=2", "1=inf", "1=-inf", "1=nan"])
 def test_cli_rejects_a_malformed_inweight(tmp_path, small_spec_text, capsys, pair):
     # One line naming the flag and the pair; nothing compiled.
@@ -2062,6 +2093,11 @@ def test_cli_usage_and_environment_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SCORECRAFT_THREADS", "zero")
     assert main(["compile", "--spec", "x"]) == 1
     assert "SCORECRAFT_THREADS" in capsys.readouterr().err
+    monkeypatch.setenv("SCORECRAFT_THREADS", "0")
+    assert main(["compile", "--spec", "x"]) == 1
+    assert capsys.readouterr().err == (
+        "scorecraft: error: SCORECRAFT_THREADS must be a positive integer, got '0'\n"
+    )
 
 
 def test_cli_thread_cap_sets_env(monkeypatch):

@@ -193,6 +193,8 @@ def test_metric_input_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(MetricsError, match="finite and nonnegative"):
             score_metrics(score_cdfs([0, 1, 2, 3], [0, 1, 0, 1], w=[bad, 1, 1, 1]))
+    with pytest.raises(MetricsError, match="^total weight must be finite$"):
+        score_cdfs(np.arange(4.0), np.array([0, 1, 0, 1.0]), np.full(4, 1e308))
     with pytest.raises(MetricsError, match="both classes"):
         score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(MetricsError, match="both classes"):

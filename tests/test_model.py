@@ -340,12 +340,17 @@ def test_build_design_matrix_checks_record_columns():
 
 def test_sample_validate_rejects():
     y, w = np.array([1, 0]), np.ones(2)
+    with pytest.raises(SpecError, match="^y and w must be equal-length vectors$"):
+        Sample(np.zeros((2, 2)), w, {})
     with pytest.raises(SpecError, match="only 0 and 1"):
         Sample(np.array([1, 2]), w, {})
     with pytest.raises(SpecError, match="nonnegative"):
         Sample(y, np.array([1.0, -0.5]), {})
     with pytest.raises(SpecError, match="positive"):
         Sample(y, np.zeros(2), {})
+    # Each weight is finite, their total is not.
+    with pytest.raises(SpecError, match="^total weight must be finite$"):
+        Sample(np.array([1, 0, 1, 0]), np.full(4, 1e308), {})
     with pytest.raises(SpecError, match="wrong length"):
         Sample(y, w, {"age": text_column(["1"])})
 

@@ -176,30 +176,16 @@ def test_rank_deficient_unconstrained_warns():
     assert sol.beta == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
-def test_unbounded_unconstrained():
-    h = np.array([[1.0, 0.0], [0.0, 0.0]])
-    p = QpProblem(h=h, f=np.array([0.0, -1.0]), cs=cs_of(2))
-    sol = solve_qp(p)
-    assert sol.status == "unbounded"
-    ray = sol.certificate
-    assert ray is not None
-    assert np.abs(h @ ray).max() <= 1e-10
-    assert p.f @ ray < 0
-
-
-def test_unbounded_with_constraints():
+@pytest.mark.parametrize(
+    "cs", [cs_of(2), cs_of(2, a=[[1.0, 0.0]], b=[1.0])], ids=["unconstrained", "with_constraints"]
+)
+def test_unbounded_problems_end_max_iterations(cs):
     # x2 is free and enters the objective linearly; x1 <= 1 does not help.
+    # The polish cannot settle, and no certificate is claimed.
     h = np.array([[1.0, 0.0], [0.0, 0.0]])
-    p = QpProblem(
-        h=h, f=np.array([0.0, -1.0]), cs=cs_of(2, a=[[1.0, 0.0]], b=[1.0])
-    )
-    sol = solve_qp(p)
-    assert sol.status == "unbounded"
-    ray = sol.certificate
-    assert ray is not None
-    assert np.abs(h @ ray).max() <= 1e-6
-    assert p.f @ ray < 0
-    assert (p.cs.a @ ray <= 1e-6).all()
+    sol = solve_qp(QpProblem(h=h, f=np.array([0.0, -1.0]), cs=cs))
+    assert sol.status == "max_iterations"
+    assert sol.certificate is None
 
 
 def test_infeasible_equalities():
@@ -377,17 +363,6 @@ def assert_farkas(p, y):
     assert floor > 1e-8 * np.abs(y).max()
 
 
-def assert_ray(p, d):
-    # H d = 0, f'd < 0, and d keeps every constraint.
-    c, lo, up = stacked_rows(p)
-    scale = np.abs(d).max()
-    assert np.abs(p.h @ d).max() <= 1e-7 * scale * (1.0 + np.abs(p.h).max())
-    assert p.f @ d < 0
-    cd = c @ d
-    assert (cd[np.isfinite(up)] <= 1e-8 * scale).all()
-    assert (cd[np.isfinite(lo)] >= -1e-8 * scale).all()
-
-
 def psd_of_rank(rng, q, rank):
     r = rng.standard_normal((rank, q))
     return r.T @ r
@@ -438,17 +413,28 @@ def solve_and_check(p):
         # roundoff of forming H beta.
         size = np.abs(p.h).max() * max(1.0, np.abs(sol.beta).max())
         assert kkt.max() <= 1e-8 * (1.0 + np.abs(p.f).max() + size)
-    elif sol.status == "unbounded":
-        assert_ray(p, sol.certificate)
     return sol.status
 
 
 def test_feasible_problems_are_never_called_infeasible():
     rng = np.random.default_rng(20240825)
     statuses = [solve_and_check(p) for p in feasible_sweep(rng, 6)]
-    # The sweep reaches both outcomes and settles nearly every problem.
+    # Some of these objectives fall without bound on the rows.
     assert statuses.count("optimal") > len(statuses) // 2
-    assert "unbounded" in statuses
+
+
+def bounded_below(rng, p):
+    """p with f = H z - A' nu + Aeq' mu and nu >= 0: on the rows the objective
+    is then at least -z' H z / 2 - nu' b + mu' beq, so it is bounded below."""
+    z = rng.standard_normal(p.q)
+    nu = rng.uniform(0.0, 1.0, p.cs.m_i)
+    mu = rng.standard_normal(p.cs.m_e)
+    return QpProblem(h=p.h, f=p.h @ z - p.cs.a.T @ nu + p.cs.aeq.T @ mu, cs=p.cs)
+
+
+def test_problems_bounded_below_settle():
+    rng = np.random.default_rng(20240825)
+    statuses = [solve_and_check(bounded_below(rng, p)) for p in feasible_sweep(rng, 6)]
     assert statuses.count("max_iterations") <= len(statuses) // 20
 
 

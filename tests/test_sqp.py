@@ -364,6 +364,8 @@ def test_fit_validates_shapes():
         fit(x, y, w, PenaltySpec(), ConstraintSet.empty(4))
     with pytest.raises(SpecError, match="length 50"):
         fit(x, y[:-1], w[:-1], PenaltySpec(), ConstraintSet.empty(3))
+    with pytest.raises(SpecError, match="^total weight must be finite$"):
+        fit(x, y, np.full(50, 1e308), PenaltySpec(lam=0.5), ConstraintSet.empty(3))
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(SpecError, match="tol"):
             FitConfig(tol=tol)
