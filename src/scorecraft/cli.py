@@ -235,10 +235,7 @@ def _cmd_fit(args) -> int:
     cs = _compiled(args, spec, sample, design)
     y, w = sample.y, sample.w
     del sample  # the design holds the binned columns; keep only y and w
-    beta0 = None
-    if args.init_model is not None:
-        init = load_model(args.init_model)
-        beta0 = init.beta
+    beta0 = None if args.init_model is None else load_model(args.init_model).fit.beta
     config = FitConfig(tol=args.tol, max_outer_iters=args.max_iters, beta0=beta0)
 
     result = fit(design, y, w, pen, cs, config)
@@ -257,7 +254,7 @@ def _cmd_fit(args) -> int:
     )
 
     if args.out is not None:
-        save_model(args.out, ModelFile.from_fit(result, pen, spec_text))
+        save_model(args.out, ModelFile(result, pen.lam, spec_text))
         print(f"wrote model to {args.out}")
     if args.report is not None:
         from .metrics import score_cdfs, score_metrics
@@ -282,7 +279,7 @@ def _cmd_eval(args) -> int:
     design = build_design_matrix(model.spec, sample)
     y, w = sample.y, sample.w
     del sample  # the design holds the binned columns; keep only y and w
-    theta = design.scores(model.beta)
+    theta = design.scores(model.fit.beta)
     del design
     cdfs = score_cdfs(theta, y, w)
     m = score_metrics(cdfs)
@@ -323,7 +320,7 @@ def _cmd_compare(args) -> int:
     models = [(name, load_model(path)) for name, path in _parse_pairs(args.model, "--model")]
     sample = load_sample(args.data)
     scores = [
-        (name, build_design_matrix(model.spec, sample).scores(model.beta))
+        (name, build_design_matrix(model.spec, sample).scores(model.fit.beta))
         for name, model in models
     ]
     for name, path in _parse_pairs(args.score, "--score"):

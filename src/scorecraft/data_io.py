@@ -779,33 +779,11 @@ def gen_synthetic(cfg: SyntheticConfig, path: Optional[str] = None) -> Sample:
 
 @dataclass(frozen=True, eq=False)
 class ModelFile:
-    """A fitted model as persisted: coefficients plus fit provenance."""
+    """A fitted model as persisted: the fit's own record, its penalty weight and its spec."""
 
-    beta: np.ndarray
+    fit: FitResult
     lam: float
-    status: str
-    trajectory: tuple[IterationRecord, ...]
-    kkt: KktResiduals
-    residuals: ConstraintResiduals
-    minus_ll: float
     spec_text: str
-    note: str = ""
-
-    @classmethod
-    def from_fit(
-        cls, result: FitResult, pen: PenaltySpec, spec_text: str
-    ) -> "ModelFile":
-        return cls(
-            beta=np.asarray(result.beta, dtype=float),
-            lam=pen.lam,
-            status=result.status,
-            trajectory=result.trajectory,
-            kkt=result.kkt,
-            residuals=result.residuals,
-            minus_ll=result.minus_ll,
-            spec_text=spec_text,
-            note=result.note,
-        )
 
     @cached_property
     def spec(self) -> ScorecardSpec:
@@ -818,15 +796,15 @@ def save_model(path: str, model: ModelFile) -> None:
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "q": int(model.beta.shape[0]),
+        "q": int(model.fit.beta.shape[0]),
         "lam": model.lam,
-        "status": model.status,
-        "minus_ll": model.minus_ll,
-        "note": model.note,
-        "beta": [float(v) for v in model.beta],
-        "trajectory": [asdict(rec) for rec in model.trajectory],
-        "kkt": asdict(model.kkt),
-        "residuals": asdict(model.residuals),
+        "status": model.fit.status,
+        "minus_ll": model.fit.minus_ll,
+        "note": model.fit.note,
+        "beta": [float(v) for v in model.fit.beta],
+        "trajectory": [asdict(rec) for rec in model.fit.trajectory],
+        "kkt": asdict(model.fit.kkt),
+        "residuals": asdict(model.fit.residuals),
         "spec_sha256": hashlib.sha256(model.spec_text.encode("utf-8")).hexdigest(),
         "spec_text": model.spec_text,
     }
@@ -878,7 +856,7 @@ def _read_json(path: str) -> dict:
 
 
 def load_model(path: str) -> ModelFile:
-    """Read a model JSON; check format, version, key types, spec hash and beta (finite, q long)."""
+    """Read a model JSON; check format, version, key types, spec hash, beta, lam and status."""
     payload = _read_json(path)
     read = payload.read
     beta = read("beta", _floats)
@@ -889,19 +867,28 @@ def load_model(path: str) -> ModelFile:
     spec_text = read("spec_text", _text)
     if hashlib.sha256(spec_text.encode("utf-8")).hexdigest() != read("spec_sha256", _text):
         raise DataError(f"{path}: spec text does not match its stored hash")
-    model = ModelFile(
+    status = payload["status"]
+    if status not in ("converged", "max_iterations"):
+        raise DataError(f"{path}: key 'status' is {status!r}, not 'converged' or 'max_iterations'")
+    minus_ll = read("minus_ll", float)
+    try:
+        pen = PenaltySpec(read("lam", float))
+        objective = minus_ll + pen.value(beta)
+    except SpecError as exc:
+        raise DataError(f"{path}: key 'lam': {exc}") from None
+    fit = FitResult(
         beta=beta,
-        lam=read("lam", float),
-        status=str(payload["status"]),
         trajectory=read(
             "trajectory", lambda recs: tuple(map(partial(_fields, IterationRecord), recs))
         ),
+        status=status,
+        minus_ll=minus_ll,
+        objective=objective,
         kkt=read("kkt", partial(_fields, KktResiduals)),
         residuals=read("residuals", partial(_fields, ConstraintResiduals)),
-        minus_ll=read("minus_ll", float),
-        spec_text=spec_text,
         note=str(payload.get("note", "")),
     )
+    model = ModelFile(fit, pen.lam, spec_text)
     try:
         q = model.spec.q
     except SpecError as exc:

@@ -30,6 +30,7 @@ its penalized gradient with the last step's multipliers.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -182,7 +183,6 @@ class FitResult:
     beta: np.ndarray
     trajectory: tuple[IterationRecord, ...]
     status: str
-    initial_minus_ll: float
     minus_ll: float
     objective: float
     kkt: KktResiduals
@@ -323,8 +323,10 @@ def fit(
 ) -> FitResult:
     """Run the sequential QP loop until max|delta beta| <= tol.
 
-    Rows with equal attributes and y are merged by summing w first
-    (`design.merged`).  Each
+    w and lam are scaled by the power of two 2^s that puts max w in [1, 2),
+    which changes no rounding, so beta does not depend on the weights'
+    scale; what carries weight is scaled back on exit.  Rows with equal
+    attributes and y are merged by summing w (`design.merged`).  Each
     iteration takes a full constrained Newton step from the current beta;
     the trajectory records the step size and minus log likelihood per
     iteration.  Each iterate is evaluated once, with its Hessian only where
@@ -337,11 +339,20 @@ def fit(
     q = design.q
     if cs.q != q:
         raise SpecError(f"constraint set is over {cs.q} coefficients, design over {q}")
-    design, y, w = design.merged(y, w)
+    s = 1 - int(np.frexp(w.max(initial=0.0))[1])
+    try:
+        pen = PenaltySpec(math.ldexp(pen.lam, s))
+    except (OverflowError, SpecError):
+        raise SpecError(
+            f"--lambda {pen.lam!r} is too large for weights whose largest is {float(w.max())!r}"
+        ) from None
+    design, y, w = design.merged(y, np.ldexp(w, s))
+
+    def unscaled(value: float) -> float:
+        return float(np.ldexp(value, -s))
 
     beta = initial_beta(q, y, w, config.beta0)
     terms = logistic_terms(design, y, w, beta)
-    initial_ll = terms.minus_ll
     trajectory: list[IterationRecord] = []
     status = "max_iterations"
     note = ""
@@ -357,7 +368,9 @@ def fit(
         last = delta <= config.tol or iteration == config.max_outer_iters
         terms = logistic_terms(design, y, w, beta, hessian=not last)
         trajectory.append(
-            IterationRecord(iteration=iteration, max_delta=delta, minus_ll=terms.minus_ll)
+            IterationRecord(
+                iteration=iteration, max_delta=delta, minus_ll=unscaled(terms.minus_ll)
+            )
         )
         # Scores beyond 30 put fitted probabilities within ~1e-13 of 0 or 1;
         # combined with steps still far above tol that is the separation
@@ -384,10 +397,10 @@ def fit(
     assert solution is not None
     gradient = terms.grad + pen.hessian_diag(q) * beta
     kkt = kkt_residuals(
-        QpProblem(h=np.zeros((q, q)), f=gradient, cs=cs),
+        QpProblem(h=np.zeros((q, q)), f=np.ldexp(gradient, -s), cs=cs),
         beta,
-        solution.eq_multipliers,
-        solution.ineq_multipliers,
+        np.ldexp(solution.eq_multipliers, -s),
+        np.ldexp(solution.ineq_multipliers, -s),
     )
     if status == "converged" and max(residuals.eq_residual, residuals.ineq_violation) > 1e-8:
         status = "max_iterations"
@@ -398,9 +411,8 @@ def fit(
         beta=beta,
         trajectory=tuple(trajectory),
         status=status,
-        initial_minus_ll=initial_ll,
-        minus_ll=terms.minus_ll,
-        objective=terms.minus_ll + pen.value(beta),
+        minus_ll=unscaled(terms.minus_ll),
+        objective=unscaled(terms.minus_ll + pen.value(beta)),
         kkt=kkt,
         residuals=residuals,
         note=note,

@@ -150,6 +150,39 @@ test "$code" -eq 1
 test "$(wc -l < "$out/nan.err")" -eq 1
 grep -qF "$out/nan.json" "$out/nan.err"
 if grep -q '^divergence' "$out/nan.txt"; then exit 1; fi
+# A model whose lam no fit could have written (here -1) is refused at load
+# with one line naming it, and nothing is scored.
+python - "$out/model.json" "$out/lam.json" <<'PY'
+import json, sys
+with open(sys.argv[1], encoding="utf-8") as src:
+    payload = json.load(src)
+payload["lam"] = -1
+with open(sys.argv[2], "w", encoding="utf-8") as dst:
+    json.dump(payload, dst)
+PY
+code=0
+scorecraft eval --model "$out/lam.json" --data "$out/train.csv" > "$out/lam.txt" 2> "$out/lam.err" || code=$?
+cat "$out/lam.err"
+test "$code" -eq 1
+test "$(wc -l < "$out/lam.err")" -eq 1
+grep -qF "$out/lam.json" "$out/lam.err"
+if grep -q '^divergence' "$out/lam.txt"; then exit 1; fi
+# Weights and lambda scaled together by 2^20 fit the same coefficients,
+# element for element, as the unit weights at lambda 0.5.
+python - "$out/train.csv" "$out/scaled.csv" <<'PY'
+import csv, sys
+with open(sys.argv[1], newline="") as src:
+    header, *rows = csv.reader(src)
+w = header.index("w")
+with open(sys.argv[2], "w", newline="") as dst:
+    csv.writer(dst).writerows([header] + [row[:w] + ["1048576"] + row[w + 1 :] for row in rows])
+PY
+scorecraft fit --spec "$spec" --data "$out/scaled.csv" --lambda 524288 --out "$out/scaled.json" > /dev/null
+python - "$out/model.json" "$out/scaled.json" <<'PY'
+import json, sys
+unit, scaled = (json.load(open(p, encoding="utf-8"))["beta"] for p in sys.argv[1:])
+assert scaled == unit, max(abs(a - b) for a, b in zip(unit, scaled))
+PY
 # A --probs file that is not JSON is refused with one line naming it.
 printf '{"char170": ' > "$out/cut-probs.json"
 code=0

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from scorecraft.cli import main
+from scorecraft.cli import _default_probs, main
 from scorecraft.constraints import (
     CenteringPolicy,
     ConstraintSet,
@@ -20,7 +20,7 @@ from scorecraft.constraints import (
     constraint_residuals,
 )
 from scorecraft.data_io import SyntheticConfig, gen_synthetic
-from scorecraft.metrics import score_cdfs
+from scorecraft.metrics import score_cdfs, score_metrics
 from scorecraft.model import (
     Attribute,
     Characteristic,
@@ -637,4 +637,47 @@ def test_bundled_gen_fit_matches_paper_iterations(acceptance, tmp_path, fixture_
         gen == 0 and fitted == 0 and payload["status"] == "converged" and iterations <= 4,
         f"bundled spec, gen seed 1, 4000 rows, lambda 0.5: {payload['status']} in "
         f"{iterations} outer iterations (paper: 4)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 12. A common power-of-two scale of the weights, with lambda, changes no
+#     fitted coefficient and no measure: beta, status, iterations, KS, ROC
+#     area and divergence are bitwise those of the unscaled sample.
+
+
+def test_weight_scale_leaves_fit_and_measures_unchanged(acceptance, fixture_spec):
+    good, bad = _default_probs(fixture_spec)
+    sample = gen_synthetic(SyntheticConfig(
+        seed=1, n_good=3000, n_bad=1000, spec=fixture_spec, good_probs=good, bad_probs=bad,
+    ))
+    design = build_design_matrix(fixture_spec, sample)
+    cs = compile_constraints(fixture_spec)
+    runs = {}
+    for k in (0, -1000, -20, 20, 900):
+        w = np.ldexp(sample.w, k)
+        result = fit(design, sample.y, w, PenaltySpec(math.ldexp(0.5, k)), cs)
+        cdfs = score_cdfs(design.scores(result.beta), sample.y, w)
+        runs[k] = result, (cdfs.ks, cdfs.roc_area, score_metrics(cdfs).divergence)
+    base, measures = runs[0]
+    gaps = []
+    for k, (result, scaled_measures) in runs.items():
+        mll = [r.minus_ll for r in result.trajectory] + [result.minus_ll]
+        base_mll = [math.ldexp(r.minus_ll, k) for r in base.trajectory] + [
+            math.ldexp(base.minus_ll, k)
+        ]
+        gaps.append((
+            float(np.abs(result.beta - base.beta).max()),
+            result.status != base.status or result.iterations != base.iterations,
+            mll != base_mll,
+            scaled_measures != measures,
+        ))
+    acceptance(
+        "weight-scale",
+        base.status == "converged" and not any(any(gap) for gap in gaps),
+        f"bundled spec, gen seed 1, 4000 rows, (w, lambda 0.5) x 2^k for k in "
+        f"{sorted(runs)}: max |beta gap| {max(g[0] for g in gaps):.1e}, "
+        f"{sum(g[1] for g in gaps)} status/iteration changes ({base.iterations} iterations), "
+        f"{sum(g[2] for g in gaps)} minus_ll off 2^k, "
+        f"{sum(g[3] for g in gaps)} KS/ROC/divergence changes",
     )

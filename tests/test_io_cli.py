@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import hashlib
 import json
@@ -916,24 +917,23 @@ def fitted_model(small_spec, tmp_path):
 
 def test_model_save_load_round_trip(tmp_path, small_spec, small_spec_text):
     result, pen, _, _ = fitted_model(small_spec, tmp_path)
-    model = ModelFile.from_fit(result, pen, small_spec_text)
     path = tmp_path / "model.json"
-    save_model(str(path), model)
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     loaded = load_model(str(path))
-    assert np.array_equal(loaded.beta, model.beta)  # repr round trip is exact
+    # Every field of the fit's record round-trips bitwise (repr is exact),
+    # the objective, which the file does not hold, included.
+    for field in dataclasses.fields(result):
+        a, b = getattr(loaded.fit, field.name), getattr(result, field.name)
+        assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b, field.name
     assert loaded.lam == pen.lam
-    assert loaded.status == "converged"
-    assert loaded.trajectory == model.trajectory
-    assert loaded.kkt == model.kkt
-    assert loaded.residuals == model.residuals
-    assert loaded.minus_ll == model.minus_ll
+    assert loaded.spec_text == small_spec_text
     assert loaded.spec == small_spec
 
 
 def test_model_file_corruption_checks(tmp_path, small_spec, small_spec_text):
     result, pen, _, _ = fitted_model(small_spec, tmp_path)
     path = tmp_path / "model.json"
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
 
     payload = json.loads(path.read_text())
     payload["spec_text"] = payload["spec_text"].replace("age", "wage")
@@ -942,7 +942,7 @@ def test_model_file_corruption_checks(tmp_path, small_spec, small_spec_text):
         load_model(str(path))
 
     # Rebuild a clean copy, then bump the version.
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     payload = json.loads(path.read_text())
     payload["version"] = 99
     path.write_text(json.dumps(payload))
@@ -950,7 +950,7 @@ def test_model_file_corruption_checks(tmp_path, small_spec, small_spec_text):
         load_model(str(path))
 
     # A clean copy whose q alone is edited.
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     payload = json.loads(path.read_text())
     payload["q"] += 1
     path.write_text(json.dumps(payload))
@@ -969,7 +969,7 @@ def test_model_without_spec_text(tmp_path, small_spec, small_spec_text):
     # A model file must carry its spec: a null spec_text fails at load.
     result, pen, _, _ = fitted_model(small_spec, tmp_path)
     path = tmp_path / "bare.json"
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     payload = json.loads(path.read_text())
     payload["spec_text"] = None
     path.write_text(json.dumps(payload))
@@ -1191,7 +1191,7 @@ def test_cli_end_to_end(tmp_path, small_spec, small_spec_text, capsys):
     # Compare the model against a saved score column of itself.
     model = load_model(str(model_path))
     sample = load_sample(str(data_path))
-    theta = build_design_matrix(small_spec, sample).scores(model.beta)
+    theta = build_design_matrix(small_spec, sample).scores(model.fit.beta)
     score_path = tmp_path / "score.csv"
     score_path.write_text("score\n" + "".join(f"{v!r}\n" for v in theta.tolist()))
     code = main([
@@ -1247,7 +1247,7 @@ def test_cli_eval_dump_cdfs(tmp_path, small_spec, small_spec_text, capsys):
     capsys.readouterr()
     model = load_model(str(model_path))
     sample = load_sample(str(data_path))
-    theta = build_design_matrix(model.spec, sample).scores(model.beta)
+    theta = build_design_matrix(model.spec, sample).scores(model.fit.beta)
     text = dump_path.read_text()
     assert text == per_row_cdf_dump(score_cdfs(theta, sample.y, sample.w))
     lines = text.splitlines()
@@ -1397,7 +1397,7 @@ def test_cli_writes_an_output_through_a_symbolic_link(
         assert not (tmp_path / "nowhere").exists()
     else:
         assert code == 0
-        assert load_model(target).beta.shape == (9,)
+        assert load_model(target).fit.beta.shape == (9,)
         assert sorted(os.listdir("models")) == sorted({"v3.json", os.path.basename(target)})
 
 
@@ -1410,7 +1410,7 @@ def test_cli_refuses_a_model_with_a_non_finite_beta(
     # one line naming the model file.
     result, pen, _, data_path = fitted_model(small_spec, tmp_path)
     path = tmp_path / "model.json"
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     payload = json.loads(path.read_text())
     payload["beta"][3] = value
     path.write_text(json.dumps(payload))
@@ -1847,7 +1847,7 @@ def test_cli_rejects_a_key_of_the_wrong_type(
 ):
     result, pen, _, data_path = fitted_model(small_spec, tmp_path)
     path = tmp_path / "model.json"
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     argv = ["eval", "--model", str(path), "--data", str(data_path)]
     payload = json.loads(path.read_text())
     payload[key] = value
@@ -1859,6 +1859,39 @@ def test_cli_rejects_a_key_of_the_wrong_type(
     assert f"{path}: key {key!r} has a value of the wrong type" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "compare", "fit --init-model"])
+@pytest.mark.parametrize(
+    "key,text",
+    [("lam", "-1"), ("lam", "NaN"), ("lam", "1e309"), ("status", "12")],
+    ids=["lam-negative", "lam-NaN", "lam-overflow", "status-12"],
+)
+def test_cli_refuses_a_lam_or_status_that_fit_could_not_have_written(
+    tmp_path, small_spec, small_spec_text, capsys, command, key, text
+):
+    # `json` reads NaN, and 1e309 as inf; each of these fails at load with
+    # one line naming the model file and the key.
+    result, pen, _, data_path = fitted_model(small_spec, tmp_path)
+    path = tmp_path / "model.json"
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
+    payload = json.loads(path.read_text())
+    payload[key] = "@"
+    path.write_text(json.dumps(payload).replace('"@"', text))
+    spec_path = write_small_spec(tmp_path, small_spec_text)
+    argv = {
+        "eval": ["eval", "--model", str(path), "--data", str(data_path)],
+        "compare": ["compare", "--data", str(data_path), "--model", f"m={path}"],
+        "fit --init-model": [
+            "fit", "--spec", str(spec_path), "--data", str(data_path), "--init-model", str(path),
+        ],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"scorecraft {argv[0]}: error: {path}: key {key!r}")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["eval", "compare"])
 @pytest.mark.parametrize("q", [5, 12], ids=["short", "long"])
 def test_cli_checks_beta_against_the_model_spec_before_reading_data(
@@ -1868,7 +1901,7 @@ def test_cli_checks_beta_against_the_model_spec_before_reading_data(
     # with one line naming the model file, before the data file is read.
     result, pen, _, data_path = fitted_model(small_spec, tmp_path)
     path = tmp_path / "model.json"
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     payload = json.loads(path.read_text())
     payload["beta"] = (payload["beta"] + [0.5] * q)[:q]
     payload["q"] = q
@@ -1896,7 +1929,7 @@ def test_cli_names_a_model_whose_embedded_spec_does_not_parse(
     # with one line naming the model file, and no data is read or scored.
     result, pen, _, data_path = fitted_model(small_spec, tmp_path)
     path = tmp_path / "model.json"
-    save_model(str(path), ModelFile.from_fit(result, pen, small_spec_text))
+    save_model(str(path), ModelFile(result, pen.lam, small_spec_text))
     payload = json.loads(path.read_text())
     text = payload["spec_text"].replace("char,att,label", "chr,att,label", 1)
     payload["spec_text"] = text

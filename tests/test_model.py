@@ -8,7 +8,7 @@ import pytest
 
 from scorecraft import model
 from scorecraft.constraints import CenteringPolicy
-from scorecraft.data_io import load_sample
+from scorecraft.data_io import load_sample, representatives
 from dense_design import DenseDesign, attribute_columns
 from scorecraft.model import (
     Attribute,
@@ -213,9 +213,22 @@ def test_bin_value_small_spec():
     assert bin_value(fuel, None) == 8
 
 
+def test_bin_value_reads_an_object_that_is_no_number_as_its_text():
+    class Label:
+        def __str__(self):
+            return "Gas"
+
+    assert bin_value(characteristic(small_spec(), "fuel"), Label()) == 6
+
+
 def inline_char(rows):
     header = "char,att,label,kind,lo,hi,categories,constraint\n"
     return parse_spec(header + rows).characteristics[0]
+
+
+def test_representatives_pick_zero_in_an_interval_unbounded_on_both_sides():
+    ch = inline_char("x,1,all,interval,,,,\nx,2,NO INFORMATION,noinfo,,,,\n")
+    assert representatives(ch)[0] == 0.0
 
 
 def test_bin_value_kind_priority():

@@ -154,6 +154,18 @@ def test_kkt_residuals_with_bounds():
     assert kkt.complementarity == pytest.approx(2.0)
 
 
+def test_kkt_residuals_refuses_a_beta_of_another_length():
+    p = QpProblem(h=np.eye(3), f=np.zeros(3), cs=ConstraintSet.empty(3))
+    with pytest.raises(SpecError, match="^beta must have length 3$"):
+        kkt_residuals(p, np.zeros(2))
+
+
+def test_solve_qp_refuses_an_h_that_is_not_positive_semidefinite():
+    p = QpProblem(h=-np.eye(3), f=np.zeros(3), cs=ConstraintSet.empty(3))
+    with pytest.raises(SpecError, match="^H is not positive semidefinite$"):
+        solve_qp(p)
+
+
 def test_problem_validation():
     with pytest.raises(SpecError, match="symmetric"):
         QpProblem(h=np.array([[1.0, 2.0], [0.0, 1.0]]), f=np.zeros(2), cs=cs_of(2))

@@ -262,7 +262,8 @@ def test_fit_intercept_only_closed_form():
     assert result.minus_ll == pytest.approx(
         4.0 * math.log(4.0) - 3.0 * math.log(3.0), rel=1e-12
     )
-    assert result.initial_minus_ll >= result.minus_ll
+    start = logistic_terms(x, y, w, initial_beta(1, y, w), hessian=False)
+    assert start.minus_ll >= result.minus_ll
     assert result.iterations == len(result.trajectory)
 
 
@@ -417,6 +418,50 @@ def test_fit_rejects_non_finite_weights():
         w_bad[7] = bad
         with pytest.raises(SpecError, match="finite"):
             fit(x, y, w_bad, PenaltySpec(0.1), ConstraintSet.empty(3))
+
+
+def test_fit_does_not_depend_on_a_power_of_two_scale_of_the_weights(small_spec):
+    # Scaling w and lam by 2^k leaves beta, status and iterations bitwise
+    # the same and scales minus_ll, the objective and the KKT residuals
+    # that carry weight by exactly 2^k, fractional weights included.
+    rng = np.random.default_rng(19)
+    n = 600
+    ages = rng.choice(["-9999999", "20", "40", "60", None], size=n)
+    fuels = rng.choice(["Gas", "Diesel", "Other", "???"], size=n)
+    y = (rng.random(n) < 0.6).astype(float)
+    w = rng.uniform(0.5, 2.0, n)
+    records = {"age": text_column(ages), "fuel": text_column(fuels)}
+    dm = build_design_matrix(small_spec, Sample(y=y, w=w, records=records))
+    cs = compile_constraints(small_spec)
+    for lam in (0.0, 0.5):
+        base = fit(dm, y, w, PenaltySpec(lam), cs)
+        assert base.status == "converged"
+        for k in (-600, -20, 37, 500):
+            scaled = fit(dm, y, np.ldexp(w, k), PenaltySpec(math.ldexp(lam, k)), cs)
+            assert scaled.beta.tobytes() == base.beta.tobytes()
+            assert (scaled.status, scaled.iterations) == (base.status, base.iterations)
+            assert scaled.minus_ll == math.ldexp(base.minus_ll, k)
+            assert scaled.objective == math.ldexp(base.objective, k)
+            assert [r.minus_ll for r in scaled.trajectory] == [
+                math.ldexp(r.minus_ll, k) for r in base.trajectory
+            ]
+            assert scaled.kkt.stationarity == math.ldexp(base.kkt.stationarity, k)
+            assert scaled.residuals == base.residuals
+
+
+def test_fit_refuses_a_lambda_that_overflows_with_the_weights_scale():
+    rng = np.random.default_rng(20)
+    x, y, w = make_logistic(rng, n=30, q=3)
+    with pytest.raises(SpecError, match=r"^--lambda 1e\+300 is too large for weights"):
+        fit(x, y, w * 1e-300, PenaltySpec(1e300), ConstraintSet.empty(3))
+
+
+def test_assemble_qp_refuses_terms_over_another_coefficient_count():
+    rng = np.random.default_rng(21)
+    x, y, w = make_logistic(rng, n=20, q=3)
+    terms = logistic_terms(x, y, w, np.zeros(3))
+    with pytest.raises(SpecError, match="^terms and beta_hat disagree on the coefficient count$"):
+        assemble_qp(terms, PenaltySpec(), np.zeros(4), ConstraintSet.empty(3))
 
 
 def test_logistic_terms_reject_bad_shapes():
