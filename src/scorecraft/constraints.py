@@ -83,10 +83,6 @@ class ConstraintSet:
     def m_i(self) -> int:
         return int(self.a.shape[0])
 
-    @classmethod
-    def empty(cls, q: int) -> "ConstraintSet":
-        return cls(np.zeros((0, q)), np.zeros(0), np.zeros((0, q)), np.zeros(0))
-
 
 @dataclass(frozen=True, eq=False)
 class CenteringPolicy:

@@ -1,19 +1,19 @@
 """Score separation measures: class CDFs, KS, ROC area, divergence.
 
 `score_cdfs` checks and sorts a score column once, and `score_metrics` reads
-all four measures off its result.  y = 1 is Good and y = 0 is Bad, and
-weights are accepted; unit weights reproduce the classic unweighted
-record-by-record cumulative sums exactly.  KS is the largest vertical gap
-between the Bads and Goods empirical CDFs over the ascending-sorted scores,
-and the ROC area is the trapezoidal integral of the Bads CDF against the
-Goods CDF, which on tie-free data equals the Good/Bad pairwise concordance
-probability.
+all four measures off its result.  y = 1 is Good and y = 0 is Bad, and every
+record carries a weight.  KS is the largest vertical gap between the Bads
+and Goods empirical CDFs over the distinct scores, and the ROC area is the
+trapezoidal integral of the Bads CDF against the Goods CDF from (0, 0), which
+equals the Good/Bad pairwise concordance probability with half credit for
+tied pairs (Fawcett 2006, "An introduction to ROC analysis").  Both are
+properties of the sample, not of its row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +36,9 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ScoreCdfs:
-    """A checked score column in input order (w all ones where none was given),
-    its ascending-sorted scores, and the per-record class CDFs: goods_cdf[i]
-    (bads_cdf[i]) is the fraction of total Good (Bad) weight at or below
-    sorted record i; both end at exactly 1.
+    """A checked score column in input order, its distinct scores ascending,
+    and the class CDFs at them: goods_cdf[i] (bads_cdf[i]) is the fraction of
+    total Good (Bad) weight at or below sorted_score[i]; both end at exactly 1.
     """
 
     score: np.ndarray
@@ -51,14 +50,17 @@ class ScoreCdfs:
 
     @property
     def ks(self) -> float:
-        """max(FB - FG) over records; never negative, as the last record has FB = FG = 1."""
+        """max(FB - FG) over distinct scores; never negative, as the last has FB = FG = 1."""
         return float(np.max(self.bads_cdf - self.goods_cdf))
 
     @property
     def roc_area(self) -> float:
-        """Trapezoid of FB against FG; like ks, unchanged by increasing score transforms."""
+        """Trapezoid of FB against FG from (0, 0); like ks, unchanged by increasing
+        score transforms.  The first trapezoid is 0 unless the lowest score ties
+        a Good with a Bad."""
         fg, fb = self.goods_cdf, self.bads_cdf
-        return float(0.5 * ((fg[1:] - fg[:-1]) * (fb[1:] + fb[:-1])).sum())
+        steps = ((fg[1:] - fg[:-1]) * (fb[1:] + fb[:-1])).sum()
+        return float(0.5 * fg[0] * fb[0] + 0.5 * steps)
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class ComparisonTable:
 
 
 def _check_scores(
-    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray]
+    score: np.ndarray, y: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     score = np.asarray(score, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -107,36 +109,32 @@ def _check_scores(
         raise MetricsError("score and y must be equal-length vectors")
     if not np.isin(y, (0.0, 1.0)).all():
         raise MetricsError("y must contain only 0 and 1")
-    if w is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n,):
-            raise MetricsError("w must match the score length")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise MetricsError("weights must be finite and nonnegative")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(w.sum()):
-                raise MetricsError("total weight must be finite")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise MetricsError("w must match the score length")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise MetricsError("weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(w.sum()):
+            raise MetricsError("total weight must be finite")
     if not np.isfinite(score).all():
         raise MetricsError("scores must be finite")
     return score, y, w
 
 
-def score_cdfs(
-    score: np.ndarray, y: np.ndarray, w: Optional[np.ndarray] = None
-) -> ScoreCdfs:
-    """The checked column and its Goods and Bads CDFs after a stable ascending sort.
+def score_cdfs(score: np.ndarray, y: np.ndarray, w: np.ndarray) -> ScoreCdfs:
+    """The checked column and its Goods and Bads CDFs at each distinct score.
 
-    Ties keep their input order (stable sort), so each record contributes its
-    own CDF point; with unit weights this is the plain cumulative-count
-    construction.  Raises MetricsError on a malformed column and when either
-    class has no weight.
+    Records are summed in ascending score order, and a run of equal scores
+    keeps its last cumulative sum, so neither CDF depends on row order; a
+    run of -0.0 and 0.0 is the one score 0.0.  Raises MetricsError on a
+    malformed column and when either class has no weight.
     """
     score, y, w = _check_scores(score, y, w)
     order = np.argsort(score, kind="stable")
     ys = y[order]
     ws = w[order]
+    sorted_score = score[order]
     cum_good = np.cumsum(ws * ys)
     cum_bad = np.cumsum(ws * (1.0 - ys))
     # Normalizing by the cumulative totals makes both CDFs end at exactly 1,
@@ -145,11 +143,16 @@ def score_cdfs(
     total_bad = cum_bad[-1] if cum_bad.size else 0.0
     if not total_good > 0 or not total_bad > 0:
         raise MetricsError("both classes need positive weight for score CDFs")
+    distinct = sorted_score[1:] != sorted_score[:-1]
+    if not distinct.all():
+        ends = np.append(distinct, True)
+        # Adding 0.0 writes a run that ends in -0.0 as 0.0.
+        sorted_score, cum_good, cum_bad = sorted_score[ends] + 0.0, cum_good[ends], cum_bad[ends]
     return ScoreCdfs(
         score=score,
         y=y,
         w=w,
-        sorted_score=score[order],
+        sorted_score=sorted_score,
         goods_cdf=cum_good / total_good,
         bads_cdf=cum_bad / total_bad,
     )
@@ -195,7 +198,7 @@ def score_metrics(cdfs: ScoreCdfs) -> ScoreMetrics:
 def compare_scores(
     scores: Sequence[tuple[str, np.ndarray]],
     y: np.ndarray,
-    w: Optional[np.ndarray] = None,
+    w: np.ndarray,
 ) -> ComparisonTable:
     """Metrics for several score columns over one sample, plus the winners.
 

@@ -36,7 +36,7 @@ numpy.linalg.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "KktResiduals",
     "solve_qp",
     "kkt_residuals",
-    "qp_objective",
 ]
 
 # Caps NNLS iterations plus the polish rounds that changed the active set.
@@ -143,9 +142,6 @@ class KktResiduals:
     dual: float
     complementarity: float
 
-    def max(self) -> float:
-        return max(astuple(self))
-
 
 @dataclass(frozen=True, eq=False)
 class QpSolution:
@@ -164,7 +160,6 @@ class QpSolution:
     ineq_multipliers: np.ndarray
     status: str
     kkt: KktResiduals
-    objective: float
     iterations: int
     note: str = ""
     certificate: Optional[np.ndarray] = None
@@ -178,22 +173,13 @@ def _max_pos(v: np.ndarray) -> float:
     return float(np.maximum(v, 0.0).max()) if v.size else 0.0
 
 
-def qp_objective(p: QpProblem, beta: np.ndarray) -> float:
-    """Objective value 1/2 beta' H beta + f' beta."""
-    beta = np.asarray(beta, dtype=float)
-    return float(0.5 * beta @ p.h @ beta + p.f @ beta)
-
-
 def kkt_residuals(
     p: QpProblem,
     beta: np.ndarray,
-    eq_multipliers: Optional[np.ndarray] = None,
-    ineq_multipliers: Optional[np.ndarray] = None,
+    eq_multipliers: np.ndarray,
+    ineq_multipliers: np.ndarray,
 ) -> KktResiduals:
-    """Exact KKT residuals for a candidate point; pure certificate checker.
-
-    Missing multiplier vectors are treated as zero.
-    """
+    """Exact KKT residuals for a candidate point; pure certificate checker."""
     q = p.q
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (q,):
@@ -212,9 +198,7 @@ def kkt_residuals(
     )
 
 
-def _as_mult(v: Optional[np.ndarray], m: int, name: str) -> np.ndarray:
-    if v is None:
-        return np.zeros(m)
+def _as_mult(v: np.ndarray, m: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (m,):
         raise SpecError(f"{name} must have length {m}, got {v.shape}")
@@ -281,7 +265,6 @@ def solve_qp(p: QpProblem, active: Optional[np.ndarray] = None) -> QpSolution:
             ineq_multipliers=nu,
             status=status,
             kkt=kkt_residuals(p, beta, mu, nu),
-            objective=qp_objective(p, beta),
             iterations=iterations,
             note=note,
             certificate=certificate,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 MAX_LAM = float(np.finfo(float).max) / 2
+# Share of the total weight that a converged fit's stationarity may reach.
+STATIONARITY_TOL = 1e-8
 
 
 class FitWarning(UserWarning):
@@ -94,14 +96,13 @@ def _check_beta(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
 class LogisticTerms:
     """Joint logistic quantities at one coefficient vector.
 
-    theta are the scores X beta; prob the modeled Pr{y=1}; grad and hess the
-    gradient and Hessian of minus log likelihood; minus_ll its value.  hess
-    is the weighted Gram matrix X' diag(w p (1-p)) X, symmetric PSD, or None
-    where it was not asked for.
+    theta are the scores X beta; grad and hess the gradient and Hessian of
+    minus log likelihood; minus_ll its value.  hess is the weighted Gram
+    matrix X' diag(w p (1-p)) X, for p the modeled Pr{y=1}, symmetric PSD,
+    or None where it was not asked for.
     """
 
     theta: np.ndarray
-    prob: np.ndarray
     grad: np.ndarray
     hess: Optional[np.ndarray]
     minus_ll: float
@@ -224,7 +225,7 @@ def logistic_terms(
     beta: np.ndarray,
     hessian: bool = True,
 ) -> LogisticTerms:
-    """Scores, probabilities, gradient, Hessian, and minus log likelihood.
+    """Scores, gradient, Hessian, and minus log likelihood.
 
     One pass over theta = X beta:
         prob = e^theta / (1 + e^theta)
@@ -244,7 +245,7 @@ def logistic_terms(
     grad = design.rmatvec(w * (prob - y))
     hess = design.gram(w * prob * (1.0 - prob)) if hessian else None
     minus_ll = _minus_ll(theta, e, y, w)
-    return LogisticTerms(theta=theta, prob=prob, grad=grad, hess=hess, minus_ll=minus_ll)
+    return LogisticTerms(theta=theta, grad=grad, hess=hess, minus_ll=minus_ll)
 
 
 def assemble_qp(
@@ -332,7 +333,8 @@ def fit(
     iteration.  Each iterate is evaluated once, with its Hessian only where
     another step follows.  The returned KKT residuals certify the penalized
     nonlinear problem at the final beta from its gradient plus the penalty
-    gradient, using the final step's multipliers.
+    gradient, using the final step's multipliers.  "converged" also needs the
+    constraints within 1e-8 and that stationarity within STATIONARITY_TOL * sum w.
     """
     config = config or FitConfig()
     y, w = _check_sample(design, y, w)
@@ -393,18 +395,24 @@ def fit(
 
     residuals = constraint_residuals(cs, beta)
     # A model with zero curvature and the penalized gradient as f certifies
-    # the nonlinear problem at beta without building its Hessian.
+    # the nonlinear problem at beta without building its Hessian.  It is
+    # judged before it is scaled back, so the verdict does not depend on 2^s.
     assert solution is not None
     gradient = terms.grad + pen.hessian_diag(q) * beta
     kkt = kkt_residuals(
-        QpProblem(h=np.zeros((q, q)), f=np.ldexp(gradient, -s), cs=cs),
+        QpProblem(h=np.zeros((q, q)), f=gradient, cs=cs),
         beta,
-        np.ldexp(solution.eq_multipliers, -s),
-        np.ldexp(solution.ineq_multipliers, -s),
+        solution.eq_multipliers,
+        solution.ineq_multipliers,
     )
+    bound = STATIONARITY_TOL * float(w.sum())
     if status == "converged" and max(residuals.eq_residual, residuals.ineq_violation) > 1e-8:
         status = "max_iterations"
         note = "step tolerance met but constraints violated beyond 1e-8"
+    elif status == "converged" and kkt.stationarity > bound:
+        status = "max_iterations"
+        note = (f"step tolerance met but stationarity {unscaled(kkt.stationarity):.3e} exceeds "
+                f"{unscaled(bound):.3e}, {STATIONARITY_TOL:g} of the total weight")
     elif status == "max_iterations":
         note = note or "iteration cap reached before the step tolerance"
     return FitResult(
@@ -413,7 +421,8 @@ def fit(
         status=status,
         minus_ll=unscaled(terms.minus_ll),
         objective=unscaled(terms.minus_ll + pen.value(beta)),
-        kkt=kkt,
+        kkt=replace(kkt, stationarity=unscaled(kkt.stationarity), dual=unscaled(kkt.dual),
+                    complementarity=unscaled(kkt.complementarity)),
         residuals=residuals,
         note=note,
     )

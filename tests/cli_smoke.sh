@@ -209,6 +209,14 @@ test "$code" -eq 2
 test "$(wc -l < "$out/infeasible.err")" -eq 1
 grep -q infeasible "$out/infeasible.err"
 test ! -e "$out/infeasible.json"
+# Pinning coefficient 5 to 50 drives every probability to 0 or 1, and the
+# steps stop far from an optimum: the fit ends max_iterations, exit 2, and
+# does not say converged.
+code=0
+scorecraft fit --spec "$spec" --data "$out/train.csv" --lambda 0.5 --inweight 5=50 --out "$out/diverged.json" > "$out/diverged.txt" 2> "$out/diverged.err" || code=$?
+grep '^status' "$out/diverged.txt"
+test "$code" -eq 2
+if grep -q 'status: converged' "$out/diverged.txt"; then exit 1; fi
 # A file and its twin with every cell quoted, which the csv module reads
 # record by record, evaluate to the same lines: the training file, and an
 # 80k-row file that the loader reads in several chunks and then merges.
@@ -225,8 +233,9 @@ PY
     diff "$out/eval-$data.txt" "$out/eval-$data-quoted.txt"
 done
 scorecraft eval --model "$out/centered.json" --data "$out/train.csv" --dump-cdfs "$out/cdfs.csv"
-# The dump holds one line per data row plus its header, and each
-# field is the shortest round-trip repr of its value.
+# The dump holds one line per distinct score plus its header; the centered
+# model gives each data row its own score.  Each field is the shortest
+# round-trip repr of its value.
 python - "$out/cdfs.csv" "$out/train.csv" <<'PY'
 import sys
 dump, data = (open(p, encoding="utf-8").read().splitlines() for p in sys.argv[1:])
@@ -256,3 +265,17 @@ for score in score score-twin; do
 done
 cat "$out/compare-score.txt"
 diff "$out/compare-score.txt" "$out/compare-score-twin.txt"
+# A score of row index mod 3 ties Goods with Bads; it compares the same on
+# copies of both files with their data rows reversed.
+python - "$out/train.csv" "$out/tied.csv" "$out/train-reversed.csv" "$out/tied-reversed.csv" <<'PY'
+import sys
+header, *rows = open(sys.argv[1], encoding="utf-8").read().splitlines(keepends=True)
+scores = [f"{i % 3}\n" for i in range(len(rows))]
+for path, lines in zip(sys.argv[2:], (["score\n"] + scores, [header] + rows[::-1], ["score\n"] + scores[::-1])):
+    with open(path, "w", encoding="utf-8") as dst:
+        dst.writelines(lines)
+PY
+scorecraft compare --data "$out/train.csv" --score tied="$out/tied.csv" > "$out/compare-tied.txt"
+scorecraft compare --data "$out/train-reversed.csv" --score tied="$out/tied-reversed.csv" > "$out/compare-tied-reversed.txt"
+cat "$out/compare-tied.txt"
+diff "$out/compare-tied.txt" "$out/compare-tied-reversed.txt"

@@ -1,9 +1,11 @@
 import math
+from dataclasses import astuple
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from scorecraft.constraints import ConstraintSet
 from scorecraft.model import (
     Attribute,
     Characteristic,
@@ -73,6 +75,22 @@ def null_space(a):
     _, sv, vt = np.linalg.svd(a)
     tol = max(a.shape) * np.finfo(float).eps * sv.max(initial=0.0)
     return vt[int((sv > tol).sum()):].T
+
+
+def no_constraints(q):
+    """A constraint set with no rows over q coefficients."""
+    return ConstraintSet(np.zeros((0, q)), np.zeros(0), np.zeros((0, q)), np.zeros(0))
+
+
+def qp_objective(p, beta):
+    """The QP's objective 1/2 beta' H beta + f' beta."""
+    beta = np.asarray(beta, dtype=float)
+    return float(0.5 * beta @ p.h @ beta + p.f @ beta)
+
+
+def kkt_max(kkt):
+    """The largest of a KktResiduals' five residuals."""
+    return max(astuple(kkt))
 
 
 @pytest.fixture

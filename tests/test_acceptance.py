@@ -41,7 +41,7 @@ from scorecraft.sqp import (
     score_minus_log_likelihood,
 )
 
-from conftest import null_space
+from conftest import no_constraints, null_space
 from dense_design import DenseDesign
 from ircls_oracle import ircls_step
 from text_columns import text_column
@@ -259,10 +259,10 @@ def test_monotone_fit_converges_fast(acceptance):
 def test_intercept_only_fit_matches_closed_form(acceptance):
     x = DenseDesign(np.ones((4, 1)))
     y = np.array([1.0, 1.0, 1.0, 0.0])
-    unit = fit(x, y, np.ones(4), PenaltySpec(lam=0.0), ConstraintSet.empty(1))
+    unit = fit(x, y, np.ones(4), PenaltySpec(lam=0.0), no_constraints(1))
     err_unit = abs(float(unit.beta[0]) - math.log(3.0))
     w = np.array([2.0, 1.0, 1.0, 4.0])
-    weighted = fit(x, y, w, PenaltySpec(lam=0.0), ConstraintSet.empty(1))
+    weighted = fit(x, y, w, PenaltySpec(lam=0.0), no_constraints(1))
     err_weighted = abs(float(weighted.beta[0]) - 0.0)
     acceptance(
         "intercept-closed-form",
@@ -351,7 +351,8 @@ def test_bundled_spec_compiles_to_expected_counts(acceptance, fixture_spec, maxd
 
 
 # ---------------------------------------------------------------------------
-# 7. Metrics match brute-force oracles exactly on tie-free data.
+# 7. Metrics match brute-force oracles exactly on tie-free data, and on tied
+#    data in any row order.
 
 
 def brute_ks(score, y, w):
@@ -417,6 +418,58 @@ def test_metrics_match_brute_force_oracles(acceptance):
         worst <= 1e-12 and sep_exact,
         f"{checked} tie-free instances, max gap {worst:.1e}; "
         f"separation ks {sep.ks:g}, roc_area {sep.roc_area:g}",
+    )
+
+
+def test_tied_metrics_match_brute_force_in_any_row_order(acceptance):
+    # Scores drawn from a few values tie Goods with Bads.  KS and ROC area
+    # (half credit per tied pair) must match the oracles, and must not move,
+    # not even by rounding, when the rows are permuted; dyadic weights keep
+    # every sum exact in any order.
+    rng = np.random.default_rng(708)
+    worst = perm_gap = 0.0
+    checked = 0
+
+    def measures(score, y, w):
+        m = score_cdfs(score, y, w)
+        return m.ks, m.roc_area, m.sorted_score.tobytes()
+
+    instances = []
+    # Exhaustive over class labelings of [0, 0, 1, 1, 1, 2] at unit weights.
+    score = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
+    for mask in range(1, 2**6 - 1):
+        y = np.array([(mask >> i) & 1 for i in range(6)], dtype=float)
+        instances.append((score, y, np.ones(6)))
+    for _ in range(200):
+        n = int(rng.integers(4, 14))
+        score = rng.integers(-2, 3, size=n) * 1.5
+        score[score == 0.0] = rng.choice([-0.0, 0.0], size=int((score == 0.0).sum()))
+        y = (rng.random(n) < 0.5).astype(float)
+        if y.min() == y.max():
+            y[0] = 1.0 - y[0]
+        instances.append((score, y, rng.integers(1, 17, size=n) / 8.0))
+    for score, y, w in instances:
+        base = measures(score, y, w)
+        worst = max(worst, abs(base[0] - brute_ks(score, y, w)))
+        worst = max(worst, abs(base[1] - brute_area(score, y, w)))
+        for order in (np.arange(len(y))[::-1], rng.permutation(len(y))):
+            moved = measures(score[order], y[order], w[order])
+            perm_gap = max(perm_gap, abs(moved[0] - base[0]), abs(moved[1] - base[1]))
+            perm_gap = max(perm_gap, float(moved[2] != base[2]))
+        checked += 1
+    # A score that says nothing about y, on Goods written before Bads as
+    # `gen` writes them, reads the same in either row order.
+    y = np.repeat([1.0, 0.0], [3000, 1000])
+    noise = np.arange(4000) % 3.0
+    forward = score_cdfs(noise, y, np.ones(4000))
+    backward = score_cdfs(noise[::-1], y[::-1], np.ones(4000))
+    noise_ok = forward.roc_area == backward.roc_area and forward.ks == backward.ks
+    acceptance(
+        "metrics-ties",
+        worst <= 1e-12 and perm_gap == 0.0 and noise_ok,
+        f"{checked} tied instances, max oracle gap {worst:.1e}, permutation gap {perm_gap:g}; "
+        f"row index mod 3 on 3000 Goods then 1000 Bads: roc_area {forward.roc_area:g} "
+        f"(reversed {backward.roc_area:g}), ks {forward.ks:.4f} (reversed {backward.ks:.4f})",
     )
 
 
@@ -501,7 +554,7 @@ def test_penalty_ladder_shrinks_weights(acceptance, small_spec):
     )
     sample = gen_synthetic(cfg)
     design = build_design_matrix(small_spec, sample)
-    unconstrained = ConstraintSet.empty(small_spec.q)
+    unconstrained = no_constraints(small_spec.q)
     norms = []
     statuses = []
     for lam in (0.0, 1.0, 10.0, 1e4):
@@ -593,7 +646,7 @@ def test_spec_design_matches_its_dense_view(acceptance, small_spec, random_spec_
                 terms_gap = max(
                     terms_gap, relative_gap(getattr(coded, name), getattr(plain, name))
                 )
-        unpinned = ConstraintSet.empty(spec.q)
+        unpinned = no_constraints(spec.q)
         for lam, cs in ((0.5, unpinned), (0.0, pinned), (0.5, pinned), (0.0, unpinned)):
             a = fit(design, sample.y, sample.w, PenaltySpec(lam=lam), cs)
             b = fit(dense, sample.y, sample.w, PenaltySpec(lam=lam), cs)

@@ -15,6 +15,7 @@ from scorecraft.model import (
     parse_spec,
 )
 
+from conftest import no_constraints
 from constraints_oracle import compile_constraints as compile_oracle
 from text_columns import text_column
 
@@ -209,7 +210,7 @@ def test_residuals_require_full_length(small_spec):
 
 
 def test_empty_constraint_set():
-    cs = ConstraintSet.empty(5)
+    cs = no_constraints(5)
     assert cs.q == 5 and cs.m_e == 0 and cs.m_i == 0
     res = constraint_residuals(cs, np.ones(5))
     assert res.eq_residual == 0.0 and res.ineq_violation == 0.0

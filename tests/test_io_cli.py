@@ -678,6 +678,27 @@ def test_atomic_write_text_keeps_the_old_file_when_a_piece_fails(tmp_path, fault
     assert os.listdir(tmp_path) == ["old.txt"]
 
 
+def test_atomic_write_text_raises_the_piece_fault_when_the_temp_file_stays(tmp_path, monkeypatch):
+    # Removing the temp file fails too: that OSError is dropped, the caller
+    # gets the fault that stopped the write, and the old file is unchanged.
+    fault = ValueError("a bad piece")
+
+    def pieces():
+        yield "new text\n"
+        raise fault
+
+    def unlink(path):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    old = tmp_path / "old.txt"
+    old.write_bytes(b"old text\n")
+    monkeypatch.setattr(data_io.os, "unlink", unlink)
+    with pytest.raises(ValueError) as raised:
+        atomic_write_text(str(old), pieces())
+    assert raised.value is fault
+    assert old.read_bytes() == b"old text\n"
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
@@ -1017,7 +1038,7 @@ def test_write_report_text_and_csv_twin(tmp_path, small_spec):
     beta = rng.standard_normal(q)
     y = np.array([1.0, 0.0, 1.0, 0.0])
     score = np.array([2.0, 1.0, 3.0, 0.0])
-    metrics = score_metrics(score_cdfs(score, y))
+    metrics = score_metrics(score_cdfs(score, y, np.ones(4)))
     path = tmp_path / "report.txt"
     name = "alpha_model_long"
     write_report(small_spec, name, beta, metrics, str(path))
@@ -1053,7 +1074,7 @@ def test_write_report_validation(tmp_path, small_spec):
     from scorecraft.model import SpecError
 
     metrics = score_metrics(
-        score_cdfs(np.array([2.0, 1.0, 3.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0]))
+        score_cdfs(np.array([2.0, 1.0, 3.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0]), np.ones(4))
     )
     with pytest.raises(SpecError, match="coefficients"):
         write_report(small_spec, "bad", np.zeros(3), metrics, path)
@@ -1252,8 +1273,8 @@ def test_cli_eval_dump_cdfs(tmp_path, small_spec, small_spec_text, capsys):
     assert text == per_row_cdf_dump(score_cdfs(theta, sample.y, sample.w))
     lines = text.splitlines()
     assert lines[0] == "# score goods_cdf bads_cdf"
-    assert len(lines) == 161
-    # Rows are plain plot-ready numbers, one triple per record.
+    assert len(lines) == 1 + len(np.unique(theta))
+    # Rows are plain plot-ready numbers, one triple per distinct score.
     for line in lines[1:]:
         fields = [float(v) for v in line.split()]
         assert len(fields) == 3
@@ -1433,7 +1454,7 @@ def test_cli_refuses_a_model_with_a_non_finite_beta(
 
 
 def per_row_cdf_dump(cdfs):
-    """The --dump-cdfs text as one f-string per record."""
+    """The --dump-cdfs text as one f-string per distinct score."""
     lines = ["# score goods_cdf bads_cdf"]
     for s, fg, fb in zip(cdfs.sorted_score, cdfs.goods_cdf, cdfs.bads_cdf):
         lines.append(f"{float(s)!r} {float(fg)!r} {float(fb)!r}")
@@ -1443,7 +1464,8 @@ def per_row_cdf_dump(cdfs):
 def test_cdf_dump_matches_a_line_per_record(monkeypatch):
     # Each value is formatted once per run of equal bits, in write blocks:
     # tied scores, -0.0 next to 0.0, fractional weights and more rows than
-    # one block give the per-record text byte for byte.
+    # one block give the per-distinct-score text byte for byte, where the
+    # run of -0.0 and 0.0 is the one score 0.0.
     from scorecraft import cli
 
     rng = np.random.default_rng(5)
@@ -1456,7 +1478,7 @@ def test_cdf_dump_matches_a_line_per_record(monkeypatch):
     w[::11] = 0.0
     cdfs = score_cdfs(score, y, w)
     expected = per_row_cdf_dump(cdfs)
-    assert "\n-0.0 " in expected and "\n0.0 " in expected
+    assert "\n-0.0 " not in expected and "\n0.0 " in expected
     for rows in (cli._DUMP_ROWS, 1, 7, 333):
         monkeypatch.setattr(cli, "_DUMP_ROWS", rows)
         assert "".join(cli._cdf_table(cdfs)) == expected
@@ -1638,6 +1660,34 @@ def test_cli_fit_at_a_large_lambda_does_not_warn(tmp_path, fixture_spec_text, ca
         assert main(["fit", "--spec", str(spec_path), "--data", str(data), "--lambda", "1e16"]) == 0
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("ignore::scorecraft.sqp.FitWarning", "ignore:H is rank deficient")
+def test_cli_fit_that_stops_far_from_stationarity_exits_2(tmp_path, fixture_spec_text, capsys):
+    # Coefficient 5 pinned to 50 sends minus_ll from 2.5e4 to 4.9e20: every
+    # probability saturates and the last step is 0, but the gradient is not.
+    # The fit writes its model, as any max_iterations fit does, and exits 2.
+    spec_path, data = tmp_path / "spec.csv", tmp_path / "train.csv"
+    model = tmp_path / "model.json"
+    spec_path.write_text(fixture_spec_text)
+    assert main([
+        "gen", "--spec", str(spec_path), "--out", str(data),
+        "--seed", "1", "--n-good", "3000", "--n-bad", "1000",
+    ]) == 0
+    capsys.readouterr()
+    code = main([
+        "fit", "--spec", str(spec_path), "--data", str(data), "--lambda", "0.5",
+        "--inweight", "5=50", "--out", str(model),
+    ])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "status: converged" not in out
+    assert "max_delta 0.000000e+00" in out
+    assert (
+        "status: max_iterations (step tolerance met but stationarity 3.000e+03"
+        " exceeds 4.000e-05, 1e-08 of the total weight)"
+    ) in out
+    assert load_model(str(model)).fit.status == "max_iterations"
 
 
 def test_cli_refuses_weights_whose_total_overflows(tmp_path, fixture_spec_text, capfd):

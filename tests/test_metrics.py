@@ -10,7 +10,7 @@ from scorecraft.metrics import (
 from scorecraft.sqp import score_minus_log_likelihood
 
 
-def divergence(score, y, w=None):
+def divergence(score, y, w):
     """The divergence score_metrics reads off the column's score_cdfs."""
     return score_metrics(score_cdfs(score, y, w)).divergence
 
@@ -18,7 +18,7 @@ def divergence(score, y, w=None):
 def test_score_cdfs_hand_case():
     score = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    cdfs = score_cdfs(score, y)
+    cdfs = score_cdfs(score, y, np.ones(4))
     assert np.array_equal(cdfs.sorted_score, score)
     assert np.allclose(cdfs.goods_cdf, [0.0, 0.5, 0.5, 1.0])
     assert np.allclose(cdfs.bads_cdf, [0.5, 0.5, 1.0, 1.0])
@@ -27,7 +27,7 @@ def test_score_cdfs_hand_case():
 def test_roc_hand_case():
     score = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    stats = score_cdfs(score, y)
+    stats = score_cdfs(score, y, np.ones(4))
     assert stats.ks == pytest.approx(0.5)
     # Concordance by hand: good/bad pairs (2,1) (2,3) (4,1) (4,3) -> 3 of 4.
     assert stats.roc_area == pytest.approx(0.75)
@@ -43,11 +43,11 @@ def test_roc_weighted_hand_case():
 def test_separation_extremes():
     score = np.array([1.0, 2.0, 3.0, 4.0])
     up = np.array([0.0, 0.0, 1.0, 1.0])
-    stats = score_cdfs(score, up)
+    stats = score_cdfs(score, up, np.ones(4))
     assert stats.ks == pytest.approx(1.0)
     assert stats.roc_area == pytest.approx(1.0)
     # Goods below bads: the one-sided KS gap never goes negative.
-    stats = score_cdfs(score, 1.0 - up)
+    stats = score_cdfs(score, 1.0 - up, np.ones(4))
     assert stats.ks == 0.0
     assert stats.roc_area == pytest.approx(0.0)
 
@@ -138,11 +138,11 @@ def test_divergence_hand_cases():
     # Goods {1,3}, bads {-1,-3}: means +-2, both variances 1, divergence 16.
     score = np.array([1.0, 3.0, -1.0, -3.0])
     y = np.array([1.0, 1.0, 0.0, 0.0])
-    assert divergence(score, y) == pytest.approx(16.0)
+    assert divergence(score, y, np.ones(4)) == pytest.approx(16.0)
     # Population variances: goods {0,2}, bads {5,7}, both variances 1.
     score = np.array([0.0, 2.0, 5.0, 7.0])
     y = np.array([1.0, 1.0, 0.0, 0.0])
-    assert divergence(score, y) == pytest.approx(25.0)
+    assert divergence(score, y, np.ones(4)) == pytest.approx(25.0)
 
 
 def test_divergence_affine_invariance():
@@ -160,10 +160,10 @@ def test_divergence_zero_variance_sides():
     # One degenerate class is fine.
     score = np.array([2.0, 2.0, 0.0, 2.0])
     y = np.array([1.0, 1.0, 0.0, 0.0])
-    assert divergence(score, y) == pytest.approx(1.0 / 0.5)
+    assert divergence(score, y, np.ones(4)) == pytest.approx(1.0 / 0.5)
     # Both degenerate is undefined.
     with pytest.raises(MetricsError, match="both class variances"):
-        divergence(np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+        divergence(np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]), np.ones(3))
 
 
 def test_divergence_weighted_matches_replication():
@@ -173,21 +173,23 @@ def test_divergence_weighted_matches_replication():
     w = np.array([2.0, 1.0, 3.0, 1.0])
     rep_score = np.array([1.0, 1.0, 4.0, 2.0, 2.0, 2.0, 5.0])
     rep_y = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    assert divergence(score, y, w) == pytest.approx(divergence(rep_score, rep_y))
-    assert score_cdfs(score, y, w).roc_area == pytest.approx(score_cdfs(rep_score, rep_y).roc_area)
-    assert score_cdfs(score, y, w).ks == pytest.approx(score_cdfs(rep_score, rep_y).ks)
+    ones = np.ones(7)
+    assert divergence(score, y, w) == pytest.approx(divergence(rep_score, rep_y, ones))
+    replicated = score_cdfs(rep_score, rep_y, ones)
+    assert score_cdfs(score, y, w).roc_area == pytest.approx(replicated.roc_area)
+    assert score_cdfs(score, y, w).ks == pytest.approx(replicated.ks)
 
 
 def test_metric_input_validation():
     y = np.array([1.0, 0.0])
     with pytest.raises(MetricsError, match="only 0 and 1"):
-        score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.ones(2))
     with pytest.raises(MetricsError, match="equal-length"):
-        score_cdfs(np.array([1.0, 2.0, 3.0]), y)
+        score_cdfs(np.array([1.0, 2.0, 3.0]), y, np.ones(3))
     with pytest.raises(MetricsError, match="w must match the score length"):
         score_cdfs(np.array([1.0, 2.0]), y, np.ones(3))
     with pytest.raises(MetricsError, match="finite"):
-        score_cdfs(np.array([1.0, np.inf]), y)
+        score_cdfs(np.array([1.0, np.inf]), y, np.ones(2))
     with pytest.raises(MetricsError, match="nonnegative"):
         score_cdfs(np.array([1.0, 2.0]), y, np.array([1.0, -1.0]))
     for bad in (np.inf, np.nan):
@@ -196,9 +198,9 @@ def test_metric_input_validation():
     with pytest.raises(MetricsError, match="^total weight must be finite$"):
         score_cdfs(np.arange(4.0), np.array([0, 1, 0, 1.0]), np.full(4, 1e308))
     with pytest.raises(MetricsError, match="both classes"):
-        score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        score_cdfs(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.ones(2))
     with pytest.raises(MetricsError, match="both classes"):
-        divergence(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+        divergence(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.ones(2))
 
 
 def test_score_metrics_shares_likelihood_definition():
@@ -241,33 +243,41 @@ def test_elementwise_sums_keep_the_metrics_of_blas_dots():
 def test_compare_scores_winners_and_text():
     score = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([0.0, 0.0, 1.0, 1.0])
+    w = np.ones(4)
     strong = score
     weak = np.array([1.0, 4.0, 2.0, 3.0])
-    table = compare_scores([("strong", strong), ("weak", weak)], y)
+    table = compare_scores([("strong", strong), ("weak", weak)], y, w)
     assert set(table.winners.values()) == {"strong"}
     text = table.to_text()
     assert "best divergence: strong" in text
     assert "best minus_ll: strong" in text
     assert "strong" in text.splitlines()[1]
     # Ties go to the earliest listed score.
-    table = compare_scores([("first", strong), ("second", strong.copy())], y)
+    table = compare_scores([("first", strong), ("second", strong.copy())], y, w)
     assert set(table.winners.values()) == {"first"}
     # A single row has no winner lines.
-    table = compare_scores([("only", strong)], y)
+    table = compare_scores([("only", strong)], y, w)
     assert "best" not in table.to_text()
     with pytest.raises(MetricsError, match="at least one"):
-        compare_scores([], y)
+        compare_scores([], y, w)
 
 
-def test_stable_sort_keeps_tied_record_order():
-    # Two tied scores with different classes: the input order decides which
-    # CDF steps first, matching the record-by-record construction.
+def test_tied_scores_give_the_same_cdfs_in_any_row_order():
+    # A run of equal scores is one CDF point, so the order of its records
+    # does not matter, and a Good tied with a Bad counts half.
     score = np.array([1.0, 1.0, 2.0])
-    y_bad_first = np.array([0.0, 1.0, 1.0])
-    cdfs = score_cdfs(score, y_bad_first)
-    assert np.allclose(cdfs.bads_cdf, [1.0, 1.0, 1.0])
-    assert np.allclose(cdfs.goods_cdf, [0.0, 0.5, 1.0])
-    y_good_first = np.array([1.0, 0.0, 1.0])
-    cdfs = score_cdfs(score, y_good_first)
-    assert np.allclose(cdfs.goods_cdf, [0.5, 0.5, 1.0])
-    assert np.allclose(cdfs.bads_cdf, [0.0, 1.0, 1.0])
+    for y in (np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0])):
+        cdfs = score_cdfs(score, y, np.ones(3))
+        assert np.array_equal(cdfs.sorted_score, [1.0, 2.0])
+        assert np.array_equal(cdfs.goods_cdf, [0.5, 1.0])
+        assert np.array_equal(cdfs.bads_cdf, [1.0, 1.0])
+        assert cdfs.ks == 0.5
+        assert cdfs.roc_area == 0.75
+    # Two runs that each hold one Good and one Bad separate nothing.
+    for y in (np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0])):
+        cdfs = score_cdfs(np.array([1.0, 1.0, 2.0, 2.0]), y, np.ones(4))
+        assert (cdfs.ks, cdfs.roc_area) == (0.0, 0.5)
+    # -0.0 and 0.0 are one score, written 0.0 whichever comes last.
+    for score in (np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, 1.0])):
+        cdfs = score_cdfs(score, np.array([1.0, 0.0, 1.0]), np.ones(3))
+        assert cdfs.sorted_score.tobytes() == np.array([0.0, 1.0]).tobytes()

@@ -71,6 +71,9 @@ def test_parse_spec_structure():
     assert age.attributes[1].tag == (TagTerm(">", 3),)
     assert fuel.attributes[1].tag == (TagTerm("<", 6),)
     assert age.attributes[3].tag == ()
+    # A characteristic built without one has no NoInformation attribute to give.
+    with pytest.raises(SpecError, match="^characteristic 'fuel' has no NoInformation attribute$"):
+        Characteristic("fuel", fuel.attributes[:-1]).noinfo
 
 
 def test_parse_spec_comments_and_blank_lines():

@@ -10,15 +10,14 @@ from scorecraft.qp import (
     QpProblem,
     QpWarning,
     kkt_residuals,
-    qp_objective,
     solve_qp,
 )
 
-from conftest import null_space
+from conftest import kkt_max, no_constraints, null_space, qp_objective
 
 
 def cs_of(q, aeq=None, beq=None, a=None, b=None):
-    empty = ConstraintSet.empty(q)
+    empty = no_constraints(q)
     return ConstraintSet(
         aeq=np.asarray(aeq, float).reshape(-1, q) if aeq is not None else empty.aeq,
         beq=np.asarray(beq, float).ravel() if beq is not None else empty.beq,
@@ -34,8 +33,8 @@ def test_unconstrained_diagonal():
     assert sol.status == "optimal"
     assert sol.iterations == 0
     assert sol.beta == pytest.approx([1.0, 2.0], abs=1e-12)
-    assert sol.kkt.max() <= 1e-10
-    assert sol.objective == pytest.approx(qp_objective(p, sol.beta))
+    assert kkt_max(sol.kkt) <= 1e-10
+    assert qp_objective(p, sol.beta) == pytest.approx(-9.0, abs=1e-12)
 
 
 def test_equality_only_hand_case():
@@ -47,7 +46,22 @@ def test_equality_only_hand_case():
     assert sol.status == "optimal"
     assert sol.beta == pytest.approx([1.0, 1.0], abs=1e-9)
     assert sol.eq_multipliers == pytest.approx([-1.0], abs=1e-9)
-    assert sol.kkt.max() <= 1e-8
+    assert kkt_max(sol.kkt) <= 1e-8
+
+
+def test_equality_row_written_twice():
+    # min 1/2 ||b||^2 - b2 s.t. b1 = 1, twice: the KKT matrix is exactly
+    # singular, so the direct solve raises and the shifted inverse solves it,
+    # splitting mu1 + mu2 = -1 evenly.
+    p = QpProblem(
+        h=np.eye(2),
+        f=np.array([0.0, -1.0]),
+        cs=cs_of(2, aeq=[[1.0, 0.0], [1.0, 0.0]], beq=[1.0, 1.0]),
+    )
+    sol = solve_qp(p)
+    assert sol.status == "optimal"
+    assert sol.beta == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert sol.eq_multipliers == pytest.approx([-0.5, -0.5], abs=1e-8)
 
 
 def test_active_inequality_hand_case():
@@ -61,7 +75,7 @@ def test_active_inequality_hand_case():
     assert sol.status == "optimal"
     assert sol.beta == pytest.approx([0.5, 0.5], abs=1e-8)
     assert sol.ineq_multipliers == pytest.approx([0.5], abs=1e-8)
-    assert sol.kkt.max() <= 1e-8
+    assert kkt_max(sol.kkt) <= 1e-8
 
 
 def test_inactive_inequality_hand_case():
@@ -94,7 +108,7 @@ def test_mixed_equality_inequality_hand_case():
     assert sol.beta == pytest.approx([1.0, 1.0, 0.0], abs=1e-8)
     assert sol.eq_multipliers == pytest.approx([-2.0], abs=1e-7)
     assert sol.ineq_multipliers == pytest.approx([1.0], abs=1e-7)
-    assert sol.kkt.max() <= 1e-8
+    assert kkt_max(sol.kkt) <= 1e-8
 
 
 def test_upper_bound_hand_case():
@@ -109,7 +123,7 @@ def test_upper_bound_hand_case():
     assert sol.status == "optimal"
     assert sol.beta == pytest.approx([1.0, 3.0], abs=1e-8)
     assert sol.ineq_multipliers == pytest.approx([2.0], abs=1e-7)
-    assert sol.kkt.max() <= 1e-8
+    assert kkt_max(sol.kkt) <= 1e-8
 
 
 def test_lower_bound_hand_case():
@@ -128,40 +142,41 @@ def test_kkt_residuals_checker():
         cs=cs_of(2, a=[[1.0, 1.0]], b=[1.0]),
     )
     beta = np.array([0.5, 0.5])
-    kkt = kkt_residuals(p, beta, ineq_multipliers=np.array([0.5]))
-    assert kkt.max() <= 1e-15
-    # Missing multipliers leave a stationarity gap.
-    kkt = kkt_residuals(p, beta)
+    no_eq = np.zeros(0)
+    kkt = kkt_residuals(p, beta, no_eq, np.array([0.5]))
+    assert kkt_max(kkt) <= 1e-15
+    # Zero multipliers leave a stationarity gap.
+    kkt = kkt_residuals(p, beta, no_eq, np.zeros(1))
     assert kkt.stationarity == pytest.approx(0.5)
     # Negative multipliers violate dual feasibility.
-    kkt = kkt_residuals(p, beta, ineq_multipliers=np.array([-0.5]))
+    kkt = kkt_residuals(p, beta, no_eq, np.array([-0.5]))
     assert kkt.dual == pytest.approx(0.5)
     # Infeasible points show up in primal_ineq.
-    kkt = kkt_residuals(p, np.array([2.0, 2.0]), ineq_multipliers=np.array([0.5]))
+    kkt = kkt_residuals(p, np.array([2.0, 2.0]), no_eq, np.array([0.5]))
     assert kkt.primal_ineq == pytest.approx(3.0)
     assert kkt.complementarity == pytest.approx(1.5)
     with pytest.raises(SpecError, match="length"):
-        kkt_residuals(p, beta, ineq_multipliers=np.array([0.5, 0.5]))
+        kkt_residuals(p, beta, no_eq, np.array([0.5, 0.5]))
 
 
 def test_kkt_residuals_with_bounds():
     # The bound b1 <= 1 as a unit row.
     p = QpProblem(h=np.eye(1), f=np.array([-3.0]), cs=cs_of(1, a=[[1.0]], b=[1.0]))
-    kkt = kkt_residuals(p, np.array([1.0]), ineq_multipliers=np.array([2.0]))
-    assert kkt.max() <= 1e-15
-    kkt = kkt_residuals(p, np.array([2.0]), ineq_multipliers=np.array([2.0]))
+    kkt = kkt_residuals(p, np.array([1.0]), np.zeros(0), np.array([2.0]))
+    assert kkt_max(kkt) <= 1e-15
+    kkt = kkt_residuals(p, np.array([2.0]), np.zeros(0), np.array([2.0]))
     assert kkt.primal_ineq == pytest.approx(1.0)
     assert kkt.complementarity == pytest.approx(2.0)
 
 
 def test_kkt_residuals_refuses_a_beta_of_another_length():
-    p = QpProblem(h=np.eye(3), f=np.zeros(3), cs=ConstraintSet.empty(3))
+    p = QpProblem(h=np.eye(3), f=np.zeros(3), cs=no_constraints(3))
     with pytest.raises(SpecError, match="^beta must have length 3$"):
-        kkt_residuals(p, np.zeros(2))
+        kkt_residuals(p, np.zeros(2), np.zeros(0), np.zeros(0))
 
 
 def test_solve_qp_refuses_an_h_that_is_not_positive_semidefinite():
-    p = QpProblem(h=-np.eye(3), f=np.zeros(3), cs=ConstraintSet.empty(3))
+    p = QpProblem(h=-np.eye(3), f=np.zeros(3), cs=no_constraints(3))
     with pytest.raises(SpecError, match="^H is not positive semidefinite$"):
         solve_qp(p)
 
@@ -239,7 +254,7 @@ def test_max_iterations_is_honest(monkeypatch):
     assert sol.iterations == 1
     assert "iteration limit" in sol.note
     # Residuals are reported, not zeroed.
-    assert sol.kkt.max() > 0
+    assert kkt_max(sol.kkt) > 0
 
 
 def test_nonunique_equality_solution_warns():
@@ -292,7 +307,7 @@ def test_optimality_against_feasible_samples():
         p, feas = random_problem(rng)
         sol = solve_qp(p)
         assert sol.status == "optimal"
-        assert sol.kkt.max() <= 1e-6
+        assert kkt_max(sol.kkt) <= 1e-6
         res = constraint_residuals(p.cs, sol.beta)
         assert max(res.eq_residual, res.ineq_violation) <= 1e-7
         best = qp_objective(p, sol.beta)
@@ -321,7 +336,7 @@ def test_determinism_bitwise():
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.ineq_multipliers, b.ineq_multipliers)
     assert a.iterations == b.iterations
-    assert a.objective == b.objective
+    assert qp_objective(p, a.beta) == qp_objective(p, b.beta)
 
 
 def test_tightening_cannot_improve_objective():
@@ -338,7 +353,7 @@ def test_tightening_cannot_improve_objective():
         sol_loose = solve_qp(loose)
         sol_tight = solve_qp(tight)
         assert sol_loose.status == "optimal" and sol_tight.status == "optimal"
-        assert sol_tight.objective >= sol_loose.objective - 1e-7
+        assert qp_objective(tight, sol_tight.beta) >= qp_objective(loose, sol_loose.beta) - 1e-7
 
 
 def test_solve_with_compiled_constraints(small_spec):
@@ -348,7 +363,7 @@ def test_solve_with_compiled_constraints(small_spec):
     p = QpProblem(h=np.eye(q), f=rng.standard_normal(q), cs=cs)
     sol = solve_qp(p)
     assert sol.status == "optimal"
-    assert sol.kkt.max() <= 1e-7
+    assert kkt_max(sol.kkt) <= 1e-7
     res = constraint_residuals(cs, sol.beta)
     assert max(res.eq_residual, res.ineq_violation) <= 1e-7
     # Pinned attributes actually land on their pins.
@@ -424,7 +439,7 @@ def solve_and_check(p):
         # Relative to the terms of H beta + f: far-off optima carry the
         # roundoff of forming H beta.
         size = np.abs(p.h).max() * max(1.0, np.abs(sol.beta).max())
-        assert kkt.max() <= 1e-8 * (1.0 + np.abs(p.f).max() + size)
+        assert kkt_max(kkt) <= 1e-8 * (1.0 + np.abs(p.f).max() + size)
     return sol.status
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from scorecraft import sqp
+from scorecraft.cli import _default_probs
 from scorecraft.constraints import ConstraintSet, compile_constraints
+from scorecraft.data_io import SyntheticConfig, gen_synthetic
 from scorecraft.model import DesignMatrix, Sample, SpecError, build_design_matrix
 from scorecraft.sqp import (
     FitConfig,
@@ -19,13 +21,14 @@ from scorecraft.sqp import (
     score_minus_log_likelihood,
 )
 
+from conftest import kkt_max, no_constraints
 from dense_design import DenseDesign, attribute_columns
 from ircls_oracle import ircls_step
 from text_columns import text_column
 
 
 def cs_of(q, aeq=None, beq=None, a=None, b=None):
-    empty = ConstraintSet.empty(q)
+    empty = no_constraints(q)
     return ConstraintSet(
         aeq=np.asarray(aeq, float).reshape(-1, q) if aeq is not None else empty.aeq,
         beq=np.asarray(beq, float).ravel() if beq is not None else empty.beq,
@@ -133,15 +136,17 @@ def test_hessian_matches_finite_differences():
 
 
 def test_logistic_probabilities_are_stable():
-    # prob is the logistic of theta, with no overflow at any magnitude.
+    # prob is the logistic of theta, with no overflow at any magnitude; on
+    # one row with x = 1 and y = 0 the gradient is prob itself.
     thetas = [0.0]
     for t in (1e-300, 1.0, 36.7, 40.0, 709.0, 745.0, 800.0, 1e3):
         thetas += [t, -t]
-    x = DenseDesign(np.array(thetas)[:, None])
-    y = np.tile([0.0, 1.0], len(thetas))[: len(thetas)]
+    one = DenseDesign(np.ones((1, 1)))
     with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        prob = logistic_terms(x, y, np.ones(len(thetas)), np.array([1.0])).prob
+        prob = np.array([
+            logistic_terms(one, np.zeros(1), np.ones(1), np.array([t])).grad[0] for t in thetas
+        ])
     assert ((prob >= 0.0) & (prob <= 1.0)).all()
     for t, p in zip(thetas, prob):
         try:
@@ -170,6 +175,8 @@ def test_penalty_spec():
         PenaltySpec(lam=1e308)
     with pytest.raises(SpecError, match="q >= 2"):
         PenaltySpec(lam=1.0).hessian_diag(1)
+    with pytest.raises(SpecError, match="q >= 2"):
+        PenaltySpec(lam=1.0).value(np.zeros(1))
 
 
 def test_assemble_qp_shapes_the_newton_model():
@@ -178,7 +185,7 @@ def test_assemble_qp_shapes_the_newton_model():
     beta = rng.standard_normal(4) * 0.4
     terms = logistic_terms(x, y, w, beta)
     pen = PenaltySpec(lam=2.0)
-    p = assemble_qp(terms, pen, beta, ConstraintSet.empty(4))
+    p = assemble_qp(terms, pen, beta, no_constraints(4))
     assert np.allclose(p.h, terms.hess + np.diag(pen.hessian_diag(4)))
     # The penalty is exactly quadratic: it contributes to H only, never to f.
     assert np.allclose(p.f, terms.grad - terms.hess @ beta)
@@ -195,7 +202,7 @@ def test_sqp_step_is_newton_without_constraints():
     beta = rng.standard_normal(4) * 0.3
     terms = logistic_terms(x, y, w, beta)
     newton = beta - np.linalg.solve(terms.hess, terms.grad)
-    step = first_step(x, y, w, PenaltySpec(), ConstraintSet.empty(4), beta)
+    step = first_step(x, y, w, PenaltySpec(), no_constraints(4), beta)
     assert np.abs(step - newton).max() <= 1e-9
 
 
@@ -221,7 +228,7 @@ def test_ircls_rejects_degenerate_probabilities():
     y = np.array([1.0, 0.0, 1.0])
     w = np.ones(3)
     with pytest.raises(StepError, match="working response is undefined"):
-        ircls_step(x, y, w, PenaltySpec(), ConstraintSet.empty(1), np.array([800.0]))
+        ircls_step(x, y, w, PenaltySpec(), no_constraints(1), np.array([800.0]))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -256,7 +263,7 @@ def test_fit_intercept_only_closed_form():
     x = DenseDesign(np.ones((4, 1)))
     y = np.array([1.0, 1.0, 1.0, 0.0])
     w = np.ones(4)
-    result = fit(x, y, w, PenaltySpec(), ConstraintSet.empty(1))
+    result = fit(x, y, w, PenaltySpec(), no_constraints(1))
     assert result.status == "converged"
     assert result.beta[0] == pytest.approx(math.log(3.0), abs=1e-8)
     assert result.minus_ll == pytest.approx(
@@ -270,11 +277,11 @@ def test_fit_intercept_only_closed_form():
 def test_fit_unconstrained_reaches_stationarity():
     rng = np.random.default_rng(9)
     x, y, w = make_logistic(rng, n=300, q=5)
-    result = fit(x, y, w, PenaltySpec(), ConstraintSet.empty(5))
+    result = fit(x, y, w, PenaltySpec(), no_constraints(5))
     assert result.status == "converged"
     terms = logistic_terms(x, y, w, result.beta)
     assert np.abs(terms.grad).max() <= 1e-6
-    assert result.kkt.max() <= 1e-6
+    assert kkt_max(result.kkt) <= 1e-6
     deltas = [rec.max_delta for rec in result.trajectory]
     assert deltas[-1] <= 1e-6
     lls = [rec.minus_ll for rec in result.trajectory]
@@ -297,9 +304,9 @@ def test_fit_respects_equality_and_inequality_rows():
     assert result.beta[4] <= result.beta[3] + 1e-8
     assert result.residuals.eq_residual <= 1e-8
     assert result.residuals.ineq_violation <= 1e-8
-    assert result.kkt.max() <= 1e-6
+    assert kkt_max(result.kkt) <= 1e-6
     # The constrained optimum cannot beat the unconstrained one.
-    free = fit(x, y, w, PenaltySpec(), ConstraintSet.empty(5))
+    free = fit(x, y, w, PenaltySpec(), no_constraints(5))
     assert result.minus_ll >= free.minus_ll - 1e-10
 
 
@@ -308,12 +315,12 @@ def test_fit_penalty_shrinks_weights():
     x, y, w = make_logistic(rng, n=400, q=6)
     norms = []
     for lam in (0.0, 1.0, 10.0):
-        result = fit(x, y, w, PenaltySpec(lam=lam), ConstraintSet.empty(6))
+        result = fit(x, y, w, PenaltySpec(lam=lam), no_constraints(6))
         assert result.status == "converged"
         norms.append(np.linalg.norm(result.beta[1:]))
     assert norms[0] >= norms[1] >= norms[2]
     # A huge penalty pins the weights at 0 and leaves the log-odds intercept.
-    result = fit(x, y, w, PenaltySpec(lam=1e8), ConstraintSet.empty(6))
+    result = fit(x, y, w, PenaltySpec(lam=1e8), no_constraints(6))
     assert result.status == "converged"
     assert np.abs(result.beta[1:]).max() <= 1e-3
     odds = math.log((w @ y) / (w @ (1.0 - y)))
@@ -324,7 +331,7 @@ def test_fit_objective_includes_penalty():
     rng = np.random.default_rng(12)
     x, y, w = make_logistic(rng, n=200, q=4)
     pen = PenaltySpec(lam=2.0)
-    result = fit(x, y, w, pen, ConstraintSet.empty(4))
+    result = fit(x, y, w, pen, no_constraints(4))
     assert result.objective == pytest.approx(result.minus_ll + pen.value(result.beta))
 
 
@@ -332,7 +339,7 @@ def test_fit_iteration_cap_is_honest():
     rng = np.random.default_rng(13)
     x, y, w = make_logistic(rng, n=300, q=5)
     config = FitConfig(tol=1e-12, max_outer_iters=1)
-    result = fit(x, y, w, PenaltySpec(), ConstraintSet.empty(5), config)
+    result = fit(x, y, w, PenaltySpec(), no_constraints(5), config)
     assert result.status == "max_iterations"
     assert result.iterations == 1
     assert "iteration cap" in result.note
@@ -346,7 +353,7 @@ def test_fit_warns_on_separation():
     w = np.ones(20)
     config = FitConfig(tol=1e-12, max_outer_iters=40)
     with pytest.warns(FitWarning, match="separable"):
-        result = fit(x, y, w, PenaltySpec(), ConstraintSet.empty(2), config)
+        result = fit(x, y, w, PenaltySpec(), no_constraints(2), config)
     assert result.status == "max_iterations"
 
 
@@ -362,11 +369,11 @@ def test_fit_validates_shapes():
     rng = np.random.default_rng(15)
     x, y, w = make_logistic(rng, n=50, q=3)
     with pytest.raises(SpecError, match="constraint set"):
-        fit(x, y, w, PenaltySpec(), ConstraintSet.empty(4))
+        fit(x, y, w, PenaltySpec(), no_constraints(4))
     with pytest.raises(SpecError, match="length 50"):
-        fit(x, y[:-1], w[:-1], PenaltySpec(), ConstraintSet.empty(3))
+        fit(x, y[:-1], w[:-1], PenaltySpec(), no_constraints(3))
     with pytest.raises(SpecError, match="^total weight must be finite$"):
-        fit(x, y, np.full(50, 1e308), PenaltySpec(lam=0.5), ConstraintSet.empty(3))
+        fit(x, y, np.full(50, 1e308), PenaltySpec(lam=0.5), no_constraints(3))
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(SpecError, match="tol"):
             FitConfig(tol=tol)
@@ -400,9 +407,9 @@ def test_fit_on_design_matrix_with_compiled_constraints(small_spec):
 def test_warm_started_fit_matches_cold_fit():
     rng = np.random.default_rng(17)
     x, y, w = make_logistic(rng, n=250, q=4)
-    cold = fit(x, y, w, PenaltySpec(lam=1.0), ConstraintSet.empty(4))
+    cold = fit(x, y, w, PenaltySpec(lam=1.0), no_constraints(4))
     warm = fit(
-        x, y, w, PenaltySpec(lam=1.0), ConstraintSet.empty(4),
+        x, y, w, PenaltySpec(lam=1.0), no_constraints(4),
         FitConfig(beta0=cold.beta),
     )
     assert warm.status == "converged"
@@ -417,7 +424,7 @@ def test_fit_rejects_non_finite_weights():
         w_bad = w.copy()
         w_bad[7] = bad
         with pytest.raises(SpecError, match="finite"):
-            fit(x, y, w_bad, PenaltySpec(0.1), ConstraintSet.empty(3))
+            fit(x, y, w_bad, PenaltySpec(0.1), no_constraints(3))
 
 
 def test_fit_does_not_depend_on_a_power_of_two_scale_of_the_weights(small_spec):
@@ -449,11 +456,34 @@ def test_fit_does_not_depend_on_a_power_of_two_scale_of_the_weights(small_spec):
             assert scaled.residuals == base.residuals
 
 
+@pytest.mark.filterwarnings("ignore:H is rank deficient")
+def test_fit_that_stops_far_from_stationarity_is_not_converged(fixture_spec):
+    # On the bundled spec's gen sample, coefficient 5 pinned to 50 drives
+    # every probability to 0 or 1: the steps end at 0 with the penalized
+    # gradient still at 0.75 of the total weight.  That is no optimum.
+    good, bad = _default_probs(fixture_spec)
+    sample = gen_synthetic(SyntheticConfig(
+        seed=1, n_good=3000, n_bad=1000, spec=fixture_spec, good_probs=good, bad_probs=bad,
+    ))
+    design = build_design_matrix(fixture_spec, sample)
+    cs = compile_constraints(fixture_spec, inweights=[(5, 50.0)])
+    with pytest.warns(FitWarning, match="separable"):
+        result = fit(design, sample.y, sample.w, PenaltySpec(0.5), cs)
+    assert result.trajectory[-1].max_delta == 0.0
+    assert result.status == "max_iterations"
+    bound = sqp.STATIONARITY_TOL * sample.w.sum()
+    assert result.kkt.stationarity > 1e7 * bound
+    assert result.note == (
+        f"step tolerance met but stationarity {result.kkt.stationarity:.3e}"
+        f" exceeds {bound:.3e}, 1e-08 of the total weight"
+    )
+
+
 def test_fit_refuses_a_lambda_that_overflows_with_the_weights_scale():
     rng = np.random.default_rng(20)
     x, y, w = make_logistic(rng, n=30, q=3)
     with pytest.raises(SpecError, match=r"^--lambda 1e\+300 is too large for weights"):
-        fit(x, y, w * 1e-300, PenaltySpec(1e300), ConstraintSet.empty(3))
+        fit(x, y, w * 1e-300, PenaltySpec(1e300), no_constraints(3))
 
 
 def test_assemble_qp_refuses_terms_over_another_coefficient_count():
@@ -461,7 +491,7 @@ def test_assemble_qp_refuses_terms_over_another_coefficient_count():
     x, y, w = make_logistic(rng, n=20, q=3)
     terms = logistic_terms(x, y, w, np.zeros(3))
     with pytest.raises(SpecError, match="^terms and beta_hat disagree on the coefficient count$"):
-        assemble_qp(terms, PenaltySpec(), np.zeros(4), ConstraintSet.empty(3))
+        assemble_qp(terms, PenaltySpec(), np.zeros(4), no_constraints(3))
 
 
 def test_logistic_terms_reject_bad_shapes():
